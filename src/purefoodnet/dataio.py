@@ -17,7 +17,7 @@ from .augment import AugmentPolicy, apply_policy, bilinear_resize, policy_rng
 from .errors import DataError, DataFormatError, ShapeError
 from .evaluation import one_hot_matrix
 from .seeding import derive_seed
-from .tensor import Tensor4, atomic_write_bytes
+from .tensor import Tensor4, atomic_write_bytes, decode_utf8
 
 __all__ = [
     "DatasetManifest",
@@ -365,7 +365,7 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def load_manifest(path, root=None) -> DatasetManifest:
-    manifest = manifest_from_text(_read_file(path).decode("utf-8"))
+    manifest = manifest_from_text(decode_utf8(_read_file(path), f"manifest {path}"))
     if root is not None:
         manifest = DatasetManifest(str(root), manifest.seed,
                                    manifest.classes, manifest.records)

@@ -146,10 +146,6 @@ class EvalReport:
         return self.hits[k] / self.n_samples
 
     @property
-    def accuracies(self) -> dict[int, float]:
-        return {k: self.accuracy(k) for k in sorted(self.hits)}
-
-    @property
     def ks(self) -> tuple:
         return tuple(sorted(self.hits))
 

@@ -209,19 +209,21 @@ def conv2d_forward(x: Tensor4, layer: ConvLayer, training: bool = False) -> Tens
     return out
 
 
-def _check_pool_geometry(x: Tensor4, window: int, stride: int):
-    for name, dim in (("height", x.h), ("width", x.w)):
+def pool_output_size(h: int, w: int, window: int, stride: int) -> tuple[int, int]:
+    """Output (height, width) of a pool; the window must tile both sides exactly."""
+    for name, dim in (("height", h), ("width", w)):
         if window > dim:
             raise GeometryError(f"pool window {window} exceeds {name} {dim}")
         if (dim - window) % stride != 0:
             raise GeometryError(
                 f"pool window {window}/stride {stride} does not tile {name} {dim}"
             )
+    return (h - window) // stride + 1, (w - window) // stride + 1
 
 
 def pool_cached(x: Tensor4, layer: PoolLayer) -> tuple[Tensor4, PoolCache]:
     window, stride = layer.window, layer.stride
-    _check_pool_geometry(x, window, stride)
+    pool_output_size(x.h, x.w, window, stride)
     windows = sliding_window_view(x.data, (window, window), axis=(1, 2))[:, ::stride, ::stride]
     if layer.mode == "max":
         i, oh, ow, c = windows.shape[:4]

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,12 +37,13 @@ from .tensor import (
     Tensor4,
     atomic_write_bytes,
     conv_output_size,
+    decode_utf8,
+    pft1_header,
+    pft1_values,
     same_padding_amount,
-    tensor_from_bytes,
     tensor_to_bytes,
 )
 
-LAYER_KINDS = ("conv", "pool", "flatten", "dense", "dropout", "batchnorm")
 PFW1_MAGIC = b"PFW1"
 
 # Reference architecture constants: conv layers per block and base filter
@@ -75,43 +77,105 @@ class LayerSpec:
     def __post_init__(self):
         if not self.name or any(ch.isspace() for ch in self.name):
             raise ValueError(f"layer name must be a non-empty token, got {self.name!r}")
-        if self.kind not in LAYER_KINDS:
+        kind = KIND_TABLE.get(self.kind)
+        if kind is None:
             raise UnknownLayerError(f"unknown layer kind {self.kind!r} (layer {self.name!r})")
-        required = {
-            "conv": ("filters", "kernel", "stride", "padding", "activation"),
-            "pool": ("window", "stride", "mode"),
-            "flatten": (),
-            "dense": ("units", "activation"),
-            "dropout": ("rate",),
-            "batchnorm": (),
-        }[self.kind]
-        all_fields = ("filters", "kernel", "stride", "padding", "activation",
-                      "window", "mode", "units", "rate")
-        for f in all_fields:
-            v = getattr(self, f)
-            if f in required and v is None:
-                raise ValueError(f"layer {self.name!r} ({self.kind}) is missing {f}")
-            if f not in required and v is not None:
-                raise ValueError(f"layer {self.name!r} ({self.kind}) does not take {f}")
-        if self.kind == "conv":
-            if self.filters < 1:
-                raise ValueError(f"layer {self.name!r}: filters must be >= 1")
-            ConvGeometry(self.kernel, self.stride, self.padding)
-            if self.activation not in L.CONV_ACTIVATIONS:
-                raise ValueError(f"layer {self.name!r}: conv activation {self.activation!r}")
-        elif self.kind == "pool":
-            if self.window < 1 or self.stride < 1:
-                raise ValueError(f"layer {self.name!r}: window and stride must be >= 1")
-            if self.mode not in L.POOL_MODES:
-                raise ValueError(f"layer {self.name!r}: pool mode {self.mode!r}")
-        elif self.kind == "dense":
-            if self.units < 1:
-                raise ValueError(f"layer {self.name!r}: units must be >= 1")
-            if self.activation not in L.DENSE_ACTIVATIONS:
-                raise ValueError(f"layer {self.name!r}: dense activation {self.activation!r}")
-        elif self.kind == "dropout":
-            if not 0.0 <= self.rate < 1.0:
-                raise ValueError(f"layer {self.name!r}: rate must be in [0, 1), got {self.rate}")
+        for f in dataclasses.fields(self)[3:]:  # the per-kind hyperparameters
+            v = getattr(self, f.name)
+            if f.name in kind.keys and v is None:
+                raise ValueError(f"layer {self.name!r} ({self.kind}) is missing {f.name}")
+            if f.name not in kind.keys and v is not None:
+                raise ValueError(f"layer {self.name!r} ({self.kind}) does not take {f.name}")
+        if not kind.valid(self):
+            values = ", ".join(f"{key}={getattr(self, key)!r}" for key in kind.keys)
+            raise ValueError(f"layer {self.name!r} ({self.kind}): invalid {values}")
+
+
+# ---------------------------------------------------------------------------
+# Layer kinds: one table entry holds everything the engine knows about a
+# kind. A new kind is one entry here plus its kernels in `layers` and its
+# backward in `training`.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LayerKind:
+    keys: tuple[str, ...]  # LayerSpec fields in text-form order (hashed into the digest)
+    forward: Callable  # (layer, param getter, x, training, rng, update_stats) -> (out, cache)
+    valid: Callable = lambda layer: True  # hyperparameter values are in range
+    out_shape: Callable = lambda layer, h, w, c: (h, w, c)
+    params: Callable = lambda layer, c: {}  # (layer, c_in) -> {field: shape}, in storage order
+    trainable: tuple[str, ...] = ()  # fields the optimizer updates
+    penalized: tuple[str, ...] = ()  # fields the L1/L2 penalties cover
+
+
+def _geometry(layer: LayerSpec) -> ConvGeometry:
+    return ConvGeometry(layer.kernel, layer.stride, layer.padding)
+
+
+def _dense_out(layer: LayerSpec, h: int, w: int, c: int):
+    if h != 1 or w != 1:
+        raise ShapeError(f"dense needs flattened input, have ({h}, {w}, {c})")
+    return h, w, layer.units
+
+
+# The forwards resolve `L.<kernel>` when they run, so a kernel can be
+# swapped at its module attribute (as the benchmark's tracer does).
+KIND_TABLE = {
+    "conv": LayerKind(
+        keys=("filters", "kernel", "stride", "padding", "activation"),
+        # _geometry raises GeometryError for a bad kernel, stride or padding.
+        valid=lambda layer: (layer.filters >= 1 and _geometry(layer) is not None
+                             and layer.activation in L.CONV_ACTIVATIONS),
+        out_shape=lambda layer, h, w, c: (conv_output_size(h, _geometry(layer)),
+                                          conv_output_size(w, _geometry(layer)), layer.filters),
+        params=lambda layer, c: {"filters": (layer.filters, layer.kernel, layer.kernel, c),
+                                 "bias": (layer.filters,)},
+        trainable=("filters", "bias"),
+        penalized=("filters",),
+        forward=lambda layer, p, x, training, rng, update_stats: L.conv2d_cached(
+            x, L.ConvLayer(p("filters"), p("bias"), _geometry(layer), layer.activation), training),
+    ),
+    "pool": LayerKind(
+        keys=("mode", "window", "stride"),
+        valid=lambda layer: (layer.window >= 1 and layer.stride >= 1
+                             and layer.mode in L.POOL_MODES),
+        out_shape=lambda layer, h, w, c: (*L.pool_output_size(h, w, layer.window, layer.stride), c),
+        forward=lambda layer, p, x, training, rng, update_stats: L.pool_cached(
+            x, L.PoolLayer(layer.window, layer.stride, layer.mode)),
+    ),
+    "flatten": LayerKind(
+        keys=(),
+        out_shape=lambda layer, h, w, c: (1, 1, h * w * c),
+        forward=lambda layer, p, x, training, rng, update_stats: L.flatten_cached(x),
+    ),
+    "dense": LayerKind(
+        keys=("units", "activation"),
+        valid=lambda layer: layer.units >= 1 and layer.activation in L.DENSE_ACTIVATIONS,
+        out_shape=_dense_out,
+        params=lambda layer, c: {"weights": (c, layer.units), "bias": (layer.units,)},
+        trainable=("weights", "bias"),
+        penalized=("weights",),
+        forward=lambda layer, p, x, training, rng, update_stats: L.dense_cached(
+            x, L.DenseLayer(p("weights"), p("bias"), layer.activation)),
+    ),
+    "dropout": LayerKind(
+        keys=("rate",),
+        valid=lambda layer: 0.0 <= layer.rate < 1.0,
+        forward=lambda layer, p, x, training, rng, update_stats: L.dropout_cached(
+            x, L.DropoutLayer(layer.rate), training, rng),
+    ),
+    # Frozen batch norm runs on its running statistics even during training,
+    # so freezing keeps its bytes exactly stable.
+    "batchnorm": LayerKind(
+        keys=(),
+        params=lambda layer, c: dict.fromkeys(("gamma", "beta", "running_mean", "running_var"),
+                                              (c,)),
+        trainable=("gamma", "beta"),
+        forward=lambda layer, p, x, training, rng, update_stats: L.batchnorm_cached(
+            x, L.BatchNormLayer(p("gamma"), p("beta"), p("running_mean"), p("running_var")),
+            training and layer.trainable, update_stats),
+    ),
+}
 
 
 def conv_spec(name, filters, kernel=3, stride=1, padding=None, activation="relu"):
@@ -167,10 +231,7 @@ class ModelSpec:
         infer_shapes(self)  # fail construction if the chain cannot be evaluated
 
     def layer(self, name: str) -> LayerSpec:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise UnknownLayerError(f"no layer named {name!r}")
+        return self.layers[self.index_of(name)]
 
     def index_of(self, name: str) -> int:
         for idx, layer in enumerate(self.layers):
@@ -182,10 +243,6 @@ class ModelSpec:
     def backbone_layers(self) -> tuple[LayerSpec, ...]:
         return self.layers[:self.top_boundary]
 
-    @property
-    def top_layers(self) -> tuple[LayerSpec, ...]:
-        return self.layers[self.top_boundary:]
-
 
 def infer_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
     """Per-boundary (h, w, c) shapes: entry 0 is the input, entry j+1 follows
@@ -194,27 +251,7 @@ def infer_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
     h, w, c = spec.input_shape
     for layer in spec.layers:
         try:
-            if layer.kind == "conv":
-                g = ConvGeometry(layer.kernel, layer.stride, layer.padding)
-                h, w = conv_output_size(h, g), conv_output_size(w, g)
-                c = layer.filters
-            elif layer.kind == "pool":
-                for dim in (h, w):
-                    if layer.window > dim:
-                        raise GeometryError(f"pool window {layer.window} exceeds side {dim}")
-                    if (dim - layer.window) % layer.stride != 0:
-                        raise GeometryError(
-                            f"pool window {layer.window}/stride {layer.stride} "
-                            f"does not tile side {dim}"
-                        )
-                h = (h - layer.window) // layer.stride + 1
-                w = (w - layer.window) // layer.stride + 1
-            elif layer.kind == "flatten":
-                h, w, c = 1, 1, h * w * c
-            elif layer.kind == "dense":
-                if h != 1 or w != 1:
-                    raise ShapeError(f"dense needs flattened input, have ({h}, {w}, {c})")
-                c = layer.units
+            h, w, c = KIND_TABLE[layer.kind].out_shape(layer, h, w, c)
         except GeometryError as e:
             raise GeometryError(f"layer {layer.name!r}: {e}") from None
         except ShapeError as e:
@@ -268,10 +305,6 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         return ParamStore({name: arr.copy() for name, arr in self._arrays.items()})
 
-    def astype(self, dtype) -> "ParamStore":
-        dt = np.dtype(dtype)
-        return ParamStore({name: arr.astype(dt) for name, arr in self._arrays.items()})
-
     def total_values(self) -> int:
         return sum(arr.size for arr in self._arrays.values())
 
@@ -288,47 +321,25 @@ class ParamStore:
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Expected name -> shape for every parameter of the spec, in layer order."""
-    shapes = infer_shapes(spec)
     out: dict[str, tuple[int, ...]] = {}
-    for layer, (h, w, c_in) in zip(spec.layers, shapes):
-        if layer.kind == "conv":
-            out[f"{layer.name}.filters"] = (layer.filters, layer.kernel, layer.kernel, c_in)
-            out[f"{layer.name}.bias"] = (layer.filters,)
-        elif layer.kind == "dense":
-            out[f"{layer.name}.weights"] = (c_in, layer.units)
-            out[f"{layer.name}.bias"] = (layer.units,)
-        elif layer.kind == "batchnorm":
-            for field in ("gamma", "beta", "running_mean", "running_var"):
-                out[f"{layer.name}.{field}"] = (c_in,)
+    for layer, (_, _, c_in) in zip(spec.layers, infer_shapes(spec)):
+        for field, shape in KIND_TABLE[layer.kind].params(layer, c_in).items():
+            out[f"{layer.name}.{field}"] = shape
     return out
 
 
 def trainable_param_names(spec: ModelSpec) -> list[str]:
     """Parameters the optimizer may update: weights and biases of trainable
     layers plus batch-norm gamma/beta. Running statistics are never included."""
-    names = []
-    for layer in spec.layers:
-        if not layer.trainable:
-            continue
-        if layer.kind == "conv":
-            names += [f"{layer.name}.filters", f"{layer.name}.bias"]
-        elif layer.kind == "dense":
-            names += [f"{layer.name}.weights", f"{layer.name}.bias"]
-        elif layer.kind == "batchnorm":
-            names += [f"{layer.name}.gamma", f"{layer.name}.beta"]
-    return names
+    return [f"{layer.name}.{field}" for layer in spec.layers if layer.trainable
+            for field in KIND_TABLE[layer.kind].trainable]
 
 
 def penalized_weight_names(spec: ModelSpec) -> list[str]:
     """Weight tensors subject to L1/L2 penalties: conv filters and dense
     weight matrices. Biases and batch-norm parameters are exempt."""
-    names = []
-    for layer in spec.layers:
-        if layer.kind == "conv":
-            names.append(f"{layer.name}.filters")
-        elif layer.kind == "dense":
-            names.append(f"{layer.name}.weights")
-    return names
+    return [f"{layer.name}.{field}" for layer in spec.layers
+            for field in KIND_TABLE[layer.kind].penalized]
 
 
 def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> ParamStore:
@@ -353,39 +364,14 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> ParamStore:
     return params
 
 
-def _materialize(layer: LayerSpec, params: ParamStore):
-    n = layer.name
-    if layer.kind == "conv":
-        return L.ConvLayer(params[f"{n}.filters"], params[f"{n}.bias"],
-                           ConvGeometry(layer.kernel, layer.stride, layer.padding),
-                           layer.activation)
-    if layer.kind == "pool":
-        return L.PoolLayer(layer.window, layer.stride, layer.mode)
-    if layer.kind == "dense":
-        return L.DenseLayer(params[f"{n}.weights"], params[f"{n}.bias"], layer.activation)
-    if layer.kind == "dropout":
-        return L.DropoutLayer(layer.rate)
-    if layer.kind == "batchnorm":
-        return L.BatchNormLayer(params[f"{n}.gamma"], params[f"{n}.beta"],
-                                params[f"{n}.running_mean"], params[f"{n}.running_var"])
-    return None  # flatten carries no state
+def apply_layer(layer: LayerSpec, params: ParamStore, x: Tensor4,
+                training: bool = False, rng: np.random.Generator | None = None,
+                update_stats: bool = True) -> tuple[Tensor4, object]:
+    """Run one layer on x; returns its output and the cache its backward uses."""
+    def param(field):
+        return params[f"{layer.name}.{field}"]
 
-
-def _apply_cached(layer: LayerSpec, obj, x: Tensor4, training: bool,
-                  rng: np.random.Generator | None, update_stats: bool = True):
-    if layer.kind == "conv":
-        return L.conv2d_cached(x, obj, training)
-    if layer.kind == "pool":
-        return L.pool_cached(x, obj)
-    if layer.kind == "flatten":
-        return L.flatten_cached(x)
-    if layer.kind == "dense":
-        return L.dense_cached(x, obj)
-    if layer.kind == "dropout":
-        return L.dropout_cached(x, obj, training, rng)
-    # Frozen batch norm runs on its running statistics even during training,
-    # so freezing keeps its bytes exactly stable.
-    return L.batchnorm_cached(x, obj, training and layer.trainable, update_stats)
+    return KIND_TABLE[layer.kind].forward(layer, param, x, training, rng, update_stats)
 
 
 def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
@@ -395,8 +381,7 @@ def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
                         ) -> tuple[Tensor4, list[tuple[LayerSpec, object]]]:
     caches = []
     for layer in spec.layers:
-        obj = _materialize(layer, params)
-        x, cache = _apply_cached(layer, obj, x, training, rng, update_stats)
+        x, cache = apply_layer(layer, params, x, training, rng, update_stats)
         caches.append((layer, cache))
     return x, caches
 
@@ -406,15 +391,6 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
     """Run the whole model; returns the final layer's output."""
     out, _ = forward_with_caches(spec, params, x, training, rng)
     return out
-
-
-def forward_slice(spec: ModelSpec, params: ParamStore, x: Tensor4,
-                  start: int = 0, stop: int | None = None) -> Tensor4:
-    """Inference pass over layers[start:stop] starting from activation x."""
-    for layer in spec.layers[start:stop]:
-        obj = _materialize(layer, params)
-        x, _ = _apply_cached(layer, obj, x, False, None)
-    return x
 
 
 def capture_activations(spec: ModelSpec, params: ParamStore, x: Tensor4,
@@ -427,8 +403,7 @@ def capture_activations(spec: ModelSpec, params: ParamStore, x: Tensor4,
         raise UnknownLayerError(f"no layer named {missing[0]!r}")
     captured: dict[str, Tensor4] = {}
     for layer in spec.layers:
-        obj = _materialize(layer, params)
-        x, _ = _apply_cached(layer, obj, x, False, None)
+        x, _ = apply_layer(layer, params, x)
         if layer.name in wanted:
             captured[layer.name] = x
     return captured
@@ -568,16 +543,6 @@ def set_trainable(spec: ModelSpec, layer_names, flag: bool) -> ModelSpec:
 # training metadata and excluded), so freezing layers does not orphan weights.
 # ---------------------------------------------------------------------------
 
-_KIND_KEYS = {
-    "conv": ("filters", "kernel", "stride", "padding", "activation"),
-    "pool": ("mode", "window", "stride"),
-    "flatten": (),
-    "dense": ("units", "activation"),
-    "dropout": ("rate",),
-    "batchnorm": (),
-}
-
-
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -586,24 +551,25 @@ def _format_value(v) -> str:
 
 def _layer_line(layer: LayerSpec, include_trainable: bool) -> str:
     parts = [layer.name, layer.kind]
-    parts += [f"{key}={_format_value(getattr(layer, key))}" for key in _KIND_KEYS[layer.kind]]
+    parts += [f"{key}={_format_value(getattr(layer, key))}" for key in KIND_TABLE[layer.kind].keys]
     if include_trainable and not layer.trainable:
         parts.append("trainable=false")
     return " ".join(parts)
 
 
-def model_spec_text(spec: ModelSpec) -> str:
+def _spec_text(spec: ModelSpec, include_trainable: bool) -> str:
     h, w, c = spec.input_shape
     lines = [f"input {h} {w} {c}", f"top {spec.top_boundary}"]
-    lines += [_layer_line(layer, include_trainable=True) for layer in spec.layers]
+    lines += [_layer_line(layer, include_trainable) for layer in spec.layers]
     return "\n".join(lines) + "\n"
 
 
+def model_spec_text(spec: ModelSpec) -> str:
+    return _spec_text(spec, include_trainable=True)
+
+
 def spec_digest(spec: ModelSpec) -> bytes:
-    h, w, c = spec.input_shape
-    lines = [f"input {h} {w} {c}", f"top {spec.top_boundary}"]
-    lines += [_layer_line(layer, include_trainable=False) for layer in spec.layers]
-    return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).digest()
+    return hashlib.sha256(_spec_text(spec, include_trainable=False).encode("utf-8")).digest()
 
 
 _INT_KEYS = {"filters", "kernel", "stride", "padding", "window", "units"}
@@ -661,7 +627,7 @@ def save_model_spec(path, spec: ModelSpec) -> None:
 
 def load_model_spec(path) -> ModelSpec:
     with open(path, "rb") as fh:
-        return parse_model_spec(fh.read().decode("utf-8"))
+        return parse_model_spec(decode_utf8(fh.read(), f"model spec {path}"))
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +638,9 @@ def load_model_spec(path) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 def _as_tensor4(arr: np.ndarray) -> Tensor4:
-    if arr.ndim == 4:
-        return Tensor4(arr)
-    if arr.ndim == 1:
-        return Tensor4(arr.reshape(1, 1, 1, -1))
-    if arr.ndim == 2:
-        return Tensor4(arr.reshape(1, 1, *arr.shape))
-    raise ShapeError(f"cannot serialize rank-{arr.ndim} parameter")
+    if arr.ndim not in (1, 2, 4):
+        raise ShapeError(f"cannot serialize rank-{arr.ndim} parameter")
+    return Tensor4(arr.reshape((1,) * (4 - arr.ndim) + arr.shape))
 
 
 def weights_to_bytes(spec: ModelSpec, params: ParamStore) -> bytes:
@@ -720,17 +682,16 @@ def weights_from_bytes(buf: bytes, spec: ModelSpec) -> ParamStore:
             raise DataFormatError("truncated weight file (name length)")
         (name_len,) = struct.unpack("<I", buf[offset:offset + 4])
         offset += 4
-        name = buf[offset:offset + name_len].decode("utf-8")
+        name = decode_utf8(buf[offset:offset + name_len], "weight file parameter name")
         offset += name_len
         if name not in expected:
             raise DataFormatError(f"weight file names unknown parameter {name!r}")
-        if offset + 37 > len(buf):
-            raise DataFormatError(f"truncated weight file (tensor header for {name!r})")
-        dims = struct.unpack("<4Q", buf[offset + 5:offset + 37])
-        item = 4 if buf[offset + 4] == 0 else 8
-        size = 37 + item * int(np.prod(dims))
-        tensor = tensor_from_bytes(buf[offset:offset + size])
-        offset += size
+        try:
+            dtype, dims, end = pft1_header(buf, offset)
+        except DataFormatError as e:
+            raise DataFormatError(f"parameter {name!r}: {e}") from None
+        tensor = pft1_values(buf, offset, dtype, dims)
+        offset = end
         shape = expected[name]
         if tensor.data.size != int(np.prod(shape)):
             raise ShapeError(

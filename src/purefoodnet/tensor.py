@@ -1,4 +1,4 @@
-"""Dense 4-D tensors, convolution shape arithmetic, and zero padding.
+"""Dense 4-D tensors and convolution shape arithmetic.
 
 Everything that flows between layers is a `Tensor4` in row-major
 (i, h, w, c) layout: batch, height, width, channels. Vectors and matrices
@@ -11,6 +11,9 @@ debugging dumps and as the payload encoding inside weight files.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -88,15 +91,6 @@ class Tensor4:
         arr.setflags(write=False)
         object.__setattr__(self, "_data", arr)
 
-    @classmethod
-    def from_flat(cls, shape: Shape4, values, dtype=np.float32) -> "Tensor4":
-        arr = np.asarray(values, dtype=dtype).reshape(shape.as_tuple())
-        return cls(arr)
-
-    @classmethod
-    def zeros(cls, shape: Shape4, dtype=np.float32) -> "Tensor4":
-        return cls(np.zeros(shape.as_tuple(), dtype=dtype))
-
     @property
     def data(self) -> np.ndarray:
         return self._data
@@ -125,9 +119,6 @@ class Tensor4:
     def c(self) -> int:
         return self._data.shape[3]
 
-    def flat(self) -> np.ndarray:
-        return self._data.reshape(-1)
-
     def astype(self, dtype) -> "Tensor4":
         dt = np.dtype(dtype)
         if dt == self._data.dtype:
@@ -137,24 +128,6 @@ class Tensor4:
     def __repr__(self):
         s = self.shape
         return f"Tensor4(i={s.i}, h={s.h}, w={s.w}, c={s.c}, dtype={self._data.dtype})"
-
-
-def flat_index(shape: Shape4, i: int, h: int, w: int, c: int) -> int:
-    """Row-major flat offset of coordinate (i, h, w, c)."""
-    for name, v, bound in (("i", i, shape.i), ("h", h, shape.h), ("w", w, shape.w), ("c", c, shape.c)):
-        if v < 0 or v >= bound:
-            raise ShapeError(f"coordinate {name}={v} out of range [0, {bound})")
-    return ((i * shape.h + h) * shape.w + w) * shape.c + c
-
-
-def coords_of(shape: Shape4, flat: int) -> tuple[int, int, int, int]:
-    """Inverse of `flat_index`."""
-    if flat < 0 or flat >= shape.size:
-        raise ShapeError(f"flat index {flat} out of range [0, {shape.size})")
-    flat, c = divmod(flat, shape.c)
-    flat, w = divmod(flat, shape.w)
-    i, h = divmod(flat, shape.h)
-    return (i, h, w, c)
 
 
 def conv_output_size(i: int, g: ConvGeometry) -> int:
@@ -180,38 +153,6 @@ def same_padding_amount(k: int) -> int:
     return k // 2
 
 
-def zero_pad(x: Tensor4, z: int) -> Tensor4:
-    """Pad the two spatial dims with z zeros per side."""
-    if z < 0:
-        raise GeometryError(f"padding must be >= 0, got {z}")
-    if z == 0:
-        return x
-    padded = np.pad(x.data, ((0, 0), (z, z), (z, z), (0, 0)))
-    return Tensor4(padded)
-
-
-def crop_interior(x: Tensor4, z: int) -> Tensor4:
-    """Remove z border cells per spatial side; inverse of `zero_pad`."""
-    if z == 0:
-        return x
-    if 2 * z >= x.h or 2 * z >= x.w:
-        raise GeometryError(f"cannot crop {z} per side from spatial dims ({x.h}, {x.w})")
-    return Tensor4(x.data[:, z:-z, z:-z, :])
-
-
-def slice_window(x: Tensor4, image: int, row: int, col: int, k: int) -> np.ndarray:
-    """The k x k x c receptive-field block at (row, col) of one image."""
-    if image < 0 or image >= x.i:
-        raise ShapeError(f"image index {image} out of range [0, {x.i})")
-    if k < 1:
-        raise GeometryError(f"window side must be >= 1, got {k}")
-    if row < 0 or col < 0 or row + k > x.h or col + k > x.w:
-        raise GeometryError(
-            f"window [{row}:{row + k}, {col}:{col + k}] escapes spatial bounds ({x.h}, {x.w})"
-        )
-    return x.data[image, row:row + k, col:col + k, :].copy()
-
-
 # ---------------------------------------------------------------------------
 # PFT1 binary tensor format: b"PFT1", dtype byte (0=f32, 1=f64), four u64 LE
 # shape fields (i, h, w, c), then raw little-endian values in row-major order.
@@ -224,24 +165,37 @@ def tensor_to_bytes(x: Tensor4) -> bytes:
     return header + payload
 
 
-def tensor_from_bytes(buf: bytes) -> Tensor4:
-    if len(buf) < 37:
-        raise DataFormatError(f"PFT1 data truncated: {len(buf)} bytes")
-    if buf[:4] != PFT1_MAGIC:
-        raise DataFormatError(f"bad PFT1 magic {buf[:4]!r}")
-    code = buf[4]
+def pft1_header(buf: bytes, offset: int = 0) -> tuple[np.dtype, tuple[int, ...], int]:
+    """Dtype, dims and end offset of the PFT1 record at buf[offset:]. The
+    size is a Python int: dims whose product overflows 64 bits cannot wrap."""
+    if len(buf) - offset < 37:
+        raise DataFormatError(f"PFT1 data truncated: {len(buf) - offset} bytes")
+    if buf[offset:offset + 4] != PFT1_MAGIC:
+        raise DataFormatError(f"bad PFT1 magic {buf[offset:offset + 4]!r}")
+    code = buf[offset + 4]
     if code not in CODE_DTYPES:
         raise DataFormatError(f"unknown PFT1 dtype code {code}")
-    dims = struct.unpack("<4Q", buf[5:37])
+    dims = struct.unpack_from("<4Q", buf, offset + 5)
     dtype = CODE_DTYPES[code]
-    count = 1
-    for d in dims:
-        count *= d
-    expected = 37 + count * dtype.itemsize
-    if len(buf) != expected:
-        raise DataFormatError(f"PFT1 payload length {len(buf) - 37}, expected {expected - 37}")
-    values = np.frombuffer(buf, dtype=dtype, count=count, offset=37)
+    end = offset + 37 + math.prod(dims) * dtype.itemsize
+    if end > len(buf):
+        raise DataFormatError(
+            f"PFT1 payload length {len(buf) - offset - 37}, expected {end - offset - 37}"
+        )
+    return dtype, dims, end
+
+
+def pft1_values(buf: bytes, offset: int, dtype: np.dtype, dims) -> Tensor4:
+    """The tensor whose header `pft1_header(buf, offset)` returned."""
+    values = np.frombuffer(buf, dtype=dtype, count=math.prod(dims), offset=offset + 37)
     return Tensor4(values.reshape(dims).astype(dtype.newbyteorder("=")))
+
+
+def tensor_from_bytes(buf: bytes) -> Tensor4:
+    dtype, dims, end = pft1_header(buf)
+    if end != len(buf):
+        raise DataFormatError(f"PFT1 payload length {len(buf) - 37}, expected {end - 37}")
+    return pft1_values(buf, 0, dtype, dims)
 
 
 def save_tensor(path, x: Tensor4) -> None:
@@ -253,10 +207,27 @@ def load_tensor(path) -> Tensor4:
         return tensor_from_bytes(fh.read())
 
 
+def decode_utf8(blob: bytes, what: str) -> str:
+    """blob as UTF-8 text; bytes that are not UTF-8 raise DataFormatError."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{what} is not valid UTF-8 (byte {exc.start})") from None
+
+
+_temp_ids = itertools.count()
+
+
 def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place.
+    The temp name is unique per call; a failed write removes it."""
     path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    tmp = f"{path}.tmp.{os.getpid()}.{next(_temp_ids)}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import layers as L
 from . import models as M
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from .seeding import make_rng
-from .tensor import Tensor4
+from .tensor import Tensor4, atomic_write_bytes, decode_utf8
 
 GradStore = dict[str, np.ndarray]
 
@@ -167,6 +167,19 @@ def batchnorm_backward(d: np.ndarray, cache: L.BatchNormCache):
 # Whole-model objective and gradients.
 # ---------------------------------------------------------------------------
 
+# Backward pass per layer kind: (d, cache) -> (dx, gradients of the kind's
+# trainable fields in table order). The lambdas resolve the module globals
+# when they run, so a backward can be swapped at its module attribute.
+_BACKWARD = {
+    "conv": lambda d, cache: conv2d_backward(d, cache),
+    "pool": lambda d, cache: (pool_backward(d, cache),),
+    "flatten": lambda d, cache: (flatten_backward(d, cache),),
+    "dense": lambda d, cache: dense_backward(d, cache),
+    "dropout": lambda d, cache: (dropout_backward(d, cache),),
+    "batchnorm": lambda d, cache: batchnorm_backward(d, cache),
+}
+
+
 def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
                        labels: np.ndarray, l2_strength: float = 0.0,
                        l1_strength: float = 0.0,
@@ -186,50 +199,30 @@ def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
                                           update_stats=update_stats)
     y = _as_rows(labels)
     loss = cross_entropy_loss(probs, y)
-    penalized = [n for n in M.penalized_weight_names(spec)]
+    penalized = M.penalized_weight_names(spec)
     if l2_strength:
         loss += L.l2_penalty((params[n] for n in penalized), l2_strength)
     if l1_strength:
         loss += L.l1_penalty((params[n] for n in penalized), l1_strength)
 
     grads: GradStore = {}
-    trainable_idx = [i for i, layer in enumerate(spec.layers)
-                     if layer.trainable and layer.kind in ("conv", "dense", "batchnorm")]
-    if not trainable_idx:
+    lowest = next((i for i, layer in enumerate(spec.layers)
+                   if layer.trainable and M.KIND_TABLE[layer.kind].trainable), None)
+    if lowest is None:
         return loss, grads, probs
-    lowest = trainable_idx[0]
+
+    def record(layer, param_grads):
+        if layer.trainable:
+            for field, g in zip(M.KIND_TABLE[layer.kind].trainable, param_grads):
+                grads[f"{layer.name}.{field}"] = g
 
     d_pre = (_as_rows(probs) - y) / y.shape[0]
-    d, dw, db = _dense_backward_from_pre(d_pre.astype(probs.dtype), caches[-1][1])
-    if last.trainable:
-        grads[f"{last.name}.weights"] = dw
-        grads[f"{last.name}.bias"] = db
-
-    for idx in range(len(spec.layers) - 2, -1, -1):
-        if idx < lowest:
-            break
-        layer, cache = caches[idx]
-        if layer.kind == "conv":
-            d, dw, db = conv2d_backward(d, cache)
-            if layer.trainable:
-                grads[f"{layer.name}.filters"] = dw
-                grads[f"{layer.name}.bias"] = db
-        elif layer.kind == "pool":
-            d = pool_backward(d, cache)
-        elif layer.kind == "flatten":
-            d = flatten_backward(d, cache)
-        elif layer.kind == "dense":
-            d, dw, db = dense_backward(d, cache)
-            if layer.trainable:
-                grads[f"{layer.name}.weights"] = dw
-                grads[f"{layer.name}.bias"] = db
-        elif layer.kind == "dropout":
-            d = dropout_backward(d, cache)
-        else:
-            d, dgamma, dbeta = batchnorm_backward(d, cache)
-            if layer.trainable:
-                grads[f"{layer.name}.gamma"] = dgamma
-                grads[f"{layer.name}.beta"] = dbeta
+    d, *param_grads = _dense_backward_from_pre(d_pre.astype(probs.dtype), caches[-1][1])
+    record(last, param_grads)
+    # Backward stops at the lowest layer with trainable parameters.
+    for layer, cache in reversed(caches[lowest:-1]):
+        d, *param_grads = _BACKWARD[layer.kind](d, cache)
+        record(layer, param_grads)
 
     if l2_strength or l1_strength:
         for name in penalized:
@@ -537,8 +530,6 @@ def history_to_csv(history) -> str:
 
 
 def history_from_csv(text: str) -> list[EpochStats]:
-    from .errors import DataFormatError
-
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != HISTORY_HEADER:
         raise DataFormatError(f"history CSV must start with {HISTORY_HEADER!r}")
@@ -555,14 +546,12 @@ def history_from_csv(text: str) -> list[EpochStats]:
 
 
 def write_history_csv(path, history) -> None:
-    from .tensor import atomic_write_bytes
-
     atomic_write_bytes(path, history_to_csv(history).encode("utf-8"))
 
 
 def read_history_csv(path) -> list[EpochStats]:
     with open(path, "rb") as fh:
-        return history_from_csv(fh.read().decode("utf-8"))
+        return history_from_csv(decode_utf8(fh.read(), f"history CSV {path}"))
 
 
 # ---------------------------------------------------------------------------

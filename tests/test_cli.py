@@ -10,6 +10,7 @@ from purefoodnet import evaluation as E
 from purefoodnet import models as M
 from purefoodnet import training as T
 from purefoodnet.cli import main
+from purefoodnet.errors import DataFormatError
 from purefoodnet.tensor import Tensor4, load_tensor
 
 
@@ -317,6 +318,40 @@ class TestDiagnose:
         path = tmp_path / "bad.csv"
         path.write_text("epoch,nope\n1,2\n")
         assert main(["diagnose", "--history", str(path)]) == 2
+
+
+def _load_spec(out):
+    return M.load_model_spec(out / "model.spec")
+
+
+# artifact -> (bytes whose first byte becomes 0xff, library loader, CLI exit).
+# `diagnose` reports any malformed history as a usage error, hence its 2.
+NON_UTF8_CASES = {
+    "model.spec": (b"c1 conv", _load_spec, 3),
+    "weights.pfw": (b"c1.filters",
+                    lambda out: M.load_weights(out / "weights.pfw", _load_spec(out)), 3),
+    "manifest.txt": (b"food_0", lambda out: D.load_manifest(out / "manifest.txt"), 3),
+    "history.csv": (b"epoch", lambda out: T.read_history_csv(out / "history.csv"), 2),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(NON_UTF8_CASES))
+def test_non_utf8_bytes_are_a_data_format_error(trained_run, artifact):
+    out = trained_run["out"]
+    needle, load, exit_code = NON_UTF8_CASES[artifact]
+    blob = (out / artifact).read_bytes()
+    assert needle in blob
+    (out / artifact).write_bytes(blob.replace(needle, b"\xff" + needle[1:], 1))
+    with pytest.raises(DataFormatError, match="UTF-8"):
+        load(out)
+    if artifact == "history.csv":
+        argv = ["diagnose", "--history", str(out / artifact)]
+    else:
+        image = next(iter((trained_run["data"] / "food_0").iterdir()))
+        argv = ["predict", "--spec", str(out / "model.spec"),
+                "--weights", str(out / "weights.pfw"), "--image", str(image),
+                "--manifest", str(out / "manifest.txt")]
+    assert main(argv) == exit_code
 
 
 class TestDumpBatch:

@@ -1,5 +1,7 @@
 """Model spec, parameter store, architecture, and serialization tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -238,7 +240,9 @@ class TestCaptureActivations:
         params = M.init_params(spec, seed=6)
         x = Tensor4(np.random.default_rng(7).normal(size=(2, 8, 8, 2)).astype(np.float32))
         caps = M.capture_activations(spec, params, x, ["p1"])
-        resumed = M.forward_slice(spec, params, caps["p1"], start=spec.index_of("p1") + 1)
+        resumed = caps["p1"]
+        for layer in spec.layers[spec.index_of("p1") + 1:]:
+            resumed, _ = M.apply_layer(layer, params, resumed)
         np.testing.assert_array_equal(resumed.data, M.forward(spec, params, x).data)
 
     def test_unknown_name(self):
@@ -503,6 +507,15 @@ class TestWeightsPFW1:
             M.weights_from_bytes(buf[:-3], spec)
         with pytest.raises(DataFormatError):
             M.weights_from_bytes(buf + b"\x00", spec)
+
+    def test_overflowing_dims_name_the_parameter(self):
+        spec = tiny_spec()
+        buf = bytearray(M.weights_to_bytes(spec, M.init_params(spec, seed=28)))
+        first = buf.index(b"c1.filters") + len("c1.filters")
+        # Dims whose product wraps to 0 in 64 bits.
+        buf[first + 5:first + 37] = struct.pack("<4Q", 2**32, 2**32, 2**32, 1)
+        with pytest.raises(DataFormatError, match="'c1.filters'"):
+            M.weights_from_bytes(bytes(buf), spec)
 
     def test_bad_magic(self):
         spec = tiny_spec()

@@ -3,22 +3,19 @@
 import numpy as np
 import pytest
 
+from purefoodnet import tensor as tensor_module
 from purefoodnet.errors import DataFormatError, GeometryError, NonFiniteError, ShapeError
 from purefoodnet.tensor import (
     ConvGeometry,
     Shape4,
     Tensor4,
+    atomic_write_bytes,
     conv_output_size,
-    coords_of,
-    crop_interior,
-    flat_index,
     load_tensor,
     same_padding_amount,
     save_tensor,
-    slice_window,
     tensor_from_bytes,
     tensor_to_bytes,
-    zero_pad,
 )
 
 
@@ -126,92 +123,10 @@ class TestTensor4:
         with pytest.raises(NonFiniteError):
             Tensor4(arr)
 
-    def test_from_flat_round_trip(self):
-        shape = Shape4(2, 2, 3, 1)
-        values = np.arange(12, dtype=np.float64)
-        t = Tensor4.from_flat(shape, values, dtype=np.float64)
-        assert np.array_equal(t.flat(), values)
-
     def test_astype(self):
         t = Tensor4(np.ones((1, 2, 2, 1), dtype=np.float32))
         assert t.astype(np.float32) is t
         assert t.astype(np.float64).dtype == np.float64
-
-
-class TestFlatIndexing:
-    def test_bijection_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            dims = rng.integers(1, 6, size=4)
-            shape = Shape4(*[int(d) for d in dims])
-            for flat in range(shape.size):
-                coords = coords_of(shape, flat)
-                assert flat_index(shape, *coords) == flat
-
-    def test_matches_numpy_order(self):
-        shape = Shape4(2, 3, 4, 5)
-        arr = np.arange(shape.size).reshape(shape.as_tuple())
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            i, h, w, c = (int(rng.integers(0, d)) for d in shape.as_tuple())
-            assert arr[i, h, w, c] == flat_index(shape, i, h, w, c)
-
-    def test_out_of_range(self):
-        shape = Shape4(2, 2, 2, 2)
-        with pytest.raises(ShapeError):
-            flat_index(shape, 2, 0, 0, 0)
-        with pytest.raises(ShapeError):
-            coords_of(shape, 16)
-
-
-class TestZeroPad:
-    def test_zero_is_identity(self):
-        t = Tensor4(np.ones((1, 3, 3, 2), dtype=np.float32))
-        assert zero_pad(t, 0) is t
-
-    def test_shape_and_values(self):
-        rng = np.random.default_rng(3)
-        x = Tensor4(rng.normal(size=(2, 4, 5, 3)))
-        p = zero_pad(x, 2)
-        assert p.shape == Shape4(2, 8, 9, 3)
-        assert np.array_equal(p.data[:, 2:6, 2:7, :], x.data)
-        # Everything added is zero, so sums agree.
-        assert p.data.sum() == pytest.approx(x.data.sum())
-        assert np.count_nonzero(p.data) == np.count_nonzero(x.data)
-
-    def test_crop_inverts_pad(self):
-        rng = np.random.default_rng(5)
-        x = Tensor4(rng.normal(size=(1, 6, 7, 2)))
-        assert np.array_equal(crop_interior(zero_pad(x, 3), 3).data, x.data)
-
-
-class TestSliceWindow:
-    def test_matches_nested_loops(self):
-        rng = np.random.default_rng(13)
-        x = Tensor4(rng.normal(size=(2, 6, 7, 3)))
-        for image in range(2):
-            for row in range(4):
-                for col in range(5):
-                    win = slice_window(x, image, row, col, 3)
-                    for p in range(3):
-                        for q in range(3):
-                            for ch in range(3):
-                                assert win[p, q, ch] == x.data[image, row + p, col + q, ch]
-
-    def test_bounds_checks(self):
-        x = Tensor4(np.zeros((1, 4, 4, 1), dtype=np.float32))
-        with pytest.raises(GeometryError):
-            slice_window(x, 0, 3, 0, 3)
-        with pytest.raises(GeometryError):
-            slice_window(x, 0, 0, -1, 2)
-        with pytest.raises(ShapeError):
-            slice_window(x, 1, 0, 0, 2)
-
-    def test_returns_copy(self):
-        x = Tensor4(np.zeros((1, 4, 4, 1), dtype=np.float32))
-        win = slice_window(x, 0, 0, 0, 2)
-        win[0, 0, 0] = 5.0
-        assert x.data[0, 0, 0, 0] == 0.0
 
 
 class TestPFT1:
@@ -272,3 +187,28 @@ class TestPFT1:
         buf[4] = 9
         with pytest.raises(DataFormatError):
             tensor_from_bytes(bytes(buf))
+
+
+class TestAtomicWrite:
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        with pytest.raises(OSError):
+            atomic_write_bytes(target, b"payload")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+
+    def test_temp_name_unique_per_call(self, tmp_path, monkeypatch):
+        sources = []
+        real_replace = tensor_module.os.replace
+
+        def recording_replace(src, dst):
+            sources.append(src)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(tensor_module.os, "replace", recording_replace)
+        target = tmp_path / "out.bin"
+        atomic_write_bytes(target, b"one")
+        atomic_write_bytes(target, b"two")
+        assert len(set(sources)) == 2
+        assert target.read_bytes() == b"two"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
