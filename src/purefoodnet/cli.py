@@ -24,7 +24,7 @@ from .augment import AugmentPolicy, apply_policy, policy_rng
 from .errors import (ConfigError, DataError, DataFormatError, EngineError,
                      WeightDigestError)
 from .seeding import derive_seed
-from .tensor import Tensor4, atomic_write_bytes, save_tensor
+from .tensor import Tensor4, atomic_write_bytes, pft1_encode, save_tensor
 
 __all__ = ["RunConfig", "main", "main_entry"]
 
@@ -441,8 +441,7 @@ def cmd_dump_batch(args) -> int:
                                     int(args.input_side), seed=seed)
     x, labels = next(iter(batches))
     save_tensor(os.path.join(out_dir, "batch.pft"), x)
-    labels4 = Tensor4(labels.reshape(1, 1, *labels.shape))
-    save_tensor(os.path.join(out_dir, "batch_labels.pft"), labels4)
+    atomic_write_bytes(os.path.join(out_dir, "batch_labels.pft"), pft1_encode(labels))
     print(f"wrote batch {x.shape.as_tuple()} and labels {labels.shape} to {out_dir}")
     return 0
 

@@ -177,9 +177,7 @@ class BatchNormCache(NamedTuple):
     count: int | None  # per-channel element count; None when running stats were used
 
 
-def conv2d_cached(x: Tensor4, layer: ConvLayer,
-                  training: bool = False) -> tuple[Tensor4, ConvCache]:
-    del training  # forward is the same in both modes
+def conv2d_cached(x: Tensor4, layer: ConvLayer) -> tuple[Tensor4, ConvCache]:
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -199,13 +197,13 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
     return Tensor4(out), ConvCache(windows, xp.shape, filters, g, relu_mask)
 
 
-def conv2d_forward(x: Tensor4, layer: ConvLayer, training: bool = False) -> Tensor4:
+def conv2d_forward(x: Tensor4, layer: ConvLayer) -> Tensor4:
     """Cross-correlate the filter bank over x, add bias, apply the activation.
 
     Output is (i, o, o', f) with each spatial extent given by
     `conv_output_size`.
     """
-    out, _ = conv2d_cached(x, layer, training)
+    out, _ = conv2d_cached(x, layer)
     return out
 
 

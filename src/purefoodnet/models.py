@@ -38,10 +38,9 @@ from .tensor import (
     atomic_write_bytes,
     conv_output_size,
     decode_utf8,
-    pft1_header,
-    pft1_values,
+    pft1_decode,
+    pft1_encode,
     same_padding_amount,
-    tensor_to_bytes,
 )
 
 PFW1_MAGIC = b"PFW1"
@@ -133,7 +132,7 @@ KIND_TABLE = {
         trainable=("filters", "bias"),
         penalized=("filters",),
         forward=lambda layer, p, x, training, rng, update_stats: L.conv2d_cached(
-            x, L.ConvLayer(p("filters"), p("bias"), _geometry(layer), layer.activation), training),
+            x, L.ConvLayer(p("filters"), p("bias"), _geometry(layer), layer.activation)),
     ),
     "pool": LayerKind(
         keys=("mode", "window", "stride"),
@@ -613,7 +612,7 @@ def parse_model_spec(text: str) -> ModelSpec:
                 raise DataFormatError(f"line {lineno}: bad value for {key}: {raw!r}") from None
         try:
             layer_specs.append(LayerSpec(**fields))
-        except (ValueError, TypeError, UnknownLayerError) as e:
+        except (ValueError, TypeError, UnknownLayerError, GeometryError) as e:
             raise DataFormatError(f"line {lineno}: {e}") from None
     try:
         return ModelSpec((h, w, c), tuple(layer_specs), top_boundary)
@@ -632,16 +631,10 @@ def load_model_spec(path) -> ModelSpec:
 
 # ---------------------------------------------------------------------------
 # PFW1 weight container: magic, 32-byte spec digest, u64 tensor count, then
-# per tensor a u32 name length, the UTF-8 name, and a PFT1 payload. Rank-1
-# and rank-2 parameters ride as degenerate 4-D shapes and are restored from
-# the spec's expected shapes on load.
+# per tensor a u32 name length, the UTF-8 name, and a PFT1 record. Rank-1
+# and rank-2 parameters are stored with leading unit dims; on load each
+# record's dims must equal the spec's shape padded the same way.
 # ---------------------------------------------------------------------------
-
-def _as_tensor4(arr: np.ndarray) -> Tensor4:
-    if arr.ndim not in (1, 2, 4):
-        raise ShapeError(f"cannot serialize rank-{arr.ndim} parameter")
-    return Tensor4(arr.reshape((1,) * (4 - arr.ndim) + arr.shape))
-
 
 def weights_to_bytes(spec: ModelSpec, params: ParamStore) -> bytes:
     expected = param_shapes(spec)
@@ -655,9 +648,7 @@ def weights_to_bytes(spec: ModelSpec, params: ParamStore) -> bytes:
         if arr.shape != expected[name]:
             raise ShapeError(f"parameter {name!r} has shape {arr.shape}, expected {expected[name]}")
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(tensor_to_bytes(_as_tensor4(arr)))
+        chunks += [struct.pack("<I", len(encoded)), encoded, pft1_encode(arr)]
     return b"".join(chunks)
 
 
@@ -687,17 +678,13 @@ def weights_from_bytes(buf: bytes, spec: ModelSpec) -> ParamStore:
         if name not in expected:
             raise DataFormatError(f"weight file names unknown parameter {name!r}")
         try:
-            dtype, dims, end = pft1_header(buf, offset)
+            arr, offset = pft1_decode(buf, offset)
         except DataFormatError as e:
             raise DataFormatError(f"parameter {name!r}: {e}") from None
-        tensor = pft1_values(buf, offset, dtype, dims)
-        offset = end
         shape = expected[name]
-        if tensor.data.size != int(np.prod(shape)):
-            raise ShapeError(
-                f"parameter {name!r} holds {tensor.data.size} values, expected shape {shape}"
-            )
-        loaded[name] = tensor.data.reshape(shape).copy()
+        if arr.shape != (1,) * (4 - len(shape)) + shape:
+            raise DataFormatError(f"parameter {name!r} has dims {arr.shape}, expected {shape}")
+        loaded[name] = arr.reshape(shape)
     if offset != len(buf):
         raise DataFormatError(f"{len(buf) - offset} trailing bytes in weight file")
     if set(loaded) != set(expected):

@@ -5,7 +5,7 @@ Everything that flows between layers is a `Tensor4` in row-major
 are carried as degenerate shapes such as (i, 1, 1, n). Values are 32- or
 64-bit floats and must be finite; construction validates both.
 
-The module also implements the "PFT1" binary tensor file format used for
+The module also implements the "PFT1" binary tensor record, used for
 debugging dumps and as the payload encoding inside weight files.
 """
 
@@ -87,7 +87,7 @@ class Tensor4:
             raise NonFiniteError("Tensor4 values must be finite")
         # Detach from shared buffers so the read-only flag actually protects us.
         if not arr.flags.owndata or not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr).copy() if not arr.flags.c_contiguous else arr.copy()
+            arr = np.array(arr, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "_data", arr)
 
@@ -156,18 +156,28 @@ def same_padding_amount(k: int) -> int:
 # ---------------------------------------------------------------------------
 # PFT1 binary tensor format: b"PFT1", dtype byte (0=f32, 1=f64), four u64 LE
 # shape fields (i, h, w, c), then raw little-endian values in row-major order.
+# The codec works on plain ndarrays; PFW1 weight files reuse it per parameter.
 # ---------------------------------------------------------------------------
 
-def tensor_to_bytes(x: Tensor4) -> bytes:
-    code = DTYPE_CODES[x.dtype]
-    header = PFT1_MAGIC + bytes([code]) + struct.pack("<4Q", *x.shape.as_tuple())
-    payload = np.ascontiguousarray(x.data, dtype=CODE_DTYPES[code]).tobytes()
-    return header + payload
+def pft1_encode(arr: np.ndarray) -> bytes:
+    """One PFT1 record for an array of rank <= 4; a lower rank is stored with
+    leading unit dims, so a (c,) vector is written as (1, 1, 1, c)."""
+    code = DTYPE_CODES.get(arr.dtype)
+    if code is None:
+        raise ShapeError(f"PFT1 dtype must be float32 or float64, got {arr.dtype}")
+    if arr.ndim > 4 or 0 in arr.shape:
+        raise ShapeError(f"PFT1 needs rank <= 4 and dims >= 1, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("PFT1 values must be finite")
+    dims = (1,) * (4 - arr.ndim) + arr.shape
+    payload = np.ascontiguousarray(arr, dtype=CODE_DTYPES[code]).tobytes()
+    return PFT1_MAGIC + bytes([code]) + struct.pack("<4Q", *dims) + payload
 
 
-def pft1_header(buf: bytes, offset: int = 0) -> tuple[np.dtype, tuple[int, ...], int]:
-    """Dtype, dims and end offset of the PFT1 record at buf[offset:]. The
-    size is a Python int: dims whose product overflows 64 bits cannot wrap."""
+def pft1_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """The 4-D array of the PFT1 record at buf[offset:] (one fresh, writable,
+    native-order copy) and the record's end offset. The size is a Python int,
+    checked before allocating: dims whose product overflows 64 bits cannot wrap."""
     if len(buf) - offset < 37:
         raise DataFormatError(f"PFT1 data truncated: {len(buf) - offset} bytes")
     if buf[offset:offset + 4] != PFT1_MAGIC:
@@ -176,26 +186,31 @@ def pft1_header(buf: bytes, offset: int = 0) -> tuple[np.dtype, tuple[int, ...],
     if code not in CODE_DTYPES:
         raise DataFormatError(f"unknown PFT1 dtype code {code}")
     dims = struct.unpack_from("<4Q", buf, offset + 5)
+    if 0 in dims:
+        raise DataFormatError(f"PFT1 dims must all be >= 1, got {dims}")
     dtype = CODE_DTYPES[code]
-    end = offset + 37 + math.prod(dims) * dtype.itemsize
+    count = math.prod(dims)
+    end = offset + 37 + count * dtype.itemsize
     if end > len(buf):
         raise DataFormatError(
             f"PFT1 payload length {len(buf) - offset - 37}, expected {end - offset - 37}"
         )
-    return dtype, dims, end
+    values = np.frombuffer(buf, dtype=dtype, count=count, offset=offset + 37)
+    arr = values.reshape(dims).astype(dtype.newbyteorder("="))
+    if not np.isfinite(arr).all():
+        raise DataFormatError("PFT1 values must be finite")
+    return arr, end
 
 
-def pft1_values(buf: bytes, offset: int, dtype: np.dtype, dims) -> Tensor4:
-    """The tensor whose header `pft1_header(buf, offset)` returned."""
-    values = np.frombuffer(buf, dtype=dtype, count=math.prod(dims), offset=offset + 37)
-    return Tensor4(values.reshape(dims).astype(dtype.newbyteorder("=")))
+def tensor_to_bytes(x: Tensor4) -> bytes:
+    return pft1_encode(x.data)
 
 
 def tensor_from_bytes(buf: bytes) -> Tensor4:
-    dtype, dims, end = pft1_header(buf)
+    arr, end = pft1_decode(buf)
     if end != len(buf):
         raise DataFormatError(f"PFT1 payload length {len(buf) - 37}, expected {end - 37}")
-    return pft1_values(buf, 0, dtype, dims)
+    return Tensor4(arr)
 
 
 def save_tensor(path, x: Tensor4) -> None:

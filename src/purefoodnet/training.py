@@ -70,6 +70,20 @@ def cross_entropy_loss(probs, labels) -> float:
 # Per-layer backward passes.
 # ---------------------------------------------------------------------------
 
+def _scatter_taps(shape, dtype, k: int, stride: int, contribution) -> np.ndarray:
+    """Adjoint of a k x k strided window read: output cell (r, t) read input
+    cell (r*stride + p, t*stride + q) through tap (p, q), so each tap's
+    `contribution(p, q)`, shaped like the output, is added back there."""
+    dx = np.zeros(shape, dtype=dtype)
+    for p in range(k):
+        for q in range(k):
+            contrib = contribution(p, q)
+            oh, ow = contrib.shape[1], contrib.shape[2]
+            dx[:, p:p + stride * (oh - 1) + 1:stride,
+               q:q + stride * (ow - 1) + 1:stride, :] += contrib
+    return dx
+
+
 def conv2d_backward(d: np.ndarray, cache: L.ConvCache):
     """Returns (dx, dfilters, dbias) for a conv forward (fused ReLU included)."""
     if cache.relu_mask is not None:
@@ -77,14 +91,8 @@ def conv2d_backward(d: np.ndarray, cache: L.ConvCache):
     windows, filters, g = cache.windows, cache.filters, cache.geometry
     db = d.sum(axis=(0, 1, 2))
     dw = np.tensordot(d, windows, axes=([0, 1, 2], [0, 1, 2])).transpose(0, 2, 3, 1)
-    oh, ow = d.shape[1], d.shape[2]
-    dxp = np.zeros(cache.padded_shape, dtype=d.dtype)
-    for p in range(g.k):
-        for q in range(g.k):
-            # Output cell (r, t) read padded cell (r*s + p, t*s + q) through tap (p, q).
-            contrib = np.tensordot(d, filters[:, p, q, :], axes=([3], [0]))
-            dxp[:, p:p + g.s * (oh - 1) + 1:g.s,
-                q:q + g.s * (ow - 1) + 1:g.s, :] += contrib
+    dxp = _scatter_taps(cache.padded_shape, d.dtype, g.k, g.s,
+                        lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0])))
     if g.z:
         dx = dxp[:, g.z:-g.z, g.z:-g.z, :]
     else:
@@ -93,24 +101,12 @@ def conv2d_backward(d: np.ndarray, cache: L.ConvCache):
 
 
 def pool_backward(d: np.ndarray, cache: L.PoolCache) -> np.ndarray:
-    window, stride = cache.window, cache.stride
-    n, oh, ow, c = d.shape
-    dx = np.zeros(cache.in_shape, dtype=d.dtype)
-    if cache.mode == "max":
-        rows = cache.argmax // window
-        cols = cache.argmax % window
-        ii = np.arange(n).reshape(n, 1, 1, 1)
-        hh = np.arange(oh).reshape(1, oh, 1, 1)
-        ww = np.arange(ow).reshape(1, 1, ow, 1)
-        cc = np.arange(c).reshape(1, 1, 1, c)
-        np.add.at(dx, (ii, hh * stride + rows, ww * stride + cols, cc), d)
-    else:
-        per = d / (window * window)
-        for p in range(window):
-            for q in range(window):
-                dx[:, p:p + stride * (oh - 1) + 1:stride,
-                   q:q + stride * (ow - 1) + 1:stride, :] += per
-    return dx
+    window = cache.window
+    if cache.mode == "max":  # each window's gradient goes to its winner only
+        return _scatter_taps(cache.in_shape, d.dtype, window, cache.stride,
+                             lambda p, q: np.where(cache.argmax == p * window + q, d, 0))
+    per = d / (window * window)
+    return _scatter_taps(cache.in_shape, d.dtype, window, cache.stride, lambda p, q: per)
 
 
 def flatten_backward(d: np.ndarray, cache: L.FlattenCache) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end command tests driving cli.main in process."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -352,6 +353,46 @@ def test_non_utf8_bytes_are_a_data_format_error(trained_run, artifact):
                 "--weights", str(out / "weights.pfw"), "--image", str(image),
                 "--manifest", str(out / "manifest.txt")]
     assert main(argv) == exit_code
+
+
+@pytest.mark.parametrize("geometry", ["kernel=0 stride=1 padding=0",
+                                      "kernel=1 stride=0 padding=0",
+                                      "kernel=1 stride=1 padding=-1"])
+def test_bad_conv_geometry_in_spec_exits_3(tmp_path, capsys, geometry):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"input 8 8 3\ntop 1\nc1 conv filters=2 {geometry} activation=relu\n")
+    with pytest.raises(DataFormatError, match="line 3"):
+        M.load_model_spec(spec)
+    assert main(["predict", "--spec", str(spec), "--weights", str(tmp_path / "w.pfw"),
+                 "--image", str(tmp_path / "img.ppm")]) == 3
+    assert "line 3" in capsys.readouterr().err
+
+
+# Rewrites of the block1_conv1.filters record, whose dims are (16, 3, 3, 3):
+# (offset from the dims, bytes written there).
+CORRUPT_FILTERS = {
+    "nan payload": (32, struct.pack("<f", np.nan)),
+    "zero dim": (16, struct.pack("<Q", 0)),
+    "fewer values": (24, struct.pack("<Q", 2)),
+    "permuted dims": (0, struct.pack("<4Q", 3, 3, 3, 16)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_FILTERS))
+def test_corrupt_weight_record_exits_3(tmp_path, capsys, case):
+    spec = M.build_purefoodnet(3, width_scale=0.125, input_side=8)
+    M.save_model_spec(tmp_path / "net.spec", spec)
+    buf = bytearray(M.weights_to_bytes(spec, M.init_params(spec, seed=5)))
+    dims = buf.index(b"block1_conv1.filters") + len("block1_conv1.filters") + 5
+    at, data = CORRUPT_FILTERS[case]
+    buf[dims + at:dims + at + len(data)] = data
+    with pytest.raises(DataFormatError, match="'block1_conv1.filters'"):
+        M.weights_from_bytes(bytes(buf), spec)
+    (tmp_path / "w.pfw").write_bytes(bytes(buf))
+    D.save_image(tmp_path / "img.ppm", np.full((8, 8, 3), 0.5))
+    assert main(["predict", "--spec", str(tmp_path / "net.spec"),
+                 "--weights", str(tmp_path / "w.pfw"), "--image", str(tmp_path / "img.ppm")]) == 3
+    assert "'block1_conv1.filters'" in capsys.readouterr().err
 
 
 class TestDumpBatch:

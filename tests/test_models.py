@@ -517,6 +517,16 @@ class TestWeightsPFW1:
         with pytest.raises(DataFormatError, match="'c1.filters'"):
             M.weights_from_bytes(bytes(buf), spec)
 
+    def test_loaded_parameters_are_separate_writable_arrays(self):
+        spec = tiny_spec()
+        buf = M.weights_to_bytes(spec, M.init_params(spec, seed=30))
+        arrays = list(M.weights_from_bytes(buf, spec).values())
+        file_bytes = np.frombuffer(buf, dtype=np.uint8)
+        for j, arr in enumerate(arrays):
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.dtype.isnative
+            assert not np.shares_memory(arr, file_bytes)
+            assert not any(np.shares_memory(arr, other) for other in arrays[j + 1:])
+
     def test_bad_magic(self):
         spec = tiny_spec()
         params = M.init_params(spec, seed=27)

@@ -1,5 +1,7 @@
 """Tensor container, shape arithmetic, and PFT1 serialization tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from purefoodnet.tensor import (
     atomic_write_bytes,
     conv_output_size,
     load_tensor,
+    pft1_decode,
+    pft1_encode,
     same_padding_amount,
     save_tensor,
     tensor_from_bytes,
@@ -187,6 +191,29 @@ class TestPFT1:
         buf[4] = 9
         with pytest.raises(DataFormatError):
             tensor_from_bytes(bytes(buf))
+
+
+    def test_rejects_zero_dim_and_nonfinite_values(self):
+        buf = bytearray(tensor_to_bytes(Tensor4(np.ones((1, 1, 2, 2), dtype=np.float32))))
+        zero_dim = bytes(buf[:13]) + struct.pack("<3Q", 0, 2, 2)  # dims (1, 0, 2, 2), no payload
+        with pytest.raises(DataFormatError, match="dims"):
+            tensor_from_bytes(zero_dim)
+        buf[37:41] = struct.pack("<f", np.nan)
+        with pytest.raises(DataFormatError, match="finite"):
+            tensor_from_bytes(bytes(buf))
+
+    def test_codec_pads_lower_ranks_and_decodes_fresh_arrays(self):
+        vec = np.arange(3, dtype=np.float64)
+        buf = pft1_encode(vec)
+        assert struct.unpack_from("<4Q", buf, 5) == (1, 1, 1, 3)
+        arr, end = pft1_decode(b"xx" + buf, 2)
+        assert end == len(buf) + 2
+        assert arr.shape == (1, 1, 1, 3) and arr.flags.writeable and arr.dtype.isnative
+        np.testing.assert_array_equal(arr.reshape(3), vec)
+        with pytest.raises(ShapeError):
+            pft1_encode(np.zeros((1,) * 5))
+        with pytest.raises(ShapeError):
+            pft1_encode(np.zeros(3, dtype=np.int64))
 
 
 class TestAtomicWrite:
