@@ -165,6 +165,8 @@ def _read_config_file(path) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not valid UTF-8") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

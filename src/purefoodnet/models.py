@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -38,8 +39,8 @@ from .tensor import (
     atomic_write_bytes,
     conv_output_size,
     decode_utf8,
-    pft1_decode,
     pft1_encode,
+    pft1_read,
     same_padding_amount,
 )
 
@@ -387,9 +388,14 @@ def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
 
 def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
             training: bool = False, rng: np.random.Generator | None = None) -> Tensor4:
-    """Run the whole model; returns the final layer's output."""
-    out, _ = forward_with_caches(spec, params, x, training, rng)
-    return out
+    """Run the whole model; returns the final layer's output.
+
+    Each layer's cache is dropped as soon as the layer returns, so at most
+    one conv's im2col matrix is alive at a time.
+    """
+    for layer in spec.layers:
+        x = apply_layer(layer, params, x, training, rng)[0]
+    return x
 
 
 def capture_activations(spec: ModelSpec, params: ParamStore, x: Tensor4,
@@ -402,7 +408,7 @@ def capture_activations(spec: ModelSpec, params: ParamStore, x: Tensor4,
         raise UnknownLayerError(f"no layer named {missing[0]!r}")
     captured: dict[str, Tensor4] = {}
     for layer in spec.layers:
-        x, _ = apply_layer(layer, params, x)
+        x = apply_layer(layer, params, x)[0]
         if layer.name in wanted:
             captured[layer.name] = x
     return captured
@@ -652,44 +658,55 @@ def weights_to_bytes(spec: ModelSpec, params: ParamStore) -> bytes:
     return b"".join(chunks)
 
 
-def weights_from_bytes(buf: bytes, spec: ModelSpec) -> ParamStore:
-    if len(buf) < 44 or buf[:4] != PFW1_MAGIC:
+def _read_weights(fh, spec: ModelSpec) -> ParamStore:
+    """Parameters from the PFW1 file open for binary reading as `fh`, each
+    record's payload read straight into its own array; the whole file is
+    never held in memory."""
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    head = fh.read(44)
+    if len(head) < 44 or head[:4] != PFW1_MAGIC:
         raise DataFormatError("not a PFW1 weight payload")
-    digest = buf[4:36]
+    digest = head[4:36]
     want = spec_digest(spec)
     if digest != want:
         raise WeightDigestError(
             f"weight file was saved for a different architecture "
             f"(digest {digest.hex()[:12]}..., spec {want.hex()[:12]}...)"
         )
-    (count,) = struct.unpack("<Q", buf[36:44])
+    (count,) = struct.unpack("<Q", head[36:44])
     expected = param_shapes(spec)
     if count != len(expected):
         raise DataFormatError(f"weight file holds {count} tensors, spec needs {len(expected)}")
     offset = 44
     loaded: dict[str, np.ndarray] = {}
     for _ in range(count):
-        if offset + 4 > len(buf):
+        if offset + 4 > size:
             raise DataFormatError("truncated weight file (name length)")
-        (name_len,) = struct.unpack("<I", buf[offset:offset + 4])
+        (name_len,) = struct.unpack("<I", fh.read(4))
         offset += 4
-        name = decode_utf8(buf[offset:offset + name_len], "weight file parameter name")
+        name = decode_utf8(fh.read(min(name_len, size - offset)), "weight file parameter name")
         offset += name_len
         if name not in expected:
             raise DataFormatError(f"weight file names unknown parameter {name!r}")
         try:
-            arr, offset = pft1_decode(buf, offset)
+            arr = pft1_read(fh, size - offset)
         except DataFormatError as e:
             raise DataFormatError(f"parameter {name!r}: {e}") from None
+        offset = fh.tell()
         shape = expected[name]
         if arr.shape != (1,) * (4 - len(shape)) + shape:
             raise DataFormatError(f"parameter {name!r} has dims {arr.shape}, expected {shape}")
         loaded[name] = arr.reshape(shape)
-    if offset != len(buf):
-        raise DataFormatError(f"{len(buf) - offset} trailing bytes in weight file")
+    if offset != size:
+        raise DataFormatError(f"{size - offset} trailing bytes in weight file")
     if set(loaded) != set(expected):
         raise DataFormatError("weight file does not cover every parameter exactly once")
     return ParamStore({name: loaded[name] for name in expected})
+
+
+def weights_from_bytes(buf: bytes, spec: ModelSpec) -> ParamStore:
+    return _read_weights(io.BytesIO(buf), spec)
 
 
 def save_weights(path, spec: ModelSpec, params: ParamStore) -> None:
@@ -698,4 +715,4 @@ def save_weights(path, spec: ModelSpec, params: ParamStore) -> None:
 
 def load_weights(path, spec: ModelSpec) -> ParamStore:
     with open(path, "rb") as fh:
-        return weights_from_bytes(fh.read(), spec)
+        return _read_weights(fh, spec)

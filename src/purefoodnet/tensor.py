@@ -12,6 +12,7 @@ debugging dumps and as the payload encoding inside weight files.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import math
 import os
@@ -174,32 +175,52 @@ def pft1_encode(arr: np.ndarray) -> bytes:
     return PFT1_MAGIC + bytes([code]) + struct.pack("<4Q", *dims) + payload
 
 
-def pft1_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """The 4-D array of the PFT1 record at buf[offset:] (one fresh, writable,
-    native-order copy) and the record's end offset. The size is a Python int,
-    checked before allocating: dims whose product overflows 64 bits cannot wrap."""
-    if len(buf) - offset < 37:
-        raise DataFormatError(f"PFT1 data truncated: {len(buf) - offset} bytes")
-    if buf[offset:offset + 4] != PFT1_MAGIC:
-        raise DataFormatError(f"bad PFT1 magic {buf[offset:offset + 4]!r}")
-    code = buf[offset + 4]
+# Finiteness is checked this many values at a time, so the boolean temporary
+# stays small however large the parameter is.
+_FINITE_CHUNK = 1 << 20
+
+
+def pft1_read(fh, remaining: int) -> np.ndarray:
+    """The 4-D array of the PFT1 record at the binary stream's position, read
+    straight into one fresh, writable, native-order array. `remaining` is the
+    number of bytes the stream holds from there; the payload size is a Python
+    int checked against it before allocating, so dims whose product overflows
+    64 bits cannot wrap."""
+    if remaining < 37:
+        raise DataFormatError(f"PFT1 data truncated: {remaining} bytes")
+    head = fh.read(37)
+    if len(head) < 37:
+        raise DataFormatError(f"PFT1 data truncated: {len(head)} bytes")
+    if head[:4] != PFT1_MAGIC:
+        raise DataFormatError(f"bad PFT1 magic {head[:4]!r}")
+    code = head[4]
     if code not in CODE_DTYPES:
         raise DataFormatError(f"unknown PFT1 dtype code {code}")
-    dims = struct.unpack_from("<4Q", buf, offset + 5)
+    dims = struct.unpack_from("<4Q", head, 5)
     if 0 in dims:
         raise DataFormatError(f"PFT1 dims must all be >= 1, got {dims}")
     dtype = CODE_DTYPES[code]
-    count = math.prod(dims)
-    end = offset + 37 + count * dtype.itemsize
-    if end > len(buf):
-        raise DataFormatError(
-            f"PFT1 payload length {len(buf) - offset - 37}, expected {end - offset - 37}"
-        )
-    values = np.frombuffer(buf, dtype=dtype, count=count, offset=offset + 37)
-    arr = values.reshape(dims).astype(dtype.newbyteorder("="))
-    if not np.isfinite(arr).all():
-        raise DataFormatError("PFT1 values must be finite")
-    return arr, end
+    nbytes = math.prod(dims) * dtype.itemsize
+    if nbytes > remaining - 37:
+        raise DataFormatError(f"PFT1 payload length {remaining - 37}, expected {nbytes}")
+    arr = np.empty(dims, dtype=dtype)
+    got = fh.readinto(arr)
+    if got != nbytes:  # the stream shrank after `remaining` was measured
+        raise DataFormatError(f"PFT1 payload length {got}, expected {nbytes}")
+    if not dtype.isnative:
+        arr = arr.astype(dtype.newbyteorder("="))
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        if not np.isfinite(flat[start:start + _FINITE_CHUNK]).all():
+            raise DataFormatError("PFT1 values must be finite")
+    return arr
+
+
+def pft1_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """`pft1_read` of the record at buf[offset:], plus the record's end offset."""
+    fh = io.BytesIO(buf)
+    fh.seek(offset)
+    return pft1_read(fh, len(buf) - offset), fh.tell()
 
 
 def tensor_to_bytes(x: Tensor4) -> bytes:

@@ -84,13 +84,18 @@ def _scatter_taps(shape, dtype, k: int, stride: int, contribution) -> np.ndarray
     return dx
 
 
-def conv2d_backward(d: np.ndarray, cache: L.ConvCache):
-    """Returns (dx, dfilters, dbias) for a conv forward (fused ReLU included)."""
+def conv2d_backward(d: np.ndarray, cache: L.ConvCache, need_dx: bool = True):
+    """Returns (dx, dfilters, dbias) for a conv forward (fused ReLU included);
+    dx is None when `need_dx` is false."""
     if cache.relu_mask is not None:
         d = d * cache.relu_mask
-    windows, filters, g = cache.windows, cache.filters, cache.geometry
+    filters, g = cache.filters, cache.geometry
+    f, k, _, c = filters.shape
     db = d.sum(axis=(0, 1, 2))
-    dw = np.tensordot(d, windows, axes=([0, 1, 2], [0, 1, 2])).transpose(0, 2, 3, 1)
+    dw = np.dot(d.transpose(3, 0, 1, 2).reshape(f, -1), cache.cols)
+    dw = dw.reshape(f, c, k, k).transpose(0, 2, 3, 1)
+    if not need_dx:
+        return None, dw, db
     dxp = _scatter_taps(cache.padded_shape, d.dtype, g.k, g.s,
                         lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0])))
     if g.z:
@@ -113,15 +118,18 @@ def flatten_backward(d: np.ndarray, cache: L.FlattenCache) -> np.ndarray:
     return d.reshape(cache.in_shape)
 
 
-def _dense_backward_from_pre(d_pre: np.ndarray, cache: L.DenseCache):
+def _dense_backward_from_pre(d_pre: np.ndarray, cache: L.DenseCache, need_dx: bool = True):
     dw = cache.x2d.T @ d_pre
     db = d_pre.sum(axis=0)
+    if not need_dx:
+        return None, dw, db
     dx2d = d_pre @ cache.weights.T
     return dx2d.reshape(d_pre.shape[0], 1, 1, -1), dw, db
 
 
-def dense_backward(d: np.ndarray, cache: L.DenseCache):
-    """Returns (dx, dweights, dbias), undoing the fused activation first."""
+def dense_backward(d: np.ndarray, cache: L.DenseCache, need_dx: bool = True):
+    """Returns (dx, dweights, dbias), undoing the fused activation first;
+    dx is None when `need_dx` is false."""
     d2d = d.reshape(d.shape[0], -1)
     if cache.relu_mask is not None:
         d_pre = d2d * cache.relu_mask
@@ -130,7 +138,7 @@ def dense_backward(d: np.ndarray, cache: L.DenseCache):
         d_pre = p * (d2d - (d2d * p).sum(axis=1, keepdims=True))
     else:
         d_pre = d2d
-    return _dense_backward_from_pre(d_pre, cache)
+    return _dense_backward_from_pre(d_pre, cache, need_dx)
 
 
 def relu_backward(d: np.ndarray, cache: L.ReluCache) -> np.ndarray:
@@ -146,16 +154,23 @@ def dropout_backward(d: np.ndarray, cache: L.DropoutCache) -> np.ndarray:
     return d if cache.mask is None else d * cache.mask
 
 
-def batchnorm_backward(d: np.ndarray, cache: L.BatchNormCache):
+def batchnorm_backward(d: np.ndarray, cache: L.BatchNormCache, need_dx: bool = True):
     """Returns (dx, dgamma, dbeta). Handles both batch-stat and running-stat
-    forwards; the latter treats mean/var as constants."""
+    forwards; the latter treats mean/var as constants. dx is None when
+    `need_dx` is false."""
     x_hat, inv_std, gamma, count = cache
     dgamma = (d * x_hat).sum(axis=(0, 1, 2))
     dbeta = d.sum(axis=(0, 1, 2))
+    if not need_dx:
+        return None, dgamma, dbeta
     if count is None:
-        dx = d * (gamma * inv_std)
-    else:
-        dx = (gamma * inv_std / count) * (count * d - dbeta - x_hat * dgamma)
+        return d * (gamma * inv_std), dgamma, dbeta
+    # (gamma * inv_std / count) * (count * d - dbeta - x_hat * dgamma),
+    # evaluated in place in the same order, so the bits match.
+    dx = count * d
+    dx -= dbeta
+    dx -= x_hat * dgamma
+    dx *= gamma * inv_std / count
     return dx, dgamma, dbeta
 
 
@@ -163,16 +178,18 @@ def batchnorm_backward(d: np.ndarray, cache: L.BatchNormCache):
 # Whole-model objective and gradients.
 # ---------------------------------------------------------------------------
 
-# Backward pass per layer kind: (d, cache) -> (dx, gradients of the kind's
-# trainable fields in table order). The lambdas resolve the module globals
-# when they run, so a backward can be swapped at its module attribute.
+# Backward pass per layer kind: (d, cache, need_dx) -> (dx, gradients of the
+# kind's trainable fields in table order). Only kinds with trainable fields
+# can be the lowest layer a backward reaches, so only they skip dx. The
+# lambdas resolve the module globals when they run, so a backward can be
+# swapped at its module attribute.
 _BACKWARD = {
-    "conv": lambda d, cache: conv2d_backward(d, cache),
-    "pool": lambda d, cache: (pool_backward(d, cache),),
-    "flatten": lambda d, cache: (flatten_backward(d, cache),),
-    "dense": lambda d, cache: dense_backward(d, cache),
-    "dropout": lambda d, cache: (dropout_backward(d, cache),),
-    "batchnorm": lambda d, cache: batchnorm_backward(d, cache),
+    "conv": lambda d, cache, need_dx: conv2d_backward(d, cache, need_dx),
+    "pool": lambda d, cache, need_dx: (pool_backward(d, cache),),
+    "flatten": lambda d, cache, need_dx: (flatten_backward(d, cache),),
+    "dense": lambda d, cache, need_dx: dense_backward(d, cache, need_dx),
+    "dropout": lambda d, cache, need_dx: (dropout_backward(d, cache),),
+    "batchnorm": lambda d, cache, need_dx: batchnorm_backward(d, cache, need_dx),
 }
 
 
@@ -212,12 +229,16 @@ def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
             for field, g in zip(M.KIND_TABLE[layer.kind].trainable, param_grads):
                 grads[f"{layer.name}.{field}"] = g
 
+    # Backward stops at the lowest layer with trainable parameters, which
+    # computes no input gradient: nothing below it would use one.
+    top = len(caches) - 1
     d_pre = (_as_rows(probs) - y) / y.shape[0]
-    d, *param_grads = _dense_backward_from_pre(d_pre.astype(probs.dtype), caches[-1][1])
+    d, *param_grads = _dense_backward_from_pre(d_pre.astype(probs.dtype), caches[top][1],
+                                               need_dx=lowest < top)
     record(last, param_grads)
-    # Backward stops at the lowest layer with trainable parameters.
-    for layer, cache in reversed(caches[lowest:-1]):
-        d, *param_grads = _BACKWARD[layer.kind](d, cache)
+    for index in range(top - 1, lowest - 1, -1):
+        layer, cache = caches[index]
+        d, *param_grads = _BACKWARD[layer.kind](d, cache, index > lowest)
         record(layer, param_grads)
 
     if l2_strength or l1_strength:

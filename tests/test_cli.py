@@ -135,6 +135,12 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 2
         assert "learning_rat" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"epochs = 2\xff\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert str(config) in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["train", "--help"]) == 0
         assert main(["--help"]) == 0

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from purefoodnet import layers
 from purefoodnet.errors import DegenerateBatchError, GeometryError, ShapeError
 from purefoodnet.layers import (
     BatchNormLayer,
@@ -12,6 +14,7 @@ from purefoodnet.layers import (
     PoolLayer,
     batchnorm_cached,
     batchnorm_forward,
+    conv2d_cached,
     conv2d_forward,
     dense_forward,
     dropout_forward,
@@ -66,6 +69,14 @@ def conv_layer(filters, bias, k, s=1, z=0, activation="none"):
     return ConvLayer(filters, bias, ConvGeometry(k=k, s=s, z=z), activation)
 
 
+def tensordot_conv(x, filters, bias, k, s, z):
+    """The conv forward as one tensordot over the strided window view: the
+    formula whose float sums the im2col product must reproduce bit for bit."""
+    xp = np.pad(x, ((0, 0), (z, z), (z, z), (0, 0)))
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    return np.tensordot(windows, filters, axes=([3, 4, 5], [3, 1, 2])) + bias
+
+
 class TestConv2d:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(101)
@@ -85,6 +96,27 @@ class TestConv2d:
             want = conv_oracle(x, filters, bias, k, s, z)
             assert got.data.shape == want.shape
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 2])  # None: the default block size
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("z", [0, 1])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_bit_identical_to_tensordot(self, k, s, z, dtype, block_rows, monkeypatch):
+        if block_rows is not None:
+            ow = (8 + 2 * z - k) // s + 1
+            row_bytes = ow * 4 * k * k * np.dtype(dtype).itemsize
+            monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", block_rows * row_bytes)
+        rng = np.random.default_rng(17 * k + 5 * s + z)
+        x = rng.normal(size=(3, 9, 8, 4)).astype(dtype)
+        filters = rng.normal(size=(5, k, k, 4)).astype(dtype)
+        bias = rng.normal(size=5).astype(dtype)
+        out, cache = conv2d_cached(Tensor4(x), conv_layer(filters, bias, k, s, z))
+        want = tensordot_conv(x, filters, bias, k, s, z)
+        assert out.dtype == want.dtype
+        np.testing.assert_array_equal(out.data, want)
+        oh, ow = want.shape[1:3]
+        assert cache.cols.shape == (3 * oh * ow, 4 * k * k)
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(7)
@@ -404,6 +436,33 @@ class TestBatchNorm:
         batchnorm_cached(x, layer, training=True, update_stats=False)
         np.testing.assert_array_equal(layer.running_mean, 0.0)
         np.testing.assert_array_equal(layer.running_var, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 3), (4, 5, 5, 2), (40, 32, 32, 16),
+                                       (1, 7, 3, 9)])
+    def test_bit_identical_to_two_pass_formula(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(loc=0.7, scale=1.9, size=shape).astype(dtype)
+        c = shape[3]
+        gamma = rng.normal(size=c).astype(dtype)
+        beta = rng.normal(size=c).astype(dtype)
+        running = rng.normal(size=c).astype(dtype), rng.uniform(0.5, 2, size=c).astype(dtype)
+        layer = BatchNormLayer(gamma, beta, running[0].copy(), running[1].copy())
+        out, cache = batchnorm_cached(Tensor4(x), layer, training=True)
+        mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+        inv_std = 1.0 / np.sqrt(var + layer.eps)
+        x_hat = (x - mean) * inv_std
+        np.testing.assert_array_equal(cache.x_hat, x_hat)
+        np.testing.assert_array_equal(cache.inv_std, inv_std)
+        np.testing.assert_array_equal(out.data, gamma * x_hat + beta)
+        m = layer.momentum
+        np.testing.assert_array_equal(layer.running_var, (1.0 - m) * running[1] + m * var)
+
+        out, cache = batchnorm_cached(Tensor4(x), layer, training=False)
+        inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        x_hat = (x - layer.running_mean) * inv_std
+        np.testing.assert_array_equal(cache.x_hat, x_hat)
+        np.testing.assert_array_equal(out.data, gamma * x_hat + beta)
 
     def test_degenerate_batch_rejected(self):
         x = Tensor4(np.ones((1, 1, 1, 3), dtype=np.float64))

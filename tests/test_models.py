@@ -7,6 +7,7 @@ import pytest
 
 from purefoodnet import layers as L
 from purefoodnet import models as M
+from purefoodnet import tensor as TN
 from purefoodnet.errors import (
     DataFormatError,
     GeometryError,
@@ -15,6 +16,7 @@ from purefoodnet.errors import (
     WeightDigestError,
 )
 from purefoodnet.tensor import Tensor4
+from test_golden import SPEC_TEXT as GOLDEN_SPEC_TEXT
 
 
 def tiny_spec(num_classes=3, input_side=8, channels=2):
@@ -195,6 +197,18 @@ class TestForward:
         y = L.dense_forward(y, L.DenseLayer(params["fc.weights"], params["fc.bias"], "relu"))
         y = L.dense_forward(y, L.DenseLayer(params["out.weights"], params["out.bias"], "softmax"))
         np.testing.assert_array_equal(got.data, y.data)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_forward_with_caches_on_every_kind(self, training):
+        spec = M.parse_model_spec(GOLDEN_SPEC_TEXT)
+        params = M.init_params(spec, seed=9)
+        x = Tensor4(np.random.default_rng(12).normal(size=(5, 16, 16, 3)).astype(np.float32))
+        cached_params = params.copy()  # training mode updates running stats
+        got = M.forward(spec, params, x, training, np.random.default_rng(4))
+        want, _ = M.forward_with_caches(spec, cached_params, x, training,
+                                        np.random.default_rng(4))
+        np.testing.assert_array_equal(got.data, want.data)
+        assert params == cached_params
 
     def test_output_shapes_match_inference(self):
         rng = np.random.default_rng(13)
@@ -526,6 +540,32 @@ class TestWeightsPFW1:
             assert arr.flags.writeable and arr.flags.c_contiguous and arr.dtype.isnative
             assert not np.shares_memory(arr, file_bytes)
             assert not any(np.shares_memory(arr, other) for other in arrays[j + 1:])
+
+    @pytest.mark.parametrize("cut", [0, 43, 60, -3, None])
+    def test_file_and_bytes_fail_alike(self, tmp_path, cut):
+        spec = tiny_spec()
+        buf = M.weights_to_bytes(spec, M.init_params(spec, seed=31))
+        buf = buf + b"\x00" if cut is None else buf[:cut]
+        path = tmp_path / "weights.pfw"
+        path.write_bytes(buf)
+        with pytest.raises(DataFormatError) as from_bytes:
+            M.weights_from_bytes(buf, spec)
+        with pytest.raises(DataFormatError) as from_file:
+            M.load_weights(path, spec)
+        assert str(from_file.value) == str(from_bytes.value)
+
+    def test_nonfinite_value_past_the_first_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(TN, "_FINITE_CHUNK", 4)
+        spec = tiny_spec()
+        params = M.init_params(spec, seed=32)
+        M.save_weights(tmp_path / "ok.pfw", spec, params)
+        assert M.load_weights(tmp_path / "ok.pfw", spec) == params
+        buf = bytearray(M.weights_to_bytes(spec, params))
+        end = buf.index(b"fc.weights") + len("fc.weights") + 37 + params["fc.weights"].nbytes
+        buf[end - 4:end] = struct.pack("<f", np.inf)  # the last value of fc.weights
+        (tmp_path / "bad.pfw").write_bytes(buf)
+        with pytest.raises(DataFormatError, match="'fc.weights': PFT1 values must be finite"):
+            M.load_weights(tmp_path / "bad.pfw", spec)
 
     def test_bad_magic(self):
         spec = tiny_spec()

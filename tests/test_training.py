@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from purefoodnet import layers as L
 from purefoodnet import models as M
@@ -117,6 +118,55 @@ class TestCrossEntropy:
             T.cross_entropy_loss(probs, np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ShapeError):
             T.cross_entropy_loss(probs, np.eye(3))
+
+
+class TestBackwardBitExactness:
+    """The backward passes against the formulas they replaced, which fix the
+    float sums the golden artifacts depend on."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("z", [0, 1])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv_dw_matches_tensordot(self, k, s, z, dtype):
+        rng = np.random.default_rng(31 * k + 7 * s + z)
+        x = rng.normal(size=(3, 9, 8, 4)).astype(dtype)
+        filters = rng.normal(size=(5, k, k, 4)).astype(dtype)
+        bias = rng.normal(size=5).astype(dtype)
+        layer = L.ConvLayer(filters, bias, ConvGeometry(k, s, z), "relu")
+        out, cache = L.conv2d_cached(Tensor4(x), layer)
+        r = rng.normal(size=out.data.shape).astype(dtype)
+        dx, dw, db = T.conv2d_backward(r, cache)
+
+        xp = np.pad(x, ((0, 0), (z, z), (z, z), (0, 0)))
+        windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+        d = r * (out.data > 0)
+        want = np.tensordot(d, windows, axes=([0, 1, 2], [0, 1, 2])).transpose(0, 2, 3, 1)
+        assert dw.dtype == want.dtype
+        np.testing.assert_array_equal(dw, want)
+
+        no_dx, dw2, db2 = T.conv2d_backward(r, cache, need_dx=False)
+        assert no_dx is None
+        np.testing.assert_array_equal(dw2, dw)
+        np.testing.assert_array_equal(db2, db)
+        assert dx.shape == x.shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 3), (4, 5, 5, 2), (40, 32, 32, 16),
+                                       (1, 7, 3, 9)])
+    def test_batchnorm_dx_matches_formula(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(loc=-0.4, scale=1.3, size=shape).astype(dtype)
+        c = shape[3]
+        gamma = rng.normal(size=c).astype(dtype)
+        layer = L.BatchNormLayer(gamma, np.zeros(c, dtype), np.zeros(c, dtype),
+                                 np.ones(c, dtype))
+        _, cache = L.batchnorm_cached(Tensor4(x), layer, training=True)
+        d = rng.normal(size=shape).astype(dtype)
+        dx, dgamma, dbeta = T.batchnorm_backward(d, cache)
+        x_hat, inv_std, count = cache.x_hat, cache.inv_std, cache.count
+        want = (gamma * inv_std / count) * (count * d - dbeta - x_hat * dgamma)
+        np.testing.assert_array_equal(dx, want)
 
 
 class TestLayerGradientsVsFiniteDifferences:
@@ -367,6 +417,40 @@ class TestWholeModelGradients:
         # Spot-check a slice of the big conv bank to keep runtime sane.
         full = fd_gradient(loss, params["c1.filters"][0])
         assert_grads_close(grads["c1.filters"][0], full)
+
+    def test_lowest_trainable_conv_above_frozen_layers(self):
+        # c2 is the lowest trainable layer, so its backward skips dx; the
+        # frozen c1 and bn1 below it get no gradients and no backward.
+        spec = M.set_trainable(deep_test_spec(), ["c1", "bn1"], False)
+        rng = np.random.default_rng(43)
+        x = Tensor4(rng.normal(size=(4, 6, 6, 2)))
+        labels = np.eye(3)[rng.integers(0, 3, size=4)]
+        params = M.init_params(spec, seed=4, dtype=np.float64)
+
+        def loss():
+            value, _, _ = T.loss_and_gradients(spec, params, x, labels, update_stats=False)
+            return value
+
+        _, grads, _ = T.loss_and_gradients(spec, params, x, labels, update_stats=False)
+        assert set(grads) == set(M.trainable_param_names(spec))
+        for name in ("c2.filters", "c2.bias", "fc.weights", "out.bias"):
+            assert_grads_close(grads[name], fd_gradient(loss, params[name]))
+
+    def test_lowest_layer_computes_no_input_gradient(self, monkeypatch):
+        calls = []
+        conv_backward = T.conv2d_backward
+
+        def recording(d, cache, need_dx=True):
+            calls.append(need_dx)
+            return conv_backward(d, cache, need_dx)
+
+        monkeypatch.setattr(T, "conv2d_backward", recording)
+        spec = deep_test_spec()
+        rng = np.random.default_rng(46)
+        x = Tensor4(rng.normal(size=(2, 6, 6, 2)))
+        params = M.init_params(spec, seed=5, dtype=np.float64)
+        T.loss_and_gradients(spec, params, x, np.eye(3)[[0, 2]], update_stats=False)
+        assert calls == [True, False]  # c2, then c1 at the bottom
 
     def test_hand_differentiated_two_parameter_case(self):
         # One feature, two classes, weights w = [[w0, w1]], bias 0, label class 0:
