@@ -7,13 +7,16 @@ variant that additionally returns the intermediates its matching backward
 pass (in `training`) consumes.
 
 Pooling is vectorized with `sliding_window_view` over the two spatial axes.
-A convolution copies its input windows once into an im2col matrix (one row
-per output cell, columns in (channel, row, column) order), multiplies it by
-the filter bank in one matrix product, and keeps the matrix in its cache so
-the backward pass reuses it for the filter gradient. Convolutions are
-cross-correlations: the kernel is applied as stored, never flipped.
-Activations are fused into the conv and dense layers; `relu` and `softmax`
-also exist standalone.
+A convolution copies its input windows into an im2col matrix (one row per
+output cell, columns in (channel, row, column) order) and multiplies it by
+the filter bank. When a backward pass will follow, it builds the whole
+matrix, takes one matrix product and keeps the matrix in its cache, so the
+backward pass reuses it for the filter gradient. Without one (inference,
+`need_cache=False`), it fills one bounded buffer with a block of rows at a
+time and multiplies each block into its slice of the output, with the same
+bits, and returns no cache. Convolutions are cross-correlations: the kernel
+is applied as stored, never flipped. Activations are fused into the conv
+and dense layers; `relu` and `softmax` also exist standalone.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateBatchError, GeometryError, ShapeError
-from .tensor import ConvGeometry, Tensor4, conv_output_size
+from .tensor import ConvGeometry, Tensor4, all_finite, conv_output_size
 
 BATCHNORM_EPS = 1e-5
 BATCHNORM_MOMENTUM = 0.1
@@ -56,7 +59,7 @@ class ConvLayer:
             raise ShapeError(f"bias must be ({f.shape[0]},), got {self.bias.shape}")
         if self.activation not in CONV_ACTIVATIONS:
             raise ValueError(f"conv activation must be one of {CONV_ACTIVATIONS}, got {self.activation!r}")
-        if not (np.isfinite(f).all() and np.isfinite(self.bias).all()):
+        if not (all_finite(f) and all_finite(self.bias)):
             raise ShapeError("conv parameters must be finite")
 
 
@@ -95,7 +98,7 @@ class DenseLayer:
             raise ValueError(
                 f"dense activation must be one of {DENSE_ACTIVATIONS}, got {self.activation!r}"
             )
-        if not (np.isfinite(w).all() and np.isfinite(self.bias).all()):
+        if not (all_finite(w) and all_finite(self.bias)):
             raise ShapeError("dense parameters must be finite")
 
 
@@ -183,28 +186,68 @@ class BatchNormCache(NamedTuple):
 # Bytes of im2col matrix filled per block of output rows; a block this size
 # stays in cache while all k*k taps are written into it.
 _IM2COL_BLOCK_BYTES = 1 << 19
+# Bytes of im2col matrix a conv holds at once when it keeps no cache.
+_GEMM_BLOCK_BYTES = 32 << 20
+# A block of the product must take the BLAS kernel the whole product takes,
+# or its bits differ: OpenBLAS uses GEMV for one row or one column and a
+# small-matrix kernel up to 10^6 multiply-adds. So a block has at least this
+# many rows and multiply-adds, and a one-filter product is never split.
+_MIN_BLOCK_ROWS = 256
+_MIN_BLOCK_MACS = 1 << 20
 
 
-def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int,
+            out: np.ndarray | None = None, first: int = 0) -> np.ndarray:
     """The (i*oh*ow, c*k*k) matrix of every k x k window of xp at stride s,
-    columns in (c, k, k) order. It is filled one tap at a time per block of
-    output rows: a single copy of the 6-D window view runs its innermost
-    loop over only k elements, and measured about 2x slower."""
-    i, c = xp.shape[0], xp.shape[3]
-    cols = np.empty((i, oh, ow, c, k, k), dtype=xp.dtype)
+    columns in (c, k, k) order. With `out`, only as many output rows' worth
+    as `out` holds are written into it, from output row `first` on (output
+    row u is row u % oh of image u // oh). Rows are filled one tap at a time
+    per block of one image: a single copy of the 6-D window view runs its
+    innermost loop over only k elements, and measured about 2x slower."""
+    c = xp.shape[3]
+    if out is None:
+        out = np.empty((xp.shape[0] * oh * ow, c * k * k), dtype=xp.dtype)
+    units = out.reshape(-1, ow, c, k, k)
     rows = max(1, _IM2COL_BLOCK_BYTES // (ow * c * k * k * xp.itemsize))
-    for n in range(i):
-        for r in range(0, oh, rows):
-            block = cols[n, r:r + rows]
-            last = s * (block.shape[0] - 1) + 1
-            for p in range(k):
-                for q in range(k):
-                    block[..., p, q] = xp[n, s * r + p:s * r + p + last:s,
-                                          q:q + s * (ow - 1) + 1:s]
-    return cols.reshape(i * oh * ow, c * k * k)
+    done = 0
+    while done < len(units):
+        n, r = divmod(first + done, oh)
+        block = units[done:done + min(rows, oh - r)]
+        last = s * (len(block) - 1) + 1
+        for p in range(k):
+            for q in range(k):
+                block[..., p, q] = xp[n, s * r + p:s * r + p + last:s,
+                                      q:q + s * (ow - 1) + 1:s]
+        done += len(block)
+    return out
 
 
-def conv2d_cached(x: Tensor4, layer: ConvLayer) -> tuple[Tensor4, ConvCache]:
+def _block_units(units: int, ow: int, width: int, f: int, itemsize: int) -> int:
+    """Output rows (ow im2col rows each) per block of a conv that keeps no
+    cache; `units`, the number of output rows, means one block."""
+    if f < 2:
+        return units
+    unit_macs = ow * width * f
+    b = max(-(-_MIN_BLOCK_ROWS // ow), -(-_MIN_BLOCK_MACS // unit_macs),
+            _GEMM_BLOCK_BYTES // (ow * width * itemsize))
+    return min(b, units)
+
+
+def _relu_inplace(out: np.ndarray) -> None:
+    """The bytes of `np.where(out > 0, out, 0)`, written in place: fmax maps
+    NaN to 0 as the comparison does, and adding +0.0 turns the -0.0 that
+    fmax keeps into +0.0."""
+    np.fmax(out, 0, out=out)
+    out += 0.0
+
+
+def conv2d_cached(x: Tensor4, layer: ConvLayer,
+                  need_cache: bool = True) -> tuple[Tensor4, ConvCache | None]:
+    """The conv output and, when `need_cache` is true, the cache its backward
+    consumes (None otherwise). Without a cache, an im2col matrix larger than
+    about _GEMM_BLOCK_BYTES is never whole: blocks of its rows, all of one
+    height, go through one buffer that size, the last block overlapping the
+    one before and any block possibly spanning images."""
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -216,15 +259,30 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer) -> tuple[Tensor4, ConvCache]:
     xp = np.pad(x.data, ((0, 0), (g.z, g.z), (g.z, g.z), (0, 0))) if g.z else x.data
     # Columns stay in (c, k, k) order: the float sums, and with them the
     # trained weights' bytes, depend on it.
-    cols = _im2col(xp, g.k, g.s, oh, ow)
     f = filters.shape[0]
-    out = np.dot(cols, filters.transpose(3, 1, 2, 0).reshape(cols.shape[1], f))
-    out = out.reshape(x.i, oh, ow, f) + layer.bias
+    fmat = filters.transpose(3, 1, 2, 0).reshape(-1, f)
+    out = np.empty((x.i, oh, ow, f), dtype=np.result_type(xp, fmat))
+    rows = out.reshape(-1, f)
+    units = x.i * oh
+    b = units if need_cache else _block_units(units, ow, len(fmat), f, xp.itemsize)
+    cols = None
+    if b == units:
+        cols = _im2col(xp, g.k, g.s, oh, ow)
+        np.dot(cols, fmat, out=rows)
+    else:
+        buf = np.empty((b * ow, len(fmat)), dtype=xp.dtype)
+        for u in (*range(0, units - b, b), units - b):
+            np.dot(_im2col(xp, g.k, g.s, oh, ow, buf, u), fmat, out=rows[u * ow:(u + b) * ow])
+    # A bias of a wider dtype widens the sum, as `out + bias` would.
+    out = out.astype(np.result_type(out, layer.bias), copy=False)
+    out += layer.bias
     relu_mask = None
     if layer.activation == "relu":
-        relu_mask = out > 0
-        out = np.where(relu_mask, out, 0)
-    return Tensor4(out), ConvCache(cols, xp.shape, filters, g, relu_mask)
+        if need_cache:
+            relu_mask = out > 0
+        _relu_inplace(out)
+    cache = ConvCache(cols, xp.shape, filters, g, relu_mask) if need_cache else None
+    return Tensor4(out), cache
 
 
 def conv2d_forward(x: Tensor4, layer: ConvLayer) -> Tensor4:
@@ -233,7 +291,7 @@ def conv2d_forward(x: Tensor4, layer: ConvLayer) -> Tensor4:
     Output is (i, o, o', f) with each spatial extent given by
     `conv_output_size`.
     """
-    out, _ = conv2d_cached(x, layer)
+    out, _ = conv2d_cached(x, layer, need_cache=False)
     return out
 
 
@@ -296,7 +354,7 @@ def dense_cached(x: Tensor4, layer: DenseLayer) -> tuple[Tensor4, DenseCache]:
     probs = None
     if layer.activation == "relu":
         relu_mask = out > 0
-        out = np.where(relu_mask, out, 0)
+        _relu_inplace(out)
     elif layer.activation == "softmax":
         out = _softmax2d(out)
         probs = out

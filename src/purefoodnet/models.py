@@ -100,7 +100,9 @@ class LayerSpec:
 @dataclass(frozen=True)
 class LayerKind:
     keys: tuple[str, ...]  # LayerSpec fields in text-form order (hashed into the digest)
-    forward: Callable  # (layer, param getter, x, training, rng, update_stats) -> (out, cache)
+    # (layer, param getter, x, training, rng, update_stats, need_cache) -> (out, cache);
+    # a kind may return a None cache when need_cache is false.
+    forward: Callable
     valid: Callable = lambda layer: True  # hyperparameter values are in range
     out_shape: Callable = lambda layer, h, w, c: (h, w, c)
     params: Callable = lambda layer, c: {}  # (layer, c_in) -> {field: shape}, in storage order
@@ -132,21 +134,22 @@ KIND_TABLE = {
                                  "bias": (layer.filters,)},
         trainable=("filters", "bias"),
         penalized=("filters",),
-        forward=lambda layer, p, x, training, rng, update_stats: L.conv2d_cached(
-            x, L.ConvLayer(p("filters"), p("bias"), _geometry(layer), layer.activation)),
+        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.conv2d_cached(
+            x, L.ConvLayer(p("filters"), p("bias"), _geometry(layer), layer.activation),
+            need_cache=need_cache),
     ),
     "pool": LayerKind(
         keys=("mode", "window", "stride"),
         valid=lambda layer: (layer.window >= 1 and layer.stride >= 1
                              and layer.mode in L.POOL_MODES),
         out_shape=lambda layer, h, w, c: (*L.pool_output_size(h, w, layer.window, layer.stride), c),
-        forward=lambda layer, p, x, training, rng, update_stats: L.pool_cached(
+        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.pool_cached(
             x, L.PoolLayer(layer.window, layer.stride, layer.mode)),
     ),
     "flatten": LayerKind(
         keys=(),
         out_shape=lambda layer, h, w, c: (1, 1, h * w * c),
-        forward=lambda layer, p, x, training, rng, update_stats: L.flatten_cached(x),
+        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.flatten_cached(x),
     ),
     "dense": LayerKind(
         keys=("units", "activation"),
@@ -155,13 +158,13 @@ KIND_TABLE = {
         params=lambda layer, c: {"weights": (c, layer.units), "bias": (layer.units,)},
         trainable=("weights", "bias"),
         penalized=("weights",),
-        forward=lambda layer, p, x, training, rng, update_stats: L.dense_cached(
+        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.dense_cached(
             x, L.DenseLayer(p("weights"), p("bias"), layer.activation)),
     ),
     "dropout": LayerKind(
         keys=("rate",),
         valid=lambda layer: 0.0 <= layer.rate < 1.0,
-        forward=lambda layer, p, x, training, rng, update_stats: L.dropout_cached(
+        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.dropout_cached(
             x, L.DropoutLayer(layer.rate), training, rng),
     ),
     # Frozen batch norm runs on its running statistics even during training,
@@ -171,7 +174,7 @@ KIND_TABLE = {
         params=lambda layer, c: dict.fromkeys(("gamma", "beta", "running_mean", "running_var"),
                                               (c,)),
         trainable=("gamma", "beta"),
-        forward=lambda layer, p, x, training, rng, update_stats: L.batchnorm_cached(
+        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.batchnorm_cached(
             x, L.BatchNormLayer(p("gamma"), p("beta"), p("running_mean"), p("running_var")),
             training and layer.trainable, update_stats),
     ),
@@ -366,12 +369,14 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> ParamStore:
 
 def apply_layer(layer: LayerSpec, params: ParamStore, x: Tensor4,
                 training: bool = False, rng: np.random.Generator | None = None,
-                update_stats: bool = True) -> tuple[Tensor4, object]:
-    """Run one layer on x; returns its output and the cache its backward uses."""
+                update_stats: bool = True, need_cache: bool = True) -> tuple[Tensor4, object]:
+    """Run one layer on x; returns its output and the cache its backward uses
+    (which may be None when `need_cache` is false)."""
     def param(field):
         return params[f"{layer.name}.{field}"]
 
-    return KIND_TABLE[layer.kind].forward(layer, param, x, training, rng, update_stats)
+    return KIND_TABLE[layer.kind].forward(layer, param, x, training, rng, update_stats,
+                                          need_cache)
 
 
 def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
@@ -390,11 +395,11 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
             training: bool = False, rng: np.random.Generator | None = None) -> Tensor4:
     """Run the whole model; returns the final layer's output.
 
-    Each layer's cache is dropped as soon as the layer returns, so at most
-    one conv's im2col matrix is alive at a time.
+    No layer keeps a cache, so a conv holds at most about 32 MB of its im2col
+    matrix at a time (`layers.conv2d_cached`).
     """
     for layer in spec.layers:
-        x = apply_layer(layer, params, x, training, rng)[0]
+        x = apply_layer(layer, params, x, training, rng, need_cache=False)[0]
     return x
 
 
@@ -408,7 +413,7 @@ def capture_activations(spec: ModelSpec, params: ParamStore, x: Tensor4,
         raise UnknownLayerError(f"no layer named {missing[0]!r}")
     captured: dict[str, Tensor4] = {}
     for layer in spec.layers:
-        x = apply_layer(layer, params, x)[0]
+        x = apply_layer(layer, params, x, need_cache=False)[0]
         if layer.name in wanted:
             captured[layer.name] = x
     return captured

@@ -68,6 +68,19 @@ class ConvGeometry:
             raise GeometryError(f"padding must be >= 0, got {self.z}")
 
 
+# Finiteness is checked this many values at a time, so the boolean temporary
+# stays small however large the array is.
+_FINITE_CHUNK = 1 << 20
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """`np.isfinite(arr).all()`, taken _FINITE_CHUNK values at a time; an
+    array that is not contiguous is copied one chunk at a time."""
+    chunks = np.nditer(arr, flags=["external_loop", "buffered", "zerosize_ok"],
+                       buffersize=_FINITE_CHUNK)
+    return all(np.isfinite(chunk).all() for chunk in chunks)
+
+
 class Tensor4:
     """Immutable dense rank-4 array of finite 32- or 64-bit floats.
 
@@ -84,7 +97,7 @@ class Tensor4:
             raise ShapeError(f"Tensor4 dtype must be float32 or float64, got {arr.dtype}")
         if any(d < 1 for d in arr.shape):
             raise ShapeError(f"Tensor4 dims must all be >= 1, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise NonFiniteError("Tensor4 values must be finite")
         # Detach from shared buffers so the read-only flag actually protects us.
         if not arr.flags.owndata or not arr.flags.c_contiguous:
@@ -168,16 +181,11 @@ def pft1_encode(arr: np.ndarray) -> bytes:
         raise ShapeError(f"PFT1 dtype must be float32 or float64, got {arr.dtype}")
     if arr.ndim > 4 or 0 in arr.shape:
         raise ShapeError(f"PFT1 needs rank <= 4 and dims >= 1, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NonFiniteError("PFT1 values must be finite")
     dims = (1,) * (4 - arr.ndim) + arr.shape
     payload = np.ascontiguousarray(arr, dtype=CODE_DTYPES[code]).tobytes()
     return PFT1_MAGIC + bytes([code]) + struct.pack("<4Q", *dims) + payload
-
-
-# Finiteness is checked this many values at a time, so the boolean temporary
-# stays small however large the parameter is.
-_FINITE_CHUNK = 1 << 20
 
 
 def pft1_read(fh, remaining: int) -> np.ndarray:
@@ -209,10 +217,8 @@ def pft1_read(fh, remaining: int) -> np.ndarray:
         raise DataFormatError(f"PFT1 payload length {got}, expected {nbytes}")
     if not dtype.isnative:
         arr = arr.astype(dtype.newbyteorder("="))
-    flat = arr.reshape(-1)
-    for start in range(0, flat.size, _FINITE_CHUNK):
-        if not np.isfinite(flat[start:start + _FINITE_CHUNK]).all():
-            raise DataFormatError("PFT1 values must be finite")
+    if not all_finite(arr):
+        raise DataFormatError("PFT1 values must be finite")
     return arr
 
 

@@ -12,6 +12,7 @@ theta <- theta + v.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import layers as L
 from . import models as M
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from .seeding import make_rng
-from .tensor import Tensor4, atomic_write_bytes, decode_utf8
+from .tensor import Tensor4, all_finite, atomic_write_bytes, decode_utf8
 
 GradStore = dict[str, np.ndarray]
 
@@ -324,7 +325,7 @@ def sgd_nesterov_step(params: M.ParamStore, grads: GradStore,
     if lr is None:
         lr = state.learning_rate
     for name, g in grads.items():
-        if not np.isfinite(g).all():
+        if not all_finite(g):
             raise NonFiniteError(f"gradient for {name!r} is not finite")
         if g.shape != params[name].shape:
             raise ShapeError(
@@ -546,7 +547,31 @@ def history_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Numbers as a CSV writer spells them: int() and float() would also take
+# spaces, `_` digit separators ("1_0" is 10) and "infinity".
+_CSV_INT = re.compile(r"[0-9]+")
+_CSV_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?|nan")
+
+
+def _history_row_faults(row: EpochStats, epoch: int) -> list[str]:
+    """Why `train` could not have written `row` as its epoch-th row. Any
+    comparison with NaN is false, so NaN passes only where both validation
+    columns hold it: `train` writes that when it has no validation set."""
+    checks = (
+        (row.epoch == epoch, f"epoch {row.epoch} where {epoch} belongs (epochs count up from 1)"),
+        (0.0 <= row.train_loss < math.inf, "train_loss must be finite and >= 0"),
+        (0.0 <= row.train_top1 <= 1.0, "train_top1 must be in [0, 1]"),
+        ((0.0 <= row.val_loss < math.inf and 0.0 <= row.val_top1 <= 1.0)
+         or (math.isnan(row.val_loss) and math.isnan(row.val_top1)),
+         "val_loss must be finite and >= 0 and val_top1 in [0, 1], or both nan"),
+        (0.0 < row.lr < math.inf, "lr must be finite and > 0"),
+    )
+    return [message for ok, message in checks if not ok]
+
+
 def history_from_csv(text: str) -> list[EpochStats]:
+    """The epochs of a history CSV; a row `train` could not have written
+    raises DataFormatError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != HISTORY_HEADER:
         raise DataFormatError(f"history CSV must start with {HISTORY_HEADER!r}")
@@ -556,9 +581,15 @@ def history_from_csv(text: str) -> list[EpochStats]:
         if len(parts) != 6:
             raise DataFormatError(f"line {lineno}: expected 6 columns, got {len(parts)}")
         try:
-            out.append(EpochStats(int(parts[0]), *(float(p) for p in parts[1:])))
-        except ValueError:
+            if not (_CSV_INT.fullmatch(parts[0]) and all(map(_CSV_FLOAT.fullmatch, parts[1:]))):
+                raise ValueError(line)
+            row = EpochStats(int(parts[0]), *(float(p) for p in parts[1:]))
+        except ValueError:  # int() also refuses more than 4300 digits
             raise DataFormatError(f"line {lineno}: bad number in {line!r}") from None
+        faults = _history_row_faults(row, len(out) + 1)
+        if faults:
+            raise DataFormatError(f"line {lineno}: {'; '.join(faults)}")
+        out.append(row)
     return out
 
 

@@ -326,6 +326,28 @@ class TestDiagnose:
         path.write_text("epoch,nope\n1,2\n")
         assert main(["diagnose", "--history", str(path)]) == 2
 
+    @pytest.mark.parametrize("row", [
+        "1,0.5,1_0,0.75,0.5,-3",  # once printed train_error=-9.0 and exited 0
+        "1,inf,0.5,0.6,0.5,0.01",
+        "1,nan,0.5,0.6,0.5,0.01",
+        "1,0.5,1.5,0.6,0.5,0.01",
+        "1,0.5,0.5,0.6,0.5,0",
+        "2,0.5,0.5,0.6,0.5,0.01",
+        "1,0.5,0.5,nan,0.5,0.01",
+        "1" * 5000 + ",0.5,0.5,0.6,0.5,0.01",  # int() refuses over 4300 digits
+    ])
+    def test_row_train_cannot_write_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{T.HISTORY_HEADER}\n{row}\n")
+        assert main(["diagnose", "--history", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_history_without_validation_is_read(self, tmp_path, capsys):
+        path = tmp_path / "no_val.csv"
+        path.write_text(f"{T.HISTORY_HEADER}\n1,0.5,0.95,nan,nan,0.01\n")
+        assert main(["diagnose", "--history", str(path)]) == 0
+        assert "train_error=0.050000000000000044" in capsys.readouterr().out
+
 
 def _load_spec(out):
     return M.load_model_spec(out / "model.spec")

@@ -1,4 +1,5 @@
-"""Property-based fuzzing of the PFW1, PFT1 and model-spec decoders.
+"""Property-based fuzzing of the PFW1, PFT1, model-spec and history-CSV
+decoders.
 
 Each property starts from small valid files and damages them: a truncation,
 a replacement of up to 32 bytes (single-byte overwrites among them), or a
@@ -10,7 +11,8 @@ re-encodes to exactly the bytes that were read.
 
 The `@example`s pin defects that once escaped as other exceptions or were
 accepted silently: a NaN payload, a zero dim, a record with fewer values,
-permuted dims with the same count, and a conv line with a bad geometry.
+permuted dims with the same count, a conv line with a bad geometry, and
+history rows `train` can never write.
 """
 
 import math
@@ -21,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from purefoodnet import models as M
+from purefoodnet import training as T
 from purefoodnet.errors import DataFormatError, WeightDigestError
 from purefoodnet.tensor import Tensor4, decode_utf8, tensor_from_bytes, tensor_to_bytes
 
@@ -136,3 +139,62 @@ def test_model_spec_parses_or_raises_data_format_error(mutation):
     except DataFormatError:
         return
     assert M.parse_model_spec(M.model_spec_text(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# History CSV (read by `diagnose`, which exits 2 on DataFormatError).
+
+HISTORY_VALID = (
+    T.history_to_csv([T.EpochStats(1, 1.0986, 0.375, 1.05, 0.5, 0.01),
+                      T.EpochStats(2, 0.75, 0.625, 0.9, 0.625, 0.01),
+                      T.EpochStats(3, 0.5, 0.8125, 0.85, 0.6875, 0.005)]).encode("utf-8"),
+    # No validation set: both validation columns hold nan.
+    T.history_to_csv([T.EpochStats(1, 2.25, 0.125, math.nan, math.nan, 0.1)]).encode("utf-8"),
+)
+ROW2 = HISTORY_VALID[0].index(b"\n2,")  # the newline that ends epoch 1's row
+ROW3 = HISTORY_VALID[0].index(b"\n3,")
+
+
+def written_by_train(history):
+    """What `train` can write: epochs 1, 2, ...; a finite train loss >= 0 and
+    top-1 in [0, 1]; validation loss and top-1 likewise, or both nan; lr > 0."""
+    for epoch, row in enumerate(history, start=1):
+        assert row.epoch == epoch
+        assert math.isfinite(row.train_loss) and row.train_loss >= 0
+        assert 0 <= row.train_top1 <= 1
+        if math.isnan(row.val_loss) or math.isnan(row.val_top1):
+            assert math.isnan(row.val_loss) and math.isnan(row.val_top1)
+        else:
+            assert math.isfinite(row.val_loss) and row.val_loss >= 0
+            assert 0 <= row.val_top1 <= 1
+        assert math.isfinite(row.lr) and row.lr > 0
+
+
+@settings(FUZZ)
+@given(mutations(HISTORY_VALID))
+@example(("splice", 0, 0, 0, 0))  # unchanged
+@example(("splice", 1, 0, 1, 0))  # unchanged, nan validation columns
+@example(("put", ROW2 - 4, 4, b"inf"))  # lr inf
+@example(("put", ROW2 + 3, 4, b"inf"))  # train loss inf
+@example(("put", ROW2 + 3, 4, b"nan"))  # train loss nan
+@example(("put", ROW2 + 8, 5, b"1.25"))  # train top-1 above 1
+@example(("put", ROW2 - 4, 4, b"-0.01"))  # lr < 0
+@example(("put", ROW2 - 4, 4, b"0.0"))  # lr 0
+@example(("put", ROW2 + 1, 1, b"1"))  # epoch 1 twice
+@example(("put", ROW2 + 1, 1, b"3"))  # epochs 1, 3, 3
+@example(("splice", 0, ROW2, 0, ROW3))  # epoch 2 missing
+@example(("put", ROW2 - 4, 4, b"0.0_1"))  # lr 0.01 spelled with a digit separator
+@example(("put", ROW2 + 1, 1, b"0_2"))  # epoch 2 spelled with a digit separator
+@example(("put", len(T.HISTORY_HEADER) + 1, 10 ** 6, b"1,0.5,1_0,0.75,0.5,-3\n"))  # diagnose
+# printed train_error=-9.0 for this row and exited 0
+def test_history_csv_parses_or_raises_data_format_error(mutation):
+    blob = damaged(HISTORY_VALID, mutation)
+    try:
+        history = T.history_from_csv(decode_utf8(blob, "history CSV"))
+    except DataFormatError:
+        return
+    written_by_train(history)
+    rows = blob.split(T.HISTORY_HEADER.encode("utf-8"), 1)[1]
+    assert b"_" not in rows  # 1_0 reads as 10 in int() and float()
+    text = T.history_to_csv(history)
+    assert T.history_to_csv(T.history_from_csv(text)) == text

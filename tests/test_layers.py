@@ -1,5 +1,8 @@
 """Layer forward tests against plain nested-loop oracles."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -175,6 +178,195 @@ class TestConv2d:
         rhs = (2.5 * conv2d_forward(Tensor4(x), layer).data
                - 1.5 * conv2d_forward(Tensor4(y), layer).data)
         np.testing.assert_allclose(lhs.data, rhs, rtol=0, atol=1e-10)
+
+
+def where_relu(out):
+    """The fused ReLU as the comparison-and-select formula: its bytes are the
+    reference for the in-place epilogue."""
+    return np.where(out > 0, out, 0)
+
+
+class TestConvEpilogue:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inplace_relu_bytes_equal_where(self, dtype):
+        # Whether fmax keeps the sign of a -0.0 depends on the length and
+        # alignment of the array, so try many of both.
+        special = np.array([-0.0, 0.0, -1.5, 2.5, -np.inf, np.inf, np.nan, -1e-30, 1e-30],
+                           dtype=dtype)
+        values = np.tile(special, 120)
+        for start in range(9):
+            for stop in (start + 1, start + 3, start + 17, start + 64, len(values)):
+                want = where_relu(values[start:stop])
+                got = values.copy()[start:stop]
+                layers._relu_inplace(got)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()  # -0.0 -> +0.0 and NaN -> 0
+
+    @pytest.mark.parametrize("need_cache", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_relu_bytes_equal_where_with_zeros(self, dtype, need_cache):
+        # Zero inputs and signed zero biases put exact zeros into the
+        # pre-activation (BLAS sums them to +0.0; the helper test above
+        # covers -0.0 itself).
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(2, 6, 6, 3)).astype(dtype)
+        x[:, :3] = -0.0
+        filters = rng.normal(size=(4, 1, 1, 3)).astype(dtype)
+        bias = np.array([-0.0, 0.0, -0.0, 0.5], dtype=dtype)
+        plain = conv2d_forward(Tensor4(x), conv_layer(filters, bias, k=1))
+        assert (plain.data == 0).any() and (plain.data < 0).any()
+        fused, cache = conv2d_cached(Tensor4(x), conv_layer(filters, bias, k=1, activation="relu"),
+                                     need_cache=need_cache)
+        assert fused.data.tobytes() == where_relu(plain.data).tobytes()
+        assert fused.data.flags.owndata  # Tensor4 did not copy it
+        if need_cache:
+            np.testing.assert_array_equal(cache.relu_mask, plain.data > 0)
+        else:
+            assert cache is None
+
+    def test_wider_bias_widens_the_output(self):
+        rng = np.random.default_rng(67)
+        x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)
+        filters = rng.normal(size=(3, 3, 3, 2)).astype(np.float32)
+        bias = rng.normal(size=3)  # float64
+        out = conv2d_forward(Tensor4(x), conv_layer(filters, bias, k=3, z=1))
+        want = tensordot_conv(x, filters, bias, 3, 1, 1)
+        assert out.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(out.data, want)
+
+
+class TestBlockedConv:
+    """A conv that keeps no cache multiplies its im2col matrix block by block
+    and must give exactly the bytes of the one-GEMM cached path."""
+
+    @pytest.mark.parametrize("side, c, f", [(224, 128, 128), (112, 256, 256), (56, 512, 512)])
+    def test_paper_scale_shapes_match_cached(self, side, c, f):
+        rng = np.random.default_rng(side)
+        x = Tensor4(rng.standard_normal((1, side, side, c), dtype=np.float32))
+        filters = rng.standard_normal((f, 3, 3, c), dtype=np.float32) * np.float32(0.05)
+        layer = conv_layer(filters, rng.standard_normal(f, dtype=np.float32), k=3, z=1,
+                           activation="relu")
+        want, cache = conv2d_cached(x, layer)
+        del cache
+        got, none = conv2d_cached(x, layer, need_cache=False)
+        assert none is None
+        np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("z", [0, 1])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_blocks_match_cached(self, k, s, z, dtype, monkeypatch):
+        # No byte budget: every block has the smallest height allowed.
+        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", 0)
+        # Few filters: there OpenBLAS's small-matrix kernel rounds unlike
+        # its large one.
+        c, f, side = 16, 8, 23
+        oh = (side + 2 * z - k) // s + 1  # = ow
+        b = layers._block_units(10**6, oh, c * k * k, f, np.dtype(dtype).itemsize)
+        images = math.ceil(2.5 * b / oh)  # room for three blocks or more
+        rng = np.random.default_rng(7 * k + 3 * s + z)
+        x = Tensor4(rng.normal(size=(images, side, side, c)).astype(dtype))
+        layer = conv_layer(rng.normal(size=(f, k, k, c)).astype(dtype) * 0.2,
+                           rng.normal(size=f).astype(dtype), k, s, z, activation="relu")
+        starts = []
+        im2col = layers._im2col
+
+        def spy(xp, k, s, oh, ow, out=None, first=0):
+            if out is not None:
+                starts.append(first)
+                assert len(out) == b * ow
+            return im2col(xp, k, s, oh, ow, out, first)
+
+        monkeypatch.setattr(layers, "_im2col", spy)
+        want, _ = conv2d_cached(x, layer)
+        assert starts == []  # the cached path builds the whole matrix
+        got, _ = conv2d_cached(x, layer, need_cache=False)
+        units = images * oh
+        assert len(starts) >= 3 and starts[-1] == units - b
+        assert starts[-1] < starts[-2] + b  # the last block overlaps the one before
+        assert any(u // oh != (u + b - 1) // oh for u in starts)  # a block spans two images
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_wide_product_keeps_blocks_of_many_rows(self, monkeypatch):
+        # 2048 x 512 filters reach the multiply-add minimum in a single row,
+        # and a one-row block would take GEMV.
+        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", 0)
+        rng = np.random.default_rng(83)
+        x = Tensor4(rng.standard_normal((1, 700, 1, 2048), dtype=np.float32))
+        layer = conv_layer(rng.standard_normal((512, 1, 1, 2048), dtype=np.float32),
+                           np.zeros(512, dtype=np.float32), k=1)
+        assert layers._block_units(700, 1, 2048, 512, 4) == 256
+        got, _ = conv2d_cached(x, layer, need_cache=False)
+        np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
+
+    def test_matrix_within_budget_is_one_block(self, monkeypatch):
+        calls = []
+        im2col = layers._im2col
+        monkeypatch.setattr(layers, "_im2col",
+                            lambda *args: calls.append(len(args)) or im2col(*args))
+        rng = np.random.default_rng(71)
+        x = Tensor4(rng.normal(size=(40, 32, 32, 16)).astype(np.float32))
+        layer = conv_layer(rng.normal(size=(16, 3, 3, 16)).astype(np.float32),
+                           np.zeros(16, dtype=np.float32), k=3, z=1)
+        conv2d_cached(x, layer, need_cache=False)
+        assert calls == [5]  # the whole matrix, no destination buffer
+
+    def test_one_filter_is_never_split(self, monkeypatch):
+        # A one-column product takes GEMV, whose bits depend on its length.
+        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", 0)
+        assert layers._block_units(10**6, 224, 1152, 1, 4) == 10**6
+        rng = np.random.default_rng(73)
+        x = Tensor4(rng.normal(size=(2, 40, 40, 16)).astype(np.float32))
+        layer = conv_layer(rng.normal(size=(1, 3, 3, 16)).astype(np.float32),
+                           np.zeros(1, dtype=np.float32), k=3, z=1)
+        got, _ = conv2d_cached(x, layer, need_cache=False)
+        np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
+
+    def test_paper_scale_conv_allocates_far_less_than_its_im2col(self):
+        rng = np.random.default_rng(79)
+        x = Tensor4(rng.standard_normal((1, 224, 224, 128), dtype=np.float32))
+        layer = conv_layer(rng.standard_normal((128, 3, 3, 128), dtype=np.float32)
+                           * np.float32(0.05), np.zeros(128, dtype=np.float32), k=3, z=1,
+                           activation="relu")
+        im2col_mb = 224 * 224 * 128 * 9 * 4 / 2**20  # 220.5 MiB (231 MB)
+        tracemalloc.start()
+        try:
+            out, _ = conv2d_cached(x, layer, need_cache=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The output and the padded input (24.5 MiB each) plus one block
+        # buffer of at most _GEMM_BLOCK_BYTES.
+        assert peak / 2**20 < 0.5 * im2col_mb
+        assert out.data.shape == (1, 224, 224, 128)
+
+
+class TestParameterChecks:
+    """The per-forward parameter scan looks at every value, past the first
+    finiteness chunk too, whatever the array's memory layout."""
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_conv_nan_past_the_first_chunk(self, transposed):
+        filters = np.zeros((2, 3, 3, 1 << 16), dtype=np.float32)  # 1.2 M values
+        filters[1, 2, 2, -1] = np.nan
+        if transposed:
+            filters = np.ascontiguousarray(filters.transpose(3, 1, 2, 0)).transpose(3, 1, 2, 0)
+        with pytest.raises(ShapeError, match="conv parameters must be finite"):
+            conv_layer(filters, np.zeros(2, dtype=np.float32), k=3)
+        bias = np.zeros(2, dtype=np.float32)
+        bias[1] = np.inf
+        with pytest.raises(ShapeError, match="conv parameters must be finite"):
+            conv_layer(np.zeros((2, 3, 3, 1), dtype=np.float32), bias, k=3)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_dense_nan_past_the_first_chunk(self, transposed):
+        weights = np.zeros((1 << 11, 1025), dtype=np.float32)  # 2.1 M values
+        weights[-1, -1] = np.nan
+        if transposed:
+            weights = np.ascontiguousarray(weights.T).T
+        with pytest.raises(ShapeError, match="dense parameters must be finite"):
+            DenseLayer(weights, np.zeros(1025, dtype=np.float32))
 
 
 class TestPooling:

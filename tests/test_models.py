@@ -249,6 +249,21 @@ class TestCaptureActivations:
         caps = M.capture_activations(spec, params, x, ["out"])
         np.testing.assert_array_equal(caps["out"].data, M.forward(spec, params, x).data)
 
+    @pytest.mark.parametrize("budget", [None, 0])  # 0: cache-free convs in minimal blocks
+    def test_every_layer_equals_forward_with_caches(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(L, "_GEMM_BLOCK_BYTES", budget)
+        spec = M.parse_model_spec(GOLDEN_SPEC_TEXT)
+        params = M.init_params(spec, seed=10)
+        x = Tensor4(np.random.default_rng(14).normal(size=(64, 16, 16, 3)).astype(np.float32))
+        caps = M.capture_activations(spec, params, x, [layer.name for layer in spec.layers])
+        for j, layer in enumerate(spec.layers):
+            prefix = M.ModelSpec(spec.input_shape, spec.layers[:j + 1],
+                                 min(spec.top_boundary, j + 1))
+            want, caches = M.forward_with_caches(prefix, params, x)
+            assert all(cache is not None for _, cache in caches)
+            np.testing.assert_array_equal(caps[layer.name].data, want.data)
+
     def test_splice_consistency(self):
         spec = tiny_spec()
         params = M.init_params(spec, seed=6)

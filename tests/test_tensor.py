@@ -1,6 +1,7 @@
 """Tensor container, shape arithmetic, and PFT1 serialization tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from purefoodnet.tensor import (
     ConvGeometry,
     Shape4,
     Tensor4,
+    all_finite,
     atomic_write_bytes,
     conv_output_size,
     load_tensor,
@@ -127,10 +129,46 @@ class TestTensor4:
         with pytest.raises(NonFiniteError):
             Tensor4(arr)
 
+    def test_rejects_nonfinite_past_the_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(tensor_module, "_FINITE_CHUNK", 4)
+        arr = np.zeros((3, 2, 2, 2), dtype=np.float32)
+        arr[2, 1, 1, 1] = np.inf
+        with pytest.raises(NonFiniteError, match="Tensor4 values must be finite"):
+            Tensor4(arr)
+        with pytest.raises(NonFiniteError, match="Tensor4 values must be finite"):
+            Tensor4(arr.transpose(3, 1, 2, 0))  # not contiguous
+
     def test_astype(self):
         t = Tensor4(np.ones((1, 2, 2, 1), dtype=np.float32))
         assert t.astype(np.float32) is t
         assert t.astype(np.float64).dtype == np.float64
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+    def test_matches_isfinite_all(self, chunk, monkeypatch):
+        monkeypatch.setattr(tensor_module, "_FINITE_CHUNK", chunk)
+        views = (lambda a: a, lambda a: a.transpose(2, 0, 1), lambda a: a[:, ::2],
+                 lambda a: a[1:3, 1:3, 1:], lambda a: a.reshape(-1), lambda a: a[2, 1, 0],
+                 lambda a: a[:0])
+        base = np.random.default_rng(3).normal(size=(5, 4, 3)).astype(np.float32)
+        for value in (None, np.nan, np.inf, -np.inf):
+            for at in ((0, 0, 0), (4, 3, 2), (2, 1, 0)):
+                arr = base.copy()
+                if value is not None:
+                    arr[at] = value
+                for view in views:
+                    assert all_finite(view(arr)) == bool(np.isfinite(view(arr)).all())
+
+    def test_bounds_the_boolean_temporary(self):
+        arr = np.zeros(1 << 24, dtype=np.float32)  # 16 M values, a 16 MB mask at once
+        tracemalloc.start()
+        try:
+            assert all_finite(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestPFT1:

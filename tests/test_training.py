@@ -520,6 +520,16 @@ class TestOptimizer:
         np.testing.assert_allclose(params["w"], [1.0 - 0.05, -2.0 - 0.025],
                                    rtol=0, atol=1e-15)
 
+    def test_rejects_nonfinite_gradient_past_the_first_chunk(self, monkeypatch):
+        from purefoodnet import tensor as TN
+        monkeypatch.setattr(TN, "_FINITE_CHUNK", 4)
+        params = M.ParamStore({"w": np.zeros((3, 5))})
+        grad = np.zeros((5, 3))
+        grad[-1, -1] = np.nan
+        with pytest.raises(NonFiniteError, match="gradient for 'w' is not finite"):
+            T.sgd_nesterov_step(params, {"w": grad.T}, T.OptimizerState())
+        np.testing.assert_array_equal(params["w"], 0.0)
+
     def test_zero_gradient_zero_velocity_is_identity(self):
         params = M.ParamStore({"w": np.array([3.0])})
         state = T.OptimizerState()
