@@ -244,18 +244,19 @@ def _resolve_spec(cfg: RunConfig, n_classes: int) -> models.ModelSpec:
 
 def _batch_sources(cfg: RunConfig, manifest, side):
     policy = cfg.policy()
+    store = dataio.PackedStore()  # every epoch and validation pass reuses it
 
     def train_source(epoch):
         return dataio.batch_iterator(manifest, "train", cfg.batch_size, side,
                                      seed=derive_seed(cfg.seed, "shuffle", epoch),
-                                     policy=policy)
+                                     policy=policy, store=store)
 
     has_val = any(r.split == "val" for r in manifest.records)
     if not has_val:
         return train_source, None, None
 
     def val_source():
-        return dataio.batch_iterator(manifest, "val", cfg.batch_size, side)
+        return dataio.batch_iterator(manifest, "val", cfg.batch_size, side, store=store)
 
     return train_source, val_source, cfg.patience
 

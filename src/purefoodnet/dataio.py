@@ -40,6 +40,9 @@ __all__ = [
 
 SPLITS = ("train", "val", "test")
 IMAGE_SUFFIX = ".ppm"
+# Bytes of packed pixels one PackedStore keeps. A packed 224^2 image is 1.2 MB,
+# so a paper-scale split outgrows it and its later images decode every pass.
+_STORE_BYTES = 256 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +53,8 @@ def _parse_netpbm_header(blob: bytes, magic: bytes, path) -> tuple:
     """Return (fields..., payload offset) for a P5/P6 header; '#' comments ok."""
     if not blob.startswith(magic):
         raise DataFormatError(f"{path}: not a {magic.decode()} file")
+    if not blob[len(magic):len(magic) + 1].isspace():
+        raise DataFormatError(f"{path}: no whitespace after {magic.decode()}")
     pos = len(magic)
     fields = []
     while len(fields) < 3:
@@ -66,7 +71,10 @@ def _parse_netpbm_header(blob: bytes, magic: bytes, path) -> tuple:
             end = pos
             while end < len(blob) and blob[end:end + 1].isdigit():
                 end += 1
-            fields.append(int(blob[pos:end]))
+            try:
+                fields.append(int(blob[pos:end]))
+            except ValueError:  # more digits than int() converts
+                raise DataFormatError(f"{path}: header number too long") from None
             pos = end
         else:
             raise DataFormatError(f"{path}: bad header byte {ch!r}")
@@ -376,15 +384,29 @@ def load_manifest(path, root=None) -> DatasetManifest:
 # Batch stream
 
 
+class PackedStore(dict):
+    """(record path, target side) -> read-only packed image, kept by one
+    command for its later passes; it stops growing at `_STORE_BYTES`."""
+
+    def __init__(self):
+        super().__init__()
+        self.nbytes = 0
+
+
 def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
                    target_side: int, seed=None, policy: AugmentPolicy = None,
-                   dtype=np.float32):
+                   dtype=np.float32, *, store: PackedStore = None):
     """Yield (Tensor4, one-hot labels) over one pass of a split.
 
     Order is the manifest order, or a seeded shuffle when seed is given.
     The augmentation policy applies to the train split only; each image
     draws from its own stream-position generator, so batch size does not
     change what any image looks like.
+
+    `store` (internal, not a setting) lets the passes of one command share
+    their packed images: each image is decoded and packed once, up to the
+    store's byte cap, and augmentation runs on the stored array, which it
+    never writes. Images past the cap are decoded on every pass.
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
@@ -401,8 +423,15 @@ def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
         labels = []
         for offset, record_index in enumerate(order[start:start + batch_size]):
             record = records[record_index]
-            image = load_image(os.path.join(manifest.root, record.path)).pixels
-            image = pack_image(image, target_side)
+            key = (record.path, target_side)
+            image = None if store is None else store.get(key)
+            if image is None:
+                image = load_image(os.path.join(manifest.root, record.path)).pixels
+                image = pack_image(image, target_side)
+                if store is not None and store.nbytes + image.nbytes <= _STORE_BYTES:
+                    image.flags.writeable = False
+                    store[key] = image
+                    store.nbytes += image.nbytes
             if augmenting:
                 image = apply_policy(image, policy, policy_rng(policy, start + offset))
             images.append(image)

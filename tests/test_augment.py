@@ -312,3 +312,24 @@ class TestPolicy:
             A.AugmentPolicy(contrast_range=(-0.5, 1.0))
         with pytest.raises(ConfigError):
             A.AugmentPolicy(seed=-3)
+
+    def test_read_only_input_gives_the_same_bytes(self):
+        # The batch stream stores packed images read-only and augments them
+        # on every pass, so no op may write into its input.
+        policy = A.AugmentPolicy(flip_probability=0.5,
+                                 crop_fraction_range=(0.6, 0.9),
+                                 tilt_range=(-0.3, 0.3),
+                                 color_shift_magnitude=0.2,
+                                 rotation_range=(-30.0, 30.0),
+                                 noise_sigma=0.1,
+                                 contrast_range=(0.5, 1.5))
+        for policy in (policy, A.AugmentPolicy()):
+            for seed in range(6):
+                img = random_image(200 + seed, h=9, w=11)
+                frozen = img.copy()
+                frozen.flags.writeable = False
+                out = A.apply_policy(frozen, policy, A.policy_rng(policy, seed))
+                expected = A.apply_policy(img.copy(), policy, A.policy_rng(policy, seed))
+                assert out.tobytes() == expected.tobytes()
+                assert out.flags.writeable
+                assert frozen.tobytes() == img.tobytes()

@@ -141,6 +141,28 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 2
         assert str(config) in capsys.readouterr().err
 
+    def test_each_image_decoded_once_per_command(self, tmp_path, monkeypatch):
+        data = make_dataset(tmp_path / "data")
+        spec_path = tmp_path / "tiny.spec"
+        tiny_spec_file(spec_path)
+        decoded = []
+        load = D.load_image
+
+        def counting(path):
+            decoded.append(os.path.relpath(path, data).replace(os.sep, "/"))
+            return load(path)
+
+        monkeypatch.setattr(D, "load_image", counting)
+        out = tmp_path / "run"
+        assert main(train_args(data, out, spec_path,
+                               extra=["--epochs", "3", "--aug-flip", "0.5",
+                                      "--aug-rotation=-15,15", "--aug-noise", "0.05"])) == 0
+        assert len(T.read_history_csv(out / "history.csv")) == 3
+        manifest = D.load_manifest(out / "manifest.txt")
+        wanted = [r.path for r in manifest.records if r.split in ("train", "val")]
+        assert manifest.split_records("val")
+        assert sorted(decoded) == sorted(wanted)  # 3 epochs, 3 validation passes
+
     def test_help_exits_zero(self):
         assert main(["train", "--help"]) == 0
         assert main(["--help"]) == 0
@@ -237,6 +259,17 @@ class TestPredict:
         assert main(["predict", "--spec", str(out / "model.spec"),
                      "--weights", str(out / "weights.pfw"),
                      "--image", str(bad)]) == 3
+
+    @pytest.mark.parametrize("blob", [b"P612 1 255\n" + bytes(36),
+                                      b"P6#c\n1 1 255\n" + bytes(3)], ids=["width", "comment"])
+    def test_magic_without_whitespace_exits_3(self, trained_run, tmp_path, capsys, blob):
+        bad = tmp_path / "glued.ppm"
+        bad.write_bytes(blob)
+        out = trained_run["out"]
+        assert main(["predict", "--spec", str(out / "model.spec"),
+                     "--weights", str(out / "weights.pfw"),
+                     "--image", str(bad)]) == 3
+        assert "no whitespace after P6" in capsys.readouterr().err
 
 
 class TestInspect:

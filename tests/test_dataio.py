@@ -31,6 +31,21 @@ def make_tree(root, spec, h=4, w=4):
     return root
 
 
+def count_decodes(monkeypatch):
+    """Wrap `dataio.load_image`; the returned dict counts the decodes of each
+    record path (class/file)."""
+    counts = {}
+    load = D.load_image
+
+    def counting(path):
+        key = "/".join(os.fspath(path).split(os.sep)[-2:])
+        counts[key] = counts.get(key, 0) + 1
+        return load(path)
+
+    monkeypatch.setattr(D, "load_image", counting)
+    return counts
+
+
 class TestPpmCodec:
     def test_single_red_pixel(self, tmp_path):
         path = tmp_path / "one.ppm"
@@ -82,6 +97,23 @@ class TestPpmCodec:
             path.write_bytes(blob)
             with pytest.raises(DataFormatError):
                 D.load_image(path)
+
+    def test_magic_needs_whitespace(self, tmp_path):
+        # Read past the magic, these are a 12x1 image and a 1x1 PGM.
+        ppm = tmp_path / "glued.ppm"
+        ppm.write_bytes(b"P612 1 255\n" + bytes(36))
+        with pytest.raises(DataFormatError, match="no whitespace after P6"):
+            D.load_image(ppm)
+        pgm = tmp_path / "glued.pgm"
+        pgm.write_bytes(b"P51 1 255\n\x07")
+        with pytest.raises(DataFormatError, match="no whitespace after P5"):
+            D.read_pgm(pgm)
+
+    def test_header_number_too_long_for_int(self, tmp_path):
+        path = tmp_path / "long.ppm"
+        path.write_bytes(b"P6\n" + b"1" * 5000 + b" 1\n255\n" + bytes(3))
+        with pytest.raises(DataFormatError, match="header number too long"):
+            D.load_image(path)
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
@@ -346,6 +378,47 @@ class TestBatchIterator:
                     D.batch_iterator(manifest, "train", batch_size, 4, policy=policy)]
             return np.concatenate(rows)
         np.testing.assert_array_equal(stream(2), stream(5))
+
+    def test_store_packs_each_image_once(self, tmp_path, monkeypatch):
+        manifest = self._setup(tmp_path)
+        decoded = count_decodes(monkeypatch)
+        store = D.PackedStore()
+        policy = AugmentPolicy(noise_sigma=0.1, seed=5)
+        for epoch in range(3):
+            list(D.batch_iterator(manifest, "train", 4, 4, seed=epoch, policy=policy,
+                                  store=store))
+        train = [r.path for r in manifest.split_records("train")]
+        assert sorted(decoded) == sorted(train)
+        assert set(decoded.values()) == {1}
+        assert sorted(path for path, side in store) == sorted(train)
+        assert all(not image.flags.writeable for image in store.values())
+        assert store.nbytes == sum(image.nbytes for image in store.values())
+
+    def test_images_past_the_cap_decode_every_pass(self, tmp_path, monkeypatch):
+        manifest = self._setup(tmp_path)
+        one_image = 4 * 4 * 3 * 8  # one packed float64 image
+        monkeypatch.setattr(D, "_STORE_BYTES", one_image)
+        policy = AugmentPolicy(flip_probability=0.5, rotation_range=(-20.0, 20.0),
+                               noise_sigma=0.1, seed=5)
+
+        def epochs(store):
+            return [(x.data, labels) for epoch in range(2) for x, labels in
+                    D.batch_iterator(manifest, "train", 4, 4, seed=epoch, policy=policy,
+                                     store=store)]
+
+        plain = epochs(None)
+        decoded = count_decodes(monkeypatch)
+        store = D.PackedStore()
+        stored = epochs(store)
+        assert len(store) == 1 and store.nbytes == one_image
+        (kept, _), = store
+        assert decoded.pop(kept) == 1
+        assert len(decoded) == len(manifest.split_records("train")) - 1
+        assert set(decoded.values()) == {2}
+        assert len(stored) == len(plain)
+        for (x, labels), (x_plain, labels_plain) in zip(stored, plain):
+            np.testing.assert_array_equal(x, x_plain)
+            np.testing.assert_array_equal(labels, labels_plain)
 
     def test_empty_split_rejected(self, tmp_path):
         make_tree(tmp_path, {"wasabi": 4})

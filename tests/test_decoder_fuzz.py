@@ -1,5 +1,5 @@
-"""Property-based fuzzing of the PFW1, PFT1, model-spec and history-CSV
-decoders.
+"""Property-based fuzzing of the PFW1, PFT1, model-spec, history-CSV and
+binary PPM/PGM decoders.
 
 Each property starts from small valid files and damages them: a truncation,
 a replacement of up to 32 bytes (single-byte overwrites among them), or a
@@ -11,17 +11,19 @@ re-encodes to exactly the bytes that were read.
 
 The `@example`s pin defects that once escaped as other exceptions or were
 accepted silently: a NaN payload, a zero dim, a record with fewer values,
-permuted dims with the same count, a conv line with a bad geometry, and
-history rows `train` can never write.
+permuted dims with the same count, a conv line with a bad geometry,
+history rows `train` can never write, and a netpbm magic glued to the width.
 """
 
 import math
+import re
 import struct
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from purefoodnet import dataio as D
 from purefoodnet import models as M
 from purefoodnet import training as T
 from purefoodnet.errors import DataFormatError, WeightDigestError
@@ -198,3 +200,49 @@ def test_history_csv_parses_or_raises_data_format_error(mutation):
     assert b"_" not in rows  # 1_0 reads as 10 in int() and float()
     text = T.history_to_csv(history)
     assert T.history_to_csv(T.history_from_csv(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# Binary PPM (P6) and PGM (P5) images, read from a file.
+
+PPM_VALID = (b"P6\n2 1\n255\n" + bytes(range(6)),
+             b"P6 12 1 255\n" + bytes(range(200, 236)))
+PGM_VALID = (b"P5\n# two rows\n2 2\t255\r\x00\x80\xfe\xff",
+             b"P5 1 1 255\n\x07")
+
+
+def netpbm_decodes_or_raises(path, blob, magic, read):
+    """`read` of `blob` raises DataFormatError, or its header (comments
+    dropped) is the magic, width, height and 255, and its values are the
+    trailing bytes / 255."""
+    path.write_bytes(blob)
+    try:
+        values = read(path)
+    except DataFormatError:
+        return
+    header, payload = blob[:len(blob) - values.size], blob[len(blob) - values.size:]
+    fields = re.sub(rb"#[^\n]*", b"", header).split()
+    assert fields[0] == magic
+    assert [int(f) for f in fields[1:]] == [values.shape[1], values.shape[0], 255]
+    assert header[-1:].isspace()
+    np.testing.assert_array_equal(np.rint(values * 255.0),
+                                  np.frombuffer(payload, np.uint8).reshape(values.shape))
+
+
+@settings(FUZZ)
+@given(mutations(PPM_VALID))
+@example(("splice", 0, 0, 0, 0))  # unchanged
+@example(("splice", 1, 2, 1, 3))  # "P612 1 255\n" + 36 bytes read as 12x1
+def test_ppm_decodes_or_raises_data_format_error(tmp_path_factory, mutation):
+    netpbm_decodes_or_raises(tmp_path_factory.getbasetemp() / "fuzz.ppm",
+                             damaged(PPM_VALID, mutation), b"P6",
+                             lambda path: D.load_image(path).pixels)
+
+
+@settings(FUZZ)
+@given(mutations(PGM_VALID))
+@example(("splice", 0, 0, 0, 0))  # unchanged
+@example(("splice", 1, 2, 1, 3))  # "P51 1 255\n\x07" read as 1x1
+def test_pgm_decodes_or_raises_data_format_error(tmp_path_factory, mutation):
+    netpbm_decodes_or_raises(tmp_path_factory.getbasetemp() / "fuzz.pgm",
+                             damaged(PGM_VALID, mutation), b"P5", D.read_pgm)
