@@ -16,7 +16,7 @@ from .errors import (ConfigError, DataError, DataFormatError,
 from .models import (ModelSpec, ParamStore, build_purefoodnet, forward,
                      init_params, load_model_spec, load_weights,
                      save_model_spec, save_weights)
-from .tensor import ConvGeometry, Shape4, Tensor4
+from .tensor import ConvGeometry, Tensor4
 from .training import TrainConfig, diagnose_fit, train
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "ModelSpec",
     "NonFiniteError",
     "ParamStore",
-    "Shape4",
     "ShapeError",
     "Tensor4",
     "TrainConfig",

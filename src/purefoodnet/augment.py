@@ -189,6 +189,8 @@ def _check_range(name, pair, low=None, high=None, low_open=False):
         lo, hi = (float(pair[0]), float(pair[1]))
     except (TypeError, ValueError, IndexError):
         raise ConfigError(f"{name} must be a (low, high) pair, got {pair!r}") from None
+    if not math.isfinite(hi - lo):  # NaN or inf, or wider than a uniform draw takes
+        raise ConfigError(f"{name} must be finite, got {pair!r}")
     if lo > hi:
         raise ConfigError(f"{name} must be ordered, got {pair!r}")
     if low is not None and (lo < low or (low_open and lo == low)):
@@ -226,11 +228,11 @@ class AugmentPolicy:
                            _check_range("rotation range", self.rotation_range))
         object.__setattr__(self, "contrast_range",
                            _check_range("contrast range", self.contrast_range, low=0.0))
-        if self.color_shift_magnitude < 0:
-            raise ConfigError(
-                f"color shift magnitude must be >= 0, got {self.color_shift_magnitude}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.color_shift_magnitude < math.inf:  # false for NaN too
+            raise ConfigError(f"color shift magnitude must be finite and >= 0, "
+                              f"got {self.color_shift_magnitude}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))

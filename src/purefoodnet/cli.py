@@ -42,9 +42,12 @@ def _parse_int(text):
 
 def _parse_float(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):  # NaN would pass every range check
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_patience(text):
@@ -157,6 +160,16 @@ class RunConfig:
                              contrast_range=self.aug_contrast,
                              seed=derive_seed(self.seed, "augment"))
 
+    def train_config(self, patience) -> training.TrainConfig:
+        """The settings `training.train` takes; `patience` is None without a
+        validation split."""
+        return training.TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
+                                    learning_rate=self.learning_rate, momentum=self.momentum,
+                                    decay_factor=self.decay_factor,
+                                    decay_interval=self.decay_interval, patience=patience,
+                                    l2_strength=self.l2_strength,
+                                    l1_strength=self.l1_strength, seed=self.seed)
+
 
 def _read_config_file(path) -> dict:
     values = {}
@@ -268,16 +281,8 @@ def _train_and_write(cfg: RunConfig, spec, params, manifest) -> int:
     if cfg.epochs == 0:
         history = []
     else:
-        config = training.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                      learning_rate=cfg.learning_rate,
-                                      momentum=cfg.momentum,
-                                      decay_factor=cfg.decay_factor,
-                                      decay_interval=cfg.decay_interval,
-                                      patience=patience,
-                                      l2_strength=cfg.l2_strength,
-                                      l1_strength=cfg.l1_strength,
-                                      seed=cfg.seed)
-        result = training.train(spec, params, train_source, val_source, config)
+        result = training.train(spec, params, train_source, val_source,
+                                cfg.train_config(patience))
         params = result.params
         history = result.history
         print(f"trained {len(history)} epochs; best epoch {result.best_epoch}"
@@ -391,23 +396,23 @@ def _activation_grid(act: np.ndarray) -> np.ndarray:
 
 
 def cmd_inspect(args) -> int:
+    threshold = _parse_float(args.threshold)
     spec = models.load_model_spec(args.spec)
     params = models.load_weights(args.weights, spec)
     side = _model_input_side(spec)
     out_dir = _ensure_out_dir(args.out_dir)
     image = dataio.load_image(args.image).pixels
     x = Tensor4(dataio.pack_image(image, side)[np.newaxis].astype(np.float32))
-    if args.layers:
-        names = [name.strip() for name in args.layers.split(",")]
-    else:
-        names = [layer.name for layer in spec.layers if layer.kind == "conv"]
-    captured = models.capture_activations(spec, params, x, names)
+    convs = [layer.name for layer in spec.layers if layer.kind == "conv"]
+    names = [name.strip() for name in args.layers.split(",")] if args.layers else convs
+    # One pass captures the requested maps and the conv maps the report reads.
+    captured = models.capture_activations(spec, params, x, names + convs)
     for name in names:
         grid = _activation_grid(captured[name].data[0])
         path = os.path.join(out_dir, f"{name}.pgm")
         dataio.write_pgm(path, grid)
         print(f"{name}: grid {grid.shape[0]}x{grid.shape[1]} -> {path}")
-    report = models.dead_filter_report(spec, params, x, threshold=float(args.threshold))
+    report = models._liveness(captured, convs, threshold)
     lines = []
     for liveness in report:
         shown = ",".join(str(i) for i in liveness.dead) or "-"
@@ -427,9 +432,9 @@ def cmd_diagnose(args) -> int:
     except DataFormatError as exc:
         # A bad history file is a usage problem for this command.
         raise ConfigError(str(exc)) from exc
-    thresholds = training.FitThresholds(low_error=float(args.low_error),
-                                        high_error=float(args.high_error),
-                                        gap=float(args.gap))
+    thresholds = training.FitThresholds(low_error=_parse_float(args.low_error),
+                                        high_error=_parse_float(args.high_error),
+                                        gap=_parse_float(args.gap))
     verdict = training.diagnose_fit(history, thresholds)
     print(f"{verdict.label} train_error={verdict.train_error!r}"
           f" val_error={verdict.val_error!r} gap={verdict.gap!r}")
@@ -445,7 +450,7 @@ def cmd_dump_batch(args) -> int:
     x, labels = next(iter(batches))
     save_tensor(os.path.join(out_dir, "batch.pft"), x)
     atomic_write_bytes(os.path.join(out_dir, "batch_labels.pft"), pft1_encode(labels))
-    print(f"wrote batch {x.shape.as_tuple()} and labels {labels.shape} to {out_dir}")
+    print(f"wrote batch {x.shape} and labels {labels.shape} to {out_dir}")
     return 0
 
 

@@ -242,12 +242,6 @@ class DatasetManifest:
             raise ValueError(f"unknown split {split!r}")
         return tuple(r for r in self.records if r.split == split)
 
-    def split_sizes(self) -> dict:
-        sizes = {split: 0 for split in SPLITS}
-        for rec in self.records:
-            sizes[rec.split] += 1
-        return sizes
-
 
 def _class_dirs(root) -> list:
     try:
@@ -334,36 +328,46 @@ def manifest_to_text(manifest: DatasetManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_int(token: str) -> int:
+    """token as an int when it is spelled as str(int) spells it; int() alone
+    also takes "+1", " 1", "01" and "1_0"."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(token)
+    return value
+
+
 def manifest_from_text(text: str) -> DatasetManifest:
-    root = None
-    seed = None
+    """The manifest `manifest_to_text` wrote as `text`: one root line, one
+    seed line, the class lines in index order, then the records. Blank lines
+    and whitespace around the root, seed and class lines are ignored; any
+    other text raises DataFormatError."""
+    lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if raw.strip()]
+    head = [raw.strip() for _, raw in lines[:2]]
+    if len(head) < 2 or not head[0].startswith("root ") or not head[1].startswith("seed "):
+        raise DataFormatError("manifest must start with one root line and one seed line")
+    try:
+        seed = _plain_int(head[1][5:])
+    except ValueError:
+        raise DataFormatError(f"line {lines[1][0]}: bad seed {head[1][5:]!r}") from None
     classes = []
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines[2:]:
         line = raw.strip()
-        if not line:
-            continue
         try:
-            if line.startswith("root "):
-                root = line[5:]
-            elif line.startswith("seed "):
-                seed = int(line[5:])
-            elif line.startswith("class "):
+            if line.startswith("class ") and not records:
                 _, idx, name = line.split(" ", 2)
-                if int(idx) != len(classes):
+                if _plain_int(idx) != len(classes):
                     raise DataFormatError(f"line {lineno}: class index {idx} out of order")
                 classes.append(name)
             else:
                 split, idx, path = raw.split("\t")
-                records.append(ManifestRecord(path, int(idx), split))
-        except (ValueError, DataFormatError) as exc:
-            if isinstance(exc, DataFormatError):
-                raise
+                records.append(ManifestRecord(path, _plain_int(idx), split))
+        except ValueError as exc:
             raise DataFormatError(f"line {lineno}: cannot parse {raw!r}") from exc
-    if root is None or seed is None:
-        raise DataFormatError("manifest missing root/seed header lines")
     try:
-        return DatasetManifest(root, seed, tuple(classes), tuple(records))
+        return DatasetManifest(head[0][5:], seed, tuple(classes), tuple(records))
     except DataError as exc:
         raise DataFormatError(str(exc)) from exc
 

@@ -18,7 +18,6 @@ __all__ = [
     "EvalReport",
     "PredictionBatch",
     "evaluate",
-    "one_hot_decode",
     "one_hot_encode",
     "one_hot_matrix",
     "report_to_csv",
@@ -35,15 +34,6 @@ def one_hot_encode(index: int, n: int) -> np.ndarray:
     vec = np.zeros(n, dtype=np.float64)
     vec[index] = 1.0
     return vec
-
-
-def one_hot_decode(vector) -> int:
-    arr = np.asarray(vector)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {arr.shape}")
-    if not np.isin(arr, (0.0, 1.0)).all() or arr.sum() != 1.0:
-        raise ValueError("malformed one-hot vector: need exactly one 1 and the rest 0")
-    return int(arr.argmax())
 
 
 def one_hot_matrix(indices, n: int) -> np.ndarray:
@@ -172,7 +162,7 @@ def evaluate(spec, params, batches, ks=None) -> EvalReport:
             x = Tensor4(np.asarray(x))
         out = forward(spec, params, x)
         if out.h != 1 or out.w != 1:
-            raise ShapeError(f"model output is not a score vector: {out.shape.as_tuple()}")
+            raise ShapeError(f"model output is not a score vector: {out.shape}")
         scores = out.data.reshape(out.i, out.c)
         if n_classes is None:
             n_classes = scores.shape[1]

@@ -16,7 +16,7 @@ backward pass reuses it for the filter gradient. Without one (inference,
 time and multiplies each block into its slice of the output, with the same
 bits, and returns no cache. Convolutions are cross-correlations: the kernel
 is applied as stored, never flipped. Activations are fused into the conv
-and dense layers; `relu` and `softmax` also exist standalone.
+and dense layers; `softmax` also exists standalone, with no backward.
 """
 
 from __future__ import annotations
@@ -162,14 +162,6 @@ class DenseCache(NamedTuple):
     weights: np.ndarray
     relu_mask: np.ndarray | None
     probs: np.ndarray | None  # populated when the fused activation is softmax
-
-
-class ReluCache(NamedTuple):
-    positive: np.ndarray
-
-
-class SoftmaxCache(NamedTuple):
-    probs: np.ndarray
 
 
 class DropoutCache(NamedTuple):
@@ -367,32 +359,15 @@ def dense_forward(x: Tensor4, layer: DenseLayer) -> Tensor4:
     return out
 
 
-def relu_cached(x: Tensor4) -> tuple[Tensor4, ReluCache]:
-    positive = x.data > 0
-    return Tensor4(np.where(positive, x.data, 0)), ReluCache(positive)
-
-
-def relu(x: Tensor4) -> Tensor4:
-    """Elementwise max(x, 0)."""
-    out, _ = relu_cached(x)
-    return out
-
-
 def _softmax2d(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cached(x: Tensor4) -> tuple[Tensor4, SoftmaxCache]:
-    probs = _softmax2d(x.data)
-    return Tensor4(probs), SoftmaxCache(probs)
-
-
 def softmax(x: Tensor4) -> Tensor4:
     """Channel-axis softmax, stabilized by max subtraction."""
-    out, _ = softmax_cached(x)
-    return out
+    return Tensor4(_softmax2d(x.data))
 
 
 def dropout_cached(x: Tensor4, layer: DropoutLayer, training: bool = False,

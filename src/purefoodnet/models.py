@@ -100,7 +100,7 @@ class LayerSpec:
 @dataclass(frozen=True)
 class LayerKind:
     keys: tuple[str, ...]  # LayerSpec fields in text-form order (hashed into the digest)
-    # (layer, param getter, x, training, rng, update_stats, need_cache) -> (out, cache);
+    # (layer, param getter, x, training, rng, need_cache) -> (out, cache);
     # a kind may return a None cache when need_cache is false.
     forward: Callable
     valid: Callable = lambda layer: True  # hyperparameter values are in range
@@ -134,7 +134,7 @@ KIND_TABLE = {
                                  "bias": (layer.filters,)},
         trainable=("filters", "bias"),
         penalized=("filters",),
-        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.conv2d_cached(
+        forward=lambda layer, p, x, training, rng, need_cache: L.conv2d_cached(
             x, L.ConvLayer(p("filters"), p("bias"), _geometry(layer), layer.activation),
             need_cache=need_cache),
     ),
@@ -143,13 +143,13 @@ KIND_TABLE = {
         valid=lambda layer: (layer.window >= 1 and layer.stride >= 1
                              and layer.mode in L.POOL_MODES),
         out_shape=lambda layer, h, w, c: (*L.pool_output_size(h, w, layer.window, layer.stride), c),
-        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.pool_cached(
+        forward=lambda layer, p, x, training, rng, need_cache: L.pool_cached(
             x, L.PoolLayer(layer.window, layer.stride, layer.mode)),
     ),
     "flatten": LayerKind(
         keys=(),
         out_shape=lambda layer, h, w, c: (1, 1, h * w * c),
-        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.flatten_cached(x),
+        forward=lambda layer, p, x, training, rng, need_cache: L.flatten_cached(x),
     ),
     "dense": LayerKind(
         keys=("units", "activation"),
@@ -158,13 +158,13 @@ KIND_TABLE = {
         params=lambda layer, c: {"weights": (c, layer.units), "bias": (layer.units,)},
         trainable=("weights", "bias"),
         penalized=("weights",),
-        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.dense_cached(
+        forward=lambda layer, p, x, training, rng, need_cache: L.dense_cached(
             x, L.DenseLayer(p("weights"), p("bias"), layer.activation)),
     ),
     "dropout": LayerKind(
         keys=("rate",),
         valid=lambda layer: 0.0 <= layer.rate < 1.0,
-        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.dropout_cached(
+        forward=lambda layer, p, x, training, rng, need_cache: L.dropout_cached(
             x, L.DropoutLayer(layer.rate), training, rng),
     ),
     # Frozen batch norm runs on its running statistics even during training,
@@ -174,9 +174,9 @@ KIND_TABLE = {
         params=lambda layer, c: dict.fromkeys(("gamma", "beta", "running_mean", "running_var"),
                                               (c,)),
         trainable=("gamma", "beta"),
-        forward=lambda layer, p, x, training, rng, update_stats, need_cache: L.batchnorm_cached(
+        forward=lambda layer, p, x, training, rng, need_cache: L.batchnorm_cached(
             x, L.BatchNormLayer(p("gamma"), p("beta"), p("running_mean"), p("running_var")),
-            training and layer.trainable, update_stats),
+            training and layer.trainable),
     ),
 }
 
@@ -369,37 +369,34 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> ParamStore:
 
 def apply_layer(layer: LayerSpec, params: ParamStore, x: Tensor4,
                 training: bool = False, rng: np.random.Generator | None = None,
-                update_stats: bool = True, need_cache: bool = True) -> tuple[Tensor4, object]:
+                need_cache: bool = True) -> tuple[Tensor4, object]:
     """Run one layer on x; returns its output and the cache its backward uses
     (which may be None when `need_cache` is false)."""
     def param(field):
         return params[f"{layer.name}.{field}"]
 
-    return KIND_TABLE[layer.kind].forward(layer, param, x, training, rng, update_stats,
-                                          need_cache)
+    return KIND_TABLE[layer.kind].forward(layer, param, x, training, rng, need_cache)
 
 
 def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
                         training: bool = False,
                         rng: np.random.Generator | None = None,
-                        update_stats: bool = True,
                         ) -> tuple[Tensor4, list[tuple[LayerSpec, object]]]:
     caches = []
     for layer in spec.layers:
-        x, cache = apply_layer(layer, params, x, training, rng, update_stats)
+        x, cache = apply_layer(layer, params, x, training, rng)
         caches.append((layer, cache))
     return x, caches
 
 
-def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
-            training: bool = False, rng: np.random.Generator | None = None) -> Tensor4:
-    """Run the whole model; returns the final layer's output.
+def forward(spec: ModelSpec, params: ParamStore, x: Tensor4) -> Tensor4:
+    """Run the whole model in inference mode; returns the final layer's output.
 
     No layer keeps a cache, so a conv holds at most about 32 MB of its im2col
     matrix at a time (`layers.conv2d_cached`).
     """
     for layer in spec.layers:
-        x = apply_layer(layer, params, x, training, rng, need_cache=False)[0]
+        x = apply_layer(layer, params, x, need_cache=False)[0]
     return x
 
 
@@ -427,10 +424,6 @@ class LayerLiveness:
     filter_count: int
     dead: tuple[int, ...]
 
-    @property
-    def dead_fraction(self) -> float:
-        return len(self.dead) / self.filter_count
-
 
 def dead_filter_report(spec: ModelSpec, params: ParamStore, probes: Tensor4,
                        threshold: float = 1e-6) -> list[LayerLiveness]:
@@ -440,10 +433,13 @@ def dead_filter_report(spec: ModelSpec, params: ParamStore, probes: Tensor4,
     across every probe image, the signature of a unit that no input can turn
     on.
     """
-    if probes.i < 1:
-        raise ValueError("probe batch must be non-empty")
     conv_names = [layer.name for layer in spec.layers if layer.kind == "conv"]
-    maps = capture_activations(spec, params, probes, conv_names)
+    return _liveness(capture_activations(spec, params, probes, conv_names), conv_names,
+                     threshold)
+
+
+def _liveness(maps: dict[str, Tensor4], conv_names, threshold: float) -> list[LayerLiveness]:
+    """`dead_filter_report` of the conv output maps already captured in `maps`."""
     report = []
     for name in conv_names:
         act = maps[name].data  # (i, h, w, f)
@@ -454,12 +450,11 @@ def dead_filter_report(spec: ModelSpec, params: ParamStore, probes: Tensor4,
 
 
 def build_purefoodnet(num_classes: int, width_scale: float = 1.0,
-                      input_side: int = 224, in_channels: int = 3,
-                      dropout_rate: float = 0.5) -> ModelSpec:
-    """The reference architecture: three conv blocks of (2, 3, 3) layers with
-    (128, 256, 512) base filter counts scaled by width_scale, every conv
-    3x3/stride-1/same-padding with fused ReLU and a batch norm after it, a
-    2x2/stride-2 max pool closing each block, then
+                      input_side: int = 224, dropout_rate: float = 0.5) -> ModelSpec:
+    """The reference architecture on RGB input: three conv blocks of (2, 3, 3)
+    layers with (128, 256, 512) base filter counts scaled by width_scale,
+    every conv 3x3/stride-1/same-padding with fused ReLU and a batch norm
+    after it, a 2x2/stride-2 max pool closing each block, then
     flatten -> dense(512 * width_scale, ReLU) -> dropout -> softmax predictor.
 
     `width_scale` shrinks every width by the same factor so small builds keep
@@ -490,7 +485,7 @@ def build_purefoodnet(num_classes: int, width_scale: float = 1.0,
     specs.append(dense_spec("fc1", dense_width, activation="relu"))
     specs.append(dropout_spec("fc1_drop", dropout_rate))
     specs.append(dense_spec("predictor", num_classes, activation="softmax"))
-    return ModelSpec(input_shape=(input_side, input_side, in_channels),
+    return ModelSpec(input_shape=(input_side, input_side, 3),
                      layers=tuple(specs), top_boundary=top_boundary)
 
 

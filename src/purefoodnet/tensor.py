@@ -29,29 +29,6 @@ PFT1_MAGIC = b"PFT1"
 
 
 @dataclass(frozen=True)
-class Shape4:
-    """Batch/height/width/channel extents of a rank-4 tensor."""
-
-    i: int
-    h: int
-    w: int
-    c: int
-
-    def __post_init__(self):
-        for field in ("i", "h", "w", "c"):
-            v = getattr(self, field)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ShapeError(f"Shape4.{field} must be a positive integer, got {v!r}")
-
-    @property
-    def size(self) -> int:
-        return self.i * self.h * self.w * self.c
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.i, self.h, self.w, self.c)
-
-
-@dataclass(frozen=True)
 class ConvGeometry:
     """Square-kernel convolution geometry: kernel side k, stride s, padding z."""
 
@@ -110,8 +87,8 @@ class Tensor4:
         return self._data
 
     @property
-    def shape(self) -> Shape4:
-        return Shape4(*self._data.shape)
+    def shape(self) -> tuple[int, int, int, int]:
+        return self._data.shape
 
     @property
     def dtype(self) -> np.dtype:
@@ -133,15 +110,9 @@ class Tensor4:
     def c(self) -> int:
         return self._data.shape[3]
 
-    def astype(self, dtype) -> "Tensor4":
-        dt = np.dtype(dtype)
-        if dt == self._data.dtype:
-            return self
-        return Tensor4(self._data.astype(dt))
-
     def __repr__(self):
-        s = self.shape
-        return f"Tensor4(i={s.i}, h={s.h}, w={s.w}, c={s.c}, dtype={self._data.dtype})"
+        i, h, w, c = self._data.shape
+        return f"Tensor4(i={i}, h={h}, w={w}, c={c}, dtype={self._data.dtype})"
 
 
 def conv_output_size(i: int, g: ConvGeometry) -> int:
@@ -222,11 +193,10 @@ def pft1_read(fh, remaining: int) -> np.ndarray:
     return arr
 
 
-def pft1_decode(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """`pft1_read` of the record at buf[offset:], plus the record's end offset."""
+def pft1_decode(buf: bytes) -> tuple[np.ndarray, int]:
+    """`pft1_read` of the record at the start of buf, plus the record's end offset."""
     fh = io.BytesIO(buf)
-    fh.seek(offset)
-    return pft1_read(fh, len(buf) - offset), fh.tell()
+    return pft1_read(fh, len(buf)), fh.tell()
 
 
 def tensor_to_bytes(x: Tensor4) -> bytes:

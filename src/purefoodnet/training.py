@@ -142,15 +142,6 @@ def dense_backward(d: np.ndarray, cache: L.DenseCache, need_dx: bool = True):
     return _dense_backward_from_pre(d_pre, cache, need_dx)
 
 
-def relu_backward(d: np.ndarray, cache: L.ReluCache) -> np.ndarray:
-    return d * cache.positive
-
-
-def softmax_backward(d: np.ndarray, cache: L.SoftmaxCache) -> np.ndarray:
-    p = cache.probs
-    return p * (d - (d * p).sum(axis=-1, keepdims=True))
-
-
 def dropout_backward(d: np.ndarray, cache: L.DropoutCache) -> np.ndarray:
     return d if cache.mask is None else d * cache.mask
 
@@ -197,20 +188,20 @@ _BACKWARD = {
 def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
                        labels: np.ndarray, l2_strength: float = 0.0,
                        l1_strength: float = 0.0,
-                       rng: np.random.Generator | None = None,
-                       update_stats: bool = True):
+                       rng: np.random.Generator | None = None):
     """Training-mode forward plus full backward.
 
     Returns (loss, grads, probs) where loss is the regularized objective,
     grads covers exactly the trainable parameters, and probs is the softmax
     output. The cross-entropy/softmax pair is differentiated jointly as
-    (probs - labels) / batch through the predictor's pre-activation.
+    (probs - labels) / batch through the predictor's pre-activation. Each
+    trainable batch norm folds this batch's statistics into its running ones,
+    which neither the loss nor the gradients read.
     """
     last = spec.layers[-1] if spec.layers else None
     if last is None or last.kind != "dense" or last.activation != "softmax":
         raise ConfigError("training needs a dense softmax predictor as the final layer")
-    probs, caches = M.forward_with_caches(spec, params, x, training=True, rng=rng,
-                                          update_stats=update_stats)
+    probs, caches = M.forward_with_caches(spec, params, x, training=True, rng=rng)
     y = _as_rows(labels)
     loss = cross_entropy_loss(probs, y)
     penalized = M.penalized_weight_names(spec)
@@ -278,8 +269,9 @@ class OptimizerState:
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # false for NaN too
+            raise ConfigError(
+                f"learning rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.decay_factor <= 1.0:
@@ -316,14 +308,12 @@ def lookahead_params(params: M.ParamStore, state: OptimizerState,
 
 
 def sgd_nesterov_step(params: M.ParamStore, grads: GradStore,
-                      state: OptimizerState, lr: float | None = None) -> None:
+                      state: OptimizerState, lr: float) -> None:
     """v <- mu*v - lr*grad; theta <- theta + v, applied in place.
 
     `grads` must hold gradients evaluated at the lookahead point (see
     `lookahead_params`); only parameters present in `grads` move.
     """
-    if lr is None:
-        lr = state.learning_rate
     for name, g in grads.items():
         if not all_finite(g):
             raise NonFiniteError(f"gradient for {name!r} is not finite")
@@ -364,8 +354,10 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.patience is not None and self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if self.l2_strength < 0 or self.l1_strength < 0:
-            raise ConfigError("penalty strengths must be >= 0")
+        if not (0 <= self.l2_strength < math.inf and 0 <= self.l1_strength < math.inf):
+            raise ConfigError("penalty strengths must be finite and >= 0")
+        # The optimizer settings get the optimizer's own checks, before training.
+        OptimizerState(self.learning_rate, self.momentum, self.decay_factor, self.decay_interval)
 
 
 @dataclass(frozen=True)

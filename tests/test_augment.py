@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -312,6 +313,20 @@ class TestPolicy:
             A.AugmentPolicy(contrast_range=(-0.5, 1.0))
         with pytest.raises(ConfigError):
             A.AugmentPolicy(seed=-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_settings(self, bad):
+        # NaN passes every range comparison; inf makes the uniform draw raise.
+        for settings in ({"flip_probability": bad}, {"crop_fraction_range": (bad, 1.0)},
+                         {"tilt_range": (0.0, bad)}, {"color_shift_magnitude": bad},
+                         {"rotation_range": (bad, bad)}, {"noise_sigma": bad},
+                         {"contrast_range": (1.0, bad)}):
+            with pytest.raises(ConfigError):
+                A.AugmentPolicy(**settings)
+
+    def test_rejects_a_range_too_wide_to_draw_from(self):
+        with pytest.raises(ConfigError, match="finite"):
+            A.AugmentPolicy(rotation_range=(-1e308, 1e308))
 
     def test_read_only_input_gives_the_same_bytes(self):
         # The batch stream stores packed images read-only and augments them

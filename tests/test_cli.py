@@ -9,6 +9,7 @@ import pytest
 from purefoodnet import dataio as D
 from purefoodnet import evaluation as E
 from purefoodnet import models as M
+from purefoodnet import cli
 from purefoodnet import training as T
 from purefoodnet.cli import main
 from purefoodnet.errors import DataFormatError
@@ -106,6 +107,21 @@ class TestTrain:
     def test_bad_flag_value_exits_2(self, tmp_path):
         assert main(["train", "--dataset-root", str(tmp_path),
                      "--epochs", "many"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--aug-rotation", "nan,nan"), ("--aug-tilt", "0,inf"), ("--aug-contrast", "1,inf"),
+        ("--aug-noise", "nan"), ("--aug-color-shift", "nan"), ("--learning-rate", "nan"),
+        ("--learning-rate", "inf"), ("--l2-strength", "nan"), ("--split-ratios", "nan,0,1"),
+    ])
+    def test_non_finite_setting_exits_2_before_any_artifact(self, tmp_path, capsys, flag,
+                                                            value):
+        data = make_dataset(tmp_path / "data")
+        spec_path = tmp_path / "tiny.spec"
+        tiny_spec_file(spec_path)
+        out = tmp_path / "run"
+        assert main(train_args(data, out, spec_path, extra=[flag, value])) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         data = make_dataset(tmp_path / "data")
@@ -207,6 +223,24 @@ class TestEval:
                      "--weights", str(out / "weights.pfw"),
                      "--manifest", str(out / "manifest.txt")])
         assert code == 4
+
+
+    @pytest.mark.parametrize("old, new", [
+        ("seed 3\n", "seed 0_3\n"),  # read as seed 3
+        ("class 0 ", "class +0 "),  # read as class 0
+        ("\t0\t", "\t 0\t"),  # read as class index 0
+        ("seed 3\n", "seed 3\nseed 4\n"),  # the second seed line replaced the first
+    ])
+    def test_manifest_train_could_not_write_exits_3(self, trained_run, capsys, old, new):
+        out = trained_run["out"]
+        manifest = trained_run["tmp"] / "edited.txt"
+        text = (out / "manifest.txt").read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new, 1))
+        assert main(["eval", "--spec", str(out / "model.spec"),
+                     "--weights", str(out / "weights.pfw"),
+                     "--manifest", str(manifest), "--ks", "1"]) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 class TestPredict:
@@ -312,6 +346,52 @@ class TestInspect:
             tile = grid[row * 8:(row + 1) * 8, col * 8:(col + 1) * 8]
             assert np.abs(tile - want).max() <= 0.5 / 255 + 1e-9
 
+    @pytest.mark.parametrize("layers", [None, "fc1,c1"])
+    def test_one_pass_gives_the_library_maps_and_report(self, trained_run, monkeypatch,
+                                                        layers):
+        out, tmp = trained_run["out"], trained_run["tmp"]
+        spec = M.load_model_spec(out / "model.spec")
+        params = M.load_weights(out / "weights.pfw", spec)
+        params["c1.filters"][1] = 0.0  # a dead filter, so the report names one
+        params["c1.bias"][1] = -1.0
+        M.save_weights(tmp / "dead.pfw", spec, params)
+        image = next(iter((trained_run["data"] / "food_0").iterdir()))
+        dest = tmp / "inspect_once"
+        calls = []
+        apply_layer = M.apply_layer
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return apply_layer(*args, **kwargs)
+
+        monkeypatch.setattr(M, "apply_layer", counting)
+        assert main(["inspect", "--spec", str(out / "model.spec"),
+                     "--weights", str(tmp / "dead.pfw"), "--image", str(image),
+                     "--out-dir", str(dest), *(["--layers", layers] if layers else [])]) == 0
+        assert calls == [layer.name for layer in spec.layers]
+        monkeypatch.undo()
+
+        x = Tensor4(D.pack_image(D.load_image(image).pixels, 8)[np.newaxis].astype(np.float32))
+        names = layers.split(",") if layers else ["c1"]
+        maps = M.capture_activations(spec, params, x, names)
+        for name in names:
+            D.write_pgm(tmp / "want.pgm", cli._activation_grid(maps[name].data[0]))
+            assert (dest / f"{name}.pgm").read_bytes() == (tmp / "want.pgm").read_bytes()
+        rows = [f"{r.layer}\t{len(r.dead)}/{r.filter_count}\t{','.join(map(str, r.dead)) or '-'}"
+                for r in M.dead_filter_report(spec, params, x)]
+        assert rows == ["c1\t1/4\t1"]
+        assert (dest / "dead_filters.txt").read_text() == (
+            "layer\tdead/total\tdead_indices\n" + "".join(row + "\n" for row in rows))
+
+    def test_non_finite_threshold_exits_2_before_any_artifact(self, trained_run):
+        out = trained_run["out"]
+        image = next(iter((trained_run["data"] / "food_0").iterdir()))
+        dest = trained_run["tmp"] / "inspect_nan"
+        assert main(["inspect", "--spec", str(out / "model.spec"),
+                     "--weights", str(out / "weights.pfw"), "--image", str(image),
+                     "--out-dir", str(dest), "--threshold", "nan"]) == 2
+        assert not dest.exists()
+
     def test_unknown_layer_exits_2(self, trained_run):
         out = trained_run["out"]
         image = next(iter((trained_run["data"] / "food_0").iterdir()))
@@ -348,6 +428,13 @@ class TestDiagnose:
         verdict = T.diagnose_fit(T.read_history_csv(path),
                                  T.FitThresholds(0.2, 0.4, 0.1))
         assert printed.startswith(verdict.label)
+
+    @pytest.mark.parametrize("flag", ["--low-error", "--high-error", "--gap"])
+    def test_non_finite_threshold_exits_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "h.csv"
+        self._write_history(path, 0.85, 0.80)
+        assert main(["diagnose", "--history", str(path), flag, "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_single_epoch_never_crashes(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -465,9 +552,9 @@ class TestDumpBatch:
                      "--input-side", "8", "--out-dir", str(dest)])
         assert code == 0
         batch = load_tensor(dest / "batch.pft")
-        assert batch.shape.as_tuple() == (4, 8, 8, 3)
+        assert batch.shape == (4, 8, 8, 3)
         labels = load_tensor(dest / "batch_labels.pft")
-        assert labels.shape.as_tuple() == (1, 1, 4, 2)
+        assert labels.shape == (1, 1, 4, 2)
         np.testing.assert_array_equal(labels.data.sum(axis=3), np.ones((1, 1, 4)))
 
 

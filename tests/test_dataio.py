@@ -31,6 +31,10 @@ def make_tree(root, spec, h=4, w=4):
     return root
 
 
+def split_sizes(manifest):
+    return {split: len(manifest.split_records(split)) for split in D.SPLITS}
+
+
 def count_decodes(monkeypatch):
     """Wrap `dataio.load_image`; the returned dict counts the decodes of each
     record path (class/file)."""
@@ -203,12 +207,12 @@ class TestBuildManifest:
     def test_ratio_mode_with_validation_carveout(self, tmp_path):
         make_tree(tmp_path, {"caramel": 20})
         manifest = D.build_manifest(tmp_path, ratios=(0.7, 0.1, 0.2), seed=2)
-        assert manifest.split_sizes() == {"train": 14, "val": 2, "test": 4}
+        assert split_sizes(manifest) == {"train": 14, "val": 2, "test": 4}
 
     def test_counts_mode_excludes_surplus(self, tmp_path):
         make_tree(tmp_path, {"dough": 9, "egg": 7})
         manifest = D.build_manifest(tmp_path, counts=(3, 1, 2), seed=3)
-        assert manifest.split_sizes() == {"train": 6, "val": 2, "test": 4}
+        assert split_sizes(manifest) == {"train": 6, "val": 2, "test": 4}
         # 9 + 7 files, 6 per class kept.
         assert len(manifest.records) == 12
 
@@ -327,7 +331,7 @@ class TestBatchIterator:
         batches = list(D.batch_iterator(manifest, "train", 100, 4))
         assert len(batches) == 1
         x, labels = batches[0]
-        assert x.shape.as_tuple() == (6, 4, 4, 3)
+        assert x.shape == (6, 4, 4, 3)
         assert labels.shape == (6, 2)
         np.testing.assert_array_equal(labels.sum(axis=1), np.ones(6))
 

@@ -1,20 +1,24 @@
-"""Property-based fuzzing of the PFW1, PFT1, model-spec, history-CSV and
-binary PPM/PGM decoders.
+"""Property-based fuzzing of the PFW1, PFT1, model-spec, history-CSV,
+binary PPM/PGM, manifest and config-file decoders.
 
 Each property starts from small valid files and damages them: a truncation,
 a replacement of up to 32 bytes (single-byte overwrites among them), or a
 splice of the head of one valid file onto the tail of another. Whatever
-comes out must either decode or raise `DataFormatError`; the only other
-outcome allowed is `WeightDigestError` when a PFW1 file's spec digest no
-longer matches. Both binary formats are canonical, so anything they accept
-re-encodes to exactly the bytes that were read.
+comes out must either decode or raise `DataFormatError` (`ConfigError` for
+a config file); the only other outcome allowed is `WeightDigestError` when
+a PFW1 file's spec digest no longer matches. Both binary formats are
+canonical, so anything they accept re-encodes to exactly the bytes that
+were read; an accepted manifest re-encodes to its own lines.
 
 The `@example`s pin defects that once escaped as other exceptions or were
 accepted silently: a NaN payload, a zero dim, a record with fewer values,
 permuted dims with the same count, a conv line with a bad geometry,
-history rows `train` can never write, and a netpbm magic glued to the width.
+history rows `train` can never write, a netpbm magic glued to the width,
+manifest numbers `manifest_to_text` never spells and repeated manifest
+headers, and non-finite config settings.
 """
 
+import argparse
 import math
 import re
 import struct
@@ -23,10 +27,11 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from purefoodnet import cli
 from purefoodnet import dataio as D
 from purefoodnet import models as M
 from purefoodnet import training as T
-from purefoodnet.errors import DataFormatError, WeightDigestError
+from purefoodnet.errors import ConfigError, DataFormatError, WeightDigestError
 from purefoodnet.tensor import Tensor4, decode_utf8, tensor_from_bytes, tensor_to_bytes
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=300,
@@ -246,3 +251,78 @@ def test_ppm_decodes_or_raises_data_format_error(tmp_path_factory, mutation):
 def test_pgm_decodes_or_raises_data_format_error(tmp_path_factory, mutation):
     netpbm_decodes_or_raises(tmp_path_factory.getbasetemp() / "fuzz.pgm",
                              damaged(PGM_VALID, mutation), b"P5", D.read_pgm)
+
+
+# ---------------------------------------------------------------------------
+# Dataset manifests (`eval --manifest` exits 3 on DataFormatError).
+
+MANIFEST_VALID = (
+    D.manifest_to_text(D.DatasetManifest("data/food", 10, ("apple", "bean"), (
+        D.ManifestRecord("apple/img_000.ppm", 0, "train"),
+        D.ManifestRecord("bean/img_000.ppm", 1, "val"),
+        D.ManifestRecord("bean/img 001.ppm", 1, "test")))).encode("utf-8"),
+    D.manifest_to_text(D.DatasetManifest("/srv/x", -5, ("soup",), (
+        D.ManifestRecord("soup/a.ppm", 0, "train"),))).encode("utf-8"),
+)
+SEED_LINE = MANIFEST_VALID[0].index(b"seed 10")
+RECORD_INDEX = MANIFEST_VALID[0].index(b"\t0\t") + 1
+
+
+@settings(FUZZ)
+@given(mutations(MANIFEST_VALID))
+@example(("splice", 0, 0, 0, 0))  # unchanged
+@example(("splice", 1, 0, 1, 0))  # unchanged, negative seed
+@example(("put", SEED_LINE + 5, 2, b"1_0"))  # read as seed 10
+@example(("put", MANIFEST_VALID[0].index(b"class 0") + 6, 1, b"+0"))  # read as class 0
+@example(("put", RECORD_INDEX, 1, b" 0"))  # read as class index 0
+@example(("put", RECORD_INDEX, 1, b"+0"))  # read as class index 0
+@example(("splice", 0, SEED_LINE + 8, 1, MANIFEST_VALID[1].index(b"seed")))  # a second
+# seed line replaced the first
+def test_manifest_parses_or_raises_data_format_error(mutation):
+    blob = damaged(MANIFEST_VALID, mutation)
+    try:
+        manifest = D.manifest_from_text(decode_utf8(blob, "manifest"))
+    except DataFormatError:
+        return
+    lines = [line for line in blob.decode("utf-8").splitlines() if line.strip()]
+    header = 2 + len(manifest.classes)  # the root, seed and class lines
+    assert ([line.strip() for line in lines[:header]] + lines[header:]
+            == D.manifest_to_text(manifest).splitlines())
+
+
+# ---------------------------------------------------------------------------
+# Config files (`--config`; a ConfigError exits 2).
+
+CONFIG_VALID = (
+    b"# a training run\nepochs = 3\nbatch_size = 8\nlearning_rate = 0.05  # base rate\n"
+    b"momentum = 0.9\nl2_strength = 0.0001\npatience = none\nseed = 7\n"
+    b"split_ratios = 0.8,0.1,0.1\naug_rotation = -10,10\naug_crop = 0.8,1.0\n",
+    b"model = purefoodnet\nwidth_scale = 0.125\ninput_side = 32\ndropout_rate = 0.25\n"
+    b"decay_factor = 0.5\ndecay_interval = 4\nl1_strength = 0\naug_flip = 0.5\n"
+    b"aug_tilt = -0.1,0.1\naug_color_shift = 0.05\naug_noise = 0.01\naug_contrast = 0.9,1.1\n",
+)
+
+
+@settings(FUZZ)
+@given(mutations(CONFIG_VALID))
+@example(("splice", 0, 0, 0, 0))  # unchanged
+@example(("splice", 1, 0, 1, 0))  # unchanged
+@example(("put", CONFIG_VALID[0].index(b"0.05"), 4, b"nan"))  # trained until a layer
+# or the optimizer failed
+@example(("put", CONFIG_VALID[0].index(b"-10,10"), 6, b"nan,nan"))  # OverflowError
+# from the rotation draw
+def test_config_file_resolves_or_raises_config_error(tmp_path_factory, mutation):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(damaged(CONFIG_VALID, mutation))
+    try:
+        cfg = cli._resolve_config(argparse.Namespace(config=str(path)))
+    except ConfigError:
+        return
+    for value in vars(cfg).values():
+        for number in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(number, float) or math.isfinite(number), cfg
+    try:
+        cfg.policy()
+        cfg.train_config(cfg.patience)
+    except ConfigError:
+        return

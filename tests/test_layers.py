@@ -25,7 +25,6 @@ from purefoodnet.layers import (
     l1_penalty,
     l2_penalty,
     pool_forward,
-    relu,
     softmax,
 )
 from purefoodnet.tensor import ConvGeometry, Tensor4
@@ -489,14 +488,21 @@ class TestDense:
 
 
 class TestRelu:
+    """The ReLU fused into a dense layer, seen through identity weights."""
+
+    @staticmethod
+    def relu(x):
+        n = x.shape[3]
+        return dense_forward(Tensor4(x), DenseLayer(np.eye(n), np.zeros(n), "relu"))
+
     def test_clamps_negatives(self):
         x = np.array([[-2.0, -0.5, 0.0, 0.5, 2.0]]).reshape(1, 1, 1, 5)
-        out = relu(Tensor4(x))
+        out = self.relu(x)
         np.testing.assert_array_equal(out.data.ravel(), [0.0, 0.0, 0.0, 0.5, 2.0])
 
     def test_all_positive_identity(self):
-        x = np.abs(np.random.default_rng(59).normal(size=(2, 3, 3, 2))) + 0.1
-        np.testing.assert_array_equal(relu(Tensor4(x)).data, x)
+        x = np.abs(np.random.default_rng(59).normal(size=(2, 1, 1, 18))) + 0.1
+        np.testing.assert_array_equal(self.relu(x).data, x)
 
 
 class TestSoftmax:
