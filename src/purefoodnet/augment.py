@@ -228,9 +228,10 @@ class AugmentPolicy:
                            _check_range("rotation range", self.rotation_range))
         object.__setattr__(self, "contrast_range",
                            _check_range("contrast range", self.contrast_range, low=0.0))
-        if not 0 <= self.color_shift_magnitude < math.inf:  # false for NaN too
-            raise ConfigError(f"color shift magnitude must be finite and >= 0, "
-                              f"got {self.color_shift_magnitude}")
+        m = self.color_shift_magnitude
+        if not (m >= 0 and math.isfinite(2 * m)):  # false for NaN; the draw spans 2m
+            raise ConfigError(f"color shift magnitude must be >= 0 with a finite range "
+                              f"2 * m, got {m}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ConfigError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:

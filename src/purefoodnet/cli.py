@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,99 +50,67 @@ def _parse_float(text):
     return value
 
 
-def _parse_patience(text):
-    if str(text).lower() in ("none", "off"):
-        return None
-    return _parse_int(text)
+def _comma_tuple(parse, form: str):
+    """Parser of exactly as many comma-separated values as `form` names,
+    each read by `parse`."""
+    count = form.count(",") + 1
+
+    def convert(text):
+        parts = str(text).split(",")
+        if len(parts) != count:
+            raise ConfigError(f"expected {form!r}, got {text!r}")
+        return tuple(parse(part) for part in parts)
+    return convert
 
 
-def _parse_pair(text):
-    parts = str(text).split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected 'low,high', got {text!r}")
-    return (_parse_float(parts[0]), _parse_float(parts[1]))
+def _or_none(parse):
+    """`parse`, except that 'none' or 'off' (any case) read as None."""
+    def convert(text):
+        return None if str(text).lower() in ("none", "off") else parse(text)
+    return convert
 
 
-def _parse_triple(text):
-    parts = str(text).split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"expected 'train,val,test', got {text!r}")
-    return tuple(_parse_float(p) for p in parts)
+def _setting(default, parse):
+    return field(default=default, metadata={"parse": parse})
 
 
-def _parse_counts(text):
-    if str(text).lower() in ("none", "off"):
-        return None
-    parts = str(text).split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"expected 'train,val,test' counts, got {text!r}")
-    return tuple(_parse_int(p) for p in parts)
-
-
-_CONVERTERS = {
-    "model": str,
-    "dataset_root": str,
-    "manifest": str,
-    "out_dir": str,
-    "epochs": _parse_int,
-    "batch_size": _parse_int,
-    "learning_rate": _parse_float,
-    "momentum": _parse_float,
-    "decay_factor": _parse_float,
-    "decay_interval": _parse_int,
-    "patience": _parse_patience,
-    "l2_strength": _parse_float,
-    "l1_strength": _parse_float,
-    "seed": _parse_int,
-    "input_side": _parse_int,
-    "width_scale": _parse_float,
-    "num_classes": _parse_int,
-    "head_units": _parse_int,
-    "dropout_rate": _parse_float,
-    "split_ratios": _parse_triple,
-    "split_counts": _parse_counts,
-    "aug_flip": _parse_float,
-    "aug_crop": _parse_pair,
-    "aug_tilt": _parse_pair,
-    "aug_color_shift": _parse_float,
-    "aug_rotation": _parse_pair,
-    "aug_noise": _parse_float,
-    "aug_contrast": _parse_pair,
-}
+_PAIR = _comma_tuple(_parse_float, "low,high")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for the training-style commands."""
+    """Resolved settings for the training-style commands. Each field is one
+    setting: its flag (`--out-dir` for out_dir) and config-file key are its
+    name, and `_setting` gives its default and parser."""
 
-    model: str = "purefoodnet"
-    dataset_root: str = None
-    manifest: str = None
-    out_dir: str = "run"
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    decay_factor: float = 0.5
-    decay_interval: int = 20
-    patience: int = 5
-    l2_strength: float = 0.0
-    l1_strength: float = 0.0
-    seed: int = 0
-    input_side: int = 224
-    width_scale: float = 1.0
-    num_classes: int = None
-    head_units: int = 512
-    dropout_rate: float = 0.5
-    split_ratios: tuple = (0.8, 0.1, 0.1)
-    split_counts: tuple = None
-    aug_flip: float = 0.0
-    aug_crop: tuple = (1.0, 1.0)
-    aug_tilt: tuple = (0.0, 0.0)
-    aug_color_shift: float = 0.0
-    aug_rotation: tuple = (0.0, 0.0)
-    aug_noise: float = 0.0
-    aug_contrast: tuple = (1.0, 1.0)
+    model: str = _setting("purefoodnet", str)
+    dataset_root: str = _setting(None, str)
+    manifest: str = _setting(None, str)
+    out_dir: str = _setting("run", str)
+    epochs: int = _setting(50, _parse_int)
+    batch_size: int = _setting(32, _parse_int)
+    learning_rate: float = _setting(0.01, _parse_float)
+    momentum: float = _setting(0.9, _parse_float)
+    decay_factor: float = _setting(0.5, _parse_float)
+    decay_interval: int = _setting(20, _parse_int)
+    patience: int = _setting(5, _or_none(_parse_int))
+    l2_strength: float = _setting(0.0, _parse_float)
+    l1_strength: float = _setting(0.0, _parse_float)
+    seed: int = _setting(0, _parse_int)
+    input_side: int = _setting(224, _parse_int)
+    width_scale: float = _setting(1.0, _parse_float)
+    num_classes: int = _setting(None, _parse_int)
+    head_units: int = _setting(512, _parse_int)
+    dropout_rate: float = _setting(0.5, _parse_float)
+    split_ratios: tuple = _setting((0.8, 0.1, 0.1), _comma_tuple(_parse_float, "train,val,test"))
+    split_counts: tuple = _setting(None, _or_none(_comma_tuple(_parse_int, "train,val,test")))
+    aug_flip: float = _setting(0.0, _parse_float)
+    aug_crop: tuple = _setting((1.0, 1.0), _PAIR)
+    aug_tilt: tuple = _setting((0.0, 0.0), _PAIR)
+    aug_color_shift: float = _setting(0.0, _parse_float)
+    aug_rotation: tuple = _setting((0.0, 0.0), _PAIR)
+    aug_noise: float = _setting(0.0, _parse_float)
+    aug_contrast: tuple = _setting((1.0, 1.0), _PAIR)
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -169,6 +137,10 @@ class RunConfig:
                                     decay_interval=self.decay_interval, patience=patience,
                                     l2_strength=self.l2_strength,
                                     l1_strength=self.l1_strength, seed=self.seed)
+
+
+_CONVERTERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+_AUG_KEYS = tuple(key for key in _CONVERTERS if key.startswith("aug_"))
 
 
 def _read_config_file(path) -> dict:
@@ -211,11 +183,6 @@ def _add_config_flags(parser, keys):
     for key in keys:
         parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
                             help=f"override {key} (default {getattr(RunConfig, key)!r})")
-
-
-_TRAIN_KEYS = tuple(_CONVERTERS)
-_AUG_KEYS = ("aug_flip", "aug_crop", "aug_tilt", "aug_color_shift",
-             "aug_rotation", "aug_noise", "aug_contrast")
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +242,9 @@ def _batch_sources(cfg: RunConfig, manifest, side):
 
 
 def _train_and_write(cfg: RunConfig, spec, params, manifest) -> int:
-    out_dir = _ensure_out_dir(cfg.out_dir)
     side = _model_input_side(spec)
     train_source, val_source, patience = _batch_sources(cfg, manifest, side)
+    out_dir = _ensure_out_dir(cfg.out_dir)  # after the augmentation settings are checked
     if cfg.epochs == 0:
         history = []
     else:
@@ -338,7 +305,7 @@ def cmd_eval(args) -> int:
     params = models.load_weights(args.weights, spec)
     manifest = dataio.load_manifest(args.manifest, root=args.dataset_root)
     side = _model_input_side(spec)
-    ks = _parse_ks(args.ks)
+    ks = None if args.ks is None else _parse_ks(args.ks)  # None: evaluation.default_ks
     batches = dataio.batch_iterator(manifest, args.split, int(args.batch_size), side)
     report = evaluation.evaluate(spec, params, batches, ks=ks)
     summary = " ".join(f"top{k}={report.accuracy(k)!r}" for k in report.ks)
@@ -478,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_train = commands.add_parser("train", help="train a model from scratch")
-    _add_config_flags(p_train, _TRAIN_KEYS)
+    _add_config_flags(p_train, _CONVERTERS)
     p_train.set_defaults(handler=cmd_train)
 
     p_tune = commands.add_parser("finetune", help="re-head a trained model and train")
@@ -486,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--base-weights", required=True, help="weights of the trained model")
     p_tune.add_argument("--freeze-backbone", action="store_true",
                         help="train only the new head")
-    _add_config_flags(p_tune, _TRAIN_KEYS)
+    _add_config_flags(p_tune, _CONVERTERS)
     p_tune.set_defaults(handler=cmd_finetune)
 
     p_eval = commands.add_parser("eval", help="measure top-k accuracy on a split")
@@ -495,7 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--dataset-root", default=None, help="override manifest root")
     p_eval.add_argument("--split", default="test", choices=dataio.SPLITS)
-    p_eval.add_argument("--ks", default="1,5", help="comma-separated k values")
+    p_eval.add_argument("--ks", default=None,
+                        help="comma-separated k values (default 1,5, or 1 below 5 classes)")
     p_eval.add_argument("--batch-size", default=32)
     p_eval.add_argument("--out", default=None, help="write a per-class report CSV here")
     p_eval.set_defaults(handler=cmd_eval)

@@ -109,16 +109,28 @@ class ImageRecord:
             raise ShapeError(f"{self.source}: expected (h, w, 3) pixels, got {arr.shape}")
 
 
-def load_image(path) -> ImageRecord:
-    """Decode a binary PPM (P6, maxval 255) into floats in [0, 1]."""
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """(h, w, channels) floats in [0, 1] of a binary netpbm file (maxval 255)."""
     blob = _read_file(path)
-    width, height, offset = _parse_netpbm_header(blob, b"P6", path)
-    need = width * height * 3
+    width, height, offset = _parse_netpbm_header(blob, magic, path)
+    need = width * height * channels
     payload = blob[offset:]
     if len(payload) != need:
         raise DataFormatError(f"{path}: expected {need} pixel bytes, got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return ImageRecord(pixels.astype(np.float64) / 255.0, str(path))
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return pixels.astype(np.float64) / 255.0
+
+
+def _write_netpbm(path, arr: np.ndarray, magic: bytes) -> None:
+    """Quantize floats in [0, 1] to a binary netpbm file (maxval 255)."""
+    data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    header = b"%s\n%d %d\n255\n" % (magic, arr.shape[1], arr.shape[0])
+    atomic_write_bytes(path, header + data.tobytes())
+
+
+def load_image(path) -> ImageRecord:
+    """Decode a binary PPM (P6, maxval 255) into floats in [0, 1]."""
+    return ImageRecord(_read_netpbm(path, b"P6", 3), str(path))
 
 
 def save_image(path, pixels) -> None:
@@ -126,19 +138,12 @@ def save_image(path, pixels) -> None:
     arr = np.asarray(pixels)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ShapeError(f"expected (h, w, 3) pixels, got {arr.shape}")
-    data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + data.tobytes())
+    _write_netpbm(path, arr, b"P6")
 
 
 def read_pgm(path) -> np.ndarray:
     """Decode a binary PGM (P5, maxval 255) into (h, w) floats in [0, 1]."""
-    blob = _read_file(path)
-    width, height, offset = _parse_netpbm_header(blob, b"P5", path)
-    payload = blob[offset:]
-    if len(payload) != width * height:
-        raise DataFormatError(f"{path}: expected {width * height} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width) / 255.0
+    return _read_netpbm(path, b"P5", 1)[:, :, 0]
 
 
 def write_pgm(path, values) -> None:
@@ -146,9 +151,7 @@ def write_pgm(path, values) -> None:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ShapeError(f"expected a (h, w) array, got {arr.shape}")
-    data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + data.tobytes())
+    _write_netpbm(path, arr, b"P5")
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +402,8 @@ class PackedStore(dict):
 
 def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
                    target_side: int, seed=None, policy: AugmentPolicy = None,
-                   dtype=np.float32, *, store: PackedStore = None):
-    """Yield (Tensor4, one-hot labels) over one pass of a split.
+                   *, store: PackedStore = None):
+    """Yield float32 (Tensor4, one-hot labels) over one pass of a split.
 
     Order is the manifest order, or a seeded shuffle when seed is given.
     The augmentation policy applies to the train split only; each image
@@ -440,5 +443,5 @@ def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
                 image = apply_policy(image, policy, policy_rng(policy, start + offset))
             images.append(image)
             labels.append(record.class_index)
-        x = np.stack(images).astype(dtype)
+        x = np.stack(images).astype(np.float32)
         yield Tensor4(x), one_hot_matrix(labels, n_classes)

@@ -9,14 +9,14 @@ pass (in `training`) consumes.
 Pooling is vectorized with `sliding_window_view` over the two spatial axes.
 A convolution copies its input windows into an im2col matrix (one row per
 output cell, columns in (channel, row, column) order) and multiplies it by
-the filter bank. When a backward pass will follow, it builds the whole
-matrix, takes one matrix product and keeps the matrix in its cache, so the
-backward pass reuses it for the filter gradient. Without one (inference,
-`need_cache=False`), it fills one bounded buffer with a block of rows at a
-time and multiplies each block into its slice of the output, with the same
-bits, and returns no cache. Convolutions are cross-correlations: the kernel
-is applied as stored, never flipped. Activations are fused into the conv
-and dense layers; `softmax` also exists standalone, with no backward.
+the filter bank, one block of rows at a time: it fills a buffer with a
+block and multiplies it into its slice of the output. When a backward pass
+will follow, the only block is the whole matrix, which the cache keeps for
+the filter gradient. Without one (inference, `need_cache=False`), a large
+matrix goes through one bounded buffer, with the same bits, and no cache is
+returned. Convolutions are cross-correlations: the kernel is applied as
+stored, never flipped. Activations are fused into the conv and dense
+layers; `softmax` also exists standalone, with no backward.
 """
 
 from __future__ import annotations
@@ -119,8 +119,6 @@ class BatchNormLayer:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = BATCHNORM_EPS
-    momentum: float = BATCHNORM_MOMENTUM
 
     def __post_init__(self):
         c = self.gamma.shape
@@ -131,10 +129,6 @@ class BatchNormLayer:
             raise ShapeError(f"batch norm parameters must be rank 1, got {self.gamma.ndim}")
         if (self.running_var < 0).any():
             raise ShapeError("running_var must be nonnegative")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not 0.0 < self.momentum <= 1.0:
-            raise ValueError(f"momentum must be in (0, 1], got {self.momentum}")
 
 
 class ConvCache(NamedTuple):
@@ -189,16 +183,14 @@ _MIN_BLOCK_MACS = 1 << 20
 
 
 def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int,
-            out: np.ndarray | None = None, first: int = 0) -> np.ndarray:
-    """The (i*oh*ow, c*k*k) matrix of every k x k window of xp at stride s,
-    columns in (c, k, k) order. With `out`, only as many output rows' worth
-    as `out` holds are written into it, from output row `first` on (output
-    row u is row u % oh of image u // oh). Rows are filled one tap at a time
-    per block of one image: a single copy of the 6-D window view runs its
+            out: np.ndarray, first: int) -> np.ndarray:
+    """Fill `out` with rows of the (i*oh*ow, c*k*k) matrix of every k x k
+    window of xp at stride s, columns in (c, k, k) order: as many output
+    rows' worth as `out` holds, from output row `first` on (output row u is
+    row u % oh of image u // oh). Rows are filled one tap at a time per
+    block of one image: a single copy of the 6-D window view runs its
     innermost loop over only k elements, and measured about 2x slower."""
     c = xp.shape[3]
-    if out is None:
-        out = np.empty((xp.shape[0] * oh * ow, c * k * k), dtype=xp.dtype)
     units = out.reshape(-1, ow, c, k, k)
     rows = max(1, _IM2COL_BLOCK_BYTES // (ow * c * k * k * xp.itemsize))
     done = 0
@@ -257,14 +249,9 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
     rows = out.reshape(-1, f)
     units = x.i * oh
     b = units if need_cache else _block_units(units, ow, len(fmat), f, xp.itemsize)
-    cols = None
-    if b == units:
-        cols = _im2col(xp, g.k, g.s, oh, ow)
-        np.dot(cols, fmat, out=rows)
-    else:
-        buf = np.empty((b * ow, len(fmat)), dtype=xp.dtype)
-        for u in (*range(0, units - b, b), units - b):
-            np.dot(_im2col(xp, g.k, g.s, oh, ow, buf, u), fmat, out=rows[u * ow:(u + b) * ow])
+    cols = np.empty((b * ow, len(fmat)), dtype=xp.dtype)  # the whole matrix when b == units
+    for u in (*range(0, units - b, b), units - b):
+        np.dot(_im2col(xp, g.k, g.s, oh, ow, cols, u), fmat, out=rows[u * ow:(u + b) * ow])
     # A bias of a wider dtype widens the sum, as `out + bias` would.
     out = out.astype(np.result_type(out, layer.bias), copy=False)
     out += layer.bias
@@ -407,7 +394,7 @@ def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
         # Biased, matching the running estimate; the same sums as x.var.
         var = np.square(centered).mean(axis=(0, 1, 2))
         if update_stats:
-            m = layer.momentum
+            m = BATCHNORM_MOMENTUM
             layer.running_mean *= 1.0 - m
             layer.running_mean += m * mean
             layer.running_var *= 1.0 - m
@@ -416,7 +403,7 @@ def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
         count = None
         centered = x.data - layer.running_mean
         var = layer.running_var
-    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPS)
     x_hat = centered
     x_hat *= inv_std
     out = layer.gamma * x_hat

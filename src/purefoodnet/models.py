@@ -18,7 +18,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import math
 import struct
+from collections import UserDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -233,19 +235,6 @@ class ModelSpec:
             )
         infer_shapes(self)  # fail construction if the chain cannot be evaluated
 
-    def layer(self, name: str) -> LayerSpec:
-        return self.layers[self.index_of(name)]
-
-    def index_of(self, name: str) -> int:
-        for idx, layer in enumerate(self.layers):
-            if layer.name == name:
-                return idx
-        raise UnknownLayerError(f"no layer named {name!r}")
-
-    @property
-    def backbone_layers(self) -> tuple[LayerSpec, ...]:
-        return self.layers[:self.top_boundary]
-
 
 def infer_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
     """Per-boundary (h, w, c) shapes: entry 0 is the input, entry j+1 follows
@@ -263,63 +252,37 @@ def infer_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
     return shapes
 
 
-class ParamStore:
+class ParamStore(UserDict):
     """Ordered mapping of parameter name to ndarray.
 
     Holds trainable tensors and batch-norm running statistics alike; what the
     optimizer may touch is decided by `trainable_param_names`, not here.
+    `UserDict` routes the constructor, `update` and `setdefault` through
+    `__setitem__`, and `!=` is the inverse of `__eq__`.
     """
-
-    def __init__(self, arrays: dict[str, np.ndarray] | None = None):
-        self._arrays: dict[str, np.ndarray] = {}
-        if arrays:
-            for name, arr in arrays.items():
-                self[name] = arr
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            return self._arrays[name]
-        except KeyError:
-            raise KeyError(f"no parameter named {name!r}") from None
 
     def __setitem__(self, name: str, arr: np.ndarray):
         if not isinstance(arr, np.ndarray):
             raise TypeError(f"parameter {name!r} must be an ndarray, got {type(arr).__name__}")
-        self._arrays[name] = arr
+        self.data[name] = arr
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
+    def __ior__(self, other):  # UserDict's `|=` would write to `data` unchecked
+        self.update(other)
+        return self
 
-    def __iter__(self):
-        return iter(self._arrays)
-
-    def __len__(self):
-        return len(self._arrays)
-
-    def keys(self):
-        return self._arrays.keys()
-
-    def values(self):
-        return self._arrays.values()
-
-    def items(self):
-        return self._arrays.items()
+    def __missing__(self, name: str):
+        raise KeyError(f"no parameter named {name!r}")
 
     def copy(self) -> "ParamStore":
-        return ParamStore({name: arr.copy() for name, arr in self._arrays.items()})
-
-    def total_values(self) -> int:
-        return sum(arr.size for arr in self._arrays.values())
+        return ParamStore({name: arr.copy() for name, arr in self.data.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ParamStore):
             return NotImplemented
-        if list(self.keys()) != list(other.keys()):
-            return False
-        return all(np.array_equal(self[k], other[k]) for k in self.keys())
+        return list(self) == list(other) and all(np.array_equal(self[k], other[k]) for k in self)
 
     def __repr__(self):
-        return f"ParamStore({len(self)} tensors, {self.total_values()} values)"
+        return f"ParamStore({len(self)} tensors)"
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
@@ -345,14 +308,30 @@ def penalized_weight_names(spec: ModelSpec) -> list[str]:
             for field in KIND_TABLE[layer.kind].penalized]
 
 
+def glorot_init(shape, rng: np.random.Generator) -> np.ndarray:
+    """Uniform samples in +-sqrt(6 / (fan_in + fan_out)).
+
+    Dense (n_in, n_out) shapes use the two dims directly; conv banks
+    (f, k, k, c) use receptive-field fans k*k*c and k*k*f.
+    """
+    if len(shape) == 2:
+        fan_in, fan_out = shape
+    elif len(shape) == 4:
+        f, k1, k2, c = shape
+        fan_in = k1 * k2 * c
+        fan_out = k1 * k2 * f
+    else:
+        raise ShapeError(f"no fan rule for shape {shape}")
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape)
+
+
 def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> ParamStore:
     """Fresh parameters: Glorot-uniform weights, zero biases, identity norms.
 
     Each layer draws from its own seeded stream, so adding or removing one
     layer leaves the others' initial values untouched.
     """
-    from .training import glorot_init  # deferred: training imports this module
-
     dt = np.dtype(dtype)
     params = ParamStore()
     for name, shape in param_shapes(spec).items():
@@ -400,14 +379,20 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4) -> Tensor4:
     return x
 
 
+def _known_names(spec: ModelSpec, layer_names) -> set:
+    """The set of `layer_names`; raises UnknownLayerError naming the first
+    (in sorted order) that is not a layer of the spec."""
+    wanted = set(layer_names)
+    missing = sorted(wanted - {layer.name for layer in spec.layers})
+    if missing:
+        raise UnknownLayerError(f"no layer named {missing[0]!r}")
+    return wanted
+
+
 def capture_activations(spec: ModelSpec, params: ParamStore, x: Tensor4,
                         layer_names) -> dict[str, Tensor4]:
     """Inference-mode outputs at the named layers, keyed by name."""
-    wanted = set(layer_names)
-    known = {layer.name for layer in spec.layers}
-    missing = sorted(wanted - known)
-    if missing:
-        raise UnknownLayerError(f"no layer named {missing[0]!r}")
+    wanted = _known_names(spec, layer_names)
     captured: dict[str, Tensor4] = {}
     for layer in spec.layers:
         x = apply_layer(layer, params, x, need_cache=False)[0]
@@ -530,11 +515,7 @@ def attach_head(spec: ModelSpec, params: ParamStore, new_num_classes: int,
 
 def set_trainable(spec: ModelSpec, layer_names, flag: bool) -> ModelSpec:
     """New spec with the named layers' trainable flag set to `flag`."""
-    wanted = set(layer_names)
-    known = {layer.name for layer in spec.layers}
-    missing = sorted(wanted - known)
-    if missing:
-        raise UnknownLayerError(f"no layer named {missing[0]!r}")
+    wanted = _known_names(spec, layer_names)
     new_layers = tuple(
         dataclasses.replace(layer, trainable=flag) if layer.name in wanted else layer
         for layer in spec.layers

@@ -28,24 +28,6 @@ GradStore = dict[str, np.ndarray]
 LOG_FLOOR = 1e-12
 
 
-def glorot_init(shape, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples in +-sqrt(6 / (fan_in + fan_out)).
-
-    Dense (n_in, n_out) shapes use the two dims directly; conv banks
-    (f, k, k, c) use receptive-field fans k*k*c and k*k*f.
-    """
-    if len(shape) == 2:
-        fan_in, fan_out = shape
-    elif len(shape) == 4:
-        f, k1, k2, c = shape
-        fan_in = k1 * k2 * c
-        fan_out = k1 * k2 * f
-    else:
-        raise ShapeError(f"no fan rule for shape {shape}")
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def _as_rows(x) -> np.ndarray:
     arr = x.data if isinstance(x, Tensor4) else np.asarray(x)
     return arr.reshape(arr.shape[0], -1)
@@ -406,32 +388,23 @@ def _top1_hits(probs, labels: np.ndarray) -> int:
     return int((p.argmax(axis=1) == labels.argmax(axis=1)).sum())
 
 
-def _memory_batches(x: Tensor4, labels: np.ndarray, batch_size: int,
-                    order: np.ndarray | None):
+def _batches(source, config: TrainConfig, epoch: int | None = None):
+    """One pass over a batch source: a callable, given the epoch of a training
+    pass, or an in-memory (Tensor4, labels) pair, which a training pass
+    shuffles with the epoch's seed."""
+    if callable(source):
+        yield from (source() if epoch is None else source(epoch))
+        return
+    x, labels = source
     n = x.i
     if labels.shape[0] != n:
         raise ShapeError(f"{n} images but {labels.shape[0]} label rows")
-    idx = np.arange(n) if order is None else order
-    for start in range(0, n, batch_size):
-        take = idx[start:start + batch_size]
+    order = np.arange(n)
+    if epoch is not None:
+        order = make_rng(config.seed, "shuffle", epoch).permutation(n)
+    for start in range(0, n, config.batch_size):
+        take = order[start:start + config.batch_size]
         yield Tensor4(x.data[take]), labels[take]
-
-
-def _train_batches(train_set, epoch: int, config: TrainConfig):
-    if callable(train_set):
-        yield from train_set(epoch)
-        return
-    x, labels = train_set
-    order = make_rng(config.seed, "shuffle", epoch).permutation(x.i)
-    yield from _memory_batches(x, labels, config.batch_size, order)
-
-
-def _val_batches(val_set, config: TrainConfig):
-    if callable(val_set):
-        yield from val_set()
-        return
-    x, labels = val_set
-    yield from _memory_batches(x, labels, config.batch_size, None)
 
 
 def evaluate_loss_top1(spec: M.ModelSpec, params: M.ParamStore, batches):
@@ -482,7 +455,7 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         hits = 0
         count = 0
         batch_index = 0
-        for xb, yb in _train_batches(train_set, epoch, config):
+        for xb, yb in _batches(train_set, config, epoch):
             rng = make_rng(config.seed, "dropout", epoch, batch_index)
             shifted = lookahead_params(params, opt, trainable)
             loss, grads, probs = loss_and_gradients(
@@ -502,7 +475,7 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         if val_set is None:
             val_loss = val_top1 = math.nan
         else:
-            val_loss, val_top1 = evaluate_loss_top1(spec, params, _val_batches(val_set, config))
+            val_loss, val_top1 = evaluate_loss_top1(spec, params, _batches(val_set, config))
             if math.isnan(val_top1) and config.patience is not None:
                 raise ConfigError("early stopping needs at least one validation sample")
         history.append(EpochStats(epoch, train_loss, train_top1, val_loss, val_top1, lr))

@@ -328,6 +328,14 @@ class TestPolicy:
         with pytest.raises(ConfigError, match="finite"):
             A.AugmentPolicy(rotation_range=(-1e308, 1e308))
 
+    def test_rejects_a_color_shift_too_wide_to_draw_from(self):
+        # The draw spans [-m, m]: 2 * 1e308 overflows, 2 * 1e307 does not.
+        with pytest.raises(ConfigError, match="finite"):
+            A.AugmentPolicy(color_shift_magnitude=1e308)
+        policy = A.AugmentPolicy(color_shift_magnitude=1e307)
+        out = A.apply_policy(random_image(38), policy, np.random.default_rng(0))
+        assert out.min() >= 0.0 and out.max() <= 1.0
+
     def test_read_only_input_gives_the_same_bytes(self):
         # The batch stream stores packed images read-only and augments them
         # on every pass, so no op may write into its input.

@@ -1,5 +1,7 @@
 """End-to-end command tests driving cli.main in process."""
 
+import argparse
+import dataclasses
 import os
 import struct
 
@@ -123,6 +125,39 @@ class TestTrain:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, code", [("1e308", 2), ("1e307", 0)])
+    def test_color_shift_must_leave_a_finite_draw_range(self, tmp_path, capsys, value, code):
+        data = make_dataset(tmp_path / "data")
+        spec_path = tmp_path / "tiny.spec"
+        tiny_spec_file(spec_path)
+        out = tmp_path / "run"
+        assert main(train_args(data, out, spec_path,
+                               extra=["--epochs", "1", "--aug-color-shift", value])) == code
+        if code:
+            assert "color shift" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert len(T.read_history_csv(out / "history.csv")) == 1
+
+    def test_each_setting_has_one_flag_and_one_config_key(self, tmp_path):
+        names = [f.name for f in dataclasses.fields(cli.RunConfig)]
+        assert len(names) == 28
+        commands = next(action for action in cli._build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for command in ("train", "finetune"):
+            flags = {}
+            for action in commands.choices[command]._actions:
+                for flag in action.option_strings:
+                    flags.setdefault(flag, []).append(action.dest)
+            for name in names:
+                assert flags.pop("--" + name.replace("_", "-")) == [name]
+            assert all(dest not in names for dests in flags.values() for dest in dests)
+        config = tmp_path / "every.cfg"
+        config.write_text("".join(f"{name} = x\n" for name in names))
+        assert list(cli._read_config_file(config)) == names
+        assert list(cli._CONVERTERS) == names
+        assert cli._AUG_KEYS == tuple(name for name in names if name.startswith("aug_"))
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         data = make_dataset(tmp_path / "data")
         spec_path = tmp_path / "tiny.spec"
@@ -214,6 +249,28 @@ class TestEval:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_default_ks_fit_a_two_class_model(self, trained_run, capsys):
+        out = trained_run["out"]
+        assert main(["eval", "--spec", str(out / "model.spec"),
+                     "--weights", str(out / "weights.pfw"),
+                     "--manifest", str(out / "manifest.txt")]) == 0
+        printed = capsys.readouterr().out.split()
+        assert printed[0].startswith("N=") and printed[1].startswith("top1=")
+        assert len(printed) == 2  # no top5 of two classes
+
+    def test_default_ks_are_1_and_5_from_five_classes(self, tmp_path, capsys):
+        data = make_dataset(tmp_path / "data", classes=5, per_class=4)
+        spec_path = tmp_path / "five.spec"
+        tiny_spec_file(spec_path, classes=5)
+        out = tmp_path / "run"
+        assert main(train_args(data, out, spec_path, extra=["--epochs", "0"])) == 0
+        capsys.readouterr()
+        assert main(["eval", "--spec", str(out / "model.spec"),
+                     "--weights", str(out / "weights.pfw"),
+                     "--manifest", str(out / "manifest.txt")]) == 0
+        printed = capsys.readouterr().out.split()
+        assert [token.split("=")[0] for token in printed] == ["N", "top1", "top5"]
 
     def test_wrong_weights_for_spec_exit_4(self, trained_run, tmp_path):
         other_spec = tmp_path / "other.spec"
@@ -608,7 +665,7 @@ class TestFinetune:
         base = M.load_weights(trained_run["out"] / "weights.pfw", base_spec)
         tuned_spec = M.load_model_spec(dest / "model.spec")
         tuned = M.load_weights(dest / "weights.pfw", tuned_spec)
-        backbone = [l.name for l in base_spec.backbone_layers]
+        backbone = [l.name for l in base_spec.layers[:base_spec.top_boundary]]
         for name in base.keys():
             if name.split(".")[0] in backbone:
                 assert tuned[name].tobytes() == base[name].tobytes(), name

@@ -268,20 +268,21 @@ class TestBlockedConv:
         x = Tensor4(rng.normal(size=(images, side, side, c)).astype(dtype))
         layer = conv_layer(rng.normal(size=(f, k, k, c)).astype(dtype) * 0.2,
                            rng.normal(size=f).astype(dtype), k, s, z, activation="relu")
-        starts = []
+        calls = []  # (first output row, im2col rows filled) per block
         im2col = layers._im2col
 
-        def spy(xp, k, s, oh, ow, out=None, first=0):
-            if out is not None:
-                starts.append(first)
-                assert len(out) == b * ow
+        def spy(xp, k, s, oh, ow, out, first):
+            calls.append((first, len(out)))
             return im2col(xp, k, s, oh, ow, out, first)
 
         monkeypatch.setattr(layers, "_im2col", spy)
         want, _ = conv2d_cached(x, layer)
-        assert starts == []  # the cached path builds the whole matrix
-        got, _ = conv2d_cached(x, layer, need_cache=False)
         units = images * oh
+        assert calls == [(0, units * oh)]  # the cached path fills the whole matrix at once
+        calls.clear()
+        got, _ = conv2d_cached(x, layer, need_cache=False)
+        starts = [first for first, _ in calls]
+        assert all(rows == b * oh for _, rows in calls)
         assert len(starts) >= 3 and starts[-1] == units - b
         assert starts[-1] < starts[-2] + b  # the last block overlaps the one before
         assert any(u // oh != (u + b - 1) // oh for u in starts)  # a block spans two images
@@ -303,13 +304,13 @@ class TestBlockedConv:
         calls = []
         im2col = layers._im2col
         monkeypatch.setattr(layers, "_im2col",
-                            lambda *args: calls.append(len(args)) or im2col(*args))
+                            lambda *args: calls.append(args[5:]) or im2col(*args))
         rng = np.random.default_rng(71)
         x = Tensor4(rng.normal(size=(40, 32, 32, 16)).astype(np.float32))
         layer = conv_layer(rng.normal(size=(16, 3, 3, 16)).astype(np.float32),
                            np.zeros(16, dtype=np.float32), k=3, z=1)
         conv2d_cached(x, layer, need_cache=False)
-        assert calls == [5]  # the whole matrix, no destination buffer
+        assert [(len(out), first) for out, first in calls] == [(40 * 32 * 32, 0)]  # one block
 
     def test_one_filter_is_never_split(self, monkeypatch):
         # A one-column product takes GEMV, whose bits depend on its length.
@@ -648,16 +649,16 @@ class TestBatchNorm:
         layer = BatchNormLayer(gamma, beta, running[0].copy(), running[1].copy())
         out, cache = batchnorm_cached(Tensor4(x), layer, training=True)
         mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
+        inv_std = 1.0 / np.sqrt(var + layers.BATCHNORM_EPS)
         x_hat = (x - mean) * inv_std
         np.testing.assert_array_equal(cache.x_hat, x_hat)
         np.testing.assert_array_equal(cache.inv_std, inv_std)
         np.testing.assert_array_equal(out.data, gamma * x_hat + beta)
-        m = layer.momentum
+        m = layers.BATCHNORM_MOMENTUM
         np.testing.assert_array_equal(layer.running_var, (1.0 - m) * running[1] + m * var)
 
         out, cache = batchnorm_cached(Tensor4(x), layer, training=False)
-        inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+        inv_std = 1.0 / np.sqrt(layer.running_var + layers.BATCHNORM_EPS)
         x_hat = (x - layer.running_mean) * inv_std
         np.testing.assert_array_equal(cache.x_hat, x_hat)
         np.testing.assert_array_equal(out.data, gamma * x_hat + beta)

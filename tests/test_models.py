@@ -19,6 +19,10 @@ from purefoodnet.tensor import Tensor4
 from test_golden import SPEC_TEXT as GOLDEN_SPEC_TEXT
 
 
+def layer_named(spec, name):
+    return next(layer for layer in spec.layers if layer.name == name)
+
+
 def tiny_spec(num_classes=3, input_side=8, channels=2):
     """conv/bn/pool backbone with a dense top, small enough for exact checks."""
     return M.ModelSpec(
@@ -81,13 +85,6 @@ class TestModelSpecValidation:
         with pytest.raises(ShapeError):
             M.ModelSpec((4, 4, 1), (M.dense_spec("d", 2, "none"),), 0)
 
-    def test_layer_lookup(self):
-        spec = tiny_spec()
-        assert spec.layer("fc").units == 6
-        assert spec.index_of("p1") == 2
-        with pytest.raises(UnknownLayerError):
-            spec.layer("nope")
-
 
 class TestInferShapes:
     def test_flatten_only(self):
@@ -117,11 +114,27 @@ class TestParamStore:
         store = M.ParamStore({"a": np.ones(3), "b": np.zeros((2, 2))})
         assert list(store.keys()) == ["a", "b"]
         assert "a" in store and "c" not in store
-        assert store.total_values() == 7
-        with pytest.raises(KeyError):
+        assert [arr.size for arr in store.values()] == [3, 4]
+        with pytest.raises(KeyError, match="no parameter named 'c'"):
             store["c"]
         with pytest.raises(TypeError):
             store["d"] = [1, 2, 3]
+
+    def test_every_store_path_checks_for_arrays(self):
+        with pytest.raises(TypeError):
+            M.ParamStore({"a": np.ones(2), "b": [1.0, 2.0]})
+        store = M.ParamStore({"a": np.ones(2)})
+        with pytest.raises(TypeError):
+            store.update({"b": 3.0})
+        with pytest.raises(TypeError):
+            store.update(b=3.0)
+        with pytest.raises(TypeError):
+            store.setdefault("b", [3.0])
+        with pytest.raises(TypeError):
+            store |= {"b": 3.0}
+        assert list(store) == ["a"]
+        store.setdefault("b", np.zeros(1))
+        assert list(store) == ["a", "b"]
 
     def test_copy_is_deep(self):
         store = M.ParamStore({"a": np.ones(3)})
@@ -133,8 +146,12 @@ class TestParamStore:
         a = M.ParamStore({"x": np.arange(4.0)})
         b = M.ParamStore({"x": np.arange(4.0)})
         c = M.ParamStore({"x": np.arange(4.0) + 1})
-        assert a == b
-        assert a != c
+        assert a == b and not a != b
+        assert a != c and not a == c
+        assert a != M.ParamStore({"y": np.arange(4.0)})
+        assert a != M.ParamStore({"x": np.arange(5.0)})  # shapes differ: unequal, no raise
+        assert M.ParamStore(x=a["x"], y=c["x"]) != M.ParamStore(y=c["x"], x=a["x"])  # order
+        assert a != {"x": np.arange(4.0)}
 
 
 class TestParamShapesAndInit:
@@ -266,7 +283,7 @@ class TestCaptureActivations:
         x = Tensor4(np.random.default_rng(7).normal(size=(2, 8, 8, 2)).astype(np.float32))
         caps = M.capture_activations(spec, params, x, ["p1"])
         resumed = caps["p1"]
-        for layer in spec.layers[spec.index_of("p1") + 1:]:
+        for layer in spec.layers[[layer.name for layer in spec.layers].index("p1") + 1:]:
             resumed, _ = M.apply_layer(layer, params, resumed)
         np.testing.assert_array_equal(resumed.data, M.forward(spec, params, x).data)
 
@@ -305,13 +322,14 @@ class TestBuildPureFoodNet:
     def test_top_boundary_at_flatten(self):
         spec = M.build_purefoodnet(8, width_scale=0.125, input_side=32)
         assert spec.layers[spec.top_boundary].kind == "flatten"
-        assert all(l.kind in ("conv", "batchnorm", "pool") for l in spec.backbone_layers)
+        backbone = spec.layers[:spec.top_boundary]
+        assert all(l.kind in ("conv", "batchnorm", "pool") for l in backbone)
 
     def test_width_scaling(self):
         spec = M.build_purefoodnet(8, width_scale=0.125, input_side=32)
         convs = [l.filters for l in spec.layers if l.kind == "conv"]
         assert convs == [16, 16, 32, 32, 32, 64, 64, 64]
-        assert spec.layer("fc1").units == 64
+        assert layer_named(spec, "fc1").units == 64
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -341,7 +359,7 @@ class TestBuildPureFoodNet:
             + (4 * 4 * 64) * 64 + 64   # dense 4x4x64 -> 64
             + 64 * 8 + 8               # predictor
         )
-        assert params.total_values() == expected
+        assert sum(arr.size for arr in params.values()) == expected
 
 
 class TestTransferSurgery:
@@ -388,7 +406,7 @@ class TestTransferSurgery:
         spec = M.build_purefoodnet(4, width_scale=0.0625, input_side=16)
         params = M.init_params(spec, seed=14)
         new_spec, new_params = M.attach_head(spec, params, new_num_classes=4,
-                                             units=spec.layer("fc1").units, seed=15)
+                                             units=layer_named(spec, "fc1").units, seed=15)
         x = Tensor4(np.random.default_rng(16).normal(size=(2, 16, 16, 3)).astype(np.float32))
         boundary = spec.layers[spec.top_boundary - 1].name
         a = M.capture_activations(spec, params, x, [boundary])[boundary]
@@ -400,11 +418,11 @@ class TestSetTrainable:
     def test_flags_flip(self):
         spec = tiny_spec()
         frozen = M.set_trainable(spec, ["c1", "bn1"], False)
-        assert not frozen.layer("c1").trainable
-        assert not frozen.layer("bn1").trainable
-        assert frozen.layer("fc").trainable
+        assert not layer_named(frozen, "c1").trainable
+        assert not layer_named(frozen, "bn1").trainable
+        assert layer_named(frozen, "fc").trainable
         thawed = M.set_trainable(frozen, ["c1"], True)
-        assert thawed.layer("c1").trainable
+        assert layer_named(thawed, "c1").trainable
 
     def test_unknown_name(self):
         with pytest.raises(UnknownLayerError):

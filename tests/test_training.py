@@ -53,29 +53,29 @@ def assert_grads_close(analytic, numeric):
 
 class TestGlorotInit:
     def test_deterministic(self):
-        a = T.glorot_init((5, 7), np.random.default_rng(3))
-        b = T.glorot_init((5, 7), np.random.default_rng(3))
+        a = M.glorot_init((5, 7), np.random.default_rng(3))
+        b = M.glorot_init((5, 7), np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
     def test_bounds_dense(self):
-        w = T.glorot_init((30, 50), np.random.default_rng(5))
+        w = M.glorot_init((30, 50), np.random.default_rng(5))
         bound = math.sqrt(6.0 / 80)
         assert np.abs(w).max() <= bound
 
     def test_bounds_conv(self):
-        w = T.glorot_init((8, 3, 3, 4), np.random.default_rng(7))
+        w = M.glorot_init((8, 3, 3, 4), np.random.default_rng(7))
         bound = math.sqrt(6.0 / (9 * 4 + 9 * 8))
         assert np.abs(w).max() <= bound
 
     def test_variance_moment(self):
-        w = T.glorot_init((100, 100), np.random.default_rng(11))
+        w = M.glorot_init((100, 100), np.random.default_rng(11))
         # Uniform on +-b has variance b^2/3 = 2 / (fan_in + fan_out).
         want = 2.0 / 200
         assert abs(w.var() - want) / want < 0.10
 
     def test_rejects_odd_rank(self):
         with pytest.raises(ShapeError):
-            T.glorot_init((3, 3, 3), np.random.default_rng(0))
+            M.glorot_init((3, 3, 3), np.random.default_rng(0))
 
 
 class TestCrossEntropy:
