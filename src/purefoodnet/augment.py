@@ -97,6 +97,10 @@ def random_crop(image, fraction: float, rng: np.random.Generator) -> np.ndarray:
 def _sample_bilinear_zero(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Bilinear lookup at fractional (rows, cols); out-of-bounds reads 0."""
     h, w, c = img.shape
+    # Past one pixel out of frame every corner reads 0; clamping there keeps
+    # any shear's coordinates within int64.
+    rows = np.clip(rows, -1, h)
+    cols = np.clip(cols, -1, w)
     r0 = np.floor(rows).astype(np.int64)
     c0 = np.floor(cols).astype(np.int64)
     tr = (rows - r0)[..., None]

@@ -99,7 +99,6 @@ class RunConfig:
     seed: int = _setting(0, _parse_int)
     input_side: int = _setting(224, _parse_int)
     width_scale: float = _setting(1.0, _parse_float)
-    num_classes: int = _setting(None, _parse_int)
     head_units: int = _setting(512, _parse_int)
     dropout_rate: float = _setting(0.5, _parse_float)
     split_ratios: tuple = _setting((0.8, 0.1, 0.1), _comma_tuple(_parse_float, "train,val,test"))
@@ -215,7 +214,7 @@ def _model_input_side(spec: models.ModelSpec) -> int:
 
 def _resolve_spec(cfg: RunConfig, n_classes: int) -> models.ModelSpec:
     if cfg.model == "purefoodnet":
-        return models.build_purefoodnet(cfg.num_classes or n_classes,
+        return models.build_purefoodnet(n_classes,
                                         width_scale=cfg.width_scale,
                                         input_side=cfg.input_side,
                                         dropout_rate=cfg.dropout_rate)
@@ -280,14 +279,12 @@ def cmd_finetune(args) -> int:
     base_spec = models.load_model_spec(args.base_spec)
     base_params = models.load_weights(args.base_weights, base_spec)
     manifest = _resolve_manifest(cfg)
-    new_classes = cfg.num_classes or len(manifest.classes)
-    backbone_spec, backbone_params = models.strip_top_layers(base_spec, base_params)
-    spec, params = models.attach_head(backbone_spec, backbone_params, new_classes,
+    spec, params = models.attach_head(base_spec, base_params, len(manifest.classes),
                                       units=cfg.head_units,
                                       dropout_rate=cfg.dropout_rate,
                                       seed=derive_seed(cfg.seed, "head"))
     if args.freeze_backbone:
-        frozen = [layer.name for layer in backbone_spec.layers]
+        frozen = [layer.name for layer in spec.layers[:spec.top_boundary]]
         spec = models.set_trainable(spec, frozen, False)
         print(f"froze {len(frozen)} backbone layers")
     return _train_and_write(cfg, spec, params, manifest)
@@ -423,14 +420,17 @@ def cmd_dump_batch(args) -> int:
 
 def cmd_augment_preview(args) -> int:
     cfg = _resolve_config(args)
-    out_dir = _ensure_out_dir(args.out_dir)
-    image = dataio.load_image(args.image).pixels
+    count = _parse_int(args.count)
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
     policy = cfg.policy()
+    image = dataio.load_image(args.image).pixels
+    out_dir = _ensure_out_dir(args.out_dir)
     dataio.save_image(os.path.join(out_dir, "before.ppm"), image)
-    for i in range(int(args.count)):
+    for i in range(count):
         out = apply_policy(image, policy, policy_rng(policy, i))
         dataio.save_image(os.path.join(out_dir, f"after_{i}.ppm"), out)
-    print(f"wrote 1 original + {args.count} augmented previews to {out_dir}")
+    print(f"wrote 1 original + {count} augmented previews to {out_dir}")
     return 0
 
 

@@ -17,7 +17,7 @@ from .augment import AugmentPolicy, apply_policy, bilinear_resize, policy_rng
 from .errors import DataError, DataFormatError, ShapeError
 from .evaluation import one_hot_matrix
 from .seeding import derive_seed
-from .tensor import Tensor4, atomic_write_bytes, decode_utf8
+from .tensor import Tensor4, atomic_write_bytes, check_round_trip, decode_utf8
 
 __all__ = [
     "DatasetManifest",
@@ -331,27 +331,18 @@ def manifest_to_text(manifest: DatasetManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plain_int(token: str) -> int:
-    """token as an int when it is spelled as str(int) spells it; int() alone
-    also takes "+1", " 1", "01" and "1_0"."""
-    value = int(token)
-    if str(value) != token:
-        raise ValueError(token)
-    return value
-
-
 def manifest_from_text(text: str) -> DatasetManifest:
     """The manifest `manifest_to_text` wrote as `text`: one root line, one
-    seed line, the class lines in index order, then the records. Blank lines
-    and whitespace around the root, seed and class lines are ignored; any
-    other text raises DataFormatError."""
+    seed line, the class lines, then the records. Blank lines and whitespace
+    around the root, seed and class lines are ignored; any other text than
+    the writer's raises DataFormatError naming the line."""
     lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
              if raw.strip()]
     head = [raw.strip() for _, raw in lines[:2]]
     if len(head) < 2 or not head[0].startswith("root ") or not head[1].startswith("seed "):
         raise DataFormatError("manifest must start with one root line and one seed line")
     try:
-        seed = _plain_int(head[1][5:])
+        seed = int(head[1][5:])
     except ValueError:
         raise DataFormatError(f"line {lines[1][0]}: bad seed {head[1][5:]!r}") from None
     classes = []
@@ -360,19 +351,21 @@ def manifest_from_text(text: str) -> DatasetManifest:
         line = raw.strip()
         try:
             if line.startswith("class ") and not records:
-                _, idx, name = line.split(" ", 2)
-                if _plain_int(idx) != len(classes):
-                    raise DataFormatError(f"line {lineno}: class index {idx} out of order")
+                _, _, name = line.split(" ", 2)
                 classes.append(name)
             else:
                 split, idx, path = raw.split("\t")
-                records.append(ManifestRecord(path, _plain_int(idx), split))
+                records.append(ManifestRecord(path, int(idx), split))
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: cannot parse {raw!r}") from exc
     try:
-        return DatasetManifest(head[0][5:], seed, tuple(classes), tuple(records))
+        manifest = DatasetManifest(head[0][5:], seed, tuple(classes), tuple(records))
     except DataError as exc:
         raise DataFormatError(str(exc)) from exc
+    header = 2 + len(classes)  # the lines read stripped
+    check_round_trip([(lineno, raw.strip() if i < header else raw)
+                      for i, (lineno, raw) in enumerate(lines)], manifest_to_text(manifest))
+    return manifest
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:

@@ -39,6 +39,7 @@ from .tensor import (
     ConvGeometry,
     Tensor4,
     atomic_write_bytes,
+    check_round_trip,
     conv_output_size,
     decode_utf8,
     pft1_encode,
@@ -88,6 +89,8 @@ class LayerSpec:
                 raise ValueError(f"layer {self.name!r} ({self.kind}) is missing {f.name}")
             if f.name not in kind.keys and v is not None:
                 raise ValueError(f"layer {self.name!r} ({self.kind}) does not take {f.name}")
+        if self.rate is not None:  # so the text form spells it as its reader returns it
+            object.__setattr__(self, "rate", float(self.rate))
         if not kind.valid(self):
             values = ", ".join(f"{key}={getattr(self, key)!r}" for key in kind.keys)
             raise ValueError(f"layer {self.name!r} ({self.kind}): invalid {values}")
@@ -462,16 +465,20 @@ def build_purefoodnet(num_classes: int, width_scale: float = 1.0,
             specs.append(conv_spec(f"block{block}_conv{j}", filters))
             specs.append(batchnorm_spec(f"block{block}_bn{j}"))
         specs.append(pool_spec(f"block{block}_pool"))
-    top_boundary = len(specs)
     dense_width = round(PUREFOODNET_DENSE_WIDTH * width_scale)
     if dense_width < 1:
         raise ValueError(f"width_scale {width_scale} collapses the dense layer to 0 units")
-    specs.append(flatten_spec("flatten"))
-    specs.append(dense_spec("fc1", dense_width, activation="relu"))
-    specs.append(dropout_spec("fc1_drop", dropout_rate))
-    specs.append(dense_spec("predictor", num_classes, activation="softmax"))
     return ModelSpec(input_shape=(input_side, input_side, 3),
-                     layers=tuple(specs), top_boundary=top_boundary)
+                     layers=(*specs, *_classification_top(dense_width, dropout_rate, num_classes)),
+                     top_boundary=len(specs))
+
+
+def _classification_top(units: int, dropout_rate: float, num_classes: int) -> tuple:
+    """flatten -> dense(units, ReLU) -> dropout -> softmax predictor."""
+    return (flatten_spec("flatten"),
+            dense_spec("fc1", units, activation="relu"),
+            dropout_spec("fc1_drop", dropout_rate),
+            dense_spec("predictor", num_classes, activation="softmax"))
 
 
 def strip_top_layers(spec: ModelSpec, params: ParamStore) -> tuple[ModelSpec, ParamStore]:
@@ -498,19 +505,14 @@ def attach_head(spec: ModelSpec, params: ParamStore, new_num_classes: int,
     if new_num_classes < 2:
         raise ValueError(f"new_num_classes must be >= 2, got {new_num_classes}")
     backbone, backbone_params = strip_top_layers(spec, params)
-    head = (flatten_spec("flatten"),
-            dense_spec("fc1", units, activation="relu"),
-            dropout_spec("fc1_drop", dropout_rate),
-            dense_spec("predictor", new_num_classes, activation="softmax"))
     new_spec = ModelSpec(input_shape=backbone.input_shape,
-                         layers=backbone.layers + head,
+                         layers=(*backbone.layers,
+                                 *_classification_top(units, dropout_rate, new_num_classes)),
                          top_boundary=len(backbone.layers))
     dtype = next(iter(backbone_params.values())).dtype if len(backbone_params) else np.float32
-    fresh = init_params(new_spec, seed=seed, dtype=dtype)
-    merged = ParamStore()
-    for name in param_shapes(new_spec):
-        merged[name] = backbone_params[name] if name in backbone_params else fresh[name]
-    return new_spec, merged
+    new_params = init_params(new_spec, seed=seed, dtype=dtype)
+    new_params |= backbone_params  # replaces values in place, so the order stays
+    return new_spec, new_params
 
 
 def set_trainable(spec: ModelSpec, layer_names, flag: bool) -> ModelSpec:
@@ -558,53 +560,50 @@ def spec_digest(spec: ModelSpec) -> bytes:
     return hashlib.sha256(_spec_text(spec, include_trainable=False).encode("utf-8")).digest()
 
 
-_INT_KEYS = {"filters", "kernel", "stride", "padding", "window", "units"}
-_FLOAT_KEYS = {"rate"}
+# Each layer key's reader, int unless listed; the round trip checks the spelling.
+_VALUE_READERS = {"trainable": lambda raw: raw == "true", "rate": float,
+                  "activation": str, "mode": str}
+_LAYER_KEYS = {f.name for f in dataclasses.fields(LayerSpec)[2:]}
 
 
 def parse_model_spec(text: str) -> ModelSpec:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if len(lines) < 2 or not lines[0].startswith("input ") or not lines[1].startswith("top "):
+    """The spec `model_spec_text` wrote as `text`. Blank lines and whitespace
+    around and between tokens are ignored; any other text than the writer's
+    raises DataFormatError naming the line."""
+    lines = [(lineno, " ".join(raw.split()))
+             for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
+    heads = [line for _, line in lines[:2]]
+    if len(heads) < 2 or not heads[0].startswith("input ") or not heads[1].startswith("top "):
         raise DataFormatError("model spec must start with 'input h w c' and 'top n' lines")
     try:
-        h, w, c = (int(tok) for tok in lines[0].split()[1:])
-        top_boundary = int(lines[1].split()[1])
-    except (ValueError, IndexError):
-        raise DataFormatError(f"bad model spec header: {lines[0]!r} / {lines[1]!r}") from None
+        h, w, c = (int(tok) for tok in heads[0].split()[1:])
+        top_boundary = int(heads[1].split()[1])
+    except ValueError:
+        raise DataFormatError(f"bad model spec header: {heads[0]!r} / {heads[1]!r}") from None
     layer_specs = []
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in lines[2:]:
         tokens = line.split()
         if len(tokens) < 2:
             raise DataFormatError(f"line {lineno}: expected 'name kind ...', got {line!r}")
-        name, kind = tokens[0], tokens[1]
-        fields: dict = {"name": name, "kind": kind}
+        fields: dict = {"name": tokens[0], "kind": tokens[1]}
         for token in tokens[2:]:
             key, sep, raw = token.partition("=")
-            if not sep:
-                raise DataFormatError(f"line {lineno}: expected key=value, got {token!r}")
+            if not sep or key not in _LAYER_KEYS:
+                raise DataFormatError(f"line {lineno}: expected layer key=value, got {token!r}")
             try:
-                if key == "trainable":
-                    if raw not in ("true", "false"):
-                        raise ValueError(raw)
-                    fields[key] = raw == "true"
-                elif key in _INT_KEYS:
-                    fields[key] = int(raw)
-                elif key in _FLOAT_KEYS:
-                    fields[key] = float(raw)
-                elif key in ("activation", "mode"):
-                    fields[key] = raw
-                else:
-                    raise DataFormatError(f"line {lineno}: unknown key {key!r}")
+                fields[key] = _VALUE_READERS.get(key, int)(raw)
             except ValueError:
                 raise DataFormatError(f"line {lineno}: bad value for {key}: {raw!r}") from None
         try:
             layer_specs.append(LayerSpec(**fields))
-        except (ValueError, TypeError, UnknownLayerError, GeometryError) as e:
+        except (ValueError, UnknownLayerError, GeometryError) as e:
             raise DataFormatError(f"line {lineno}: {e}") from None
     try:
-        return ModelSpec((h, w, c), tuple(layer_specs), top_boundary)
+        spec = ModelSpec((h, w, c), tuple(layer_specs), top_boundary)
     except (ValueError, GeometryError, ShapeError) as e:
         raise DataFormatError(f"invalid model spec: {e}") from None
+    check_round_trip(lines, model_spec_text(spec))
+    return spec
 
 
 def save_model_spec(path, spec: ModelSpec) -> None:

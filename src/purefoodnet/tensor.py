@@ -227,6 +227,14 @@ def decode_utf8(blob: bytes, what: str) -> str:
         raise DataFormatError(f"{what} is not valid UTF-8 (byte {exc.start})") from None
 
 
+def check_round_trip(lines, written: str) -> None:
+    """Raise DataFormatError at the first (line number, text) pair of `lines`
+    whose text is not its line of `written`, the writer's text for them."""
+    for (lineno, line), want in zip(lines, written.splitlines(), strict=True):
+        if line != want:
+            raise DataFormatError(f"line {lineno}: expected {want!r}, got {line!r}")
+
+
 _temp_ids = itertools.count()
 
 

@@ -12,7 +12,6 @@ theta <- theta + v.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import layers as L
 from . import models as M
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from .seeding import make_rng
-from .tensor import Tensor4, all_finite, atomic_write_bytes, decode_utf8
+from .tensor import Tensor4, all_finite, atomic_write_bytes, check_round_trip, decode_utf8
 
 GradStore = dict[str, np.ndarray]
 
@@ -512,12 +511,6 @@ def history_to_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Numbers as a CSV writer spells them: int() and float() would also take
-# spaces, `_` digit separators ("1_0" is 10) and "infinity".
-_CSV_INT = re.compile(r"[0-9]+")
-_CSV_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?|nan")
-
-
 def _history_row_faults(row: EpochStats, epoch: int) -> list[str]:
     """Why `train` could not have written `row` as its epoch-th row. Any
     comparison with NaN is false, so NaN passes only where both validation
@@ -535,19 +528,19 @@ def _history_row_faults(row: EpochStats, epoch: int) -> list[str]:
 
 
 def history_from_csv(text: str) -> list[EpochStats]:
-    """The epochs of a history CSV; a row `train` could not have written
-    raises DataFormatError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != HISTORY_HEADER:
+    """The epochs of the history CSV `history_to_csv` wrote as `text`; blank
+    lines are ignored. A row `train` could not have written, or any other
+    text than the writer's, raises DataFormatError naming the line."""
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
+    if not lines or lines[0][1] != HISTORY_HEADER:
         raise DataFormatError(f"history CSV must start with {HISTORY_HEADER!r}")
     out = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise DataFormatError(f"line {lineno}: expected 6 columns, got {len(parts)}")
         try:
-            if not (_CSV_INT.fullmatch(parts[0]) and all(map(_CSV_FLOAT.fullmatch, parts[1:]))):
-                raise ValueError(line)
             row = EpochStats(int(parts[0]), *(float(p) for p in parts[1:]))
         except ValueError:  # int() also refuses more than 4300 digits
             raise DataFormatError(f"line {lineno}: bad number in {line!r}") from None
@@ -555,6 +548,7 @@ def history_from_csv(text: str) -> list[EpochStats]:
         if faults:
             raise DataFormatError(f"line {lineno}: {'; '.join(faults)}")
         out.append(row)
+    check_round_trip(lines, history_to_csv(out))
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ class TestTilt:
     def test_shape_preserved(self):
         img = random_image(21, h=8, w=5)
         assert A.tilt(img, 0.3).shape == img.shape
+
+    def test_any_finite_shear_samples_without_overflow(self):
+        # A shear of 1e300 moves every row of a 4-row image (offsets +-0.5,
+        # +-1.5) far out of frame; its source columns once overflowed int64.
+        policy = A.AugmentPolicy(tilt_range=(-1e300, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = A.apply_policy(random_image(22, h=4, w=4), policy, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, np.zeros((4, 4, 3)))
 
 
 class TestColorShift:

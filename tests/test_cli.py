@@ -141,7 +141,7 @@ class TestTrain:
 
     def test_each_setting_has_one_flag_and_one_config_key(self, tmp_path):
         names = [f.name for f in dataclasses.fields(cli.RunConfig)]
-        assert len(names) == 28
+        assert len(names) == 27
         commands = next(action for action in cli._build_parser()._actions
                         if isinstance(action, argparse._SubParsersAction))
         for command in ("train", "finetune"):
@@ -157,6 +157,17 @@ class TestTrain:
         assert list(cli._read_config_file(config)) == names
         assert list(cli._CONVERTERS) == names
         assert cli._AUG_KEYS == tuple(name for name in names if name.startswith("aug_"))
+
+    def test_class_count_comes_from_the_manifest_only(self, tmp_path):
+        data = make_dataset(tmp_path / "data", classes=3, per_class=4)
+        out = tmp_path / "run"
+        small = ["--dataset-root", str(data), "--width-scale", "0.0625", "--input-side", "8",
+                 "--epochs", "1", "--out-dir", str(out)]
+        assert main(["train", "--num-classes", "5", *small]) == 2
+        config = tmp_path / "classes.cfg"
+        config.write_text("num_classes = 3\n")
+        assert main(["train", "--config", str(config), *small]) == 2
+        assert not out.exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         data = make_dataset(tmp_path / "data")
@@ -632,6 +643,16 @@ class TestAugmentPreview:
         before = D.load_image(dest_a / "before.ppm").pixels
         after = D.load_image(dest_a / "after_0.ppm").pixels
         assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("count, message", [("-1", "count must be >= 0"),
+                                                ("two", "expected an integer")])
+    def test_bad_count_exits_2_before_writing(self, trained_run, capsys, count, message):
+        image = next(iter((trained_run["data"] / "food_0").iterdir()))
+        dest = trained_run["tmp"] / "prev_bad"
+        assert main(["augment", "preview", "--image", str(image), "--count", count,
+                     "--out-dir", str(dest)]) == 2
+        assert message in capsys.readouterr().err
+        assert not dest.exists()
 
 
 class TestFinetune:
