@@ -13,7 +13,7 @@ outside the source image read as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,13 +244,8 @@ class AugmentPolicy:
 
     @property
     def is_identity(self) -> bool:
-        return (self.flip_probability == 0.0
-                and self.crop_fraction_range == (1.0, 1.0)
-                and self.tilt_range == (0.0, 0.0)
-                and self.color_shift_magnitude == 0.0
-                and self.rotation_range == (0.0, 0.0)
-                and self.noise_sigma == 0.0
-                and self.contrast_range == (1.0, 1.0))
+        """Whether every op is disabled: the defaults, whatever the seed."""
+        return replace(self, seed=0) == AugmentPolicy()
 
 
 def policy_rng(policy: AugmentPolicy, image_index: int) -> np.random.Generator:

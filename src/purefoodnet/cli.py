@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -75,28 +75,30 @@ def _setting(default, parse):
 
 
 _PAIR = _comma_tuple(_parse_float, "low,high")
+_TRAIN = training.TrainConfig  # the training settings' defaults and checks
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for the training-style commands. Each field is one
     setting: its flag (`--out-dir` for out_dir) and config-file key are its
-    name, and `_setting` gives its default and parser."""
+    name, and `_setting` gives its default and parser. The training settings
+    take their defaults from `training.TrainConfig`, which also checks them."""
 
     model: str = _setting("purefoodnet", str)
     dataset_root: str = _setting(None, str)
     manifest: str = _setting(None, str)
     out_dir: str = _setting("run", str)
-    epochs: int = _setting(50, _parse_int)
-    batch_size: int = _setting(32, _parse_int)
-    learning_rate: float = _setting(0.01, _parse_float)
-    momentum: float = _setting(0.9, _parse_float)
-    decay_factor: float = _setting(0.5, _parse_float)
-    decay_interval: int = _setting(20, _parse_int)
-    patience: int = _setting(5, _or_none(_parse_int))
-    l2_strength: float = _setting(0.0, _parse_float)
-    l1_strength: float = _setting(0.0, _parse_float)
-    seed: int = _setting(0, _parse_int)
+    epochs: int = _setting(_TRAIN.epochs, _parse_int)
+    batch_size: int = _setting(_TRAIN.batch_size, _parse_int)
+    learning_rate: float = _setting(_TRAIN.learning_rate, _parse_float)
+    momentum: float = _setting(_TRAIN.momentum, _parse_float)
+    decay_factor: float = _setting(_TRAIN.decay_factor, _parse_float)
+    decay_interval: int = _setting(_TRAIN.decay_interval, _parse_int)
+    patience: int = _setting(_TRAIN.patience, _or_none(_parse_int))
+    l2_strength: float = _setting(_TRAIN.l2_strength, _parse_float)
+    l1_strength: float = _setting(_TRAIN.l1_strength, _parse_float)
+    seed: int = _setting(_TRAIN.seed, _parse_int)
     input_side: int = _setting(224, _parse_int)
     width_scale: float = _setting(1.0, _parse_float)
     head_units: int = _setting(512, _parse_int)
@@ -112,8 +114,6 @@ class RunConfig:
     aug_contrast: tuple = _setting((1.0, 1.0), _PAIR)
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not self.out_dir:
             raise ConfigError("out_dir must be non-empty")
 
@@ -128,14 +128,11 @@ class RunConfig:
                              seed=derive_seed(self.seed, "augment"))
 
     def train_config(self, patience) -> training.TrainConfig:
-        """The settings `training.train` takes; `patience` is None without a
-        validation split."""
-        return training.TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                                    learning_rate=self.learning_rate, momentum=self.momentum,
-                                    decay_factor=self.decay_factor,
-                                    decay_interval=self.decay_interval, patience=patience,
-                                    l2_strength=self.l2_strength,
-                                    l1_strength=self.l1_strength, seed=self.seed)
+        """The checked settings `training.train` takes, with `patience` (None
+        without a validation split) in place of this config's own, which is
+        checked all the same."""
+        config = _TRAIN(**{f.name: getattr(self, f.name) for f in fields(_TRAIN)})
+        return replace(config, patience=patience)
 
 
 _CONVERTERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
@@ -222,6 +219,8 @@ def _resolve_spec(cfg: RunConfig, n_classes: int) -> models.ModelSpec:
 
 
 def _batch_sources(cfg: RunConfig, manifest, side):
+    if not manifest.split_records("train"):
+        raise DataError("split 'train' has no records")
     policy = cfg.policy()
     store = dataio.PackedStore()  # every epoch and validation pass reuses it
 
@@ -230,33 +229,27 @@ def _batch_sources(cfg: RunConfig, manifest, side):
                                      seed=derive_seed(cfg.seed, "shuffle", epoch),
                                      policy=policy, store=store)
 
-    has_val = any(r.split == "val" for r in manifest.records)
-    if not has_val:
-        return train_source, None, None
+    if not manifest.split_records("val"):
+        return train_source, None
 
     def val_source():
         return dataio.batch_iterator(manifest, "val", cfg.batch_size, side, store=store)
 
-    return train_source, val_source, cfg.patience
+    return train_source, val_source
 
 
 def _train_and_write(cfg: RunConfig, spec, params, manifest) -> int:
     side = _model_input_side(spec)
-    train_source, val_source, patience = _batch_sources(cfg, manifest, side)
-    out_dir = _ensure_out_dir(cfg.out_dir)  # after the augmentation settings are checked
-    if cfg.epochs == 0:
-        history = []
-    else:
-        result = training.train(spec, params, train_source, val_source,
-                                cfg.train_config(patience))
-        params = result.params
-        history = result.history
-        print(f"trained {len(history)} epochs; best epoch {result.best_epoch}"
-              f" (val top1 {result.best_val_top1!r})"
-              f"{' [early stop]' if result.stopped_early else ''}")
+    train_source, val_source = _batch_sources(cfg, manifest, side)
+    config = cfg.train_config(None if val_source is None else cfg.patience)
+    out_dir = _ensure_out_dir(cfg.out_dir)  # after every setting is checked
+    result = training.train(spec, params, train_source, val_source, config)
+    print(f"trained {len(result.history)} epochs; best epoch {result.best_epoch}"
+          f" (val top1 {result.best_val_top1!r})"
+          f"{' [early stop]' if result.stopped_early else ''}")
     models.save_model_spec(os.path.join(out_dir, "model.spec"), spec)
-    models.save_weights(os.path.join(out_dir, "weights.pfw"), spec, params)
-    training.write_history_csv(os.path.join(out_dir, "history.csv"), history)
+    models.save_weights(os.path.join(out_dir, "weights.pfw"), spec, result.params)
+    training.write_history_csv(os.path.join(out_dir, "history.csv"), result.history)
     dataio.save_manifest(os.path.join(out_dir, "manifest.txt"), manifest)
     print(f"artifacts written to {out_dir}")
     return 0

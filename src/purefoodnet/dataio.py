@@ -204,6 +204,12 @@ def pack_image(image, target_side: int) -> np.ndarray:
 # Manifests
 
 
+def _one_line(text: str) -> bool:
+    """Whether `text` is non-empty and holds no character `str.splitlines`
+    breaks at, so that a manifest line can carry it."""
+    return text.splitlines() == [text]
+
+
 @dataclass(frozen=True)
 class ManifestRecord:
     path: str
@@ -213,7 +219,7 @@ class ManifestRecord:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise DataFormatError(f"unknown split {self.split!r}")
-        if "\t" in self.path or "\n" in self.path or not self.path:
+        if "\t" in self.path or not _one_line(self.path):
             raise DataFormatError(f"bad record path {self.path!r}")
 
 
@@ -229,8 +235,11 @@ class DatasetManifest:
         object.__setattr__(self, "records", tuple(self.records))
         if len(set(self.classes)) != len(self.classes):
             raise DataError("duplicate class names")
+        # The root and class lines are read back stripped; a class name is one word.
+        if self.root.strip() != self.root or not _one_line(self.root):
+            raise DataError(f"bad dataset root {self.root!r}")
         for name in self.classes:
-            if not name or any(ch in name for ch in " \t\n"):
+            if name.split() != [name]:
                 raise DataError(f"bad class name {name!r}")
         seen = set()
         for rec in self.records:

@@ -17,6 +17,7 @@ from .tensor import Tensor4
 __all__ = [
     "EvalReport",
     "PredictionBatch",
+    "check_one_hot",
     "evaluate",
     "one_hot_encode",
     "one_hot_matrix",
@@ -45,14 +46,19 @@ def one_hot_matrix(indices, n: int) -> np.ndarray:
         np.zeros((0, n), dtype=np.float64)
 
 
+def check_one_hot(rows: np.ndarray) -> None:
+    """Raise ValueError unless every row is 0 except for a single 1."""
+    if not (np.isin(rows, (0.0, 1.0)).all() and (rows.sum(axis=1) == 1).all()):
+        raise ValueError("labels must be one-hot rows (exactly one 1, rest 0)")
+
+
 def _truth_indices(labels, n_classes: int) -> np.ndarray:
     """Accept truth as class indices or as one-hot rows."""
     arr = np.asarray(labels)
     if arr.ndim == 2:
         if arr.shape[1] != n_classes:
             raise ShapeError(f"labels have {arr.shape[1]} columns, scores {n_classes}")
-        if not np.isin(arr, (0.0, 1.0)).all() or not (arr.sum(axis=1) == 1.0).all():
-            raise ValueError("malformed one-hot rows in labels")
+        check_one_hot(arr)
         return arr.argmax(axis=1).astype(np.int64)
     if arr.ndim == 1:
         return arr.astype(np.int64)

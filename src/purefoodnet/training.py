@@ -12,13 +12,14 @@ theta <- theta + v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers as L
 from . import models as M
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
+from .evaluation import check_one_hot
 from .seeding import make_rng
 from .tensor import Tensor4, all_finite, atomic_write_bytes, check_round_trip, decode_utf8
 
@@ -32,18 +33,13 @@ def _as_rows(x) -> np.ndarray:
     return arr.reshape(arr.shape[0], -1)
 
 
-def _check_one_hot(labels: np.ndarray):
-    if not (np.isin(labels, (0.0, 1.0)).all() and (labels.sum(axis=1) == 1).all()):
-        raise ValueError("labels must be one-hot rows (exactly one 1, rest 0)")
-
-
 def cross_entropy_loss(probs, labels) -> float:
     """Mean over the batch of -log(probability of the true class)."""
     p = _as_rows(probs)
     y = _as_rows(labels)
     if p.shape != y.shape:
         raise ShapeError(f"probs shape {p.shape} != labels shape {y.shape}")
-    _check_one_hot(y)
+    check_one_hot(y)
     true_p = (p * y).sum(axis=1)
     return float(-np.log(np.maximum(true_p, LOG_FLOOR)).mean())
 
@@ -236,88 +232,14 @@ def backward(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
 
 
 # ---------------------------------------------------------------------------
-# Optimizer.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OptimizerState:
-    """Nesterov-momentum SGD state with a step-decay learning-rate schedule."""
-
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    decay_factor: float = 0.5
-    decay_interval: int = 20
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:  # false for NaN too
-            raise ConfigError(
-                f"learning rate must be finite and positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ConfigError(f"decay factor must be in (0, 1], got {self.decay_factor}")
-        if self.decay_interval < 1:
-            raise ConfigError(f"decay interval must be >= 1, got {self.decay_interval}")
-
-
-def scheduled_lr(state: OptimizerState, epoch: int) -> float:
-    """Step decay: the base rate is multiplied by decay_factor once per
-    completed decay_interval. Epochs are 1-based."""
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
-    return state.learning_rate * state.decay_factor ** ((epoch - 1) // state.decay_interval)
-
-
-def lookahead_params(params: M.ParamStore, state: OptimizerState,
-                     trainable_names) -> M.ParamStore:
-    """The Nesterov evaluation point theta + mu*v.
-
-    Parameters without velocity (including running statistics and frozen
-    tensors) are shared by reference, so in-place stat updates during the
-    lookahead forward land in the caller's store.
-    """
-    shifted = M.ParamStore()
-    trainable = set(trainable_names)
-    for name, arr in params.items():
-        v = state.velocity.get(name)
-        if name in trainable and v is not None and state.momentum != 0.0:
-            shifted[name] = arr + state.momentum * v
-        else:
-            shifted[name] = arr
-    return shifted
-
-
-def sgd_nesterov_step(params: M.ParamStore, grads: GradStore,
-                      state: OptimizerState, lr: float) -> None:
-    """v <- mu*v - lr*grad; theta <- theta + v, applied in place.
-
-    `grads` must hold gradients evaluated at the lookahead point (see
-    `lookahead_params`); only parameters present in `grads` move.
-    """
-    for name, g in grads.items():
-        if not all_finite(g):
-            raise NonFiniteError(f"gradient for {name!r} is not finite")
-        if g.shape != params[name].shape:
-            raise ShapeError(
-                f"gradient for {name!r} has shape {g.shape}, parameter is {params[name].shape}"
-            )
-        v = state.velocity.get(name)
-        if v is None:
-            v = np.zeros_like(params[name])
-            state.velocity[name] = v
-        v *= state.momentum
-        v -= lr * g.astype(v.dtype, copy=False)
-        params[name] = params[name] + v
-
-
-# ---------------------------------------------------------------------------
-# Training loop.
+# Settings and optimizer.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 50
+    """Every training setting, with its default and its range check."""
+
+    epochs: int = 50  # 0 trains nothing
     batch_size: int = 32
     learning_rate: float = 0.01
     momentum: float = 0.9
@@ -329,17 +251,79 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if not 0 < self.learning_rate < math.inf:  # false for NaN too
+            raise ConfigError(
+                f"learning rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0.0 < self.decay_factor <= 1.0:
+            raise ConfigError(f"decay factor must be in (0, 1], got {self.decay_factor}")
+        if self.decay_interval < 1:
+            raise ConfigError(f"decay interval must be >= 1, got {self.decay_interval}")
         if self.patience is not None and self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if not (0 <= self.l2_strength < math.inf and 0 <= self.l1_strength < math.inf):
             raise ConfigError("penalty strengths must be finite and >= 0")
-        # The optimizer settings get the optimizer's own checks, before training.
-        OptimizerState(self.learning_rate, self.momentum, self.decay_factor, self.decay_interval)
 
+
+def scheduled_lr(config: TrainConfig, epoch: int) -> float:
+    """Step decay: the base rate is multiplied by decay_factor once per
+    completed decay_interval. Epochs are 1-based."""
+    if epoch < 1:
+        raise ValueError(f"epoch must be >= 1, got {epoch}")
+    return config.learning_rate * config.decay_factor ** ((epoch - 1) // config.decay_interval)
+
+
+def lookahead_params(params: M.ParamStore, velocity: GradStore, momentum: float,
+                     trainable_names) -> M.ParamStore:
+    """The Nesterov evaluation point theta + mu*v.
+
+    Parameters without velocity (including running statistics and frozen
+    tensors) are shared by reference, so in-place stat updates during the
+    lookahead forward land in the caller's store.
+    """
+    shifted = M.ParamStore()
+    trainable = set(trainable_names)
+    for name, arr in params.items():
+        v = velocity.get(name)
+        if name in trainable and v is not None and momentum != 0.0:
+            shifted[name] = arr + momentum * v
+        else:
+            shifted[name] = arr
+    return shifted
+
+
+def sgd_nesterov_step(params: M.ParamStore, grads: GradStore, velocity: GradStore,
+                      momentum: float, lr: float) -> None:
+    """v <- mu*v - lr*grad; theta <- theta + v, applied in place to `params`
+    and `velocity` (a parameter without velocity starts at zero).
+
+    `grads` must hold gradients evaluated at the lookahead point (see
+    `lookahead_params`); only parameters present in `grads` move.
+    """
+    for name, g in grads.items():
+        if not all_finite(g):
+            raise NonFiniteError(f"gradient for {name!r} is not finite")
+        if g.shape != params[name].shape:
+            raise ShapeError(
+                f"gradient for {name!r} has shape {g.shape}, parameter is {params[name].shape}"
+            )
+        v = velocity.get(name)
+        if v is None:
+            v = np.zeros_like(params[name])
+            velocity[name] = v
+        v *= momentum
+        v -= lr * g.astype(v.dtype, copy=False)
+        params[name] = params[name] + v
+
+
+# ---------------------------------------------------------------------------
+# Training loop.
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EpochStats:
@@ -440,23 +424,21 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     """
     if val_set is None and config.patience is not None:
         raise ConfigError("early stopping needs a validation set (or set patience=None)")
-    opt = OptimizerState(learning_rate=config.learning_rate, momentum=config.momentum,
-                         decay_factor=config.decay_factor,
-                         decay_interval=config.decay_interval)
+    velocity: GradStore = {}
     trainable = M.trainable_param_names(spec)
     stopper = EarlyStopState(patience=config.patience)
     history: list[EpochStats] = []
     stopped_early = False
 
     for epoch in range(1, config.epochs + 1):
-        lr = scheduled_lr(opt, epoch)
+        lr = scheduled_lr(config, epoch)
         loss_sum = 0.0
         hits = 0
         count = 0
         batch_index = 0
         for xb, yb in _batches(train_set, config, epoch):
             rng = make_rng(config.seed, "dropout", epoch, batch_index)
-            shifted = lookahead_params(params, opt, trainable)
+            shifted = lookahead_params(params, velocity, config.momentum, trainable)
             loss, grads, probs = loss_and_gradients(
                 spec, shifted, xb, yb,
                 l2_strength=config.l2_strength, l1_strength=config.l1_strength,
@@ -465,7 +447,7 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
             hits += _top1_hits(probs, _as_rows(yb))
             count += xb.i
             if grads:
-                sgd_nesterov_step(params, grads, opt, lr)
+                sgd_nesterov_step(params, grads, velocity, config.momentum, lr)
             batch_index += 1
         if count == 0:
             raise ConfigError("training set produced no batches")
@@ -485,15 +467,10 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
             stopped_early = True
             break
 
-    if stopper.snapshot is None:
-        best_params = params.copy()
-        best_epoch = history[-1].epoch
-        best_val = history[-1].val_top1
-    else:
-        best_params = stopper.snapshot
-        best_epoch = stopper.best_epoch
-        best_val = stopper.best_val_metric
-    return TrainResult(best_params, history, best_epoch, best_val, stopped_early)
+    if stopper.snapshot is None:  # no epochs, or no validation top-1 to rank them
+        return TrainResult(params.copy(), history, len(history), math.nan, stopped_early)
+    return TrainResult(stopper.snapshot, history, stopper.best_epoch,
+                       stopper.best_val_metric, stopped_early)
 
 
 # ---------------------------------------------------------------------------

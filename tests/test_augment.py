@@ -251,6 +251,8 @@ class TestPolicy:
     def test_defaults_are_identity(self):
         policy = A.AugmentPolicy()
         assert policy.is_identity
+        assert A.AugmentPolicy(tilt_range=(-0.0, 0.0), seed=9).is_identity
+        assert not A.AugmentPolicy(tilt_range=(-0.1, 0.0)).is_identity
         img = random_image(33)
         out = A.apply_policy(img, policy, np.random.default_rng(0))
         np.testing.assert_array_equal(out, img)

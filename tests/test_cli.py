@@ -230,6 +230,74 @@ class TestTrain:
         assert main(["--help"]) == 0
 
 
+# Each training setting out of its range, with a piece of the message naming it.
+OUT_OF_RANGE = [("batch_size", "0", "batch size"), ("learning_rate", "-1", "learning rate"),
+                ("momentum", "1", "momentum"), ("decay_factor", "0", "decay factor"),
+                ("decay_interval", "0", "decay interval"), ("patience", "-1", "patience"),
+                ("l2_strength", "-1", "penalty strengths")]
+SETTING_PROBES = ([({"epochs": epochs, key: value}, message)
+                   for epochs in ("0", "1") for key, value, message in OUT_OF_RANGE]
+                  + [({"epochs": "-1"}, "epochs must be >= 0")])
+
+
+@pytest.fixture(scope="module")
+def base_model(tmp_path_factory):
+    """A dataset and an untrained base model for train and finetune probes."""
+    root = tmp_path_factory.mktemp("probes")
+    make_dataset(root / "data")
+    spec = tiny_spec_file(root / "base.spec")
+    M.save_weights(root / "base.pfw", spec, M.init_params(spec, seed=1))
+    return root
+
+
+class TestSettingsCheckedBeforeAnyArtifact:
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    @pytest.mark.parametrize("ratios", ["0.5,0.25,0.25", "0.5,0,0.5"], ids=["val", "no-val"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("settings, message", SETTING_PROBES,
+                             ids=[",".join(f"{k}={v}" for k, v in probe.items())
+                                  for probe, _ in SETTING_PROBES])
+    def test_out_of_range_setting_exits_2_without_an_output_directory(
+            self, base_model, tmp_path, capsys, command, ratios, via, settings, message):
+        out = tmp_path / "run"
+        argv = [command, "--dataset-root", str(base_model / "data"), "--split-ratios", ratios,
+                "--out-dir", str(out)]
+        if command == "train":
+            argv += ["--model", str(base_model / "base.spec")]
+        else:
+            argv += ["--base-spec", str(base_model / "base.spec"),
+                     "--base-weights", str(base_model / "base.pfw"), "--head-units", "4"]
+        if via == "flag":
+            argv += [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+        else:
+            config = tmp_path / "settings.conf"
+            config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", ["0", "1"])
+    def test_empty_train_split_exits_3_without_an_output_directory(self, base_model, tmp_path,
+                                                                   capsys, epochs):
+        out = tmp_path / "run"
+        assert main(["train", "--model", str(base_model / "base.spec"),
+                     "--dataset-root", str(base_model / "data"), "--split-counts", "0,2,2",
+                     "--epochs", epochs, "--out-dir", str(out)]) == 3
+        assert "split 'train' has no records" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_root_the_manifest_cannot_carry_exits_3_without_an_output_directory(
+            self, tmp_path, capsys):
+        data = make_dataset(tmp_path / "food ")
+        spec_path = tmp_path / "tiny.spec"
+        tiny_spec_file(spec_path)
+        out = tmp_path / "run"
+        assert main(train_args(data, out, spec_path)) == 3
+        assert "bad dataset root" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEval:
     def test_matches_library_evaluate(self, trained_run, capsys):
         out = trained_run["out"]

@@ -320,6 +320,20 @@ class TestManifestSerialization:
         with pytest.raises(DataFormatError):
             D.manifest_from_text("root r\nseed 0\nclass 0 a\ntrain\tzero\tx.ppm\n")
 
+    @pytest.mark.parametrize("root", ["food ", " food", "food\t", "", "fo\nod", "food\u2028"])
+    def test_refuses_a_root_the_root_line_cannot_carry(self, root):
+        # The root line is read back stripped: 'root food ' would name 'food'.
+        with pytest.raises(DataError, match="bad dataset root"):
+            D.DatasetManifest(root, 0, ("a",), ())
+
+    @pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_refuses_every_line_break_in_a_path_or_class_name(self, char):
+        with pytest.raises(DataFormatError, match="bad record path"):
+            D.ManifestRecord(f"a/x{char}y.ppm", 0, "train")
+        with pytest.raises(DataError, match="bad class name"):
+            D.DatasetManifest("food", 0, (f"a{char}b",), ())
+
 
 class TestBatchIterator:
     def _setup(self, tmp_path, per_class=6, h=4, w=4):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,9 @@ class TestPredictionBatch:
             E.PredictionBatch(np.zeros((2, 3)), [0])
         with pytest.raises(ValueError):
             E.PredictionBatch(np.array([[np.nan, 0.0]]), [0])
+        message = re.escape("labels must be one-hot rows (exactly one 1, rest 0)")
+        with pytest.raises(ValueError, match=message):
+            E.PredictionBatch(np.eye(2), np.array([[0.5, 0.5], [1.0, 0.0]]))
 
     def test_frozen_arrays(self):
         batch = E.PredictionBatch(np.eye(2), [0, 1])

@@ -14,14 +14,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from purefoodnet import dataio as D
 from purefoodnet import models as M
 from purefoodnet import training as T
 from purefoodnet.cli import main
-from purefoodnet.errors import DataFormatError
+from purefoodnet.errors import DataError, DataFormatError
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -172,6 +172,25 @@ def manifests(draw):
 def test_manifests_round_trip(manifest):
     text = D.manifest_to_text(manifest)
     assert D.manifest_from_text(text) == manifest
+
+
+# Any code point, line breaks and whitespace included.
+ANY_TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=4)
+
+
+@PROPERTY
+@given(root=ANY_TEXT, name=ANY_TEXT, path=ANY_TEXT)
+@example(root="food ", name="a", path="a.ppm")
+@example(root="food", name="a\x85", path="a.ppm")
+@example(root="food", name="a", path="a/x\ry.ppm")
+@example(root="food", name="a", path="a/x\u2028y.ppm")
+@example(root="food", name="a", path=" a b ")
+def test_every_manifest_that_constructs_round_trips(root, name, path):
+    try:
+        manifest = D.DatasetManifest(root, 0, (name,), (D.ManifestRecord(path, 0, "train"),))
+    except (DataError, DataFormatError):
+        return
+    assert D.manifest_from_text(D.manifest_to_text(manifest)) == manifest
 
 
 FRACTION = st.one_of(st.just(-0.0), st.floats(0.0, 1.0))

@@ -5,6 +5,7 @@ computed here, independently of the engine's backward code.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,9 +111,10 @@ class TestCrossEntropy:
 
     def test_rejects_bad_labels(self):
         probs = np.full((2, 2), 0.5)
-        with pytest.raises(ValueError):
+        message = re.escape("labels must be one-hot rows (exactly one 1, rest 0)")
+        with pytest.raises(ValueError, match=message):
             T.cross_entropy_loss(probs, np.array([[0.5, 0.5], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             T.cross_entropy_loss(probs, np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ShapeError):
             T.cross_entropy_loss(probs, np.eye(3))
@@ -505,8 +507,7 @@ class TestOptimizer:
     def test_zero_momentum_is_plain_sgd(self):
         params = M.ParamStore({"w": np.array([1.0, -2.0])})
         grads = {"w": np.array([0.5, 0.25])}
-        state = T.OptimizerState(learning_rate=0.1, momentum=0.0)
-        T.sgd_nesterov_step(params, grads, state, 0.1)
+        T.sgd_nesterov_step(params, grads, {}, 0.0, 0.1)
         np.testing.assert_allclose(params["w"], [1.0 - 0.05, -2.0 - 0.025],
                                    rtol=0, atol=1e-15)
 
@@ -517,41 +518,39 @@ class TestOptimizer:
         grad = np.zeros((5, 3))
         grad[-1, -1] = np.nan
         with pytest.raises(NonFiniteError, match="gradient for 'w' is not finite"):
-            T.sgd_nesterov_step(params, {"w": grad.T}, T.OptimizerState(), 0.01)
+            T.sgd_nesterov_step(params, {"w": grad.T}, {}, 0.9, 0.01)
         np.testing.assert_array_equal(params["w"], 0.0)
 
     def test_zero_gradient_zero_velocity_is_identity(self):
         params = M.ParamStore({"w": np.array([3.0])})
-        state = T.OptimizerState()
-        T.sgd_nesterov_step(params, {"w": np.zeros(1)}, state, 0.01)
+        T.sgd_nesterov_step(params, {"w": np.zeros(1)}, {}, 0.9, 0.01)
         np.testing.assert_array_equal(params["w"], [3.0])
 
     def test_zero_learning_rate_is_identity(self):
         params = M.ParamStore({"w": np.array([3.0, 1.0])})
-        state = T.OptimizerState()
-        T.sgd_nesterov_step(params, {"w": np.array([5.0, -2.0])}, state, lr=0.0)
+        T.sgd_nesterov_step(params, {"w": np.array([5.0, -2.0])}, {}, 0.9, lr=0.0)
         np.testing.assert_array_equal(params["w"], [3.0, 1.0])
 
     def test_velocity_recurrence(self):
         params = M.ParamStore({"w": np.array([0.0])})
-        state = T.OptimizerState(learning_rate=0.1, momentum=0.9)
-        T.sgd_nesterov_step(params, {"w": np.array([1.0])}, state, 0.1)
-        np.testing.assert_allclose(state.velocity["w"], [-0.1], atol=1e-15)
+        velocity = {}
+        T.sgd_nesterov_step(params, {"w": np.array([1.0])}, velocity, 0.9, 0.1)
+        np.testing.assert_allclose(velocity["w"], [-0.1], atol=1e-15)
         np.testing.assert_allclose(params["w"], [-0.1], atol=1e-15)
-        T.sgd_nesterov_step(params, {"w": np.array([1.0])}, state, 0.1)
+        T.sgd_nesterov_step(params, {"w": np.array([1.0])}, velocity, 0.9, 0.1)
         # v2 = 0.9 * (-0.1) - 0.1 = -0.19; w = -0.1 - 0.19 = -0.29
-        np.testing.assert_allclose(state.velocity["w"], [-0.19], atol=1e-15)
+        np.testing.assert_allclose(velocity["w"], [-0.19], atol=1e-15)
         np.testing.assert_allclose(params["w"], [-0.29], atol=1e-15)
 
     def test_nonfinite_gradient_rejected(self):
         params = M.ParamStore({"w": np.zeros(2)})
         with pytest.raises(NonFiniteError):
-            T.sgd_nesterov_step(params, {"w": np.array([np.nan, 0.0])}, T.OptimizerState(), 0.01)
+            T.sgd_nesterov_step(params, {"w": np.array([np.nan, 0.0])}, {}, 0.9, 0.01)
 
     def test_shape_mismatch_rejected(self):
         params = M.ParamStore({"w": np.zeros(2)})
         with pytest.raises(ShapeError):
-            T.sgd_nesterov_step(params, {"w": np.zeros(3)}, T.OptimizerState(), 0.01)
+            T.sgd_nesterov_step(params, {"w": np.zeros(3)}, {}, 0.9, 0.01)
 
     def test_quadratic_bowl_convergence_and_momentum_speedup(self):
         # f(theta) = 0.5 * theta^T A theta with A = diag(1, 12); the gradient
@@ -561,12 +560,12 @@ class TestOptimizer:
 
         def run(momentum, steps):
             params = M.ParamStore({"theta": np.array([4.0, -3.0])})
-            state = T.OptimizerState(learning_rate=lr, momentum=momentum)
+            velocity = {}
             trace = []
             for _ in range(steps):
-                shifted = T.lookahead_params(params, state, ["theta"])
+                shifted = T.lookahead_params(params, velocity, momentum, ["theta"])
                 grads = {"theta": a * shifted["theta"]}
-                T.sgd_nesterov_step(params, grads, state, lr)
+                T.sgd_nesterov_step(params, grads, velocity, momentum, lr)
                 trace.append(np.linalg.norm(params["theta"]))
             return trace
 
@@ -583,45 +582,43 @@ class TestOptimizer:
         assert steps_to(1e-3, trace) < steps_to(1e-3, plain)
 
     def test_state_validation(self):
-        with pytest.raises(ConfigError):
-            T.OptimizerState(learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            T.OptimizerState(momentum=1.0)
-        with pytest.raises(ConfigError):
-            T.OptimizerState(decay_factor=0.0)
-        with pytest.raises(ConfigError):
-            T.OptimizerState(decay_interval=0)
+        with pytest.raises(ConfigError, match="learning rate must be finite and positive"):
+            T.TrainConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match=re.escape("momentum must be in [0, 1)")):
+            T.TrainConfig(momentum=1.0)
+        with pytest.raises(ConfigError, match=re.escape("decay factor must be in (0, 1]")):
+            T.TrainConfig(decay_factor=0.0)
+        with pytest.raises(ConfigError, match="decay interval must be >= 1"):
+            T.TrainConfig(decay_interval=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_state_rejects_non_finite_learning_rate(self, bad):
         with pytest.raises(ConfigError, match="finite"):
-            T.OptimizerState(learning_rate=bad)
+            T.TrainConfig(learning_rate=bad)
 
 
 class TestSchedule:
     def test_step_decay_table(self):
-        state = T.OptimizerState(learning_rate=0.4, decay_factor=0.5, decay_interval=3)
-        lrs = [T.scheduled_lr(state, e) for e in range(1, 8)]
+        config = T.TrainConfig(learning_rate=0.4, decay_factor=0.5, decay_interval=3)
+        lrs = [T.scheduled_lr(config, e) for e in range(1, 8)]
         assert lrs == [0.4, 0.4, 0.4, 0.2, 0.2, 0.2, 0.1]
 
     def test_default_interval(self):
-        state = T.OptimizerState(learning_rate=0.01)
-        assert T.scheduled_lr(state, 20) == 0.01
-        assert T.scheduled_lr(state, 21) == 0.005
+        config = T.TrainConfig(learning_rate=0.01)
+        assert T.scheduled_lr(config, 20) == 0.01
+        assert T.scheduled_lr(config, 21) == 0.005
 
     def test_rejects_epoch_zero(self):
         with pytest.raises(ValueError):
-            T.scheduled_lr(T.OptimizerState(), 0)
+            T.scheduled_lr(T.TrainConfig(), 0)
 
 
 class TestLookahead:
     def test_shifts_only_trainable_with_velocity(self):
         params = M.ParamStore({"a": np.array([1.0]), "b": np.array([2.0]),
                                "c": np.array([3.0])})
-        state = T.OptimizerState(momentum=0.5)
-        state.velocity["a"] = np.array([0.2])
-        state.velocity["b"] = np.array([0.4])
-        shifted = T.lookahead_params(params, state, ["a"])
+        velocity = {"a": np.array([0.2]), "b": np.array([0.4])}
+        shifted = T.lookahead_params(params, velocity, 0.5, ["a"])
         np.testing.assert_allclose(shifted["a"], [1.1])
         # b has velocity but is not trainable here; c has no velocity at all.
         assert shifted["b"] is params["b"]
@@ -755,11 +752,25 @@ class TestTrainLoop:
                          T.TrainConfig(epochs=3, patience=None, seed=3))
         assert len(result.history) == 3
 
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_zero_epochs_returns_a_copy_and_an_empty_history(self, validated):
+        x, y, _, _ = separable_toy_set(n=10, seed=1)
+        spec = toy_linear_spec()
+        params = M.init_params(spec, seed=1, dtype=np.float64)
+        before = params.copy()
+        result = T.train(spec, params, (x, y), (x, y) if validated else None,
+                         T.TrainConfig(epochs=0, patience=3 if validated else None))
+        assert result.history == []
+        assert result.params == before and params == before
+        assert all(result.params[name] is not params[name] for name in params)
+        assert (result.best_epoch, result.stopped_early) == (0, False)
+        assert math.isnan(result.best_val_top1)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             T.TrainConfig(batch_size=0)
-        with pytest.raises(ConfigError):
-            T.TrainConfig(epochs=0)
+        with pytest.raises(ConfigError, match="epochs must be >= 0"):
+            T.TrainConfig(epochs=-1)
         with pytest.raises(ConfigError):
             T.TrainConfig(patience=-1)
         for bad in (math.nan, math.inf):
