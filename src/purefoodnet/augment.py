@@ -96,28 +96,23 @@ def random_crop(image, fraction: float, rng: np.random.Generator) -> np.ndarray:
 
 def _sample_bilinear_zero(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Bilinear lookup at fractional (rows, cols); out-of-bounds reads 0."""
-    h, w, c = img.shape
+    h, w, _ = img.shape
     # Past one pixel out of frame every corner reads 0; clamping there keeps
     # any shear's coordinates within int64.
     rows = np.clip(rows, -1, h)
     cols = np.clip(cols, -1, w)
-    r0 = np.floor(rows).astype(np.int64)
-    c0 = np.floor(cols).astype(np.int64)
-    tr = (rows - r0)[..., None]
-    tc = (cols - c0)[..., None]
-    out = np.zeros(rows.shape + (c,), dtype=np.float64)
-    corners = (
-        (r0, c0, (1.0 - tr) * (1.0 - tc)),
-        (r0, c0 + 1, (1.0 - tr) * tc),
-        (r0 + 1, c0, tr * (1.0 - tc)),
-        (r0 + 1, c0 + 1, tr * tc),
-    )
-    for rr, cc, weight in corners:
-        inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        values = np.zeros_like(out)
-        values[inside] = img[rr[inside], cc[inside]]
-        out += weight * values
-    return out
+    if np.isnan(rows).any() or np.isnan(cols).any():
+        raise ValueError("rotate and tilt need a finite angle and shear")
+    tr = (rows - np.floor(rows))[..., None]
+    tc = (cols - np.floor(cols))[..., None]
+    # Pixel (i, j) is pad[i + 1, j + 1]: a zero border, 1 before and 2 after,
+    # puts every corner in range.
+    pad = np.pad(img, ((1, 2), (1, 2), (0, 0)))
+    r = np.floor(rows).astype(np.int64) + 1
+    c = np.floor(cols).astype(np.int64) + 1
+    # The sum starts at +0.0, so four -0.0 terms add up to +0.0.
+    return (0.0 + (1.0 - tr) * (1.0 - tc) * pad[r, c] + (1.0 - tr) * tc * pad[r, c + 1]
+            + tr * (1.0 - tc) * pad[r + 1, c] + tr * tc * pad[r + 1, c + 1])
 
 
 def _affine_sample(arr: np.ndarray, src_rows: np.ndarray, src_cols: np.ndarray) -> np.ndarray:

@@ -219,6 +219,7 @@ def _resolve_spec(cfg: RunConfig, n_classes: int) -> models.ModelSpec:
 
 
 def _batch_sources(cfg: RunConfig, manifest, side):
+    # train builds each epoch's stream only after --out-dir exists, so check now.
     if not manifest.split_records("train"):
         raise DataError("split 'train' has no records")
     policy = cfg.policy()
@@ -290,13 +291,17 @@ def _parse_ks(text) -> tuple:
         raise ConfigError(f"expected comma-separated k values, got {text!r}") from None
 
 
-def cmd_eval(args) -> int:
+def _load_model(args) -> tuple:
+    """The spec, weights and input side named by `--spec` and `--weights`."""
     spec = models.load_model_spec(args.spec)
-    params = models.load_weights(args.weights, spec)
+    return spec, models.load_weights(args.weights, spec), _model_input_side(spec)
+
+
+def cmd_eval(args) -> int:
+    spec, params, side = _load_model(args)
     manifest = dataio.load_manifest(args.manifest, root=args.dataset_root)
-    side = _model_input_side(spec)
     ks = None if args.ks is None else _parse_ks(args.ks)  # None: evaluation.default_ks
-    batches = dataio.batch_iterator(manifest, args.split, int(args.batch_size), side)
+    batches = dataio.batch_iterator(manifest, args.split, _parse_int(args.batch_size), side)
     report = evaluation.evaluate(spec, params, batches, ks=ks)
     summary = " ".join(f"top{k}={report.accuracy(k)!r}" for k in report.ks)
     print(f"N={report.n_samples} {summary}")
@@ -314,9 +319,7 @@ def _class_names(manifest_path, n: int):
 
 
 def cmd_predict(args) -> int:
-    spec = models.load_model_spec(args.spec)
-    params = models.load_weights(args.weights, spec)
-    side = _model_input_side(spec)
+    spec, params, side = _load_model(args)
     image = dataio.load_image(args.image).pixels
     packed = dataio.pack_image(image, side)
     x = Tensor4(packed[np.newaxis].astype(np.float32))
@@ -324,7 +327,7 @@ def cmd_predict(args) -> int:
     names = _class_names(args.manifest, scores.shape[0])
     if len(names) != scores.shape[0]:
         raise ConfigError(f"manifest has {len(names)} classes, model outputs {scores.shape[0]}")
-    for index in evaluation.top_k_candidates(scores, int(args.k)):
+    for index in evaluation.top_k_candidates(scores, _parse_int(args.k)):
         print(f"{names[index]} {float(scores[index])!r}")
     return 0
 
@@ -335,35 +338,30 @@ def _activation_grid(act: np.ndarray) -> np.ndarray:
     Non-spatial (1x1) activations render as a single-pixel-tall strip.
     """
     h, w, c = act.shape
-    scaled = np.zeros_like(act, dtype=np.float64)
-    for j in range(c):
-        channel = act[:, :, j].astype(np.float64)
-        span = channel.max() - channel.min()
-        if span > 0:
-            scaled[:, :, j] = (channel - channel.min()) / span
-    if h == 1 and w == 1:
-        return scaled.reshape(1, c)
     grid_cols = math.ceil(math.sqrt(c))
     grid_rows = math.ceil(c / grid_cols)
-    grid = np.zeros((grid_rows * h, grid_cols * w), dtype=np.float64)
-    for j in range(c):
-        row, col = divmod(j, grid_cols)
-        grid[row * h:(row + 1) * h, col * w:(col + 1) * w] = scaled[:, :, j]
-    return grid
+    # One contiguous row per map, then blank maps up to a full grid.
+    maps = np.zeros((grid_rows * grid_cols, h * w))
+    maps[:c] = act.transpose(2, 0, 1).reshape(c, h * w)
+    low = maps.min(axis=1, keepdims=True)
+    span = maps.max(axis=1, keepdims=True) - low
+    scaled = np.divide(maps - low, span, out=np.zeros_like(maps), where=span > 0)
+    if h == 1 and w == 1:
+        return scaled[:c].reshape(1, c)
+    return scaled.reshape(grid_rows, grid_cols, h, w).transpose(0, 2, 1, 3).reshape(
+        grid_rows * h, grid_cols * w)
 
 
 def cmd_inspect(args) -> int:
     threshold = _parse_float(args.threshold)
-    spec = models.load_model_spec(args.spec)
-    params = models.load_weights(args.weights, spec)
-    side = _model_input_side(spec)
-    out_dir = _ensure_out_dir(args.out_dir)
+    spec, params, side = _load_model(args)
     image = dataio.load_image(args.image).pixels
     x = Tensor4(dataio.pack_image(image, side)[np.newaxis].astype(np.float32))
     convs = [layer.name for layer in spec.layers if layer.kind == "conv"]
     names = [name.strip() for name in args.layers.split(",")] if args.layers else convs
     # One pass captures the requested maps and the conv maps the report reads.
     captured = models.capture_activations(spec, params, x, names + convs)
+    out_dir = _ensure_out_dir(args.out_dir)
     for name in names:
         grid = _activation_grid(captured[name].data[0])
         path = os.path.join(out_dir, f"{name}.pgm")
@@ -400,11 +398,10 @@ def cmd_diagnose(args) -> int:
 
 def cmd_dump_batch(args) -> int:
     manifest = dataio.load_manifest(args.manifest, root=args.dataset_root)
-    seed = None if args.seed is None else int(args.seed)
+    seed = None if args.seed is None else _parse_int(args.seed)
+    x, labels = next(dataio.batch_iterator(manifest, args.split, _parse_int(args.batch_size),
+                                           _parse_int(args.input_side), seed=seed))
     out_dir = _ensure_out_dir(args.out_dir)
-    batches = dataio.batch_iterator(manifest, args.split, int(args.batch_size),
-                                    int(args.input_side), seed=seed)
-    x, labels = next(iter(batches))
     save_tensor(os.path.join(out_dir, "batch.pft"), x)
     atomic_write_bytes(os.path.join(out_dir, "batch_labels.pft"), pft1_encode(labels))
     print(f"wrote batch {x.shape} and labels {labels.shape} to {out_dir}")

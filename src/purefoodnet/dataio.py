@@ -9,6 +9,7 @@ byte-identically.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,43 +50,29 @@ _STORE_BYTES = 256 * 2**20
 # PPM / PGM codecs
 
 
+# Three decimal fields, each after whitespace or '#' comments that run to the
+# end of the line, then exactly one whitespace byte before the payload.
+_NETPBM_FIELDS = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def _parse_netpbm_header(blob: bytes, magic: bytes, path) -> tuple:
     """Return (fields..., payload offset) for a P5/P6 header; '#' comments ok."""
     if not blob.startswith(magic):
         raise DataFormatError(f"{path}: not a {magic.decode()} file")
     if not blob[len(magic):len(magic) + 1].isspace():
         raise DataFormatError(f"{path}: no whitespace after {magic.decode()}")
-    pos = len(magic)
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(blob):
-            raise DataFormatError(f"{path}: truncated header")
-        ch = blob[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            pos = blob.find(b"\n", pos)
-            if pos < 0:
-                raise DataFormatError(f"{path}: truncated header comment")
-        elif ch.isdigit():
-            end = pos
-            while end < len(blob) and blob[end:end + 1].isdigit():
-                end += 1
-            try:
-                fields.append(int(blob[pos:end]))
-            except ValueError:  # more digits than int() converts
-                raise DataFormatError(f"{path}: header number too long") from None
-            pos = end
-        else:
-            raise DataFormatError(f"{path}: bad header byte {ch!r}")
-    if pos >= len(blob) or not blob[pos:pos + 1].isspace():
-        raise DataFormatError(f"{path}: missing whitespace after header")
-    width, height, maxval = fields
+    match = _NETPBM_FIELDS.match(blob, len(magic))
+    if match is None:
+        raise DataFormatError(f"{path}: malformed {magic.decode()} header")
+    try:
+        width, height, maxval = (int(field) for field in match.groups())
+    except ValueError:  # more digits than int() converts
+        raise DataFormatError(f"{path}: header number too long") from None
     if width < 1 or height < 1:
         raise DataFormatError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise DataFormatError(f"{path}: unsupported maxval {maxval} (need 255)")
-    return width, height, pos + 1
+    return width, height, match.end()
 
 
 def _read_file(path) -> bytes:
@@ -317,17 +304,11 @@ def build_manifest(root, ratios=None, counts=None, seed: int = 0) -> DatasetMani
         files = _class_files(root, name)
         rng = np.random.default_rng(derive_seed(seed, "split", name))
         order = rng.permutation(len(files))
-        n_train, n_val, n_test = _split_counts(len(files), ratios, counts, name)
-        for position, file_index in enumerate(order):
-            if position < n_train:
-                split = "train"
-            elif position < n_train + n_val:
-                split = "val"
-            elif position < n_train + n_val + n_test:
-                split = "test"
-            else:
-                continue  # counts mode: surplus beyond the requested sizes
-            records.append(ManifestRecord(f"{name}/{files[file_index]}", class_index, split))
+        sizes = _split_counts(len(files), ratios, counts, name)
+        ends = np.cumsum(sizes)  # counts mode leaves the surplus past ends[-1] out
+        for split, start, end in zip(SPLITS, ends - sizes, ends):
+            records += [ManifestRecord(f"{name}/{files[i]}", class_index, split)
+                        for i in order[start:end]]
     return DatasetManifest(str(root), int(seed), tuple(classes), tuple(records))
 
 
@@ -405,7 +386,8 @@ class PackedStore(dict):
 def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
                    target_side: int, seed=None, policy: AugmentPolicy = None,
                    *, store: PackedStore = None):
-    """Yield float32 (Tensor4, one-hot labels) over one pass of a split.
+    """An iterator of float32 (Tensor4, one-hot labels) over one pass of a
+    split. The batch size and the split are checked here, before any batch.
 
     Order is the manifest order, or a seeded shuffle when seed is given.
     The augmentation policy applies to the train split only; each image
@@ -422,16 +404,19 @@ def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
     records = manifest.split_records(split)
     if not records:
         raise DataError(f"split {split!r} has no records")
-    order = np.arange(len(records))
     if seed is not None:
-        order = np.random.default_rng(seed).permutation(len(records))
-    augmenting = policy is not None and split == "train" and not policy.is_identity
+        records = [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
+    if policy is not None and (split != "train" or policy.is_identity):
+        policy = None
+    return _batches(manifest, records, batch_size, target_side, policy, store)
+
+
+def _batches(manifest, records, batch_size, target_side, policy, store):
     n_classes = len(manifest.classes)
     for start in range(0, len(records), batch_size):
         images = []
         labels = []
-        for offset, record_index in enumerate(order[start:start + batch_size]):
-            record = records[record_index]
+        for offset, record in enumerate(records[start:start + batch_size]):
             key = (record.path, target_side)
             image = None if store is None else store.get(key)
             if image is None:
@@ -441,7 +426,7 @@ def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
                     image.flags.writeable = False
                     store[key] = image
                     store.nbytes += image.nbytes
-            if augmenting:
+            if policy is not None:
                 image = apply_policy(image, policy, policy_rng(policy, start + offset))
             images.append(image)
             labels.append(record.class_index)

@@ -19,7 +19,6 @@ __all__ = [
     "PredictionBatch",
     "check_one_hot",
     "evaluate",
-    "one_hot_encode",
     "one_hot_matrix",
     "report_to_csv",
     "top_k_accuracy",
@@ -27,23 +26,17 @@ __all__ = [
 ]
 
 
-def one_hot_encode(index: int, n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"class count must be >= 1, got {n}")
-    if not 0 <= index < n:
-        raise ValueError(f"class index {index} out of range for {n} classes")
-    vec = np.zeros(n, dtype=np.float64)
-    vec[index] = 1.0
-    return vec
-
-
 def one_hot_matrix(indices, n: int) -> np.ndarray:
     """Stack one-hot rows for a vector of class indices."""
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ShapeError(f"expected a vector of indices, got shape {idx.shape}")
-    return np.stack([one_hot_encode(int(i), n) for i in idx]) if idx.size else \
-        np.zeros((0, n), dtype=np.float64)
+    if n < 1:
+        raise ValueError(f"class count must be >= 1, got {n}")
+    if idx.size and not 0 <= idx.min() <= idx.max() < n:
+        raise ValueError(f"class indices {idx.min()}..{idx.max()} out of range for {n} classes")
+    # Row i of the identity, built by comparison: np.eye(n) would hold n^2 floats.
+    return (idx[:, None] == np.arange(n)).astype(np.float64)
 
 
 def check_one_hot(rows: np.ndarray) -> None:

@@ -171,6 +171,75 @@ class TestTilt:
         np.testing.assert_array_equal(out, np.zeros((4, 4, 3)))
 
 
+def sample_bilinear_zero_oracle(img, rows, cols):
+    """The four masked gathers `_sample_bilinear_zero` replaced."""
+    h, w, c = img.shape
+    rows = np.clip(rows, -1, h)
+    cols = np.clip(cols, -1, w)
+    r0 = np.floor(rows).astype(np.int64)
+    c0 = np.floor(cols).astype(np.int64)
+    tr = (rows - r0)[..., None]
+    tc = (cols - c0)[..., None]
+    out = np.zeros(rows.shape + (c,), dtype=np.float64)
+    corners = (
+        (r0, c0, (1.0 - tr) * (1.0 - tc)),
+        (r0, c0 + 1, (1.0 - tr) * tc),
+        (r0 + 1, c0, tr * (1.0 - tc)),
+        (r0 + 1, c0 + 1, tr * tc),
+    )
+    for rr, cc, weight in corners:
+        inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        values = np.zeros_like(out)
+        values[inside] = img[rr[inside], cc[inside]]
+        out += weight * values
+    return out
+
+
+class TestSampleBilinearZero:
+    def cases(self):
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            h, w, c = (int(v) for v in rng.integers(1, 9, 3))
+            img = rng.normal(size=(h, w, c))
+            img[rng.random(img.shape) < 0.2] = -0.0  # signed zeros in the corner sums
+            img[rng.random(img.shape) < 0.1] = 0.0
+            shape = tuple(int(v) for v in rng.integers(1, 7, 2))
+            kind = int(rng.integers(0, 4))
+            if kind == 0:  # in and around the frame
+                rows = rng.uniform(-2, h + 1, shape)
+                cols = rng.uniform(-2, w + 1, shape)
+            elif kind == 1:  # whole numbers, every corner weight 0 or 1
+                rows = rng.integers(-3, h + 3, shape).astype(np.float64)
+                cols = rng.integers(-3, w + 3, shape).astype(np.float64)
+            elif kind == 2:  # far out of frame
+                rows = rng.uniform(-1e9, 1e9, shape)
+                cols = rng.choice([-1e300, 1e300, -5e7, 3e15], shape)
+            else:  # +-1e300 columns on in-frame rows, as a huge shear gives
+                rows = rng.uniform(0, h - 1, shape)
+                cols = rng.choice([-1e300, 1e300, 0.5, w - 1.0], shape)
+            yield img, rows, cols
+
+    def test_matches_masked_gather_oracle_byte_for_byte(self):
+        for img, rows, cols in self.cases():
+            got = A._sample_bilinear_zero(img, rows, cols)
+            want = sample_bilinear_zero_oracle(img, rows, cols)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op, value", [(A.rotate, math.nan), (A.tilt, math.nan),
+                                           (A.tilt, math.inf)])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_nan_coordinates_rejected(self, op, value):
+        # An infinite shear puts NaN (inf * 0) on the center row of an odd height.
+        with pytest.raises(ValueError, match="finite angle and shear"):
+            op(random_image(23, h=5, w=4), value)
+
+    def test_minus_zero_pixel_samples_as_plus_zero(self):
+        img = np.full((2, 2, 1), -0.0)
+        out = A._sample_bilinear_zero(img, np.zeros((1, 1)), np.zeros((1, 1)))
+        assert out.tobytes() == np.zeros((1, 1, 1)).tobytes()
+
+
 class TestColorShift:
     def test_zero_deltas_is_exact_identity(self):
         img = random_image(22)

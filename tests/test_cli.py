@@ -298,6 +298,50 @@ class TestSettingsCheckedBeforeAnyArtifact:
         assert not out.exists()
 
 
+class TestInputsCheckedBeforeOutDir:
+    @pytest.fixture()
+    def probe(self, base_model, tmp_path):
+        """Paths for dump-batch and inspect runs on the untrained base model."""
+        manifest = tmp_path / "manifest.txt"
+        D.save_manifest(manifest, D.build_manifest(base_model / "data", ratios=(0.5, 0.25, 0.25)))
+        truncated = tmp_path / "truncated.ppm"
+        truncated.write_bytes(b"P6\n8 8\n255\n" + bytes(100))
+        (tmp_path / "empty").mkdir()
+        image = base_model / "data" / "food_0" / "img_000.ppm"
+        return {"dump": ["dataio", "dump-batch", "--manifest", str(manifest),
+                         "--input-side", "8"],
+                "inspect": ["inspect", "--spec", str(base_model / "base.spec"),
+                            "--weights", str(base_model / "base.pfw")],
+                "manifest": str(manifest), "image": str(image), "truncated": str(truncated),
+                "empty": str(tmp_path / "empty"), "out": tmp_path / "out"}
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["dump", "--batch-size", "0"], 2, "batch size must be >= 1"),
+        (["dump", "--dataset-root", "{empty}"], 3, "cannot read"),
+        (["dump", "--input-side", "0"], 2, "max side must be >= 1"),
+        (["inspect", "--image", "{truncated}"], 3, "expected 192 pixel bytes"),
+        (["inspect", "--image", "{image}", "--layers", "nosuch"], 2, "nosuch"),
+    ], ids=["batch-size-0", "missing-images", "input-side-0", "truncated-ppm", "no-such-layer"])
+    def test_refused_run_leaves_no_output_directory(self, probe, capsys, argv, code, message):
+        args = probe[argv[0]] + [arg.format(**probe) for arg in argv[1:]]
+        assert main(args + ["--out-dir", str(probe["out"])]) == code
+        assert message in capsys.readouterr().err
+        assert not probe["out"].exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--manifest", "{manifest}", "--batch-size", "x"],
+        ["predict", "--image", "{image}", "--k", "x"],
+        ["dataio", "dump-batch", "--manifest", "{manifest}", "--batch-size", "x"],
+        ["dataio", "dump-batch", "--manifest", "{manifest}", "--input-side", "x"],
+        ["dataio", "dump-batch", "--manifest", "{manifest}", "--seed", "x"],
+    ], ids=["eval-batch-size", "predict-k", "dump-batch-size", "dump-input-side", "dump-seed"])
+    def test_integer_flags_name_the_bad_value(self, probe, capsys, argv):
+        extra = ["--out-dir", str(probe["out"])] if argv[0] == "dataio" else probe["inspect"][1:]
+        assert main([*(arg.format(**probe) for arg in argv), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "expected an integer, got 'x'" in err and "invalid literal" not in err
+
+
 class TestEval:
     def test_matches_library_evaluate(self, trained_run, capsys):
         out = trained_run["out"]
@@ -440,6 +484,46 @@ class TestPredict:
                      "--weights", str(out / "weights.pfw"),
                      "--image", str(bad)]) == 3
         assert "no whitespace after P6" in capsys.readouterr().err
+
+
+def activation_grid_oracle(act):
+    """The per-channel loops `cli._activation_grid` replaced."""
+    h, w, c = act.shape
+    scaled = np.zeros_like(act, dtype=np.float64)
+    for j in range(c):
+        channel = act[:, :, j].astype(np.float64)
+        span = channel.max() - channel.min()
+        if span > 0:
+            scaled[:, :, j] = (channel - channel.min()) / span
+    if h == 1 and w == 1:
+        return scaled.reshape(1, c)
+    grid_cols = int(np.ceil(np.sqrt(c)))
+    grid_rows = -(-c // grid_cols)
+    grid = np.zeros((grid_rows * h, grid_cols * w), dtype=np.float64)
+    for j in range(c):
+        row, col = divmod(j, grid_cols)
+        grid[row * h:(row + 1) * h, col * w:(col + 1) * w] = scaled[:, :, j]
+    return grid
+
+
+class TestActivationGrid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_channel_loop_oracle_byte_for_byte(self, dtype):
+        rng = np.random.default_rng(3)
+        shapes = [(1, 1, 1), (1, 1, 7), (1, 5, 3), (4, 1, 2), (3, 3, 1), (2, 3, 2),
+                  (8, 8, 4), (5, 4, 5), (6, 6, 10), (7, 3, 17), (2, 2, 64)]
+        for h, w, c in shapes:
+            for trial in range(6):
+                act = rng.normal(size=(h, w, c))
+                if trial % 2:  # post-ReLU maps: many zeros, some of them -0.0
+                    act = np.where(act > 0, act, rng.choice([0.0, -0.0], act.shape))
+                if trial >= 4:  # constant channels
+                    act[:, :, ::2] = rng.normal(size=(c + 1) // 2)
+                act = act.astype(dtype)
+                got = cli._activation_grid(act)
+                want = activation_grid_oracle(act)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestInspect:

@@ -7,6 +7,7 @@ import pytest
 from purefoodnet import dataio as D
 from purefoodnet.augment import AugmentPolicy
 from purefoodnet.errors import DataError, DataFormatError, ShapeError
+from purefoodnet.seeding import derive_seed
 
 
 def random_pixels(seed, h=4, w=4):
@@ -280,6 +281,61 @@ class TestBuildManifest:
             D.build_manifest(tmp_path, counts=(0, 0, 0))
 
 
+def build_manifest_oracle(root, ratios=None, counts=None, seed=0):
+    """`build_manifest` as it was, assigning each file's split by an if-chain
+    (its argument checks left out)."""
+    classes = D._class_dirs(root)
+    records = []
+    for class_index, name in enumerate(classes):
+        files = D._class_files(root, name)
+        rng = np.random.default_rng(derive_seed(seed, "split", name))
+        order = rng.permutation(len(files))
+        n_train, n_val, n_test = D._split_counts(len(files), ratios, counts, name)
+        for position, file_index in enumerate(order):
+            if position < n_train:
+                split = "train"
+            elif position < n_train + n_val:
+                split = "val"
+            elif position < n_train + n_val + n_test:
+                split = "test"
+            else:
+                continue
+            records.append(D.ManifestRecord(f"{name}/{files[file_index]}", class_index, split))
+    return D.DatasetManifest(str(root), int(seed), tuple(classes), tuple(records))
+
+
+class TestBuildManifestOracle:
+    @pytest.fixture(scope="class")
+    def trees(self, tmp_path_factory):
+        """Two trees, with classes of 1 to 23 and of 3 to 23 files; build_manifest
+        reads only the file names."""
+        roots = []
+        for sizes in ((1, 2, 3, 5, 8, 13, 23), (3, 5, 8, 13, 23)):
+            root = tmp_path_factory.mktemp("oracle")
+            for index, size in enumerate(sizes):
+                (root / f"class{index}").mkdir()
+                for i in range(size):
+                    (root / f"class{index}" / f"img_{i:03d}.ppm").write_bytes(b"")
+            roots.append(root)
+        return roots
+
+    @pytest.mark.parametrize("ratios", [(0.8, 0.1, 0.1), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0),
+                                        (0.0, 0.0, 1.0), (0.34, 0.33, 0.33), (0.1, 0.6, 0.3)])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_ratios_mode_matches_if_chain(self, trees, ratios, seed):
+        got = D.manifest_to_text(D.build_manifest(trees[0], ratios=ratios, seed=seed))
+        want = D.manifest_to_text(build_manifest_oracle(trees[0], ratios=ratios, seed=seed))
+        assert got == want
+
+    @pytest.mark.parametrize("counts", [(1, 0, 0), (0, 0, 1), (1, 1, 1), (2, 0, 1),
+                                        (1, 2, 0), (0, 3, 0), (3, 0, 0)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_counts_mode_matches_if_chain_with_surplus(self, trees, counts, seed):
+        got = D.manifest_to_text(D.build_manifest(trees[1], counts=counts, seed=seed))
+        want = D.manifest_to_text(build_manifest_oracle(trees[1], counts=counts, seed=seed))
+        assert got == want
+
+
 class TestManifestSerialization:
     def _manifest(self, tmp_path):
         make_tree(tmp_path, {"quince": 6, "radish": 5})
@@ -438,13 +494,19 @@ class TestBatchIterator:
             np.testing.assert_array_equal(x, x_plain)
             np.testing.assert_array_equal(labels, labels_plain)
 
+    # The settings are checked at the call, before a batch is asked for.
     def test_empty_split_rejected(self, tmp_path):
         make_tree(tmp_path, {"wasabi": 4})
         manifest = D.build_manifest(tmp_path, ratios=(1.0, 0.0, 0.0), seed=0)
-        with pytest.raises(DataError):
-            next(D.batch_iterator(manifest, "val", 2, 4))
+        with pytest.raises(DataError, match="split 'val' has no records"):
+            D.batch_iterator(manifest, "val", 2, 4)
 
     def test_bad_batch_size_rejected(self, tmp_path):
         manifest = self._setup(tmp_path)
-        with pytest.raises(ValueError):
-            next(D.batch_iterator(manifest, "train", 0, 4))
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            D.batch_iterator(manifest, "train", 0, 4)
+
+    def test_unknown_split_rejected(self, tmp_path):
+        manifest = self._setup(tmp_path)
+        with pytest.raises(ValueError, match="unknown split"):
+            D.batch_iterator(manifest, "holdout", 2, 4)

@@ -15,28 +15,72 @@ def sort_oracle(row, k):
     return order[:k]
 
 
+def one_hot_oracle(indices, n):
+    """The row-by-row one-hot encoder `one_hot_matrix` replaced."""
+    def encode(index):
+        if n < 1:
+            raise ValueError(f"class count must be >= 1, got {n}")
+        if not 0 <= index < n:
+            raise ValueError(f"class index {index} out of range for {n} classes")
+        vec = np.zeros(n, dtype=np.float64)
+        vec[index] = 1.0
+        return vec
+    idx = np.asarray(indices)
+    if idx.ndim != 1:
+        raise ShapeError(f"expected a vector of indices, got shape {idx.shape}")
+    return np.stack([encode(int(i)) for i in idx]) if idx.size else \
+        np.zeros((0, n), dtype=np.float64)
+
+
 class TestOneHot:
     def test_known_encoding(self):
-        np.testing.assert_array_equal(E.one_hot_encode(2, 4), [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(E.one_hot_matrix([2], 4), [[0.0, 0.0, 1.0, 0.0]])
 
     def test_round_trip_small(self):
         for n in (1, 2, 3, 7, 40):
-            for i in range(n):
-                assert np.flatnonzero(E.one_hot_encode(i, n)).tolist() == [i]
+            rows = E.one_hot_matrix(range(n), n)
+            assert [np.flatnonzero(row).tolist() for row in rows] == [[i] for i in range(n)]
 
     def test_round_trip_large(self):
-        for i in (0, 137, 9999):
-            assert np.flatnonzero(E.one_hot_encode(i, 10000)).tolist() == [i]
+        rows = E.one_hot_matrix([0, 137, 9999], 10000)
+        assert [np.flatnonzero(row).tolist() for row in rows] == [[0], [137], [9999]]
 
     def test_encode_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            E.one_hot_encode(4, 4)
+            E.one_hot_matrix([4], 4)
         with pytest.raises(ValueError):
-            E.one_hot_encode(-1, 4)
+            E.one_hot_matrix([-1], 4)
+        with pytest.raises(ValueError):
+            E.one_hot_matrix([0], 0)
 
     def test_matrix(self):
         got = E.one_hot_matrix([2, 0], 3)
         np.testing.assert_array_equal(got, [[0, 0, 1], [1, 0, 0]])
+
+    def test_matches_row_by_row_oracle(self):
+        rng = np.random.default_rng(0)
+        cases = [(np.zeros(0, dtype=np.int64), 3), ([], 1), ([0], 1), (range(5), 5)]
+        for _ in range(200):
+            n = int(rng.integers(1, 20))
+            size = int(rng.integers(0, 30))
+            cases.append((rng.integers(0, n, size), n))
+            cases.append((rng.integers(0, n, size).tolist(), n))
+        for indices, n in cases:
+            got = E.one_hot_matrix(indices, n)
+            want = one_hot_oracle(indices, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("indices, n, error", [
+        ([0, 3], 3, ValueError), ([3], 3, ValueError), ([-1, 0], 3, ValueError),
+        ([2, -1], 3, ValueError), ([[0]], 3, ShapeError), (np.zeros((2, 2), int), 3, ShapeError),
+        (0, 3, ShapeError), ([0], 0, ValueError), ([1], -1, ValueError),
+    ])
+    def test_refuses_what_the_oracle_refuses(self, indices, n, error):
+        with pytest.raises(error):
+            one_hot_oracle(indices, n)
+        with pytest.raises(error):
+            E.one_hot_matrix(indices, n)
 
 
 class TestTopKCandidates:
