@@ -335,8 +335,11 @@ def cmd_predict(args) -> int:
 def _activation_grid(act: np.ndarray) -> np.ndarray:
     """Tile (h, w, c) maps into one grayscale image, each map min-max scaled.
 
-    Non-spatial (1x1) activations render as a single-pixel-tall strip.
+    A non-spatial (1, 1, c) activation, such as a dense layer's, is one
+    (1, c) map: a single-pixel-tall strip scaled across its units.
     """
+    if act.shape[:2] == (1, 1):
+        act = act.reshape(1, -1, 1)
     h, w, c = act.shape
     grid_cols = math.ceil(math.sqrt(c))
     grid_rows = math.ceil(c / grid_cols)
@@ -346,8 +349,6 @@ def _activation_grid(act: np.ndarray) -> np.ndarray:
     low = maps.min(axis=1, keepdims=True)
     span = maps.max(axis=1, keepdims=True) - low
     scaled = np.divide(maps - low, span, out=np.zeros_like(maps), where=span > 0)
-    if h == 1 and w == 1:
-        return scaled[:c].reshape(1, c)
     return scaled.reshape(grid_rows, grid_cols, h, w).transpose(0, 2, 1, 3).reshape(
         grid_rows * h, grid_cols * w)
 

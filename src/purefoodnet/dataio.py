@@ -387,7 +387,7 @@ def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
                    target_side: int, seed=None, policy: AugmentPolicy = None,
                    *, store: PackedStore = None):
     """An iterator of float32 (Tensor4, one-hot labels) over one pass of a
-    split. The batch size and the split are checked here, before any batch.
+    split. The batch size, target side and split are checked before any batch.
 
     Order is the manifest order, or a seeded shuffle when seed is given.
     The augmentation policy applies to the train split only; each image
@@ -401,6 +401,8 @@ def batch_iterator(manifest: DatasetManifest, split: str, batch_size: int,
     """
     if batch_size < 1:
         raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    if target_side < 1:
+        raise ValueError(f"target side must be >= 1, got {target_side}")
     records = manifest.split_records(split)
     if not records:
         raise DataError(f"split {split!r} has no records")

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateBatchError, GeometryError, ShapeError
-from .tensor import ConvGeometry, Tensor4, all_finite, conv_output_size
+from .tensor import ConvGeometry, Tensor4, conv_output_size
 
 BATCHNORM_EPS = 1e-5
 BATCHNORM_MOMENTUM = 0.1
@@ -59,8 +59,6 @@ class ConvLayer:
             raise ShapeError(f"bias must be ({f.shape[0]},), got {self.bias.shape}")
         if self.activation not in CONV_ACTIVATIONS:
             raise ValueError(f"conv activation must be one of {CONV_ACTIVATIONS}, got {self.activation!r}")
-        if not (all_finite(f) and all_finite(self.bias)):
-            raise ShapeError("conv parameters must be finite")
 
 
 @dataclass
@@ -98,8 +96,6 @@ class DenseLayer:
             raise ValueError(
                 f"dense activation must be one of {DENSE_ACTIVATIONS}, got {self.activation!r}"
             )
-        if not (all_finite(w) and all_finite(self.bias)):
-            raise ShapeError("dense parameters must be finite")
 
 
 @dataclass

@@ -30,6 +30,7 @@ from . import layers as L
 from .errors import (
     DataFormatError,
     GeometryError,
+    NonFiniteError,
     ShapeError,
     UnknownLayerError,
     WeightDigestError,
@@ -38,6 +39,7 @@ from .seeding import make_rng
 from .tensor import (
     ConvGeometry,
     Tensor4,
+    all_finite,
     atomic_write_bytes,
     check_round_trip,
     conv_output_size,
@@ -256,17 +258,19 @@ def infer_shapes(spec: ModelSpec) -> list[tuple[int, int, int]]:
 
 
 class ParamStore(UserDict):
-    """Ordered mapping of parameter name to ndarray.
+    """Ordered mapping of parameter name to ndarray of finite values.
 
     Holds trainable tensors and batch-norm running statistics alike; what the
     optimizer may touch is decided by `trainable_param_names`, not here.
     `UserDict` routes the constructor, `update` and `setdefault` through
-    `__setitem__`, and `!=` is the inverse of `__eq__`.
+    `__setitem__`, the one place parameters are checked; `!=` inverts `__eq__`.
     """
 
     def __setitem__(self, name: str, arr: np.ndarray):
         if not isinstance(arr, np.ndarray):
             raise TypeError(f"parameter {name!r} must be an ndarray, got {type(arr).__name__}")
+        if not all_finite(arr):
+            raise NonFiniteError(f"parameter {name!r} must be finite")
         self.data[name] = arr
 
     def __ior__(self, other):  # UserDict's `|=` would write to `data` unchecked
@@ -677,6 +681,8 @@ def _read_weights(fh, spec: ModelSpec) -> ParamStore:
         shape = expected[name]
         if arr.shape != (1,) * (4 - len(shape)) + shape:
             raise DataFormatError(f"parameter {name!r} has dims {arr.shape}, expected {shape}")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise DataFormatError(f"parameter {name!r}: running_var must be nonnegative")
         loaded[name] = arr.reshape(shape)
     if offset != size:
         raise DataFormatError(f"{size - offset} trailing bytes in weight file")

@@ -318,7 +318,7 @@ class TestInputsCheckedBeforeOutDir:
     @pytest.mark.parametrize("argv, code, message", [
         (["dump", "--batch-size", "0"], 2, "batch size must be >= 1"),
         (["dump", "--dataset-root", "{empty}"], 3, "cannot read"),
-        (["dump", "--input-side", "0"], 2, "max side must be >= 1"),
+        (["dump", "--input-side", "0"], 2, "target side must be >= 1, got 0"),
         (["inspect", "--image", "{truncated}"], 3, "expected 192 pixel bytes"),
         (["inspect", "--image", "{image}", "--layers", "nosuch"], 2, "nosuch"),
     ], ids=["batch-size-0", "missing-images", "input-side-0", "truncated-ppm", "no-such-layer"])
@@ -489,14 +489,16 @@ class TestPredict:
 def activation_grid_oracle(act):
     """The per-channel loops `cli._activation_grid` replaced."""
     h, w, c = act.shape
+    if h == 1 and w == 1:  # one map of c units, scaled across them
+        units = act.reshape(1, c).astype(np.float64)
+        span = units.max() - units.min()
+        return (units - units.min()) / span if span > 0 else np.zeros((1, c))
     scaled = np.zeros_like(act, dtype=np.float64)
     for j in range(c):
         channel = act[:, :, j].astype(np.float64)
         span = channel.max() - channel.min()
         if span > 0:
             scaled[:, :, j] = (channel - channel.min()) / span
-    if h == 1 and w == 1:
-        return scaled.reshape(1, c)
     grid_cols = int(np.ceil(np.sqrt(c)))
     grid_rows = -(-c // grid_cols)
     grid = np.zeros((grid_rows * h, grid_cols * w), dtype=np.float64)
@@ -539,9 +541,11 @@ class TestInspect:
         # c1 on an 8x8 input with 4 filters tiles as a 2x2 grid of 8x8 maps.
         conv_grid = D.read_pgm(dest / "c1.pgm")
         assert conv_grid.shape == (16, 16)
-        # Dense layers are non-spatial: one-pixel-tall strips.
+        # Dense layers are non-spatial: one-pixel-tall strips, each scaled
+        # across its units, so two differing class scores show.
         assert D.read_pgm(dest / "fc1.pgm").shape == (1, 8)
-        assert D.read_pgm(dest / "predictor.pgm").shape == (1, 2)
+        predictor = D.read_pgm(dest / "predictor.pgm")
+        assert predictor.shape == (1, 2) and predictor.any()
         assert (dest / "dead_filters.txt").read_text().startswith("layer\t")
 
     def test_grid_matches_capture_normalization(self, trained_run):
@@ -761,6 +765,19 @@ def test_corrupt_weight_record_exits_3(tmp_path, capsys, case):
     assert main(["predict", "--spec", str(tmp_path / "net.spec"),
                  "--weights", str(tmp_path / "w.pfw"), "--image", str(tmp_path / "img.ppm")]) == 3
     assert "'block1_conv1.filters'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("low", [-1.0, -1e-7])
+def test_negative_running_variance_exits_3(tmp_path, capsys, low):
+    spec = M.build_purefoodnet(3, width_scale=0.125, input_side=8)
+    M.save_model_spec(tmp_path / "net.spec", spec)
+    params = M.init_params(spec, seed=5)
+    params["block1_bn1.running_var"][0] = low
+    M.save_weights(tmp_path / "w.pfw", spec, params)
+    D.save_image(tmp_path / "img.ppm", np.full((8, 8, 3), 0.5))
+    assert main(["predict", "--spec", str(tmp_path / "net.spec"),
+                 "--weights", str(tmp_path / "w.pfw"), "--image", str(tmp_path / "img.ppm")]) == 3
+    assert "'block1_bn1.running_var': running_var must be nonnegative" in capsys.readouterr().err
 
 
 class TestDumpBatch:

@@ -506,6 +506,11 @@ class TestBatchIterator:
         with pytest.raises(ValueError, match="batch size must be >= 1"):
             D.batch_iterator(manifest, "train", 0, 4)
 
+    def test_bad_target_side_rejected(self, tmp_path):
+        manifest = self._setup(tmp_path)
+        with pytest.raises(ValueError, match="target side must be >= 1, got 0"):
+            D.batch_iterator(manifest, "train", 2, 0)
+
     def test_unknown_split_rejected(self, tmp_path):
         manifest = self._setup(tmp_path)
         with pytest.raises(ValueError, match="unknown split"):

@@ -8,7 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from purefoodnet import layers
-from purefoodnet.errors import DegenerateBatchError, GeometryError, ShapeError
+from purefoodnet.errors import DegenerateBatchError, GeometryError, NonFiniteError, ShapeError
 from purefoodnet.layers import (
     BatchNormLayer,
     ConvLayer,
@@ -27,6 +27,7 @@ from purefoodnet.layers import (
     pool_forward,
     softmax,
 )
+from purefoodnet.models import ParamStore
 from purefoodnet.tensor import ConvGeometry, Tensor4
 
 
@@ -165,8 +166,8 @@ class TestConv2d:
     def test_rejects_nonfinite_weights(self):
         filters = np.zeros((1, 1, 1, 1))
         filters[0, 0, 0, 0] = np.nan
-        with pytest.raises(ShapeError):
-            conv_layer(filters, np.zeros(1), k=1)
+        with pytest.raises(NonFiniteError, match="parameter 'c.filters' must be finite"):
+            ParamStore({"c.filters": filters, "c.bias": np.zeros(1)})
 
     def test_linearity_without_bias(self):
         rng = np.random.default_rng(13)
@@ -343,8 +344,9 @@ class TestBlockedConv:
 
 
 class TestParameterChecks:
-    """The per-forward parameter scan looks at every value, past the first
-    finiteness chunk too, whatever the array's memory layout."""
+    """Layers take their parameters from a ParamStore, whose one check looks
+    at every value, past the first finiteness chunk too, whatever the
+    array's memory layout."""
 
     @pytest.mark.parametrize("transposed", [False, True])
     def test_conv_nan_past_the_first_chunk(self, transposed):
@@ -352,12 +354,12 @@ class TestParameterChecks:
         filters[1, 2, 2, -1] = np.nan
         if transposed:
             filters = np.ascontiguousarray(filters.transpose(3, 1, 2, 0)).transpose(3, 1, 2, 0)
-        with pytest.raises(ShapeError, match="conv parameters must be finite"):
-            conv_layer(filters, np.zeros(2, dtype=np.float32), k=3)
+        with pytest.raises(NonFiniteError, match="parameter 'c.filters' must be finite"):
+            ParamStore({"c.filters": filters, "c.bias": np.zeros(2, dtype=np.float32)})
         bias = np.zeros(2, dtype=np.float32)
         bias[1] = np.inf
-        with pytest.raises(ShapeError, match="conv parameters must be finite"):
-            conv_layer(np.zeros((2, 3, 3, 1), dtype=np.float32), bias, k=3)
+        with pytest.raises(NonFiniteError, match="parameter 'c.bias' must be finite"):
+            ParamStore({"c.filters": np.zeros((2, 3, 3, 1), dtype=np.float32), "c.bias": bias})
 
     @pytest.mark.parametrize("transposed", [False, True])
     def test_dense_nan_past_the_first_chunk(self, transposed):
@@ -365,8 +367,8 @@ class TestParameterChecks:
         weights[-1, -1] = np.nan
         if transposed:
             weights = np.ascontiguousarray(weights.T).T
-        with pytest.raises(ShapeError, match="dense parameters must be finite"):
-            DenseLayer(weights, np.zeros(1025, dtype=np.float32))
+        with pytest.raises(NonFiniteError, match="parameter 'fc.weights' must be finite"):
+            ParamStore({"fc.weights": weights, "fc.bias": np.zeros(1025, dtype=np.float32)})
 
 
 class TestPooling:

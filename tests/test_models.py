@@ -8,9 +8,11 @@ import pytest
 from purefoodnet import layers as L
 from purefoodnet import models as M
 from purefoodnet import tensor as TN
+from purefoodnet import training as T
 from purefoodnet.errors import (
     DataFormatError,
     GeometryError,
+    NonFiniteError,
     ShapeError,
     UnknownLayerError,
     WeightDigestError,
@@ -135,6 +137,53 @@ class TestParamStore:
         assert list(store) == ["a"]
         store.setdefault("b", np.zeros(1))
         assert list(store) == ["a", "b"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_every_store_path_refuses_nonfinite_values(self, monkeypatch, bad, transposed):
+        monkeypatch.setattr(TN, "_FINITE_CHUNK", 4)
+        arr = np.zeros((3, 5), dtype=np.float32)
+        arr[-1, -1] = bad  # past the first chunk, read in either layout
+        if transposed:
+            arr = np.ascontiguousarray(arr.T).T
+        message = "parameter 'b' must be finite"
+        with pytest.raises(NonFiniteError, match=message):
+            M.ParamStore({"a": np.ones(2), "b": arr})
+        store = M.ParamStore({"a": np.ones(2)})
+        with pytest.raises(NonFiniteError, match=message):
+            store["b"] = arr
+        with pytest.raises(NonFiniteError, match=message):
+            store.update({"b": arr})
+        with pytest.raises(NonFiniteError, match=message):
+            store.update(b=arr)
+        with pytest.raises(NonFiniteError, match=message):
+            store.setdefault("b", arr)
+        with pytest.raises(NonFiniteError, match=message):
+            store |= {"b": arr}
+        assert list(store) == ["a"]
+
+    @pytest.mark.parametrize("name, bad", [("fc.weights", np.nan), ("c1.filters", np.inf),
+                                           ("bn1.gamma", np.inf)])
+    @pytest.mark.parametrize("entry", ["forward", "capture_activations", "train"])
+    def test_nonfinite_parameter_stops_every_entry_point_before_any_layer(
+            self, monkeypatch, name, bad, entry):
+        spec = tiny_spec()
+        arrays = dict(M.init_params(spec, seed=41))
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[-1] = bad
+        for kernel in ("conv2d_cached", "batchnorm_cached", "pool_cached", "flatten_cached",
+                       "dense_cached", "dropout_cached"):
+            monkeypatch.setattr(L, kernel, lambda *args, **kwargs: pytest.fail("a layer ran"))
+        x = Tensor4(np.zeros((2, 8, 8, 2), dtype=np.float32))
+        labels = np.eye(3, dtype=np.float32)[[0, 1]]
+        runs = {
+            "forward": lambda params: M.forward(spec, params, x),
+            "capture_activations": lambda params: M.capture_activations(spec, params, x, ["fc"]),
+            "train": lambda params: T.train(spec, params, (x, labels), None,
+                                            T.TrainConfig(epochs=1, patience=None)),
+        }
+        with pytest.raises(NonFiniteError, match=f"parameter '{name}' must be finite"):
+            runs[entry](M.ParamStore(arrays))
 
     def test_copy_is_deep(self):
         store = M.ParamStore({"a": np.ones(3)})
@@ -595,6 +644,16 @@ class TestWeightsPFW1:
         (tmp_path / "bad.pfw").write_bytes(buf)
         with pytest.raises(DataFormatError, match="'fc.weights': PFT1 values must be finite"):
             M.load_weights(tmp_path / "bad.pfw", spec)
+
+    @pytest.mark.parametrize("low", [-1.0, -1e-7])
+    def test_negative_running_variance_names_the_parameter(self, low):
+        spec = tiny_spec()
+        params = M.init_params(spec, seed=33)
+        params["bn1.running_var"] = np.array([low, 1.0, 1.0, 1.0], dtype=np.float32)
+        buf = M.weights_to_bytes(spec, params)
+        with pytest.raises(DataFormatError,
+                           match="'bn1.running_var': running_var must be nonnegative"):
+            M.weights_from_bytes(buf, spec)
 
     def test_bad_magic(self):
         spec = tiny_spec()

@@ -547,6 +547,15 @@ class TestOptimizer:
         with pytest.raises(NonFiniteError):
             T.sgd_nesterov_step(params, {"w": np.array([np.nan, 0.0])}, {}, 0.9, 0.01)
 
+    def test_update_that_overflows_is_rejected_at_its_step(self):
+        params = M.ParamStore({"b": np.zeros(2, dtype=np.float32),
+                               "w": np.array([3e38, 1.0], dtype=np.float32)})
+        grads = {"w": np.array([-1e38, 0.0], dtype=np.float32)}  # finite, as is lr * g
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match="parameter 'w' must be finite"):
+            T.sgd_nesterov_step(params, grads, {}, 0.9, 1.0)
+        np.testing.assert_array_equal(params["w"], np.array([3e38, 1.0], dtype=np.float32))
+
     def test_shape_mismatch_rejected(self):
         params = M.ParamStore({"w": np.zeros(2)})
         with pytest.raises(ShapeError):
