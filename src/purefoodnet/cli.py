@@ -2,7 +2,7 @@
 
 Commands: train, finetune, eval, predict, inspect, diagnose,
 `dataio dump-batch`, `augment preview`. Exit codes: 0 success, 2 config
-error, 3 data or I/O error, 4 weight/spec mismatch.
+error, 3 data or I/O error, 4 weight/spec mismatch, 5 out of memory.
 
 Settings resolve with precedence flag > config file > default. The config
 file is flat `key = value` text; keys match the long flag names with
@@ -526,6 +526,9 @@ def main(argv=None) -> int:
     except (EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 5
 
 
 def main_entry() -> None:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateBatchError, GeometryError, ShapeError
+from .errors import DegenerateBatchError, GeometryError, NonFiniteError, ShapeError
 from .tensor import ConvGeometry, Tensor4, conv_output_size
 
 BATCHNORM_EPS = 1e-5
@@ -390,6 +390,8 @@ def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
         # Biased, matching the running estimate; the same sums as x.var.
         var = np.square(centered).mean(axis=(0, 1, 2))
         if update_stats:
+            if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+                raise NonFiniteError("batch norm batch statistics must be finite")
             m = BATCHNORM_MOMENTUM
             layer.running_mean *= 1.0 - m
             layer.running_mean += m * mean

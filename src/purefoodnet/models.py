@@ -283,6 +283,13 @@ class ParamStore(UserDict):
     def copy(self) -> "ParamStore":
         return ParamStore({name: arr.copy() for name, arr in self.data.items()})
 
+    def replaced(self, changes) -> "ParamStore":
+        """A new store sharing this one's arrays, `changes` checked and stored over them."""
+        new = ParamStore()
+        new.data.update(self.data)
+        new.update(changes)
+        return new
+
     def __eq__(self, other):
         if not isinstance(other, ParamStore):
             return NotImplemented
@@ -621,9 +628,10 @@ def load_model_spec(path) -> ModelSpec:
 
 # ---------------------------------------------------------------------------
 # PFW1 weight container: magic, 32-byte spec digest, u64 tensor count, then
-# per tensor a u32 name length, the UTF-8 name, and a PFT1 record. Rank-1
-# and rank-2 parameters are stored with leading unit dims; on load each
-# record's dims must equal the spec's shape padded the same way.
+# per tensor, in the spec's parameter order, a u32 name length, the UTF-8
+# name, and a PFT1 record. Rank-1 and rank-2 parameters are stored with
+# leading unit dims; on load each record's dims must equal the spec's shape
+# padded the same way.
 # ---------------------------------------------------------------------------
 
 def weights_to_bytes(spec: ModelSpec, params: ParamStore) -> bytes:
@@ -644,8 +652,8 @@ def weights_to_bytes(spec: ModelSpec, params: ParamStore) -> bytes:
 
 def _read_weights(fh, spec: ModelSpec) -> ParamStore:
     """Parameters from the PFW1 file open for binary reading as `fh`, each
-    record's payload read straight into its own array; the whole file is
-    never held in memory."""
+    record's payload read straight into its own array and stored as it is
+    read, in `param_shapes` order; the whole file is never held in memory."""
     size = fh.seek(0, io.SEEK_END)
     fh.seek(0)
     head = fh.read(44)
@@ -662,33 +670,29 @@ def _read_weights(fh, spec: ModelSpec) -> ParamStore:
     expected = param_shapes(spec)
     if count != len(expected):
         raise DataFormatError(f"weight file holds {count} tensors, spec needs {len(expected)}")
-    offset = 44
-    loaded: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        if offset + 4 > size:
+    params = ParamStore()
+    for want, shape in expected.items():
+        if fh.tell() + 4 > size:
             raise DataFormatError("truncated weight file (name length)")
         (name_len,) = struct.unpack("<I", fh.read(4))
-        offset += 4
-        name = decode_utf8(fh.read(min(name_len, size - offset)), "weight file parameter name")
-        offset += name_len
-        if name not in expected:
-            raise DataFormatError(f"weight file names unknown parameter {name!r}")
+        name = decode_utf8(fh.read(min(name_len, size - fh.tell())), "weight file parameter name")
+        if name != want:
+            raise DataFormatError(f"weight file names parameter {name!r} where {want!r} belongs")
         try:
-            arr = pft1_read(fh, size - offset)
+            arr = pft1_read(fh, size - fh.tell())
         except DataFormatError as e:
             raise DataFormatError(f"parameter {name!r}: {e}") from None
-        offset = fh.tell()
-        shape = expected[name]
         if arr.shape != (1,) * (4 - len(shape)) + shape:
             raise DataFormatError(f"parameter {name!r} has dims {arr.shape}, expected {shape}")
         if name.endswith(".running_var") and (arr < 0).any():
             raise DataFormatError(f"parameter {name!r}: running_var must be nonnegative")
-        loaded[name] = arr.reshape(shape)
-    if offset != size:
-        raise DataFormatError(f"{size - offset} trailing bytes in weight file")
-    if set(loaded) != set(expected):
-        raise DataFormatError("weight file does not cover every parameter exactly once")
-    return ParamStore({name: loaded[name] for name in expected})
+        try:
+            params[name] = arr.reshape(shape)
+        except NonFiniteError as e:
+            raise DataFormatError(str(e)) from None
+    if fh.tell() != size:
+        raise DataFormatError(f"{size - fh.tell()} trailing bytes in weight file")
+    return params
 
 
 def weights_from_bytes(buf: bytes, spec: ModelSpec) -> ParamStore:

@@ -6,7 +6,9 @@ are carried as degenerate shapes such as (i, 1, 1, n). Values are 32- or
 64-bit floats and must be finite; construction validates both.
 
 The module also implements the "PFT1" binary tensor record, used for
-debugging dumps and as the payload encoding inside weight files.
+debugging dumps and as the payload encoding inside weight files. Each value
+is scanned for finiteness once, by `all_finite` at the gate it enters
+through, so the PFT1 decoder leaves its values to its caller's gate.
 """
 
 from __future__ import annotations
@@ -161,10 +163,11 @@ def pft1_encode(arr: np.ndarray) -> bytes:
 
 def pft1_read(fh, remaining: int) -> np.ndarray:
     """The 4-D array of the PFT1 record at the binary stream's position, read
-    straight into one fresh, writable, native-order array. `remaining` is the
-    number of bytes the stream holds from there; the payload size is a Python
-    int checked against it before allocating, so dims whose product overflows
-    64 bits cannot wrap."""
+    straight into one fresh, writable, native-order array; its caller's gate
+    (`Tensor4`, `ParamStore`) checks the values. `remaining` is the number of
+    bytes the stream holds from there; the payload size is a Python int
+    checked against it before allocating, so dims whose product overflows 64
+    bits cannot wrap."""
     if remaining < 37:
         raise DataFormatError(f"PFT1 data truncated: {remaining} bytes")
     head = fh.read(37)
@@ -188,8 +191,6 @@ def pft1_read(fh, remaining: int) -> np.ndarray:
         raise DataFormatError(f"PFT1 payload length {got}, expected {nbytes}")
     if not dtype.isnative:
         arr = arr.astype(dtype.newbyteorder("="))
-    if not all_finite(arr):
-        raise DataFormatError("PFT1 values must be finite")
     return arr
 
 
@@ -207,7 +208,10 @@ def tensor_from_bytes(buf: bytes) -> Tensor4:
     arr, end = pft1_decode(buf)
     if end != len(buf):
         raise DataFormatError(f"PFT1 payload length {len(buf) - 37}, expected {end - 37}")
-    return Tensor4(arr)
+    try:
+        return Tensor4(arr)
+    except NonFiniteError as e:
+        raise DataFormatError(str(e)) from None
 
 
 def save_tensor(path, x: Tensor4) -> None:

@@ -280,21 +280,13 @@ def scheduled_lr(config: TrainConfig, epoch: int) -> float:
 
 def lookahead_params(params: M.ParamStore, velocity: GradStore, momentum: float,
                      trainable_names) -> M.ParamStore:
-    """The Nesterov evaluation point theta + mu*v.
-
-    Parameters without velocity (including running statistics and frozen
-    tensors) are shared by reference, so in-place stat updates during the
-    lookahead forward land in the caller's store.
-    """
-    shifted = M.ParamStore()
-    trainable = set(trainable_names)
-    for name, arr in params.items():
-        v = velocity.get(name)
-        if name in trainable and v is not None and momentum != 0.0:
-            shifted[name] = arr + momentum * v
-        else:
-            shifted[name] = arr
-    return shifted
+    """The Nesterov evaluation point theta + mu*v. Only the shifted arrays are
+    new, and only they are checked; the rest, running statistics and frozen
+    tensors among them, are shared by reference, so in-place stat updates
+    during the lookahead forward land in the caller's store."""
+    return params.replaced({name: params[name] + momentum * velocity[name]
+                            for name in trainable_names
+                            if name in velocity and momentum != 0.0})
 
 
 def sgd_nesterov_step(params: M.ParamStore, grads: GradStore, velocity: GradStore,

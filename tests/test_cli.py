@@ -767,6 +767,20 @@ def test_corrupt_weight_record_exits_3(tmp_path, capsys, case):
     assert "'block1_conv1.filters'" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_5(tmp_path, capsys, monkeypatch):
+    spec = M.build_purefoodnet(3, width_scale=0.125, input_side=8)
+    M.save_model_spec(tmp_path / "net.spec", spec)
+    D.save_image(tmp_path / "img.ppm", np.full((8, 8, 3), 0.5))
+
+    def load_weights(path, spec):
+        raise MemoryError("Unable to allocate 812. MiB for an array")
+
+    monkeypatch.setattr(M, "load_weights", load_weights)
+    assert main(["predict", "--spec", str(tmp_path / "net.spec"),
+                 "--weights", str(tmp_path / "w.pfw"), "--image", str(tmp_path / "img.ppm")]) == 5
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 812. MiB for an array\n"
+
+
 @pytest.mark.parametrize("low", [-1.0, -1e-7])
 def test_negative_running_variance_exits_3(tmp_path, capsys, low):
     spec = M.build_purefoodnet(3, width_scale=0.125, input_side=8)

@@ -665,6 +665,17 @@ class TestBatchNorm:
         np.testing.assert_array_equal(cache.x_hat, x_hat)
         np.testing.assert_array_equal(out.data, gamma * x_hat + beta)
 
+    def test_nonfinite_batch_statistics_leave_running_stats_untouched(self):
+        x = np.ones((2, 2, 2, 3), dtype=np.float32)
+        x[0, 0, 0, 1] = 1e20  # finite, but its square is not in float32
+        layer = BatchNormLayer(np.ones(3, np.float32), np.zeros(3, np.float32),
+                               np.full(3, 0.5, np.float32), np.full(3, 2.0, np.float32))
+        before = layer.running_mean.tobytes(), layer.running_var.tobytes()
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match="batch norm batch statistics must be finite"):
+            batchnorm_forward(Tensor4(x), layer, training=True)
+        assert (layer.running_mean.tobytes(), layer.running_var.tobytes()) == before
+
     def test_degenerate_batch_rejected(self):
         x = Tensor4(np.ones((1, 1, 1, 3), dtype=np.float64))
         with pytest.raises(DegenerateBatchError):

@@ -25,6 +25,21 @@ def layer_named(spec, name):
     return next(layer for layer in spec.layers if layer.name == name)
 
 
+def count_finite_scans(monkeypatch) -> list:
+    """The size of each array `all_finite` scans from now on, one entry per
+    call, wherever the engine calls it."""
+    real = TN.all_finite
+    scans = []
+
+    def counting(arr):
+        scans.append(arr.size)
+        return real(arr)
+
+    for module in (TN, M, T):
+        monkeypatch.setattr(module, "all_finite", counting)
+    return scans
+
+
 def tiny_spec(num_classes=3, input_side=8, channels=2):
     """conv/bn/pool backbone with a dense top, small enough for exact checks."""
     return M.ModelSpec(
@@ -190,6 +205,20 @@ class TestParamStore:
         dup = store.copy()
         dup["a"][0] = 9.0
         assert store["a"][0] == 1.0
+
+    def test_replaced_shares_the_rest_and_checks_only_the_changes(self, monkeypatch):
+        store = M.ParamStore({"a": np.ones(2), "b": np.zeros(3), "c": np.ones(1)})
+        scans = count_finite_scans(monkeypatch)
+        new = store.replaced({"b": np.full(3, 2.0)})
+        assert scans == [3]
+        assert list(new) == ["a", "b", "c"]
+        assert new["a"] is store["a"] and new["c"] is store["c"]
+        np.testing.assert_array_equal(new["b"], 2.0)
+        np.testing.assert_array_equal(store["b"], 0.0)
+        with pytest.raises(NonFiniteError, match="parameter 'b' must be finite"):
+            store.replaced({"b": np.array([1.0, np.inf, 0.0])})
+        with pytest.raises(TypeError):
+            store.replaced({"b": [1.0, 2.0, 3.0]})
 
     def test_equality(self):
         a = M.ParamStore({"x": np.arange(4.0)})
@@ -642,8 +671,25 @@ class TestWeightsPFW1:
         end = buf.index(b"fc.weights") + len("fc.weights") + 37 + params["fc.weights"].nbytes
         buf[end - 4:end] = struct.pack("<f", np.inf)  # the last value of fc.weights
         (tmp_path / "bad.pfw").write_bytes(buf)
-        with pytest.raises(DataFormatError, match="'fc.weights': PFT1 values must be finite"):
+        with pytest.raises(DataFormatError, match="parameter 'fc.weights' must be finite"):
             M.load_weights(tmp_path / "bad.pfw", spec)
+
+    def test_records_out_of_spec_order_are_refused(self):
+        spec = tiny_spec()
+        params = M.init_params(spec, seed=35)
+
+        def pfw1(order):
+            return M.weights_to_bytes(spec, params)[:44] + b"".join(
+                struct.pack("<I", len(name)) + name.encode("utf-8") + TN.pft1_encode(params[name])
+                for name in order)
+
+        order = list(params)
+        assert pfw1(order) == M.weights_to_bytes(spec, params)
+        j = order.index("bn1.gamma")
+        order[j:j + 2] = ["bn1.beta", "bn1.gamma"]  # same shape: each record alone is valid
+        with pytest.raises(DataFormatError,
+                           match="names parameter 'bn1.beta' where 'bn1.gamma' belongs"):
+            M.weights_from_bytes(pfw1(order), spec)
 
     @pytest.mark.parametrize("low", [-1.0, -1e-7])
     def test_negative_running_variance_names_the_parameter(self, low):
@@ -662,3 +708,24 @@ class TestWeightsPFW1:
         buf[0] = ord("x")
         with pytest.raises(DataFormatError):
             M.weights_from_bytes(bytes(buf), spec)
+
+
+class TestDecodersScanOnce:
+    """A decoder leaves the finiteness scan to the gate it stores values through."""
+
+    def test_load_weights_scans_each_parameter_once(self, tmp_path, monkeypatch):
+        spec = tiny_spec()
+        params = M.init_params(spec, seed=36)
+        M.save_weights(tmp_path / "w.pfw", spec, params)
+        scans = count_finite_scans(monkeypatch)
+        back = M.load_weights(tmp_path / "w.pfw", spec)
+        assert scans == [arr.size for arr in params.values()]
+        assert back == params
+
+    def test_load_tensor_scans_once(self, tmp_path, monkeypatch):
+        x = Tensor4(np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4))
+        TN.save_tensor(tmp_path / "x.pft", x)
+        scans = count_finite_scans(monkeypatch)
+        back = TN.load_tensor(tmp_path / "x.pft")
+        assert scans == [24]
+        assert back.data.tobytes() == x.data.tobytes()

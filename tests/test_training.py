@@ -16,6 +16,7 @@ from purefoodnet import models as M
 from purefoodnet import training as T
 from purefoodnet.errors import ConfigError, NonFiniteError, ShapeError
 from purefoodnet.tensor import ConvGeometry, Tensor4
+from test_models import count_finite_scans
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -633,6 +634,26 @@ class TestLookahead:
         assert shifted["b"] is params["b"]
         assert shifted["c"] is params["c"]
 
+    def test_frozen_backbone_scans_only_the_shifted_parameters(self, monkeypatch):
+        # Built as `finetune --freeze-backbone` builds its model.
+        base = M.build_purefoodnet(4, width_scale=0.0625, input_side=8)
+        spec, params = M.attach_head(base, M.init_params(base, seed=1), 3, units=8, seed=2)
+        spec = M.set_trainable(spec, [layer.name for layer in spec.layers[:spec.top_boundary]],
+                               False)
+        trainable = M.trainable_param_names(spec)
+        assert trainable == ["fc1.weights", "fc1.bias", "predictor.weights", "predictor.bias"]
+        moving = trainable[:3]  # the last has no velocity yet
+        velocity = {name: np.full_like(params[name], 0.25) for name in moving}
+        scans = count_finite_scans(monkeypatch)
+        shifted = T.lookahead_params(params, velocity, 0.9, trainable)
+        assert scans == [params[name].size for name in moving]
+        assert list(shifted) == list(params)
+        for name in params:
+            if name in velocity:
+                assert shifted[name].tobytes() == (params[name] + 0.9 * velocity[name]).tobytes()
+            else:
+                assert shifted[name] is params[name]
+
 
 def separable_toy_set(n=80, seed=0):
     """2-D points labelled by the sign of a fixed linear score, with margin."""
@@ -774,6 +795,32 @@ class TestTrainLoop:
         assert all(result.params[name] is not params[name] for name in params)
         assert (result.best_epoch, result.stopped_early) == (0, False)
         assert math.isnan(result.best_val_top1)
+
+    def test_batch_norm_overflow_stops_at_its_batch(self):
+        # A float32 1e20 squares past the float32 range, so the batch
+        # variance is infinite while the normalized output stays finite.
+        spec = M.ModelSpec((2, 2, 1), (M.batchnorm_spec("bn"), M.flatten_spec(),
+                                       M.dense_spec("out", 2, activation="softmax")),
+                           top_boundary=1)
+        params = M.init_params(spec, seed=3)
+        labels = np.eye(2, dtype=np.float32)[[0, 1, 0, 1]]
+        pulled = []
+
+        def batches(epoch):
+            for j in range(3):
+                x = np.random.default_rng(j).normal(size=(4, 2, 2, 1)).astype(np.float32)
+                if j == 1:
+                    x[0, 0, 0, 0] = 1e20
+                pulled.append(j)
+                yield Tensor4(x), labels
+
+        running = params["bn.running_mean"].copy(), params["bn.running_var"].copy()
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match="batch norm batch statistics must be finite"):
+            T.train(spec, params, batches, None, T.TrainConfig(epochs=1, patience=None))
+        assert pulled == [0, 1]
+        assert np.isfinite(params["bn.running_var"]).all()
+        assert params["bn.running_var"].tobytes() != running[1].tobytes()  # batch 0 folded in
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
