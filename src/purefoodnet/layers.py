@@ -4,24 +4,35 @@ Layer objects own their parameter arrays (by reference, so a store can hand
 the same buffers to many forward calls). Each operation has two entry
 points: a plain forward returning the output tensor, and a `*_cached`
 variant that additionally returns the intermediates its matching backward
-pass (in `training`) consumes.
+pass (in `training`) consumes. With `need_cache=False` (inference) conv,
+pool and batch norm return no cache and keep nothing for a backward.
 
-Pooling is vectorized with `sliding_window_view` over the two spatial axes.
-A convolution copies its input windows into an im2col matrix (one row per
-output cell, columns in (channel, row, column) order) and multiplies it by
-the filter bank, one block of rows at a time: it fills a buffer with a
-block and multiplies it into its slice of the output. When a backward pass
-will follow, the only block is the whole matrix, which the cache keeps for
-the filter gradient. Without one (inference, `need_cache=False`), a large
-matrix goes through one bounded buffer, with the same bits, and no cache is
-returned. Convolutions are cross-correlations: the kernel is applied as
-stored, never flipped. Activations are fused into the conv and dense
-layers; `softmax` also exists standalone, with no backward.
+Pooling is vectorized with `sliding_window_view` over the two spatial axes;
+an inference max-pool takes a running maximum of its k*k strided taps
+instead, with no winner index. A convolution copies its input windows into
+an im2col matrix (one row per output cell, columns in (channel, row,
+column) order) and multiplies it by the filter bank, one block of rows at a
+time: it fills a buffer with a block and multiplies it into its slice of
+the output. When a backward pass will follow, the only block is the whole
+matrix, on the calling thread, and the cache keeps it for the filter
+gradient. Without one, a matrix larger than one worker's share of about
+32 MB is split into one share of output rows per worker, each share going
+block by block through that worker's own buffer. There are as many workers
+as the CPU affinity mask allows (`taskset` limits them) when OpenBLAS runs
+one thread per call (`OPENBLAS_NUM_THREADS=1`), and one otherwise. Every block takes the BLAS
+kernel the whole product would, so the bits are the same at any worker
+count. Workers run only untraced numpy work (`run_jobs`). Convolutions are
+cross-correlations: the kernel is applied as stored, never flipped.
+Activations are fused into the conv and dense layers; `softmax` also exists
+standalone, with no backward.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -168,7 +179,8 @@ class BatchNormCache(NamedTuple):
 # Bytes of im2col matrix filled per block of output rows; a block this size
 # stays in cache while all k*k taps are written into it.
 _IM2COL_BLOCK_BYTES = 1 << 19
-# Bytes of im2col matrix a conv holds at once when it keeps no cache.
+# Bytes of im2col matrix a conv holds at once, across all its workers, when
+# it keeps no cache.
 _GEMM_BLOCK_BYTES = 32 << 20
 # A block of the product must take the BLAS kernel the whole product takes,
 # or its bits differ: OpenBLAS uses GEMV for one row or one column and a
@@ -176,6 +188,47 @@ _GEMM_BLOCK_BYTES = 32 << 20
 # many rows and multiply-adds, and a one-filter product is never split.
 _MIN_BLOCK_ROWS = 256
 _MIN_BLOCK_MACS = 1 << 20
+# CPUs this process may use: the affinity mask where the platform has one,
+# else every CPU.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def _one_blas_thread() -> bool:
+    """Whether OpenBLAS runs each call on one thread: the first of its
+    thread-count variables that holds a positive number says 1."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
+# Threads that run conv work at once: one per CPU, numpy releasing the GIL
+# in np.dot and in large copies and ufunc loops, but only while each BLAS
+# call stays on one thread. Otherwise OpenBLAS starts a team per call, the
+# teams of two callers compete for the same CPUs, and the work stays on the
+# calling thread: with OpenBLAS's default team on two CPUs, two workers
+# trained 7% slower than one and took 14 MB more memory.
+_WORKERS = _CPUS if _one_blas_thread() else 1
+# The calling thread is one worker; the pool's threads start on first use.
+_POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="purefoodnet")
+
+
+def run_jobs(jobs) -> list:
+    """The result of each callable in `jobs`, in order. With more than one
+    worker, this thread runs jobs[0] while the pool runs the rest; either
+    way every job has finished before this returns or raises, and the first
+    error in job order is the one raised. Jobs must do only untraced numpy
+    work: the benchmark's span tracer is not thread-safe."""
+    if _WORKERS == 1:
+        return [job() for job in jobs]
+    futures = [_POOL.submit(job) for job in jobs[1:]]
+    try:
+        first = jobs[0]()
+    finally:
+        wait(futures)
+    return [first, *(future.result() for future in futures)]
 
 
 def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int,
@@ -202,15 +255,40 @@ def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int,
     return out
 
 
+def _least_units(ow: int, width: int, f: int) -> int:
+    """Output rows (ow im2col rows each) in the smallest block that takes
+    the BLAS kernel of the whole product."""
+    return max(-(-_MIN_BLOCK_ROWS // ow), -(-_MIN_BLOCK_MACS // (ow * width * f)))
+
+
 def _block_units(units: int, ow: int, width: int, f: int, itemsize: int) -> int:
-    """Output rows (ow im2col rows each) per block of a conv that keeps no
-    cache; `units`, the number of output rows, means one block."""
+    """Output rows per block of a conv that keeps no cache: one worker's
+    share of the byte budget, but never below the kernel minimums; `units`,
+    the number of output rows, means one block."""
     if f < 2:
         return units
-    unit_macs = ow * width * f
-    b = max(-(-_MIN_BLOCK_ROWS // ow), -(-_MIN_BLOCK_MACS // unit_macs),
-            _GEMM_BLOCK_BYTES // (ow * width * itemsize))
+    b = max(_least_units(ow, width, f), _GEMM_BLOCK_BYTES // _WORKERS // (ow * width * itemsize))
     return min(b, units)
+
+
+def _share_bounds(units: int, b: int, least: int, unit_bytes: int) -> list[int]:
+    """Bounds of the workers' shares of `units` output rows in blocks of b:
+    one share when one block holds them all, else one per worker, but never
+    more than there are blocks, shares of at least `least` rows, or buffers
+    of b rows of `unit_bytes` each that fit in the byte budget together."""
+    n = 1 if b == units else min(_WORKERS, -(-units // b), units // least,
+                                 max(1, _GEMM_BLOCK_BYTES // (b * unit_bytes)))
+    return [units * j // n for j in range(n + 1)]
+
+
+def _multiply_rows(xp: np.ndarray, k: int, s: int, oh: int, ow: int, fmat: np.ndarray,
+                   rows: np.ndarray, start: int, stop: int, cols: np.ndarray) -> None:
+    """Write output rows start..stop-1 of the conv into `rows` through the
+    im2col buffer `cols`, as many at a time as it holds, the last block
+    overlapping the one before (blocks may span images)."""
+    b = len(cols) // ow
+    for u in (*range(start, stop - b, b), stop - b):
+        np.dot(_im2col(xp, k, s, oh, ow, cols, u), fmat, out=rows[u * ow:(u + b) * ow])
 
 
 def _relu_inplace(out: np.ndarray) -> None:
@@ -224,10 +302,11 @@ def _relu_inplace(out: np.ndarray) -> None:
 def conv2d_cached(x: Tensor4, layer: ConvLayer,
                   need_cache: bool = True) -> tuple[Tensor4, ConvCache | None]:
     """The conv output and, when `need_cache` is true, the cache its backward
-    consumes (None otherwise). Without a cache, an im2col matrix larger than
-    about _GEMM_BLOCK_BYTES is never whole: blocks of its rows, all of one
-    height, go through one buffer that size, the last block overlapping the
-    one before and any block possibly spanning images."""
+    consumes (None otherwise). With a cache, the whole im2col matrix is one
+    block on the calling thread, and the cache keeps it. Without one, a
+    matrix larger than one worker's share of about _GEMM_BLOCK_BYTES is
+    never whole: each worker multiplies its own rows (`_share_bounds`)
+    through its own buffer."""
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -242,12 +321,15 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
     f = filters.shape[0]
     fmat = filters.transpose(3, 1, 2, 0).reshape(-1, f)
     out = np.empty((x.i, oh, ow, f), dtype=np.result_type(xp, fmat))
-    rows = out.reshape(-1, f)
-    units = x.i * oh
-    b = units if need_cache else _block_units(units, ow, len(fmat), f, xp.itemsize)
-    cols = np.empty((b * ow, len(fmat)), dtype=xp.dtype)  # the whole matrix when b == units
-    for u in (*range(0, units - b, b), units - b):
-        np.dot(_im2col(xp, g.k, g.s, oh, ow, cols, u), fmat, out=rows[u * ow:(u + b) * ow])
+    units, width = x.i * oh, len(fmat)
+    b = units if need_cache else _block_units(units, ow, width, f, xp.itemsize)
+    bounds = _share_bounds(units, b, _least_units(ow, width, f), ow * width * xp.itemsize)
+    # Every buffer comes from this thread's heap: memory a worker allocated
+    # would stay in that thread's own malloc arena.
+    buffers = [np.empty((min(b, hi - lo) * ow, width), dtype=xp.dtype)
+               for lo, hi in zip(bounds, bounds[1:])]
+    run_jobs([partial(_multiply_rows, xp, g.k, g.s, oh, ow, fmat, out.reshape(-1, f), lo, hi, cols)
+              for lo, hi, cols in zip(bounds, bounds[1:], buffers)])
     # A bias of a wider dtype widens the sum, as `out + bias` would.
     out = out.astype(np.result_type(out, layer.bias), copy=False)
     out += layer.bias
@@ -256,7 +338,7 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
         if need_cache:
             relu_mask = out > 0
         _relu_inplace(out)
-    cache = ConvCache(cols, xp.shape, filters, g, relu_mask) if need_cache else None
+    cache = ConvCache(buffers[0], xp.shape, filters, g, relu_mask) if need_cache else None
     return Tensor4(out), cache
 
 
@@ -282,9 +364,20 @@ def pool_output_size(h: int, w: int, window: int, stride: int) -> tuple[int, int
     return (h - window) // stride + 1, (w - window) // stride + 1
 
 
-def pool_cached(x: Tensor4, layer: PoolLayer) -> tuple[Tensor4, PoolCache]:
+def pool_cached(x: Tensor4, layer: PoolLayer,
+                need_cache: bool = True) -> tuple[Tensor4, PoolCache | None]:
     window, stride = layer.window, layer.stride
-    pool_output_size(x.h, x.w, window, stride)
+    oh, ow = pool_output_size(x.h, x.w, window, stride)
+    if layer.mode == "max" and not need_cache:
+        # A running maximum over the taps in (p, q) order, where only a
+        # strictly greater tap wins: the first winner, as argmax picks it,
+        # so the bytes (the sign of a zero included) are the cached path's.
+        taps = (x.data[:, p:p + stride * (oh - 1) + 1:stride, q:q + stride * (ow - 1) + 1:stride]
+                for p in range(window) for q in range(window))
+        out = next(taps).copy()
+        for tap in taps:
+            out = np.where(tap > out, tap, out)
+        return Tensor4(out), None
     windows = sliding_window_view(x.data, (window, window), axis=(1, 2))[:, ::stride, ::stride]
     if layer.mode == "max":
         i, oh, ow, c = windows.shape[:4]
@@ -294,7 +387,8 @@ def pool_cached(x: Tensor4, layer: PoolLayer) -> tuple[Tensor4, PoolCache]:
     else:
         argmax = None
         out = windows.mean(axis=(4, 5))
-    return Tensor4(out), PoolCache(layer.mode, argmax, x.data.shape, window, stride)
+    cache = PoolCache(layer.mode, argmax, x.data.shape, window, stride) if need_cache else None
+    return Tensor4(out), cache
 
 
 def pool_forward(x: Tensor4, layer: PoolLayer) -> Tensor4:
@@ -302,7 +396,7 @@ def pool_forward(x: Tensor4, layer: PoolLayer) -> Tensor4:
 
     The window must tile the spatial dims exactly: (dim - window) % stride == 0.
     """
-    out, _ = pool_cached(x, layer)
+    out, _ = pool_cached(x, layer, need_cache=False)
     return out
 
 
@@ -376,7 +470,8 @@ def dropout_forward(x: Tensor4, layer: DropoutLayer, training: bool = False,
 
 
 def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
-                     update_stats: bool = True) -> tuple[Tensor4, BatchNormCache]:
+                     update_stats: bool = True,
+                     need_cache: bool = True) -> tuple[Tensor4, BatchNormCache | None]:
     if layer.gamma.shape != (x.c,):
         raise ShapeError(f"batch norm has {layer.gamma.shape[0]} channels, input has {x.c}")
     if training:
@@ -404,6 +499,13 @@ def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
     inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPS)
     x_hat = centered
     x_hat *= inv_std
+    if not need_cache:
+        # The output in x_hat's buffer; a wider gamma widens it first, as
+        # `gamma * x_hat` would.
+        out = x_hat.astype(np.result_type(x_hat, layer.gamma), copy=False)
+        out *= layer.gamma
+        out += layer.beta
+        return Tensor4(out), None
     out = layer.gamma * x_hat
     out += layer.beta
     return Tensor4(out), BatchNormCache(x_hat, inv_std, layer.gamma, count)
@@ -417,7 +519,7 @@ def batchnorm_forward(x: Tensor4, layer: BatchNormLayer, training: bool = False)
     running = (1 - momentum) * running + momentum * batch. Inference mode
     normalizes with the running estimates and touches nothing.
     """
-    out, _ = batchnorm_cached(x, layer, training)
+    out, _ = batchnorm_cached(x, layer, training, need_cache=False)
     return out
 
 

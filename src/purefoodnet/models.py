@@ -44,7 +44,7 @@ from .tensor import (
     check_round_trip,
     conv_output_size,
     decode_utf8,
-    pft1_encode,
+    pft1_parts,
     pft1_read,
     same_padding_amount,
 )
@@ -151,7 +151,7 @@ KIND_TABLE = {
                              and layer.mode in L.POOL_MODES),
         out_shape=lambda layer, h, w, c: (*L.pool_output_size(h, w, layer.window, layer.stride), c),
         forward=lambda layer, p, x, training, rng, need_cache: L.pool_cached(
-            x, L.PoolLayer(layer.window, layer.stride, layer.mode)),
+            x, L.PoolLayer(layer.window, layer.stride, layer.mode), need_cache=need_cache),
     ),
     "flatten": LayerKind(
         keys=(),
@@ -183,7 +183,7 @@ KIND_TABLE = {
         trainable=("gamma", "beta"),
         forward=lambda layer, p, x, training, rng, need_cache: L.batchnorm_cached(
             x, L.BatchNormLayer(p("gamma"), p("beta"), p("running_mean"), p("running_var")),
-            training and layer.trainable),
+            training and layer.trainable, need_cache=need_cache),
     ),
 }
 
@@ -322,11 +322,19 @@ def penalized_weight_names(spec: ModelSpec) -> list[str]:
             for field in KIND_TABLE[layer.kind].penalized]
 
 
-def glorot_init(shape, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples in +-sqrt(6 / (fan_in + fan_out)).
+# Values a Glorot draw takes from its stream at a time: the float64 draw is
+# never held whole (fc1 at paper scale is 205 M values).
+_INIT_CHUNK_VALUES = 1 << 20
+
+
+def glorot_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+    """Uniform samples in +-sqrt(6 / (fan_in + fan_out)), as `dtype`.
 
     Dense (n_in, n_out) shapes use the two dims directly; conv banks
-    (f, k, k, c) use receptive-field fans k*k*c and k*k*f.
+    (f, k, k, c) use receptive-field fans k*k*c and k*k*f. The draw is
+    made in row chunks, each cast straight into the result; a Generator
+    consumes its stream the same way in chunks as in one draw, so the
+    values are those of `rng.uniform(-bound, bound, size=shape)`.
     """
     if len(shape) == 2:
         fan_in, fan_out = shape
@@ -337,7 +345,23 @@ def glorot_init(shape, rng: np.random.Generator) -> np.ndarray:
     else:
         raise ShapeError(f"no fan rule for shape {shape}")
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    out = np.empty(shape, dtype=dtype)
+    rows = out.reshape(shape[0], -1)
+    step = max(1, _INIT_CHUNK_VALUES // rows.shape[1])
+    for r in range(0, len(rows), step):
+        rows[r:r + step] = rng.uniform(-bound, bound, size=rows[r:r + step].shape)
+    return out
+
+
+def _fresh_param(name: str, shape, seed: int, dtype) -> np.ndarray:
+    """The initial value of parameter `name`: Glorot-uniform weights from
+    the layer's own seeded stream, zero biases and shifts, unit scales."""
+    layer_name, field = name.rsplit(".", 1)
+    if field in ("filters", "weights"):
+        return glorot_init(shape, make_rng(seed, "init", layer_name), dtype)
+    if field in ("bias", "beta", "running_mean"):
+        return np.zeros(shape, dtype=dtype)
+    return np.ones(shape, dtype=dtype)  # gamma, running_var
 
 
 def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> ParamStore:
@@ -346,18 +370,8 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> ParamStore:
     Each layer draws from its own seeded stream, so adding or removing one
     layer leaves the others' initial values untouched.
     """
-    dt = np.dtype(dtype)
-    params = ParamStore()
-    for name, shape in param_shapes(spec).items():
-        layer_name, field = name.rsplit(".", 1)
-        if field in ("filters", "weights"):
-            rng = make_rng(seed, "init", layer_name)
-            params[name] = glorot_init(shape, rng).astype(dt)
-        elif field in ("bias", "beta", "running_mean"):
-            params[name] = np.zeros(shape, dtype=dt)
-        else:  # gamma, running_var
-            params[name] = np.ones(shape, dtype=dt)
-    return params
+    return ParamStore({name: _fresh_param(name, shape, seed, dtype)
+                       for name, shape in param_shapes(spec).items()})
 
 
 def apply_layer(layer: LayerSpec, params: ParamStore, x: Tensor4,
@@ -515,15 +529,20 @@ def attach_head(spec: ModelSpec, params: ParamStore, new_num_classes: int,
     """
     if new_num_classes < 2:
         raise ValueError(f"new_num_classes must be >= 2, got {new_num_classes}")
-    backbone, backbone_params = strip_top_layers(spec, params)
-    new_spec = ModelSpec(input_shape=backbone.input_shape,
-                         layers=(*backbone.layers,
+    backbone = spec.layers[:spec.top_boundary]
+    new_spec = ModelSpec(input_shape=spec.input_shape,
+                         layers=(*backbone,
                                  *_classification_top(units, dropout_rate, new_num_classes)),
-                         top_boundary=len(backbone.layers))
-    dtype = next(iter(backbone_params.values())).dtype if len(backbone_params) else np.float32
-    new_params = init_params(new_spec, seed=seed, dtype=dtype)
-    new_params |= backbone_params  # replaces values in place, so the order stays
-    return new_spec, new_params
+                         top_boundary=len(backbone))
+    shapes = param_shapes(new_spec)
+    backbone_names = {layer.name for layer in backbone}
+    kept = [name for name in shapes if name.rsplit(".", 1)[0] in backbone_names]
+    dtype = params[kept[0]].dtype if kept else np.float32
+    # Only the head is drawn: each layer has its own stream, so its values
+    # are those `init_params(new_spec)` would give it.
+    return new_spec, ParamStore({name: params[name].copy() if name in kept
+                                 else _fresh_param(name, shape, seed, dtype)
+                                 for name, shape in shapes.items()})
 
 
 def set_trainable(spec: ModelSpec, layer_names, flag: bool) -> ModelSpec:
@@ -634,20 +653,26 @@ def load_model_spec(path) -> ModelSpec:
 # padded the same way.
 # ---------------------------------------------------------------------------
 
-def weights_to_bytes(spec: ModelSpec, params: ParamStore) -> bytes:
+def _weight_parts(spec: ModelSpec, params: ParamStore) -> list:
+    """The PFW1 file of `params` as bytes-like parts, in order; each
+    parameter's values are its own array wherever `pft1_parts` allows."""
     expected = param_shapes(spec)
     if list(params.keys()) != list(expected.keys()):
         raise ShapeError(
             f"parameter names do not match the spec: have {sorted(params.keys())[:3]}..., "
             f"expected {sorted(expected.keys())[:3]}..."
         )
-    chunks = [PFW1_MAGIC, spec_digest(spec), struct.pack("<Q", len(params))]
+    parts = [PFW1_MAGIC, spec_digest(spec), struct.pack("<Q", len(params))]
     for name, arr in params.items():
         if arr.shape != expected[name]:
             raise ShapeError(f"parameter {name!r} has shape {arr.shape}, expected {expected[name]}")
         encoded = name.encode("utf-8")
-        chunks += [struct.pack("<I", len(encoded)), encoded, pft1_encode(arr)]
-    return b"".join(chunks)
+        parts += [struct.pack("<I", len(encoded)), encoded, *pft1_parts(arr)]
+    return parts
+
+
+def weights_to_bytes(spec: ModelSpec, params: ParamStore) -> bytes:
+    return b"".join(_weight_parts(spec, params))
 
 
 def _read_weights(fh, spec: ModelSpec) -> ParamStore:
@@ -700,7 +725,9 @@ def weights_from_bytes(buf: bytes, spec: ModelSpec) -> ParamStore:
 
 
 def save_weights(path, spec: ModelSpec, params: ParamStore) -> None:
-    atomic_write_bytes(path, weights_to_bytes(spec, params))
+    """The PFW1 file, written part by part: the values go to the file
+    straight from each parameter's array when it is C-contiguous."""
+    atomic_write_bytes(path, *_weight_parts(spec, params))
 
 
 def load_weights(path, spec: ModelSpec) -> ParamStore:

@@ -146,9 +146,11 @@ def same_padding_amount(k: int) -> int:
 # The codec works on plain ndarrays; PFW1 weight files reuse it per parameter.
 # ---------------------------------------------------------------------------
 
-def pft1_encode(arr: np.ndarray) -> bytes:
-    """One PFT1 record for an array of rank <= 4; a lower rank is stored with
-    leading unit dims, so a (c,) vector is written as (1, 1, 1, c)."""
+def pft1_parts(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The header of the PFT1 record of an array of rank <= 4, and its values
+    as a C-contiguous little-endian array (`arr` itself when it is one, so a
+    writer can hand the values to a file uncopied). A lower rank is stored
+    with leading unit dims, so a (c,) vector is written as (1, 1, 1, c)."""
     code = DTYPE_CODES.get(arr.dtype)
     if code is None:
         raise ShapeError(f"PFT1 dtype must be float32 or float64, got {arr.dtype}")
@@ -157,8 +159,13 @@ def pft1_encode(arr: np.ndarray) -> bytes:
     if not all_finite(arr):
         raise NonFiniteError("PFT1 values must be finite")
     dims = (1,) * (4 - arr.ndim) + arr.shape
-    payload = np.ascontiguousarray(arr, dtype=CODE_DTYPES[code]).tobytes()
-    return PFT1_MAGIC + bytes([code]) + struct.pack("<4Q", *dims) + payload
+    return (PFT1_MAGIC + bytes([code]) + struct.pack("<4Q", *dims),
+            np.ascontiguousarray(arr, dtype=CODE_DTYPES[code]))
+
+
+def pft1_encode(arr: np.ndarray) -> bytes:
+    """One PFT1 record for an array of rank <= 4 (`pft1_parts`, joined)."""
+    return b"".join(pft1_parts(arr))
 
 
 def pft1_read(fh, remaining: int) -> np.ndarray:
@@ -242,14 +249,15 @@ def check_round_trip(lines, written: str) -> None:
 _temp_ids = itertools.count()
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place.
-    The temp name is unique per call; a failed write removes it."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the bytes-like `chunks`, in order, via a temp file in the same
+    directory, then rename into place. The temp name is unique per call; a
+    failed write removes it."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}.{next(_temp_ids)}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,17 +71,20 @@ def conv2d_backward(d: np.ndarray, cache: L.ConvCache, need_dx: bool = True):
     filters, g = cache.filters, cache.geometry
     f, k, _, c = filters.shape
     db = d.sum(axis=(0, 1, 2))
-    dw = np.dot(d.transpose(3, 0, 1, 2).reshape(f, -1), cache.cols)
-    dw = dw.reshape(f, c, k, k).transpose(0, 2, 3, 1)
+    d_rows = d.transpose(3, 0, 1, 2).reshape(f, -1)
+    dw = np.empty((f, c, k, k), dtype=np.result_type(d_rows, cache.cols))
+    filter_gradient = partial(np.dot, d_rows, cache.cols, out=dw.reshape(f, -1))
     if not need_dx:
-        return None, dw, db
-    dxp = _scatter_taps(cache.padded_shape, d.dtype, g.k, g.s,
-                        lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0])))
-    if g.z:
-        dx = dxp[:, g.z:-g.z, g.z:-g.z, :]
-    else:
-        dx = dxp
-    return dx, dw, db
+        filter_gradient()
+        return None, dw.transpose(0, 2, 3, 1), db
+    # The dx taps run on this thread while a worker runs the dw GEMM, into
+    # a buffer from this thread's heap (a worker's allocations would stay
+    # in its own malloc arena).
+    dxp, _ = L.run_jobs([
+        partial(_scatter_taps, cache.padded_shape, d.dtype, g.k, g.s,
+                lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0]))),
+        filter_gradient])
+    return (dxp[:, g.z:-g.z, g.z:-g.z, :] if g.z else dxp), dw.transpose(0, 2, 3, 1), db
 
 
 def pool_backward(d: np.ndarray, cache: L.PoolCache) -> np.ndarray:

@@ -1,7 +1,13 @@
 """Layer forward tests against plain nested-loop oracles."""
 
+import importlib.util
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from purefoodnet import layers
 from purefoodnet.errors import DegenerateBatchError, GeometryError, NonFiniteError, ShapeError
 from purefoodnet.layers import (
+    POOL_MODES,
     BatchNormLayer,
     ConvLayer,
     DenseLayer,
@@ -24,6 +31,7 @@ from purefoodnet.layers import (
     flatten,
     l1_penalty,
     l2_penalty,
+    pool_cached,
     pool_forward,
     softmax,
 )
@@ -51,6 +59,14 @@ def conv_oracle(x, filters, bias, k, s, z):
                                 acc += xp[n, r * s + p, col * s + q, ch] * filters[fi, p, q, ch]
                     out[n, r, col, fi] = acc + bias[fi]
     return out
+
+
+def rounded_with_signed_zeros(rng, shape, dtype) -> np.ndarray:
+    """Normal samples rounded to halves, so windows tie, with about half
+    of the many zeros negative."""
+    x = (np.round(rng.normal(size=shape) * 2) / 2).astype(dtype)
+    x[(x == 0) & (rng.random(shape) < 0.5)] = -0.0
+    return x
 
 
 def pool_oracle(x, window, stride, reduce):
@@ -235,9 +251,29 @@ class TestConvEpilogue:
         np.testing.assert_array_equal(out.data, want)
 
 
+def spy_on_blocks(monkeypatch) -> list:
+    """(first output row, im2col rows filled, thread) of each block a conv
+    fills from now on, in the order the blocks start."""
+    calls = []
+    im2col = layers._im2col
+
+    def spy(xp, k, s, oh, ow, out, first):
+        calls.append((first, len(out), threading.get_ident()))
+        return im2col(xp, k, s, oh, ow, out, first)
+
+    monkeypatch.setattr(layers, "_im2col", spy)
+    return calls
+
+
 class TestBlockedConv:
-    """A conv that keeps no cache multiplies its im2col matrix block by block
-    and must give exactly the bytes of the one-GEMM cached path."""
+    """A conv that keeps no cache multiplies its im2col matrix block by block,
+    on one to three workers, and must give exactly the bytes of the one-GEMM
+    cached path."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(layers, "_WORKERS", request.param)
+        return request.param
 
     @pytest.mark.parametrize("side, c, f", [(224, 128, 128), (112, 256, 256), (56, 512, 512)])
     def test_paper_scale_shapes_match_cached(self, side, c, f):
@@ -256,38 +292,43 @@ class TestBlockedConv:
     @pytest.mark.parametrize("z", [0, 1])
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_blocks_match_cached(self, k, s, z, dtype, monkeypatch):
-        # No byte budget: every block has the smallest height allowed.
-        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", 0)
+    def test_blocks_match_cached(self, k, s, z, dtype, workers, monkeypatch):
         # Few filters: there OpenBLAS's small-matrix kernel rounds unlike
         # its large one.
         c, f, side = 16, 8, 23
         oh = (side + 2 * z - k) // s + 1  # = ow
-        b = layers._block_units(10**6, oh, c * k * k, f, np.dtype(dtype).itemsize)
+        # A budget of one smallest block per worker: every block has the
+        # smallest height allowed.
+        b = layers._least_units(oh, c * k * k, f)
+        unit_bytes = oh * c * k * k * np.dtype(dtype).itemsize
+        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", workers * b * unit_bytes)
+        assert layers._block_units(10**6, oh, c * k * k, f, np.dtype(dtype).itemsize) == b
         images = math.ceil(2.5 * b / oh)  # room for three blocks or more
         rng = np.random.default_rng(7 * k + 3 * s + z)
         x = Tensor4(rng.normal(size=(images, side, side, c)).astype(dtype))
         layer = conv_layer(rng.normal(size=(f, k, k, c)).astype(dtype) * 0.2,
                            rng.normal(size=f).astype(dtype), k, s, z, activation="relu")
-        calls = []  # (first output row, im2col rows filled) per block
-        im2col = layers._im2col
-
-        def spy(xp, k, s, oh, ow, out, first):
-            calls.append((first, len(out)))
-            return im2col(xp, k, s, oh, ow, out, first)
-
-        monkeypatch.setattr(layers, "_im2col", spy)
+        calls = spy_on_blocks(monkeypatch)
         want, _ = conv2d_cached(x, layer)
         units = images * oh
-        assert calls == [(0, units * oh)]  # the cached path fills the whole matrix at once
+        # The cached path fills the whole matrix at once, on this thread.
+        assert calls == [(0, units * oh, threading.get_ident())]
         calls.clear()
         got, _ = conv2d_cached(x, layer, need_cache=False)
-        starts = [first for first, _ in calls]
-        assert all(rows == b * oh for _, rows in calls)
-        assert len(starts) >= 3 and starts[-1] == units - b
-        assert starts[-1] < starts[-2] + b  # the last block overlaps the one before
-        assert any(u // oh != (u + b - 1) // oh for u in starts)  # a block spans two images
+        blocks = sorted((first, first + rows // oh, thread) for first, rows, thread in calls)
+        assert all(hi - lo == b for lo, hi, _ in blocks)
+        assert len(blocks) >= 3 and blocks[0][0] == 0 and blocks[-1][1] == units
+        assert all(lo <= prev_hi for (_, prev_hi, _), (lo, _, _) in zip(blocks, blocks[1:]))
+        # No output row is written by two threads.
+        assert not any(a_lo < b_hi and b_lo < a_hi
+                       for a_lo, a_hi, a_thread in blocks for b_lo, b_hi, b_thread in blocks
+                       if a_thread != b_thread)
+        assert (len({thread for *_, thread in blocks}) > 1) == (workers > 1)
+        if workers == 1:  # one share: its last block overlaps the one before
+            assert blocks[-1][0] < blocks[-2][1]
+        assert any(lo // oh != (hi - 1) // oh for lo, hi, _ in blocks)  # spans two images
         np.testing.assert_array_equal(got.data, want.data)
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_wide_product_keeps_blocks_of_many_rows(self, monkeypatch):
         # 2048 x 512 filters reach the multiply-add minimum in a single row,
@@ -301,17 +342,33 @@ class TestBlockedConv:
         got, _ = conv2d_cached(x, layer, need_cache=False)
         np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
 
-    def test_matrix_within_budget_is_one_block(self, monkeypatch):
-        calls = []
-        im2col = layers._im2col
-        monkeypatch.setattr(layers, "_im2col",
-                            lambda *args: calls.append(args[5:]) or im2col(*args))
+    def test_matrix_within_budget_is_one_block(self, workers, monkeypatch):
+        # 23.6 MB of im2col: one block within the 32 MB budget on one
+        # worker, else one block per worker, the shares in flight at once
+        # still within the budget.
+        calls = spy_on_blocks(monkeypatch)
         rng = np.random.default_rng(71)
         x = Tensor4(rng.normal(size=(40, 32, 32, 16)).astype(np.float32))
         layer = conv_layer(rng.normal(size=(16, 3, 3, 16)).astype(np.float32),
                            np.zeros(16, dtype=np.float32), k=3, z=1)
-        conv2d_cached(x, layer, need_cache=False)
-        assert [(len(out), first) for out, first in calls] == [(40 * 32 * 32, 0)]  # one block
+        got, _ = conv2d_cached(x, layer, need_cache=False)
+        bounds = [40 * 32 * j // workers for j in range(workers + 1)]
+        assert sorted((first, rows) for first, rows, _ in calls) == [
+            (lo, (hi - lo) * 32) for lo, hi in zip(bounds, bounds[1:])]
+        assert sum(rows for _, rows, _ in calls) * 16 * 9 * 4 <= layers._GEMM_BLOCK_BYTES
+        np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
+
+    def test_matrix_within_one_share_stays_on_the_calling_thread(self, monkeypatch):
+        # 5.9 MB: one block at any worker count, on this thread, as the
+        # small fills that hold the GIL are faster unsplit.
+        calls = spy_on_blocks(monkeypatch)
+        rng = np.random.default_rng(72)
+        x = Tensor4(rng.normal(size=(20, 16, 16, 32)).astype(np.float32))
+        layer = conv_layer(rng.normal(size=(32, 3, 3, 32)).astype(np.float32),
+                           np.zeros(32, dtype=np.float32), k=3, z=1)
+        got, _ = conv2d_cached(x, layer, need_cache=False)
+        assert calls == [(0, 20 * 16 * 16, threading.get_ident())]
+        np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
 
     def test_one_filter_is_never_split(self, monkeypatch):
         # A one-column product takes GEMV, whose bits depend on its length.
@@ -341,6 +398,120 @@ class TestBlockedConv:
         # buffer of at most _GEMM_BLOCK_BYTES.
         assert peak / 2**20 < 0.5 * im2col_mb
         assert out.data.shape == (1, 224, 224, 128)
+
+
+class TestWorkerPool:
+    """`layers.run_jobs` returns or raises only once every job it started
+    has finished, whichever thread a job runs on."""
+
+    def test_imports_without_an_affinity_mask(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: the worker count
+        # is then every CPU. A fresh copy of the module is loaded, so the
+        # classes other modules hold stay as they are.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        spec = importlib.util.spec_from_file_location("purefoodnet._layers_copy",
+                                                      layers.__file__)
+        copy = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, copy)
+        spec.loader.exec_module(copy)
+        copy._POOL.shutdown()
+        assert copy._CPUS == copy._WORKERS == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("env, one", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": " 1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "4"}, False),
+    ])
+    def test_workers_only_beside_one_blas_thread(self, env, one, monkeypatch):
+        # OpenBLAS takes the first of these variables that holds a positive
+        # number; any other team size keeps conv work on the calling thread.
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert layers._one_blas_thread() == one
+
+    def test_many_workers_stay_within_the_budget(self, monkeypatch):
+        # At 224^2 x 64 -> 64 the smallest block (two output rows, 1.03 MB)
+        # is larger than 64 workers' share of the budget, so fewer shares
+        # run, and their buffers together stay within it. The pool keeps
+        # the threads it started with; the shares queue for them.
+        monkeypatch.setattr(layers, "_WORKERS", 64)
+        buffers = {}
+        im2col = layers._im2col
+
+        def spy(xp, k, s, oh, ow, out, first):
+            buffers[out.ctypes.data] = out.nbytes
+            return im2col(xp, k, s, oh, ow, out, first)
+
+        monkeypatch.setattr(layers, "_im2col", spy)
+        rng = np.random.default_rng(80)
+        x = Tensor4(rng.standard_normal((1, 224, 224, 64), dtype=np.float32))
+        layer = conv_layer(rng.standard_normal((64, 3, 3, 64), dtype=np.float32)
+                           * np.float32(0.05), np.zeros(64, dtype=np.float32), k=3, z=1)
+        got, _ = conv2d_cached(x, layer, need_cache=False)
+        assert 1 < len(buffers) < 64
+        assert sum(buffers.values()) <= layers._GEMM_BLOCK_BYTES
+        monkeypatch.setattr(layers, "_im2col", im2col)
+        assert got.data.tobytes() == conv2d_cached(x, layer)[0].data.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_job_order(self, workers, monkeypatch):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        jobs = [lambda: threading.get_ident()] + [partial(pow, 2, i) for i in range(1, 4)]
+        assert layers.run_jobs(jobs) == [threading.get_ident(), 2, 4, 8]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_conv_share_error_surfaces_after_every_other_share(self, workers, monkeypatch):
+        # The share of the last worker fails at once; the caller sees the
+        # error only when the other shares have written all their blocks.
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        b, unit_bytes = layers._least_units(40, 144, 16), 40 * 144 * 4
+        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", workers * b * unit_bytes)
+        rng = np.random.default_rng(74)
+        x = Tensor4(rng.normal(size=(4, 40, 40, 16)).astype(np.float32))
+        layer = conv_layer(rng.normal(size=(16, 3, 3, 16)).astype(np.float32),
+                           np.zeros(16, dtype=np.float32), k=3, z=1)
+        assert layers._block_units(160, 40, 144, 16, 4) == b
+        bounds = layers._share_bounds(160, b, b, unit_bytes)
+        assert len(bounds) == workers + 1
+        filled = []
+        im2col = layers._im2col
+
+        def failing(xp, k, s, oh, ow, out, first):
+            if first >= bounds[-2]:
+                raise MemoryError("share refused")
+            time.sleep(0.02)
+            filled.append(first)
+            return im2col(xp, k, s, oh, ow, out, first)
+
+        monkeypatch.setattr(layers, "_im2col", failing)
+        with pytest.raises(MemoryError, match="share refused"):
+            conv2d_cached(x, layer, need_cache=False)
+        want = [u for lo, hi in zip(bounds[:-2], bounds[1:-1])
+                for u in (*range(lo, hi - b, b), hi - b)]
+        assert sorted(filled) == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_caller_error_waits_for_the_pool(self, workers, monkeypatch):
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        done = []
+
+        def refuse():
+            raise MemoryError("caller refused")
+
+        def slow(tag):
+            time.sleep(0.05)
+            done.append(tag)
+
+        with pytest.raises(MemoryError, match="caller refused"):
+            layers.run_jobs([refuse, partial(slow, 1), partial(slow, 2)])
+        # One worker runs the jobs in order and stops at the first error.
+        assert sorted(done) == ([1, 2] if workers > 1 else [])
 
 
 class TestParameterChecks:
@@ -414,6 +585,33 @@ class TestPooling:
         x = rng.normal(size=(2, 6, 6, 3))
         out = pool_forward(Tensor4(x), PoolLayer(2, 2, "average"))
         assert out.data.mean() == pytest.approx(x.mean(), abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    @pytest.mark.parametrize("window, stride, h, w", [(2, 2, 8, 6), (3, 1, 5, 7), (2, 1, 4, 3),
+                                                      (3, 3, 9, 6), (1, 1, 3, 2)])
+    def test_inference_keeps_the_cached_bytes(self, window, stride, h, w, mode, dtype):
+        rng = np.random.default_rng(window * 10 + stride + h)
+        x = Tensor4(rounded_with_signed_zeros(rng, (3, h, w, 5), dtype))
+        layer = PoolLayer(window, stride, mode)
+        want, cache = pool_cached(x, layer)
+        got, none = pool_cached(x, layer, need_cache=False)
+        assert none is None and cache.in_shape == x.shape
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.data.tobytes() == want.data.tobytes()  # the sign of each zero too
+
+    def test_inference_max_builds_no_winner_index(self):
+        # The cached path copies every window (4x the output here) and
+        # keeps an int64 winner per output value (2x in float32).
+        x = Tensor4(np.random.default_rng(41).normal(size=(1, 64, 64, 32)).astype(np.float32))
+        out_bytes = 32 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            pool_cached(x, PoolLayer(2, 2, "max"), need_cache=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * out_bytes
 
     def test_rejects_nontiling_geometry(self):
         x = Tensor4(np.zeros((1, 5, 5, 1), dtype=np.float32))
@@ -664,6 +862,30 @@ class TestBatchNorm:
         x_hat = (x - layer.running_mean) * inv_std
         np.testing.assert_array_equal(cache.x_hat, x_hat)
         np.testing.assert_array_equal(out.data, gamma * x_hat + beta)
+
+    @pytest.mark.parametrize("dtypes", [(np.float32,) * 3, (np.float64,) * 3,
+                                        (np.float32, np.float32, np.float64),
+                                        (np.float32, np.float64, np.float32)])
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 3), (4, 5, 5, 2), (1, 7, 3, 9)])
+    def test_inference_in_place_keeps_the_cached_bytes(self, shape, dtypes):
+        # Rounded data and statistics, so x - mean is often zero, and
+        # signed-zero shifts: the sign of each zero through the scale and
+        # the shift shows. A wider scale widens the output, as before.
+        x_dtype, stats_dtype, scale_dtype = dtypes
+        rng = np.random.default_rng(sum(shape) + 1)
+        c = shape[3]
+        x = Tensor4(rounded_with_signed_zeros(rng, shape, x_dtype))
+        beta = rounded_with_signed_zeros(rng, (c,), scale_dtype)
+        beta[::2] = -0.0
+        layer = BatchNormLayer(rounded_with_signed_zeros(rng, (c,), scale_dtype), beta,
+                               rounded_with_signed_zeros(rng, (c,), stats_dtype),
+                               rng.uniform(0.5, 2, size=c).astype(stats_dtype))
+        want, cache = batchnorm_cached(x, layer)
+        got, none = batchnorm_cached(x, layer, need_cache=False)
+        assert none is None and cache is not None
+        assert got.dtype == want.dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        assert batchnorm_forward(x, layer).data.tobytes() == want.data.tobytes()
 
     def test_nonfinite_batch_statistics_leave_running_stats_untouched(self):
         x = np.ones((2, 2, 2, 3), dtype=np.float32)

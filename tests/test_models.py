@@ -1,6 +1,7 @@
 """Model spec, parameter store, architecture, and serialization tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,34 @@ class TestParamShapesAndInit:
         np.testing.assert_array_equal(a["fc.weights"], b["fc.weights"])
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 7), (3000, 700), (64, 3, 3, 32), (1, 9)])
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 20])
+    def test_glorot_chunks_draw_the_whole_draw(self, shape, chunk, dtype, monkeypatch):
+        # A Generator consumes its stream the same way in row chunks as in
+        # one draw, and each chunk is cast as `astype` casts the whole.
+        monkeypatch.setattr(M, "_INIT_CHUNK_VALUES", chunk)
+        got = M.glorot_init(shape, np.random.default_rng(17), dtype)
+        fan_in, fan_out = shape if len(shape) == 2 else (np.prod(shape[1:]),
+                                                         np.prod(shape[:3]))
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        want = np.random.default_rng(17).uniform(-bound, bound, size=shape).astype(dtype)
+        assert got.dtype == np.dtype(dtype) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_float32_init_holds_no_float64_draw(self):
+        # 4 M values: 16 MB as float32, 32 MB as a whole float64 draw.
+        spec = M.ModelSpec((1, 1, 2048), (M.dense_spec("fc", 2048),), 0)
+        tracemalloc.start()
+        try:
+            params = M.init_params(spec, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params["fc.weights"].dtype == np.float32
+        assert peak < 16 * 2**20 + 2 * 8 * M._INIT_CHUNK_VALUES
+
+
 class TestForward:
     def test_matches_manual_composition(self):
         spec = tiny_spec()
@@ -474,6 +503,32 @@ class TestTransferSurgery:
         probs = M.forward(new_spec, new_params, x)
         np.testing.assert_allclose(probs.data.sum(axis=3), 1.0, rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 15, 99, 2024])
+    def test_attach_head_draws_only_the_head(self, seed, dtype, monkeypatch):
+        spec = M.build_purefoodnet(4, width_scale=0.125, input_side=32)
+        params = M.init_params(spec, seed=seed + 1, dtype=dtype)
+        backbone = {name: arr for name, arr in params.items()
+                    if not name.startswith(("fc1.", "predictor."))}
+        scans = count_finite_scans(monkeypatch)
+        new_spec, new_params = M.attach_head(spec, params, new_num_classes=6, units=32,
+                                             seed=seed)
+        head = {name: arr for name, arr in new_params.items() if name not in backbone}
+        # The old surgery: a whole fresh model, then the backbone stored over it.
+        monkeypatch.undo()
+        want = M.init_params(new_spec, seed=seed, dtype=dtype)
+        for name, arr in backbone.items():
+            want[name] = arr.copy()
+        assert list(new_params) == list(want)
+        for name in want:
+            assert new_params[name].dtype == want[name].dtype
+            assert new_params[name].tobytes() == want[name].tobytes()
+            assert new_params[name] is not params.get(name)
+        # Every value is scanned once: the backbone as it is stored, the head
+        # as it is drawn.
+        assert sorted(scans) == sorted(arr.size for arr in (*backbone.values(),
+                                                             *head.values()))
+
     def test_attach_head_rejects_small_class_count(self):
         spec = tiny_spec()
         params = M.init_params(spec, seed=0)
@@ -612,6 +667,24 @@ class TestWeightsPFW1:
         M.save_weights(path, spec, params)
         back = M.load_weights(path, spec)
         assert back == params
+
+    def test_file_is_written_from_the_arrays(self, tmp_path):
+        # 16 MB of fc weights, one of them a transposed view: the file
+        # holds the bytes `weights_to_bytes` gives, and writing it copies
+        # only the view.
+        spec = M.ModelSpec((1, 1, 2048), (M.dense_spec("fc", 2048),
+                                          M.dense_spec("out", 64, "softmax")), 1)
+        params = M.init_params(spec, seed=27)
+        params["out.weights"] = np.ascontiguousarray(params["out.weights"].T).T
+        path = tmp_path / "weights.pfw"
+        tracemalloc.start()
+        try:
+            M.save_weights(path, spec, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == M.weights_to_bytes(spec, params)
+        assert peak < params["fc.weights"].nbytes / 8
 
     def test_digest_mismatch_rejected(self):
         spec_a, spec_b = tiny_spec(3), tiny_spec(4)

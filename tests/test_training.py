@@ -152,6 +152,38 @@ class TestBackwardBitExactness:
         np.testing.assert_array_equal(db2, db)
         assert dx.shape == x.shape
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape, k, s, z", [((3, 9, 8, 4), 1, 1, 0), ((3, 9, 8, 4), 3, 2, 1),
+                                                ((2, 11, 11, 6), 5, 2, 0),
+                                                ((40, 32, 32, 16), 3, 1, 1)])
+    def test_conv_backward_same_bytes_on_any_worker_count(self, shape, k, s, z, workers,
+                                                          monkeypatch):
+        # dw runs on a worker beside the dx taps; both keep the bytes of the
+        # one-thread formulas.
+        monkeypatch.setattr(L, "_WORKERS", workers)
+        rng = np.random.default_rng(sum(shape) + k)
+        f = shape[3]
+        x = rng.normal(size=shape).astype(np.float32)
+        filters = rng.normal(size=(f, k, k, shape[3])).astype(np.float32)
+        layer = L.ConvLayer(filters, np.zeros(f, np.float32), ConvGeometry(k, s, z), "relu")
+        out, cache = L.conv2d_cached(Tensor4(x), layer)
+        r = rng.normal(size=out.data.shape).astype(np.float32)
+        dx, dw, db = T.conv2d_backward(r, cache)
+
+        d = r * cache.relu_mask
+        want_dw = np.dot(d.transpose(3, 0, 1, 2).reshape(f, -1), cache.cols)
+        want_dw = want_dw.reshape(f, shape[3], k, k).transpose(0, 2, 3, 1)
+        dxp = np.zeros(cache.padded_shape, np.float32)
+        oh, ow = out.data.shape[1:3]
+        for p in range(k):
+            for q in range(k):
+                dxp[:, p:p + s * (oh - 1) + 1:s, q:q + s * (ow - 1) + 1:s, :] += np.tensordot(
+                    d, filters[:, p, q, :], axes=([3], [0]))
+        want_dx = dxp[:, z:-z, z:-z, :] if z else dxp
+        for got, want in ((dx, want_dx), (dw, want_dw), (db, d.sum(axis=(0, 1, 2)))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(2, 1, 1, 3), (4, 5, 5, 2), (40, 32, 32, 16),
                                        (1, 7, 3, 9)])
