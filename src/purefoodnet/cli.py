@@ -291,18 +291,22 @@ def _parse_ks(text) -> tuple:
         raise ConfigError(f"expected comma-separated k values, got {text!r}") from None
 
 
-def _load_model(args) -> tuple:
-    """The spec, weights and input side named by `--spec` and `--weights`."""
-    spec = models.load_model_spec(args.spec)
-    return spec, models.load_weights(args.weights, spec), _model_input_side(spec)
+def _check_ks(spec: models.ModelSpec, ks) -> None:
+    """Refuse each of `ks` that the spec's class count cannot rank; a
+    command calls this before it reads any weight."""
+    n_classes = math.prod(models.infer_shapes(spec)[-1])
+    for k in ks:
+        evaluation.check_k(k, n_classes)
 
 
 def cmd_eval(args) -> int:
-    spec, params, side = _load_model(args)
-    manifest = dataio.load_manifest(args.manifest, root=args.dataset_root)
     ks = None if args.ks is None else _parse_ks(args.ks)  # None: evaluation.default_ks
-    batches = dataio.batch_iterator(manifest, args.split, _parse_int(args.batch_size), side)
-    report = evaluation.evaluate(spec, params, batches, ks=ks)
+    batch_size = _parse_int(args.batch_size)
+    spec = models.load_model_spec(args.spec)
+    _check_ks(spec, ks or ())
+    manifest = dataio.load_manifest(args.manifest, root=args.dataset_root)
+    batches = dataio.batch_iterator(manifest, args.split, batch_size, _model_input_side(spec))
+    report = evaluation.evaluate(spec, models.load_weights(args.weights, spec), batches, ks=ks)
     summary = " ".join(f"top{k}={report.accuracy(k)!r}" for k in report.ks)
     print(f"N={report.n_samples} {summary}")
     if args.out:
@@ -319,7 +323,11 @@ def _class_names(manifest_path, n: int):
 
 
 def cmd_predict(args) -> int:
-    spec, params, side = _load_model(args)
+    k = _parse_int(args.k)
+    spec = models.load_model_spec(args.spec)
+    _check_ks(spec, (k,))
+    side = _model_input_side(spec)
+    params = models.load_weights(args.weights, spec)
     image = dataio.load_image(args.image).pixels
     packed = dataio.pack_image(image, side)
     x = Tensor4(packed[np.newaxis].astype(np.float32))
@@ -327,7 +335,7 @@ def cmd_predict(args) -> int:
     names = _class_names(args.manifest, scores.shape[0])
     if len(names) != scores.shape[0]:
         raise ConfigError(f"manifest has {len(names)} classes, model outputs {scores.shape[0]}")
-    for index in evaluation.top_k_candidates(scores, _parse_int(args.k)):
+    for index in evaluation.top_k_candidates(scores, k):
         print(f"{names[index]} {float(scores[index])!r}")
     return 0
 
@@ -355,7 +363,9 @@ def _activation_grid(act: np.ndarray) -> np.ndarray:
 
 def cmd_inspect(args) -> int:
     threshold = _parse_float(args.threshold)
-    spec, params, side = _load_model(args)
+    spec = models.load_model_spec(args.spec)
+    side = _model_input_side(spec)
+    params = models.load_weights(args.weights, spec)
     image = dataio.load_image(args.image).pixels
     x = Tensor4(dataio.pack_image(image, side)[np.newaxis].astype(np.float32))
     convs = [layer.name for layer in spec.layers if layer.kind == "conv"]

@@ -92,7 +92,7 @@ class PredictionBatch:
         return self.scores.shape[1]
 
 
-def _check_k(k: int, n_classes: int) -> None:
+def check_k(k: int, n_classes: int) -> None:
     if not 1 <= k <= n_classes:
         raise ValueError(f"k must be in [1, {n_classes}], got {k}")
 
@@ -102,7 +102,7 @@ def top_k_candidates(score_row, k: int) -> np.ndarray:
     row = np.asarray(score_row, dtype=np.float64)
     if row.ndim != 1:
         raise ShapeError(f"expected a score row, got shape {row.shape}")
-    _check_k(k, row.shape[0])
+    check_k(k, row.shape[0])
     return np.argsort(-row, kind="stable")[:k]
 
 
@@ -116,7 +116,7 @@ def _hit_counts(scores: np.ndarray, truth: np.ndarray, ks) -> dict[int, int]:
 
 def top_k_accuracy(batch: PredictionBatch, k: int) -> float:
     """Fraction of rows whose true class lands in the top-k candidate set."""
-    _check_k(k, batch.n_classes)
+    check_k(k, batch.n_classes)
     hits = _hit_counts(batch.scores, batch.truth, (k,))[k]
     return hits / batch.n_samples
 
@@ -169,7 +169,7 @@ def evaluate(spec, params, batches, ks=None) -> EvalReport:
                 ks = default_ks(n_classes)
             ks = tuple(dict.fromkeys(int(k) for k in ks))
             for k in ks:
-                _check_k(k, n_classes)
+                check_k(k, n_classes)
             hits = {k: 0 for k in ks}
             class_correct = np.zeros(n_classes, dtype=np.int64)
             class_total = np.zeros(n_classes, dtype=np.int64)

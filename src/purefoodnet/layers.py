@@ -7,9 +7,9 @@ variant that additionally returns the intermediates its matching backward
 pass (in `training`) consumes. With `need_cache=False` (inference) conv,
 pool and batch norm return no cache and keep nothing for a backward.
 
-Pooling is vectorized with `sliding_window_view` over the two spatial axes;
-an inference max-pool takes a running maximum of its k*k strided taps
-instead, with no winner index. A convolution copies its input windows into
+A max-pool takes a running maximum of its k*k strided taps and, for a
+cache only, keeps each winning tap in a small unsigned type; an average
+pool averages its windows. A convolution copies its input windows into
 an im2col matrix (one row per output cell, columns in (channel, row,
 column) order) and multiplies it by the filter bank, one block of rows at a
 time: it fills a buffer with a block and multiplies it into its slice of
@@ -30,9 +30,8 @@ standalone, with no backward.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -148,7 +147,7 @@ class ConvCache(NamedTuple):
 
 class PoolCache(NamedTuple):
     mode: str
-    argmax: np.ndarray | None  # flat in-window winner per output cell, ties -> first
+    argmax: np.ndarray | None  # max: first winning tap p*window+q per output cell, unsigned
     in_shape: tuple
     window: int
     stride: int
@@ -211,8 +210,14 @@ def _one_blas_thread() -> bool:
 # calling thread: with OpenBLAS's default team on two CPUs, two workers
 # trained 7% slower than one and took 14 MB more memory.
 _WORKERS = _CPUS if _one_blas_thread() else 1
-# The calling thread is one worker; the pool's threads start on first use.
-_POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="purefoodnet")
+
+
+@cache
+def _pool():
+    """The threads beside the calling one, which is a worker too, made when
+    first used: importing concurrent.futures takes about 11 ms."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max(1, _CPUS - 1), thread_name_prefix="purefoodnet")
 
 
 def run_jobs(jobs) -> list:
@@ -223,7 +228,8 @@ def run_jobs(jobs) -> list:
     work: the benchmark's span tracer is not thread-safe."""
     if _WORKERS == 1:
         return [job() for job in jobs]
-    futures = [_POOL.submit(job) for job in jobs[1:]]
+    from concurrent.futures import wait
+    futures = [_pool().submit(job) for job in jobs[1:]]
     try:
         first = jobs[0]()
     finally:
@@ -368,26 +374,23 @@ def pool_cached(x: Tensor4, layer: PoolLayer,
                 need_cache: bool = True) -> tuple[Tensor4, PoolCache | None]:
     window, stride = layer.window, layer.stride
     oh, ow = pool_output_size(x.h, x.w, window, stride)
-    if layer.mode == "max" and not need_cache:
+    if layer.mode == "average":
+        windows = sliding_window_view(x.data, (window, window), axis=(1, 2))
+        out, winner = windows[:, ::stride, ::stride].mean(axis=(4, 5)), None
+    else:
         # A running maximum over the taps in (p, q) order, where only a
-        # strictly greater tap wins: the first winner, as argmax picks it,
-        # so the bytes (the sign of a zero included) are the cached path's.
+        # strictly greater tap wins: the first winner, the sign of a zero
+        # included. A cache also keeps each winner's tap index.
         taps = (x.data[:, p:p + stride * (oh - 1) + 1:stride, q:q + stride * (ow - 1) + 1:stride]
                 for p in range(window) for q in range(window))
         out = next(taps).copy()
-        for tap in taps:
-            out = np.where(tap > out, tap, out)
-        return Tensor4(out), None
-    windows = sliding_window_view(x.data, (window, window), axis=(1, 2))[:, ::stride, ::stride]
-    if layer.mode == "max":
-        i, oh, ow, c = windows.shape[:4]
-        flat = windows.reshape(i, oh, ow, c, window * window)
-        argmax = flat.argmax(axis=4)
-        out = np.take_along_axis(flat, argmax[..., None], axis=4)[..., 0]
-    else:
-        argmax = None
-        out = windows.mean(axis=(4, 5))
-    cache = PoolCache(layer.mode, argmax, x.data.shape, window, stride) if need_cache else None
+        winner = np.zeros(out.shape, np.min_scalar_type(window**2 - 1)) if need_cache else None
+        for t, tap in enumerate(taps, 1):
+            wins = tap > out
+            out = np.where(wins, tap, out)
+            if need_cache:
+                winner = np.where(wins, t, winner)
+    cache = PoolCache(layer.mode, winner, x.data.shape, window, stride) if need_cache else None
     return Tensor4(out), cache
 
 

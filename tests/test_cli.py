@@ -341,6 +341,24 @@ class TestInputsCheckedBeforeOutDir:
         err = capsys.readouterr().err
         assert "expected an integer, got 'x'" in err and "invalid literal" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["predict", "--image", "{image}", "--k", "0"], "k must be in [1, 2], got 0"),
+        (["predict", "--image", "{image}", "--k", "3"], "k must be in [1, 2], got 3"),
+        (["eval", "--manifest", "{manifest}", "--ks", "1,0"], "k must be in [1, 2], got 0"),
+        (["eval", "--manifest", "{manifest}", "--ks", "x"], "expected comma-separated k values"),
+        (["eval", "--manifest", "{manifest}", "--batch-size", "0"], "batch size must be >= 1"),
+    ], ids=["predict-k-0", "predict-k-3", "eval-ks-0", "eval-ks-x", "eval-batch-size-0"])
+    def test_bad_k_or_batch_size_exits_2_before_the_weights_are_read(
+            self, probe, capsys, monkeypatch, argv, message):
+        # A paper-scale weight file is 852 MB: a bad argument must not wait
+        # for it, nor turn into exit 3 when the file is missing.
+        def load_weights(path, spec):
+            pytest.fail("weights read before the arguments were checked")
+
+        monkeypatch.setattr(M, "load_weights", load_weights)
+        assert main([*(arg.format(**probe) for arg in argv), *probe["inspect"][1:]]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEval:
     def test_matches_library_evaluate(self, trained_run, capsys):

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -37,6 +38,7 @@ from purefoodnet.layers import (
 )
 from purefoodnet.models import ParamStore
 from purefoodnet.tensor import ConvGeometry, Tensor4
+from purefoodnet.training import pool_backward
 
 
 def conv_oracle(x, filters, bias, k, s, z):
@@ -82,6 +84,16 @@ def pool_oracle(x, window, stride, reduce):
                               col * stride:col * stride + window, ch]
                     out[n, r, col, ch] = reduce(patch)
     return out
+
+
+def max_pool_oracle(x, window, stride):
+    """The max-pool forward as an argmax over a copy of every window: the
+    output and the int64 flat index (p*window + q) of each cell's first
+    winner."""
+    windows = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+    flat = windows.reshape(*windows.shape[:4], window * window)
+    argmax = flat.argmax(axis=4)
+    return np.take_along_axis(flat, argmax[..., None], axis=4)[..., 0], argmax
 
 
 def conv_layer(filters, bias, k, s=1, z=0, activation="none"):
@@ -415,8 +427,31 @@ class TestWorkerPool:
         copy = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, copy)
         spec.loader.exec_module(copy)
-        copy._POOL.shutdown()
         assert copy._CPUS == copy._WORKERS == (os.cpu_count() or 1)
+        assert copy._pool.cache_info().currsize == 0  # no pool until a job needs it
+
+    def test_one_worker_never_imports_the_pool(self):
+        # With OpenBLAS's thread variables unset there is one worker, and a
+        # forward pass leaves concurrent.futures unimported.
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = os.path.dirname(os.path.dirname(layers.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import purefoodnet\n"
+            "from purefoodnet import layers, models\n"
+            "from purefoodnet.tensor import Tensor4\n"
+            "spec = models.build_purefoodnet(3, width_scale=0.125, input_side=8)\n"
+            "x = Tensor4(np.zeros((1, 8, 8, 3), dtype=np.float32))\n"
+            "models.forward(spec, models.init_params(spec, seed=0), x)\n"
+            "print(layers._WORKERS, 'concurrent.futures' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["1", "False"]
 
     @pytest.mark.parametrize("env, one", [
         ({}, False),
@@ -591,18 +626,42 @@ class TestPooling:
     @pytest.mark.parametrize("window, stride, h, w", [(2, 2, 8, 6), (3, 1, 5, 7), (2, 1, 4, 3),
                                                       (3, 3, 9, 6), (1, 1, 3, 2)])
     def test_inference_keeps_the_cached_bytes(self, window, stride, h, w, mode, dtype):
+        # Max pools are held to the argmax oracle, average pools to the
+        # cached pass.
         rng = np.random.default_rng(window * 10 + stride + h)
         x = Tensor4(rounded_with_signed_zeros(rng, (3, h, w, 5), dtype))
         layer = PoolLayer(window, stride, mode)
-        want, cache = pool_cached(x, layer)
+        cached, cache = pool_cached(x, layer)
+        want = max_pool_oracle(x.data, window, stride)[0] if mode == "max" else cached.data
         got, none = pool_cached(x, layer, need_cache=False)
         assert none is None and cache.in_shape == x.shape
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.data.tobytes() == want.data.tobytes()  # the sign of each zero too
+        for out in (got, cached):
+            assert out.dtype == want.dtype and out.shape == want.shape
+            assert out.data.tobytes() == want.tobytes()  # the sign of each zero too
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window, stride, h, w, winner", [
+        (2, 2, 8, 6, np.uint8), (3, 1, 5, 7, np.uint8), (2, 1, 8, 6, np.uint8),
+        (3, 2, 9, 7, np.uint8), (17, 2, 19, 17, np.uint16)])
+    def test_max_winners_match_the_argmax_oracle(self, window, stride, h, w, winner, dtype):
+        # Ties abound, between +0.0 and -0.0 too (13 cells whose maximum is
+        # a zero of both signs at 2/1/8x6), and stride < window makes windows
+        # overlap; 17 x 17 = 289 taps need uint16 winners.
+        rng = np.random.default_rng(window * 10 + stride + h)
+        x = rounded_with_signed_zeros(rng, (3, h, w, 5), dtype)
+        want, argmax = max_pool_oracle(x, window, stride)
+        got, cache = pool_cached(Tensor4(x), PoolLayer(window, stride, "max"))
+        assert got.data.tobytes() == want.tobytes()
+        assert cache.argmax.dtype == winner
+        assert cache.argmax.tobytes() == argmax.astype(winner).tobytes()
+        # The backward reads the small winners as it read int64 ones.
+        d = rounded_with_signed_zeros(rng, want.shape, dtype)
+        oracle = pool_backward(d, cache._replace(argmax=argmax))
+        assert pool_backward(d, cache).tobytes() == oracle.tobytes()
 
     def test_inference_max_builds_no_winner_index(self):
-        # The cached path copies every window (4x the output here) and
-        # keeps an int64 winner per output value (2x in float32).
+        # No copy of every window (4x the output here): the running maximum
+        # holds the output, one np.where result and its boolean mask.
         x = Tensor4(np.random.default_rng(41).normal(size=(1, 64, 64, 32)).astype(np.float32))
         out_bytes = 32 * 32 * 32 * 4
         tracemalloc.start()
