@@ -291,12 +291,24 @@ def _parse_ks(text) -> tuple:
         raise ConfigError(f"expected comma-separated k values, got {text!r}") from None
 
 
+def _class_count(spec: models.ModelSpec) -> int:
+    return math.prod(models.infer_shapes(spec)[-1])
+
+
 def _check_ks(spec: models.ModelSpec, ks) -> None:
     """Refuse each of `ks` that the spec's class count cannot rank; a
     command calls this before it reads any weight."""
-    n_classes = math.prod(models.infer_shapes(spec)[-1])
+    n_classes = _class_count(spec)
     for k in ks:
         evaluation.check_k(k, n_classes)
+
+
+def _check_class_names(spec: models.ModelSpec, names) -> None:
+    """Refuse a manifest whose class count is not the spec's; a command
+    calls this before it reads any weight."""
+    n_classes = _class_count(spec)
+    if len(names) != n_classes:
+        raise ConfigError(f"manifest has {len(names)} classes, model outputs {n_classes}")
 
 
 def cmd_eval(args) -> int:
@@ -305,6 +317,7 @@ def cmd_eval(args) -> int:
     spec = models.load_model_spec(args.spec)
     _check_ks(spec, ks or ())
     manifest = dataio.load_manifest(args.manifest, root=args.dataset_root)
+    _check_class_names(spec, manifest.classes)
     batches = dataio.batch_iterator(manifest, args.split, batch_size, _model_input_side(spec))
     report = evaluation.evaluate(spec, models.load_weights(args.weights, spec), batches, ks=ks)
     summary = " ".join(f"top{k}={report.accuracy(k)!r}" for k in report.ks)
@@ -316,25 +329,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _class_names(manifest_path, n: int):
-    if manifest_path:
-        return dataio.load_manifest(manifest_path).classes
-    return tuple(f"class_{i}" for i in range(n))
-
-
 def cmd_predict(args) -> int:
     k = _parse_int(args.k)
     spec = models.load_model_spec(args.spec)
     _check_ks(spec, (k,))
     side = _model_input_side(spec)
+    if args.manifest:
+        names = dataio.load_manifest(args.manifest).classes
+        _check_class_names(spec, names)
+    else:
+        names = tuple(f"class_{i}" for i in range(_class_count(spec)))
     params = models.load_weights(args.weights, spec)
     image = dataio.load_image(args.image).pixels
     packed = dataio.pack_image(image, side)
     x = Tensor4(packed[np.newaxis].astype(np.float32))
     scores = models.forward(spec, params, x).data.reshape(-1).astype(np.float64)
-    names = _class_names(args.manifest, scores.shape[0])
-    if len(names) != scores.shape[0]:
-        raise ConfigError(f"manifest has {len(names)} classes, model outputs {scores.shape[0]}")
     for index in evaluation.top_k_candidates(scores, k):
         print(f"{names[index]} {float(scores[index])!r}")
     return 0
@@ -365,11 +374,12 @@ def cmd_inspect(args) -> int:
     threshold = _parse_float(args.threshold)
     spec = models.load_model_spec(args.spec)
     side = _model_input_side(spec)
+    convs = [layer.name for layer in spec.layers if layer.kind == "conv"]
+    names = [name.strip() for name in args.layers.split(",")] if args.layers else convs
+    models._known_names(spec, names)  # before the weights are read
     params = models.load_weights(args.weights, spec)
     image = dataio.load_image(args.image).pixels
     x = Tensor4(dataio.pack_image(image, side)[np.newaxis].astype(np.float32))
-    convs = [layer.name for layer in spec.layers if layer.kind == "conv"]
-    names = [name.strip() for name in args.layers.split(",")] if args.layers else convs
     # One pass captures the requested maps and the conv maps the report reads.
     captured = models.capture_activations(spec, params, x, names + convs)
     out_dir = _ensure_out_dir(args.out_dir)

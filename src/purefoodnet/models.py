@@ -387,22 +387,28 @@ def apply_layer(layer: LayerSpec, params: ParamStore, x: Tensor4,
 
 def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
                         training: bool = False,
-                        rng: np.random.Generator | None = None,
+                        rng: np.random.Generator | None = None, first: int = 0,
                         ) -> tuple[Tensor4, list[tuple[LayerSpec, object]]]:
+    """Run the model, keeping each layer's cache in layer order. `first`
+    (internal) starts at that layer, x being its input; the caches then
+    cover spec.layers[first:]."""
     caches = []
-    for layer in spec.layers:
+    for layer in spec.layers[first:]:
         x, cache = apply_layer(layer, params, x, training, rng)
         caches.append((layer, cache))
     return x, caches
 
 
-def forward(spec: ModelSpec, params: ParamStore, x: Tensor4) -> Tensor4:
+def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
+            first: int = 0, stop: int | None = None) -> Tensor4:
     """Run the whole model in inference mode; returns the final layer's output.
+    `first` and `stop` (internal) run only the layers spec.layers[first:stop],
+    x being the input of layer `first`.
 
     No layer keeps a cache, so a conv holds at most about 32 MB of its im2col
     matrix at a time (`layers.conv2d_cached`).
     """
-    for layer in spec.layers:
+    for layer in spec.layers[first:stop]:
         x = apply_layer(layer, params, x, need_cache=False)[0]
     return x
 

@@ -166,10 +166,16 @@ _BACKWARD = {
 }
 
 
+def _lowest_trainable(spec: M.ModelSpec) -> int | None:
+    """Index of the lowest layer with trainable parameters; None if none has."""
+    return next((i for i, layer in enumerate(spec.layers)
+                 if layer.trainable and M.KIND_TABLE[layer.kind].trainable), None)
+
+
 def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
                        labels: np.ndarray, l2_strength: float = 0.0,
                        l1_strength: float = 0.0,
-                       rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None = None, first: int = 0):
     """Training-mode forward plus full backward.
 
     Returns (loss, grads, probs) where loss is the regularized objective,
@@ -178,11 +184,18 @@ def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
     (probs - labels) / batch through the predictor's pre-activation. Each
     trainable batch norm folds this batch's statistics into its running ones,
     which neither the loss nor the gradients read.
+
+    `first` (internal; see `_frozen_prefix`) starts the forward at that
+    layer, x being its input. The penalties, the predictor check and the
+    lowest trainable layer still come from the whole spec.
     """
     last = spec.layers[-1] if spec.layers else None
     if last is None or last.kind != "dense" or last.activation != "softmax":
         raise ConfigError("training needs a dense softmax predictor as the final layer")
-    probs, caches = M.forward_with_caches(spec, params, x, training=True, rng=rng)
+    lowest = _lowest_trainable(spec)
+    if first > (len(spec.layers) - 1 if lowest is None else lowest):
+        raise ValueError(f"layer {first} is above the lowest trainable layer or the predictor")
+    probs, caches = M.forward_with_caches(spec, params, x, training=True, rng=rng, first=first)
     y = _as_rows(labels)
     loss = cross_entropy_loss(probs, y)
     penalized = M.penalized_weight_names(spec)
@@ -192,8 +205,6 @@ def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
         loss += L.l1_penalty((params[n] for n in penalized), l1_strength)
 
     grads: GradStore = {}
-    lowest = next((i for i, layer in enumerate(spec.layers)
-                   if layer.trainable and M.KIND_TABLE[layer.kind].trainable), None)
     if lowest is None:
         return loss, grads, probs
 
@@ -204,13 +215,13 @@ def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
 
     # Backward stops at the lowest layer with trainable parameters, which
     # computes no input gradient: nothing below it would use one.
-    top = len(caches) - 1
+    top = len(spec.layers) - 1
     d_pre = (_as_rows(probs) - y) / y.shape[0]
-    d, *param_grads = _dense_backward_from_pre(d_pre.astype(probs.dtype), caches[top][1],
+    d, *param_grads = _dense_backward_from_pre(d_pre.astype(probs.dtype), caches[-1][1],
                                                need_dx=lowest < top)
     record(last, param_grads)
     for index in range(top - 1, lowest - 1, -1):
-        layer, cache = caches[index]
+        layer, cache = caches[index - first]
         d, *param_grads = _BACKWARD[layer.kind](d, cache, index > lowest)
         record(layer, param_grads)
 
@@ -282,13 +293,22 @@ def scheduled_lr(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate * config.decay_factor ** ((epoch - 1) // config.decay_interval)
 
 
+def _shifted(arr: np.ndarray, v: np.ndarray, momentum: float) -> np.ndarray:
+    """The bytes of `arr + momentum * v` through one temporary: IEEE
+    addition commutes, so adding arr in place gives the same sums."""
+    shift = momentum * v
+    shift = shift.astype(np.result_type(arr, shift), copy=False)
+    shift += arr
+    return shift
+
+
 def lookahead_params(params: M.ParamStore, velocity: GradStore, momentum: float,
                      trainable_names) -> M.ParamStore:
     """The Nesterov evaluation point theta + mu*v. Only the shifted arrays are
     new, and only they are checked; the rest, running statistics and frozen
     tensors among them, are shared by reference, so in-place stat updates
     during the lookahead forward land in the caller's store."""
-    return params.replaced({name: params[name] + momentum * velocity[name]
+    return params.replaced({name: _shifted(params[name], velocity[name], momentum)
                             for name in trainable_names
                             if name in velocity and momentum != 0.0})
 
@@ -386,13 +406,15 @@ def _batches(source, config: TrainConfig, epoch: int | None = None):
         yield Tensor4(x.data[take]), labels[take]
 
 
-def evaluate_loss_top1(spec: M.ModelSpec, params: M.ParamStore, batches):
-    """Inference-mode mean cross-entropy and top-1 accuracy over batches."""
+def evaluate_loss_top1(spec: M.ModelSpec, params: M.ParamStore, batches, first: int = 0):
+    """Inference-mode mean cross-entropy and top-1 accuracy over batches;
+    `first` (internal) starts the forward at that layer, each batch being
+    its input."""
     loss_sum = 0.0
     hits = 0
     count = 0
     for xb, yb in batches:
-        probs = M.forward(spec, params, xb)
+        probs = M.forward(spec, params, xb, first=first)
         y = _as_rows(yb)
         loss_sum += cross_entropy_loss(probs, y) * xb.i
         hits += _top1_hits(probs, y)
@@ -400,6 +422,58 @@ def evaluate_loss_top1(spec: M.ModelSpec, params: M.ParamStore, batches):
     if count == 0:
         return math.nan, math.nan
     return loss_sum / count, hits / count
+
+
+def _frozen_prefix(spec: M.ModelSpec) -> int:
+    """How many leading layers `train` runs once per image: those below the
+    lowest layer with trainable parameters, up to the first dropout that
+    draws a mask, never the final predictor. No step moves their parameters
+    and a frozen batch norm normalizes with its running statistics, so their
+    training output is the bytes of their inference output."""
+    lowest = _lowest_trainable(spec)
+    stop = max(len(spec.layers) - 1, 0) if lowest is None else lowest
+    return next((i for i, layer in enumerate(spec.layers[:stop])
+                 if layer.kind == "dropout" and layer.rate > 0), stop)
+
+
+# Bytes, keys included, of frozen-prefix outputs one `train` call keeps.
+_MEMO_BYTES = 256 * 2**20
+
+
+class _PrefixMemo(dict):
+    """(image bytes, shape, dtype, images in its batch) -> the image's output
+    of the frozen prefix, kept by one `train` call for its later passes; it
+    stops growing at `_MEMO_BYTES`.
+
+    The conv GEMMs pick their BLAS kernel by row count, so a row is reused
+    only in a batch of the size it was computed in, and a batch with any
+    image missing is run whole, never as a smaller batch: every row has the
+    bytes a forward of its batch would give."""
+
+    def __init__(self, spec: M.ModelSpec, params: M.ParamStore, stop: int):
+        super().__init__()
+        self.spec, self.params, self.stop = spec, params, stop
+        self.nbytes = 0
+        self.hits = 0  # batches served whole from the memo
+
+    def features(self, x: Tensor4, look: bool = True) -> Tensor4:
+        """The prefix output of batch x; with `look` false the memo is neither
+        read nor written."""
+        if not self.stop:
+            return x
+        keys = [(image.tobytes(), image.shape, image.dtype.str, x.i)
+                for image in x.data] if look else []
+        rows = [self.get(key) for key in keys]
+        if rows and all(row is not None for row in rows):
+            self.hits += 1
+            return Tensor4(np.stack(rows))
+        out = M.forward(self.spec, self.params, x, stop=self.stop)
+        for key, row in zip(keys, out.data):
+            size = len(key[0]) + row.nbytes
+            if key not in self and self.nbytes + size <= _MEMO_BYTES:
+                self[key] = row.copy()
+                self.nbytes += size
+        return out
 
 
 def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
@@ -417,6 +491,13 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     the snapshot from the best validation epoch (final params when there is
     no validation). Identical seeds and data reproduce history and parameters
     bit for bit.
+
+    The frozen prefix (`_frozen_prefix`) runs once per image and batch size
+    per call, up to a byte bound (`_PrefixMemo`): validation batches are
+    served from the second epoch on, and training batches whenever a
+    shuffle brings an un-augmented image back in a batch of the same size.
+    A training pass after the first that is served nothing (augmented
+    images are new every epoch) ends the memo's use for training batches.
     """
     if val_set is None and config.patience is not None:
         raise ConfigError("early stopping needs a validation set (or set patience=None)")
@@ -425,6 +506,9 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     stopper = EarlyStopState(patience=config.patience)
     history: list[EpochStats] = []
     stopped_early = False
+    first = _frozen_prefix(spec)
+    memo = _PrefixMemo(spec, params, first)
+    look = True  # whether training batches use the memo
 
     for epoch in range(1, config.epochs + 1):
         lr = scheduled_lr(config, epoch)
@@ -432,13 +516,14 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         hits = 0
         count = 0
         batch_index = 0
+        served = memo.hits
         for xb, yb in _batches(train_set, config, epoch):
             rng = make_rng(config.seed, "dropout", epoch, batch_index)
             shifted = lookahead_params(params, velocity, config.momentum, trainable)
             loss, grads, probs = loss_and_gradients(
-                spec, shifted, xb, yb,
+                spec, shifted, memo.features(xb, look), yb,
                 l2_strength=config.l2_strength, l1_strength=config.l1_strength,
-                rng=rng)
+                rng=rng, first=first)
             loss_sum += loss * xb.i
             hits += _top1_hits(probs, _as_rows(yb))
             count += xb.i
@@ -448,11 +533,13 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         if count == 0:
             raise ConfigError("training set produced no batches")
         train_loss, train_top1 = loss_sum / count, hits / count
+        look = look and (epoch == 1 or memo.hits > served)
 
         if val_set is None:
             val_loss = val_top1 = math.nan
         else:
-            val_loss, val_top1 = evaluate_loss_top1(spec, params, _batches(val_set, config))
+            val_batches = ((memo.features(xb), yb) for xb, yb in _batches(val_set, config))
+            val_loss, val_top1 = evaluate_loss_top1(spec, params, val_batches, first)
             if math.isnan(val_top1) and config.patience is not None:
                 raise ConfigError("early stopping needs at least one validation sample")
         history.append(EpochStats(epoch, train_loss, train_top1, val_loss, val_top1, lr))

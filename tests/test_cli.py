@@ -307,12 +307,16 @@ class TestInputsCheckedBeforeOutDir:
         truncated = tmp_path / "truncated.ppm"
         truncated.write_bytes(b"P6\n8 8\n255\n" + bytes(100))
         (tmp_path / "empty").mkdir()
+        three = tmp_path / "three.txt"  # one class more than the model has
+        D.save_manifest(three, D.build_manifest(make_dataset(tmp_path / "three", classes=3),
+                                                ratios=(0.5, 0.25, 0.25)))
         image = base_model / "data" / "food_0" / "img_000.ppm"
         return {"dump": ["dataio", "dump-batch", "--manifest", str(manifest),
                          "--input-side", "8"],
                 "inspect": ["inspect", "--spec", str(base_model / "base.spec"),
                             "--weights", str(base_model / "base.pfw")],
-                "manifest": str(manifest), "image": str(image), "truncated": str(truncated),
+                "manifest": str(manifest), "three": str(three), "image": str(image),
+                "truncated": str(truncated),
                 "empty": str(tmp_path / "empty"), "out": tmp_path / "out"}
 
     @pytest.mark.parametrize("argv, code, message", [
@@ -358,6 +362,23 @@ class TestInputsCheckedBeforeOutDir:
         monkeypatch.setattr(M, "load_weights", load_weights)
         assert main([*(arg.format(**probe) for arg in argv), *probe["inspect"][1:]]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["predict", "--image", "{image}", "--manifest", "{three}"],
+         "manifest has 3 classes, model outputs 2"),
+        (["eval", "--manifest", "{three}", "--ks", "1"], "manifest has 3 classes, model outputs 2"),
+        (["inspect", "--image", "{image}", "--layers", "c1,nosuch", "--out-dir", "{out}"],
+         "no layer named 'nosuch'"),
+    ], ids=["predict-manifest", "eval-manifest", "inspect-layer"])
+    def test_bad_manifest_or_layer_exits_2_before_the_weights_are_read(
+            self, probe, capsys, monkeypatch, argv, message):
+        def load_weights(path, spec):
+            pytest.fail("weights read before the arguments were checked")
+
+        monkeypatch.setattr(M, "load_weights", load_weights)
+        assert main([*(arg.format(**probe) for arg in argv), *probe["inspect"][1:]]) == 2
+        assert message in capsys.readouterr().err
+        assert not probe["out"].exists()
 
 
 class TestEval:
@@ -414,8 +435,9 @@ class TestEval:
         assert [token.split("=")[0] for token in printed] == ["N", "top1", "top5"]
 
     def test_wrong_weights_for_spec_exit_4(self, trained_run, tmp_path):
+        # The manifest's 2 classes fit the other spec, so only the weights do not.
         other_spec = tmp_path / "other.spec"
-        tiny_spec_file(other_spec, side=8, classes=3)
+        tiny_spec_file(other_spec, side=16, classes=2)
         out = trained_run["out"]
         code = main(["eval", "--spec", str(other_spec),
                      "--weights", str(out / "weights.pfw"),

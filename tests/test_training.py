@@ -4,6 +4,7 @@ Gradient correctness is established against central finite differences
 computed here, independently of the engine's backward code.
 """
 
+import hashlib
 import math
 import re
 
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from purefoodnet import dataio as D
 from purefoodnet import layers as L
 from purefoodnet import models as M
 from purefoodnet import training as T
 from purefoodnet.errors import ConfigError, NonFiniteError, ShapeError
 from purefoodnet.tensor import ConvGeometry, Tensor4
+from test_cli import make_dataset, tiny_spec_file
 from test_models import count_finite_scans
 
 FD_STEP = 1e-5
@@ -686,6 +689,25 @@ class TestLookahead:
             else:
                 assert shifted[name] is params[name]
 
+    @pytest.mark.parametrize("dtype, v_dtype", [(np.float32, np.float32),
+                                                (np.float64, np.float64),
+                                                (np.float64, np.float32)])
+    @pytest.mark.parametrize("momentum", [0.9, 0.5, 0.1])
+    def test_one_temporary_gives_the_bytes_of_two(self, dtype, v_dtype, momentum):
+        # Signed zeros whose sums must keep their sign, opposite signs that
+        # cancel, and random values of mixed sign and scale.
+        rng = np.random.default_rng(4)
+        arr = np.concatenate([[0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -2.5, 3e-39],
+                              rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, 200)])
+        v = np.concatenate([[0.0, -0.0, 0.0, -0.0, -1.0 / momentum, 1.0 / momentum, 1e-7, -1e-38],
+                            rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, 200)])
+        arr, v = arr.astype(dtype), v.astype(v_dtype)
+        want = arr + momentum * v
+        assert T._shifted(arr, v, momentum).tobytes() == want.tobytes()
+        shifted = T.lookahead_params(M.ParamStore({"w": arr}), {"w": v}, momentum, ["w"])
+        assert shifted["w"].dtype == want.dtype
+        assert shifted["w"].tobytes() == want.tobytes()
+
 
 def separable_toy_set(n=80, seed=0):
     """2-D points labelled by the sign of a fixed linear score, with margin."""
@@ -871,6 +893,211 @@ class TestTrainLoop:
         params = M.init_params(spec, seed=1)
         with pytest.raises(ConfigError):
             T.train(spec, params, (x, y), None, T.TrainConfig(patience=3))
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture()
+def memos(monkeypatch):
+    """Every `_PrefixMemo` that `train` makes from now on."""
+    made = []
+
+    class Recorded(T._PrefixMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(T, "_PrefixMemo", Recorded)
+    return made
+
+
+@pytest.fixture()
+def conv_images(monkeypatch):
+    """The image count of every conv forward from now on."""
+    images = []
+    real = L.conv2d_cached
+
+    def counting(x, layer, need_cache=True):
+        images.append(x.i)
+        return real(x, layer, need_cache)
+
+    monkeypatch.setattr(L, "conv2d_cached", counting)
+    return images
+
+
+def _backbone_spec(*extra, dropout=0.5):
+    """conv -> batch norm -> [extra] -> pool | flatten -> fc1 -> dropout -> predictor."""
+    return M.ModelSpec((6, 6, 2),
+                       (M.conv_spec("c1", filters=3, kernel=3), M.batchnorm_spec("bn1"), *extra,
+                        M.pool_spec("p1", window=2, stride=2), M.flatten_spec(),
+                        M.dense_spec("fc1", 5, activation="relu"),
+                        M.dropout_spec("drop", dropout),
+                        M.dense_spec("predictor", 3, activation="softmax")),
+                       top_boundary=3 + len(extra))
+
+
+def _frozen(spec, names):
+    return M.set_trainable(spec, names, False)
+
+
+# (spec, its frozen prefix): a frozen backbone runs through the flatten; a
+# dropout that draws a mask ends the prefix, one of rate 0 does not; a wholly
+# frozen model stops below its predictor; a trainable lowest layer means none.
+PREFIX_CASES = {
+    "frozen-backbone": (_frozen(_backbone_spec(), ["c1", "bn1", "p1"]), 4),
+    "backbone-dropout": (_frozen(_backbone_spec(M.dropout_spec("d0", 0.25)),
+                                 ["c1", "bn1", "d0", "p1"]), 2),
+    "backbone-dropout-0": (_frozen(_backbone_spec(M.dropout_spec("d0", 0.0)),
+                                   ["c1", "bn1", "d0", "p1"]), 5),
+    "frozen-bn-only": (_frozen(_backbone_spec(), ["bn1"]), 0),
+    "nothing-frozen": (_backbone_spec(), 0),
+    "wholly-frozen": (_frozen(_backbone_spec(dropout=0.0),
+                              ["c1", "bn1", "p1", "fc1", "drop", "predictor"]), 6),
+    "wholly-frozen-toy": (_frozen(toy_linear_spec(), ["out"]), 1),
+}
+
+
+class TestFrozenPrefix:
+    """`train` runs the frozen prefix once per image and batch size, and the
+    artifacts keep the bytes of a run without the memo. Whether a memoized
+    row keeps its bits in another batch of the same size depends on the BLAS
+    build, so CI also runs this class on one BLAS thread and on one CPU."""
+
+    @pytest.mark.parametrize("case", PREFIX_CASES)
+    def test_boundary(self, case):
+        spec, want = PREFIX_CASES[case]
+        assert T._frozen_prefix(spec) == want
+
+    @pytest.mark.parametrize("case", PREFIX_CASES)
+    def test_train_keeps_the_bytes_of_the_unmemoized_path(self, case, memos, monkeypatch):
+        spec, first = PREFIX_CASES[case]
+        h, w, c = spec.input_shape
+        rng = np.random.default_rng(5)
+        classes = M.infer_shapes(spec)[-1][-1]
+        # 10 training images in batches of 4 leave a partial last batch.
+        x = Tensor4(rng.normal(size=(10, h, w, c)).astype(np.float32))
+        y = np.eye(classes)[rng.integers(0, classes, 10)]
+        val = (Tensor4(rng.normal(size=(6, h, w, c)).astype(np.float32)),
+               np.eye(classes)[rng.integers(0, classes, 6)])
+        config = T.TrainConfig(epochs=4, batch_size=4, learning_rate=0.05, patience=None,
+                               l2_strength=1e-3, l1_strength=1e-3, seed=7)
+
+        def run():
+            params = M.init_params(spec, seed=3)
+            result = T.train(spec, params, (x, y), val, config)
+            return (T.history_to_csv(result.history),
+                    {name: arr.tobytes() for name, arr in result.params.items()})
+
+        memoized = run()
+        assert memos[-1].stop == first
+        assert (memos[-1].hits > 0) == (first > 0)  # the val batch, from epoch 2 on
+        monkeypatch.setattr(T, "_MEMO_BYTES", 0)
+        assert run() == memoized
+        assert len(memos[-1]) == 0
+        monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
+        assert run() == memoized
+
+    @pytest.mark.parametrize("case", ["frozen-backbone", "wholly-frozen-toy"])
+    def test_loss_refuses_to_start_above_the_prefix(self, case):
+        spec, first = PREFIX_CASES[case]
+        params, shapes = M.init_params(spec, seed=1), M.infer_shapes(spec)
+        labels = np.eye(shapes[-1][-1])[[0, 1]]
+        rng = np.random.default_rng(0)
+
+        def loss(start):  # ones of layer `start`'s input shape, from there up
+            x = Tensor4(np.ones((2, *shapes[start]), np.float32))
+            return T.loss_and_gradients(spec, params, x, labels, rng=rng, first=start)
+
+        loss(first)
+        with pytest.raises(ValueError, match="above the lowest trainable layer"):
+            loss(first + 1)
+
+    def test_rows_are_reused_only_in_batches_of_their_size(self, conv_images):
+        spec, first = PREFIX_CASES["frozen-backbone"]
+        memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first)
+        x = np.random.default_rng(2).normal(size=(3, 6, 6, 2)).astype(np.float32)
+
+        def features(take, look=True):
+            return memo.features(Tensor4(x[take]), look).data
+
+        pair = features([0, 1])
+        assert features([1, 0]).tobytes() == pair[[1, 0]].tobytes()  # served
+        features([0, 1, 2])  # one image new: the whole batch runs
+        features([0])  # stored at batch size 2 and 3, not 1
+        features([2], look=False)
+        assert conv_images == [2, 3, 1, 1]
+        assert len(memo) == 6 and memo.hits == 1
+        assert features([2, 1, 0]).tobytes() == features([2, 1, 0], look=False).tobytes()
+        assert memo.hits == 2
+
+    @pytest.fixture()
+    def base(self, tmp_path):
+        """A dataset and an untrained base model for finetune runs."""
+        make_dataset(tmp_path / "data", classes=2, per_class=8)
+        spec = tiny_spec_file(tmp_path / "base.spec")
+        M.save_weights(tmp_path / "base.pfw", spec, M.init_params(spec, seed=1))
+        return tmp_path
+
+    def _finetune(self, base, out, *extra):
+        from purefoodnet.cli import main
+        assert main(["finetune", "--base-spec", str(base / "base.spec"),
+                     "--base-weights", str(base / "base.pfw"), "--freeze-backbone",
+                     "--head-units", "4", "--dataset-root", str(base / "data"),
+                     "--batch-size", "4", "--patience", "off", "--learning-rate", "0.05",
+                     "--out-dir", str(base / out), *extra]) == 0
+        return [_sha(base / out / name) for name in ("weights.pfw", "history.csv")]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cli_finetune_writes_the_bytes_of_a_run_without_the_memo(
+            self, base, memos, monkeypatch, seed):
+        # 5 training images a class: batches of 4, 4 and 2.
+        args = ["--split-counts", "5,2,1", "--epochs", "4", "--seed", str(seed)]
+        memoized = self._finetune(base, "memo", *args)
+        assert memos[-1].stop == 4 and memos[-1].hits > 0
+        monkeypatch.setattr(T, "_MEMO_BYTES", 0)
+        assert self._finetune(base, "bound-0", *args) == memoized
+        assert len(memos[-1]) == 0 and memos[-1].hits == 0
+        monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
+        assert self._finetune(base, "no-prefix", *args) == memoized
+
+    def test_prefix_runs_once_per_image_and_batch_size(self, base, memos, conv_images,
+                                                       monkeypatch):
+        # 8 training images in 2 batches and 4 val images in 1, 3 epochs;
+        # the model's one conv is the whole of the prefix's conv work.
+        args = ["--split-counts", "4,2,1", "--epochs", "3", "--seed", "4"]
+        memoized = self._finetune(base, "memo", *args)
+        assert conv_images == [4, 4, 4]
+        assert len(memos[-1]) == 12 and memos[-1].hits == 6
+        conv_images.clear()
+        monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
+        assert self._finetune(base, "no-prefix", *args) == memoized
+        assert conv_images == [4, 4, 4] * 3
+
+    def test_augmented_finetune_stops_storing_training_rows_after_epoch_2(
+            self, base, memos, monkeypatch):
+        rows = []  # memo rows when each training pass starts
+        real = D.batch_iterator
+
+        def recording(manifest, split, *args, **kwargs):
+            if split == "train":
+                rows.append(len(memos[-1]))
+            return real(manifest, split, *args, **kwargs)
+
+        monkeypatch.setattr(D, "batch_iterator", recording)
+        args = ["--split-counts", "4,2,1", "--epochs", "5", "--seed", "5",
+                "--aug-noise", "0.05", "--aug-flip", "0.5"]
+        memoized = self._finetune(base, "memo", *args)
+        # Epoch 1 stores 8 training and 4 val rows. Epoch 2 is served none
+        # of its batches and stores the rows of its new images (an image the
+        # shuffle puts back at its position draws the same augmentation), so
+        # the later passes neither look nor store; val is served from epoch 2.
+        assert rows[:2] == [0, 12] and 12 < rows[2] <= 20
+        assert rows[2:] == [rows[2]] * 3 and len(memos[-1]) == rows[2]
+        assert memos[-1].hits == 4
+        monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
+        assert self._finetune(base, "no-prefix", *args) == memoized
 
 
 class TestHistoryCsv:
