@@ -293,22 +293,13 @@ def scheduled_lr(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate * config.decay_factor ** ((epoch - 1) // config.decay_interval)
 
 
-def _shifted(arr: np.ndarray, v: np.ndarray, momentum: float) -> np.ndarray:
-    """The bytes of `arr + momentum * v` through one temporary: IEEE
-    addition commutes, so adding arr in place gives the same sums."""
-    shift = momentum * v
-    shift = shift.astype(np.result_type(arr, shift), copy=False)
-    shift += arr
-    return shift
-
-
 def lookahead_params(params: M.ParamStore, velocity: GradStore, momentum: float,
                      trainable_names) -> M.ParamStore:
     """The Nesterov evaluation point theta + mu*v. Only the shifted arrays are
     new, and only they are checked; the rest, running statistics and frozen
     tensors among them, are shared by reference, so in-place stat updates
     during the lookahead forward land in the caller's store."""
-    return params.replaced({name: _shifted(params[name], velocity[name], momentum)
+    return params.replaced({name: params[name] + momentum * velocity[name]
                             for name in trainable_names
                             if name in velocity and momentum != 0.0})
 
@@ -442,19 +433,26 @@ _MEMO_BYTES = 256 * 2**20
 
 class _PrefixMemo(dict):
     """(image bytes, shape, dtype, images in its batch) -> the image's output
-    of the frozen prefix, kept by one `train` call for its later passes; it
-    stops growing at `_MEMO_BYTES`.
+    of the frozen prefix, kept by one `train` call for its later passes. It
+    stores a batch whole or not at all, within `budget` bytes, keys
+    included; the first batch that does not fit makes it `full`, and it
+    stores nothing more.
 
     The conv GEMMs pick their BLAS kernel by row count, so a row is reused
     only in a batch of the size it was computed in, and a batch with any
     image missing is run whole, never as a smaller batch: every row has the
     bytes a forward of its batch would give."""
 
-    def __init__(self, spec: M.ModelSpec, params: M.ParamStore, stop: int):
+    def __init__(self, spec: M.ModelSpec, params: M.ParamStore, stop: int, budget: int):
         super().__init__()
-        self.spec, self.params, self.stop = spec, params, stop
+        self.spec, self.params, self.stop, self.budget = spec, params, stop, budget
         self.nbytes = 0
         self.hits = 0  # batches served whole from the memo
+        self.full = False
+
+    def clear(self):
+        super().clear()
+        self.nbytes = 0
 
     def features(self, x: Tensor4, look: bool = True) -> Tensor4:
         """The prefix output of batch x; with `look` false the memo is neither
@@ -468,12 +466,32 @@ class _PrefixMemo(dict):
             self.hits += 1
             return Tensor4(np.stack(rows))
         out = M.forward(self.spec, self.params, x, stop=self.stop)
-        for key, row in zip(keys, out.data):
-            size = len(key[0]) + row.nbytes
-            if key not in self and self.nbytes + size <= _MEMO_BYTES:
-                self[key] = row.copy()
-                self.nbytes += size
+        new = {key: row for key, row in zip(keys, out.data) if key not in self}
+        size = sum(len(key[0]) + row.nbytes for key, row in new.items())
+        self.full = self.full or self.nbytes + size > self.budget
+        if not self.full:
+            self.update((key, row.copy()) for key, row in new.items())
+            self.nbytes += size
         return out
+
+    def fill(self, batches) -> int:
+        """Store the prefix outputs of `batches`, in order, until a batch does
+        not fit; returns how many batches were stored. A batch that the rows
+        stored so far (or, before any, its keys alone) show cannot fit is
+        not run."""
+        stored = 0
+        if not self.stop:
+            return stored
+        for xb, _ in batches:
+            row = self.nbytes / len(self) if self else xb.data[0].nbytes
+            if self.nbytes + xb.i * row > self.budget:
+                self.full = True
+            else:
+                self.features(xb)
+            if self.full:
+                break
+            stored += 1
+        return stored
 
 
 def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
@@ -493,11 +511,13 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     bit for bit.
 
     The frozen prefix (`_frozen_prefix`) runs once per image and batch size
-    per call, up to a byte bound (`_PrefixMemo`): validation batches are
-    served from the second epoch on, and training batches whenever a
-    shuffle brings an un-augmented image back in a batch of the same size.
-    A training pass after the first that is served nothing (augmented
-    images are new every epoch) ends the memo's use for training batches.
+    per call, up to `_MEMO_BYTES` of stored outputs (`_PrefixMemo`).
+    Validation batches are stored first, in their order, before epoch 1:
+    every pass serves those that fit. The room left takes training rows,
+    served whenever a shuffle brings a batch of stored rows back. Training
+    batches stop using it, and its rows go, when a training batch does not
+    fit (a reshuffled batch then seldom finds all its rows) or a pass after
+    the first is served nothing (augmented images are new every epoch).
     """
     if val_set is None and config.patience is not None:
         raise ConfigError("early stopping needs a validation set (or set patience=None)")
@@ -507,8 +527,10 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     history: list[EpochStats] = []
     stopped_early = False
     first = _frozen_prefix(spec)
-    memo = _PrefixMemo(spec, params, first)
-    look = True  # whether training batches use the memo
+    val_memo = _PrefixMemo(spec, params, first, _MEMO_BYTES)
+    stored = 0 if val_set is None else val_memo.fill(_batches(val_set, config))
+    train_memo = _PrefixMemo(spec, params, first, _MEMO_BYTES - val_memo.nbytes)
+    look = True  # whether training batches use train_memo
 
     for epoch in range(1, config.epochs + 1):
         lr = scheduled_lr(config, epoch)
@@ -516,12 +538,14 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         hits = 0
         count = 0
         batch_index = 0
-        served = memo.hits
+        served = train_memo.hits
         for xb, yb in _batches(train_set, config, epoch):
             rng = make_rng(config.seed, "dropout", epoch, batch_index)
             shifted = lookahead_params(params, velocity, config.momentum, trainable)
+            features = train_memo.features(xb, look)
+            look = look and not train_memo.full
             loss, grads, probs = loss_and_gradients(
-                spec, shifted, memo.features(xb, look), yb,
+                spec, shifted, features, yb,
                 l2_strength=config.l2_strength, l1_strength=config.l1_strength,
                 rng=rng, first=first)
             loss_sum += loss * xb.i
@@ -533,12 +557,15 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         if count == 0:
             raise ConfigError("training set produced no batches")
         train_loss, train_top1 = loss_sum / count, hits / count
-        look = look and (epoch == 1 or memo.hits > served)
+        look = look and (epoch == 1 or train_memo.hits > served)
+        if not look:
+            train_memo.clear()
 
         if val_set is None:
             val_loss = val_top1 = math.nan
         else:
-            val_batches = ((memo.features(xb), yb) for xb, yb in _batches(val_set, config))
+            val_batches = ((val_memo.features(xb, index < stored), yb)
+                           for index, (xb, yb) in enumerate(_batches(val_set, config)))
             val_loss, val_top1 = evaluate_loss_top1(spec, params, val_batches, first)
             if math.isnan(val_top1) and config.patience is not None:
                 raise ConfigError("early stopping needs at least one validation sample")

@@ -7,6 +7,7 @@ computed here, independently of the engine's backward code.
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -689,24 +690,22 @@ class TestLookahead:
             else:
                 assert shifted[name] is params[name]
 
-    @pytest.mark.parametrize("dtype, v_dtype", [(np.float32, np.float32),
-                                                (np.float64, np.float64),
-                                                (np.float64, np.float32)])
-    @pytest.mark.parametrize("momentum", [0.9, 0.5, 0.1])
-    def test_one_temporary_gives_the_bytes_of_two(self, dtype, v_dtype, momentum):
-        # Signed zeros whose sums must keep their sign, opposite signs that
-        # cancel, and random values of mixed sign and scale.
+    def test_each_shifted_parameter_takes_one_array(self):
+        # numpy adds into the temporary `momentum * v` (it elides a
+        # temporary of 256 KiB or more), so the Nesterov point allocates
+        # one array per shifted parameter, not two: paper scale's 820 MB
+        # fc1 would otherwise hold a second 820 MB during the add.
         rng = np.random.default_rng(4)
-        arr = np.concatenate([[0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -2.5, 3e-39],
-                              rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, 200)])
-        v = np.concatenate([[0.0, -0.0, 0.0, -0.0, -1.0 / momentum, 1.0 / momentum, 1e-7, -1e-38],
-                            rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, 200)])
-        arr, v = arr.astype(dtype), v.astype(v_dtype)
-        want = arr + momentum * v
-        assert T._shifted(arr, v, momentum).tobytes() == want.tobytes()
-        shifted = T.lookahead_params(M.ParamStore({"w": arr}), {"w": v}, momentum, ["w"])
-        assert shifted["w"].dtype == want.dtype
-        assert shifted["w"].tobytes() == want.tobytes()
+        arr, v = (rng.normal(size=2**22).astype(np.float32) for _ in range(2))
+        params = M.ParamStore({"w": arr})
+        tracemalloc.start()
+        try:
+            shifted = T.lookahead_params(params, {"w": v}, 0.9, ["w"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.nbytes <= peak < 1.5 * arr.nbytes  # the check's chunk buffer is the rest
+        assert shifted["w"].tobytes() == (arr + 0.9 * v).tobytes()
 
 
 def separable_toy_set(n=80, seed=0):
@@ -901,13 +900,19 @@ def _sha(path) -> str:
 
 @pytest.fixture()
 def memos(monkeypatch):
-    """Every `_PrefixMemo` that `train` makes from now on."""
+    """Every `_PrefixMemo` that `train` makes from now on (its validation
+    memo, then its training one), each with the `look` of every batch."""
     made = []
 
     class Recorded(T._PrefixMemo):
         def __init__(self, *args):
             super().__init__(*args)
+            self.looks = []
             made.append(self)
+
+        def features(self, x, look=True):
+            self.looks.append(look)
+            return super().features(x, look)
 
     monkeypatch.setattr(T, "_PrefixMemo", Recorded)
     return made
@@ -970,13 +975,14 @@ class TestFrozenPrefix:
         spec, want = PREFIX_CASES[case]
         assert T._frozen_prefix(spec) == want
 
-    @pytest.mark.parametrize("case", PREFIX_CASES)
-    def test_train_keeps_the_bytes_of_the_unmemoized_path(self, case, memos, monkeypatch):
-        spec, first = PREFIX_CASES[case]
+    @staticmethod
+    def _runner(spec):
+        """A 4-epoch `train` of spec on seeded data, returning its history CSV
+        and parameter bytes: 10 training images in batches of 4 leave a
+        partial last batch, and 6 val images make batches of 4 and 2."""
         h, w, c = spec.input_shape
         rng = np.random.default_rng(5)
         classes = M.infer_shapes(spec)[-1][-1]
-        # 10 training images in batches of 4 leave a partial last batch.
         x = Tensor4(rng.normal(size=(10, h, w, c)).astype(np.float32))
         y = np.eye(classes)[rng.integers(0, classes, 10)]
         val = (Tensor4(rng.normal(size=(6, h, w, c)).astype(np.float32)),
@@ -990,14 +996,53 @@ class TestFrozenPrefix:
             return (T.history_to_csv(result.history),
                     {name: arr.tobytes() for name, arr in result.params.items()})
 
+        return run
+
+    @pytest.mark.parametrize("case", PREFIX_CASES)
+    def test_train_keeps_the_bytes_of_the_unmemoized_path(self, case, memos, monkeypatch):
+        spec, first = PREFIX_CASES[case]
+        run = self._runner(spec)
         memoized = run()
-        assert memos[-1].stop == first
-        assert (memos[-1].hits > 0) == (first > 0)  # the val batch, from epoch 2 on
+        val, train = memos[-2:]
+        assert val.stop == train.stop == first
+        assert val.hits == (8 if first else 0)  # both val batches, every epoch
         monkeypatch.setattr(T, "_MEMO_BYTES", 0)
         assert run() == memoized
-        assert len(memos[-1]) == 0
+        assert len(memos[-2]) == len(memos[-1]) == 0
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert run() == memoized
+
+    def test_val_rows_go_first_and_a_full_memo_stops(self, memos, conv_images, monkeypatch):
+        spec, first = PREFIX_CASES["frozen-backbone"]
+        run = self._runner(spec)
+        memoized = run()
+        val_bytes = memos[-2].nbytes
+        assert len(memos[-2]) == 6 and memos[-1].nbytes > 0
+        # Room for the val rows alone: the first training batch finds the
+        # memo full, and no later one looks.
+        monkeypatch.setattr(T, "_MEMO_BYTES", val_bytes)
+        conv_images.clear()
+        assert run() == memoized
+        val, train = memos[-2:]
+        assert val.hits == 8 and val.looks == [True] * 10
+        assert train.looks == [True] + [False] * 11 and len(train) == train.hits == 0
+        assert conv_images == [4, 2] + [4, 4, 2] * 4
+        # Room for the first val batch only: the second is never run to be
+        # stored, and the val passes look up only the first.
+        monkeypatch.setattr(T, "_MEMO_BYTES", val_bytes - 1)
+        conv_images.clear()
+        assert run() == memoized
+        val, train = memos[-2:]
+        assert len(val) == 4 and val.hits == 4 and val.full
+        assert val.looks == [True] + [True, False] * 4
+        assert train.looks == [True] + [False] * 11 and len(train) == 0
+        assert conv_images == [4] + [4, 4, 2, 2] * 4
+        # No room: nothing runs before epoch 1, and nothing is stored.
+        monkeypatch.setattr(T, "_MEMO_BYTES", 0)
+        conv_images.clear()
+        assert run() == memoized
+        assert memos[-2].looks == [False, False] * 4 and len(memos[-1]) == 0
+        assert conv_images == [4, 4, 2, 4, 2] * 4
 
     @pytest.mark.parametrize("case", ["frozen-backbone", "wholly-frozen-toy"])
     def test_loss_refuses_to_start_above_the_prefix(self, case):
@@ -1016,7 +1061,7 @@ class TestFrozenPrefix:
 
     def test_rows_are_reused_only_in_batches_of_their_size(self, conv_images):
         spec, first = PREFIX_CASES["frozen-backbone"]
-        memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first)
+        memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first, T._MEMO_BYTES)
         x = np.random.default_rng(2).normal(size=(3, 6, 6, 2)).astype(np.float32)
 
         def features(take, look=True):
@@ -1031,6 +1076,22 @@ class TestFrozenPrefix:
         assert len(memo) == 6 and memo.hits == 1
         assert features([2, 1, 0]).tobytes() == features([2, 1, 0], look=False).tobytes()
         assert memo.hits == 2
+
+    def test_a_batch_is_stored_whole_or_not_at_all(self):
+        spec, first = PREFIX_CASES["frozen-backbone"]
+        row = 6 * 6 * 2 * 4 + 3 * 3 * 3 * 4  # key and output bytes of one image
+        memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first, 3 * row)
+        x = Tensor4(np.random.default_rng(2).normal(size=(4, 6, 6, 2)).astype(np.float32))
+        memo.features(Tensor4(x.data[:2]))
+        assert memo.nbytes == 2 * row and not memo.full
+        memo.features(Tensor4(x.data[2:]))  # 2 more rows would pass the bound
+        assert memo.nbytes == 2 * row and len(memo) == 2 and memo.full
+        memo.features(Tensor4(x.data[2:3]))  # would fit, but a full memo stores nothing
+        assert len(memo) == 2
+        memo.features(Tensor4(x.data[:2]))
+        assert memo.hits == 1  # a full memo still serves its rows
+        memo.clear()
+        assert memo.nbytes == 0 and len(memo) == 0
 
     @pytest.fixture()
     def base(self, tmp_path):
@@ -1055,21 +1116,24 @@ class TestFrozenPrefix:
         # 5 training images a class: batches of 4, 4 and 2.
         args = ["--split-counts", "5,2,1", "--epochs", "4", "--seed", str(seed)]
         memoized = self._finetune(base, "memo", *args)
-        assert memos[-1].stop == 4 and memos[-1].hits > 0
+        assert memos[-2].stop == 4 and memos[-2].hits == 4  # the val batch, every epoch
         monkeypatch.setattr(T, "_MEMO_BYTES", 0)
         assert self._finetune(base, "bound-0", *args) == memoized
-        assert len(memos[-1]) == 0 and memos[-1].hits == 0
+        assert len(memos[-2]) == len(memos[-1]) == 0
+        assert memos[-2].hits == memos[-1].hits == 0
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
 
     def test_prefix_runs_once_per_image_and_batch_size(self, base, memos, conv_images,
                                                        monkeypatch):
         # 8 training images in 2 batches and 4 val images in 1, 3 epochs;
-        # the model's one conv is the whole of the prefix's conv work.
+        # the model's one conv is the whole of the prefix's conv work. The
+        # val batch runs first, and is served in every epoch.
         args = ["--split-counts", "4,2,1", "--epochs", "3", "--seed", "4"]
         memoized = self._finetune(base, "memo", *args)
         assert conv_images == [4, 4, 4]
-        assert len(memos[-1]) == 12 and memos[-1].hits == 6
+        assert len(memos[-2]) == 4 and memos[-2].hits == 3
+        assert len(memos[-1]) == 8 and memos[-1].hits == 4
         conv_images.clear()
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
@@ -1089,13 +1153,13 @@ class TestFrozenPrefix:
         args = ["--split-counts", "4,2,1", "--epochs", "5", "--seed", "5",
                 "--aug-noise", "0.05", "--aug-flip", "0.5"]
         memoized = self._finetune(base, "memo", *args)
-        # Epoch 1 stores 8 training and 4 val rows. Epoch 2 is served none
-        # of its batches and stores the rows of its new images (an image the
-        # shuffle puts back at its position draws the same augmentation), so
-        # the later passes neither look nor store; val is served from epoch 2.
-        assert rows[:2] == [0, 12] and 12 < rows[2] <= 20
-        assert rows[2:] == [rows[2]] * 3 and len(memos[-1]) == rows[2]
-        assert memos[-1].hits == 4
+        # The 4 val rows are stored before epoch 1 and served in every
+        # epoch. Epoch 1 stores 8 training rows; epoch 2 is served none of
+        # its batches, so its rows go and the later passes neither look nor
+        # store.
+        val, train = memos[-2:]
+        assert rows == [0, 8, 0, 0, 0] and len(val) == 4 and val.hits == 5
+        assert train.looks == [True] * 4 + [False] * 6 and train.hits == 0
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
 
