@@ -105,7 +105,7 @@ def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     if len(payload) != need:
         raise DataFormatError(f"{path}: expected {need} pixel bytes, got {len(payload)}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return pixels.astype(np.float64) / 255.0
+    return np.divide(pixels, 255.0, dtype=np.float64)
 
 
 def _write_netpbm(path, arr: np.ndarray, magic: bytes) -> None:

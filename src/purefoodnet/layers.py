@@ -13,18 +13,18 @@ pool averages its windows. A convolution copies its input windows into
 an im2col matrix (one row per output cell, columns in (channel, row,
 column) order) and multiplies it by the filter bank, one block of rows at a
 time: it fills a buffer with a block and multiplies it into its slice of
-the output. When a backward pass will follow, the only block is the whole
-matrix, on the calling thread, and the cache keeps it for the filter
-gradient. Without one, a matrix larger than one worker's share of about
-32 MB is split into one share of output rows per worker, each share going
-block by block through that worker's own buffer. There are as many workers
-as the CPU affinity mask allows (`taskset` limits them) when OpenBLAS runs
-one thread per call (`OPENBLAS_NUM_THREADS=1`), and one otherwise. Every block takes the BLAS
-kernel the whole product would, so the bits are the same at any worker
-count. Workers run only untraced numpy work (`run_jobs`). Convolutions are
-cross-correlations: the kernel is applied as stored, never flipped.
-Activations are fused into the conv and dense layers; `softmax` also exists
-standalone, with no backward.
+the output. A matrix larger than one worker's share of about 32 MB is
+split into one share of output rows per worker, each share going block by
+block through that worker's own buffer, with or without a backward to
+follow: a cache keeps the padded input, not the matrix, and the filter
+gradient takes its products from it. There are as many workers as the CPU
+affinity mask allows (`taskset` limits them) when OpenBLAS runs one thread
+per call (`OPENBLAS_NUM_THREADS=1`), and one otherwise. Every block takes
+the BLAS kernel the whole product would, so the bits are the same at any
+worker count. Workers run only untraced numpy work (`run_jobs`).
+Convolutions are cross-correlations: the kernel is applied as stored,
+never flipped. Activations are fused into the conv and dense layers;
+`softmax` also exists standalone, with no backward.
 """
 
 from __future__ import annotations
@@ -138,8 +138,7 @@ class BatchNormLayer:
 
 
 class ConvCache(NamedTuple):
-    cols: np.ndarray  # im2col matrix (i*oh*ow, c*k*k) of the padded input
-    padded_shape: tuple
+    xp: np.ndarray  # the input, zero-padded by the geometry's z on each side
     filters: np.ndarray
     geometry: ConvGeometry
     relu_mask: np.ndarray | None
@@ -178,8 +177,7 @@ class BatchNormCache(NamedTuple):
 # Bytes of im2col matrix filled per block of output rows; a block this size
 # stays in cache while all k*k taps are written into it.
 _IM2COL_BLOCK_BYTES = 1 << 19
-# Bytes of im2col matrix a conv holds at once, across all its workers, when
-# it keeps no cache.
+# Bytes of im2col matrix a conv holds at once, across all its workers.
 _GEMM_BLOCK_BYTES = 32 << 20
 # A block of the product must take the BLAS kernel the whole product takes,
 # or its bits differ: OpenBLAS uses GEMV for one row or one column and a
@@ -208,8 +206,12 @@ def _one_blas_thread() -> bool:
 # call stays on one thread. Otherwise OpenBLAS starts a team per call, the
 # teams of two callers compete for the same CPUs, and the work stays on the
 # calling thread: with OpenBLAS's default team on two CPUs, two workers
-# trained 7% slower than one and took 14 MB more memory.
-_WORKERS = _CPUS if _one_blas_thread() else 1
+# trained 7% slower than one and took 14 MB more memory. A team also
+# splits a product's sum unlike one thread does, and picks its size by the
+# product's, so only on one BLAS thread does a conv's filter gradient take
+# its products tap by tap (`training.conv2d_backward`).
+_ONE_BLAS_THREAD = _one_blas_thread()
+_WORKERS = _CPUS if _ONE_BLAS_THREAD else 1
 
 
 @cache
@@ -268,9 +270,9 @@ def _least_units(ow: int, width: int, f: int) -> int:
 
 
 def _block_units(units: int, ow: int, width: int, f: int, itemsize: int) -> int:
-    """Output rows per block of a conv that keeps no cache: one worker's
-    share of the byte budget, but never below the kernel minimums; `units`,
-    the number of output rows, means one block."""
+    """Output rows per block of a conv: one worker's share of the byte
+    budget, but never below the kernel minimums; `units`, the number of
+    output rows, means one block."""
     if f < 2:
         return units
     b = max(_least_units(ow, width, f), _GEMM_BLOCK_BYTES // _WORKERS // (ow * width * itemsize))
@@ -308,11 +310,10 @@ def _relu_inplace(out: np.ndarray) -> None:
 def conv2d_cached(x: Tensor4, layer: ConvLayer,
                   need_cache: bool = True) -> tuple[Tensor4, ConvCache | None]:
     """The conv output and, when `need_cache` is true, the cache its backward
-    consumes (None otherwise). With a cache, the whole im2col matrix is one
-    block on the calling thread, and the cache keeps it. Without one, a
-    matrix larger than one worker's share of about _GEMM_BLOCK_BYTES is
-    never whole: each worker multiplies its own rows (`_share_bounds`)
-    through its own buffer."""
+    consumes (None otherwise). An im2col matrix larger than one worker's
+    share of about _GEMM_BLOCK_BYTES is never whole: each worker multiplies
+    its own rows (`_share_bounds`) through its own buffer, with or without
+    a cache."""
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -328,7 +329,7 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
     fmat = filters.transpose(3, 1, 2, 0).reshape(-1, f)
     out = np.empty((x.i, oh, ow, f), dtype=np.result_type(xp, fmat))
     units, width = x.i * oh, len(fmat)
-    b = units if need_cache else _block_units(units, ow, width, f, xp.itemsize)
+    b = _block_units(units, ow, width, f, xp.itemsize)
     bounds = _share_bounds(units, b, _least_units(ow, width, f), ow * width * xp.itemsize)
     # Every buffer comes from this thread's heap: memory a worker allocated
     # would stay in that thread's own malloc arena.
@@ -344,7 +345,7 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
         if need_cache:
             relu_mask = out > 0
         _relu_inplace(out)
-    cache = ConvCache(buffers[0], xp.shape, filters, g, relu_mask) if need_cache else None
+    cache = ConvCache(xp, filters, g, relu_mask) if need_cache else None
     return Tensor4(out), cache
 
 

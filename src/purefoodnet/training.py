@@ -63,28 +63,62 @@ def _scatter_taps(shape, dtype, k: int, stride: int, contribution) -> np.ndarray
     return dx
 
 
+def _tap_gradients(d_rows: np.ndarray, xp: np.ndarray, s: int, tap: np.ndarray,
+                   dw: np.ndarray) -> None:
+    """Write dw[p, q] = d_rows @ tap(p, q) for every tap of the k x k filter,
+    where tap(p, q), copied into the (i, oh, ow, c) buffer `tap`, holds the
+    input cell each output cell reads through it."""
+    _, oh, ow, c = tap.shape
+    rows = tap.reshape(-1, c)
+    for p in range(dw.shape[0]):
+        for q in range(dw.shape[1]):
+            np.copyto(tap, xp[:, p:p + s * (oh - 1) + 1:s, q:q + s * (ow - 1) + 1:s])
+            np.dot(d_rows, rows, out=dw[p, q])
+
+
 def conv2d_backward(d: np.ndarray, cache: L.ConvCache, need_dx: bool = True):
     """Returns (dx, dfilters, dbias) for a conv forward (fused ReLU included);
-    dx is None when `need_dx` is false."""
+    dx is None when `need_dx` is false.
+
+    The filter gradient is d_rows @ cols, cols being the im2col matrix of
+    the cached padded input, taken one tap at a time: the (f, c) block of
+    tap (p, q) is d_rows times that tap's (rows, c) slab of the input, and
+    has the bytes of its columns of the whole product while both take
+    OpenBLAS's large-matrix kernel on one thread. Under a BLAS thread team,
+    for a tap product that would leave that kernel (one filter or channel,
+    or fewer than _MIN_BLOCK_MACS multiply-adds), and for fewer than 8
+    channels, whose taps are slower than one GEMM, the matrix is rebuilt
+    and the whole product taken instead."""
     if cache.relu_mask is not None:
         d = d * cache.relu_mask
-    filters, g = cache.filters, cache.geometry
+    xp, filters, g = cache.xp, cache.filters, cache.geometry
     f, k, _, c = filters.shape
+    i, oh, ow, _ = d.shape
     db = d.sum(axis=(0, 1, 2))
     d_rows = d.transpose(3, 0, 1, 2).reshape(f, -1)
-    dw = np.empty((f, c, k, k), dtype=np.result_type(d_rows, cache.cols))
-    filter_gradient = partial(np.dot, d_rows, cache.cols, out=dw.reshape(f, -1))
+    dtype = np.result_type(d_rows, xp)
+    # The buffers come from this thread's heap before any job runs: a
+    # worker's allocations would stay in its own malloc arena.
+    if (L._ONE_BLAS_THREAD and f >= 2 and c >= 8
+            and f * c * d_rows.shape[1] >= L._MIN_BLOCK_MACS):
+        grad = np.empty((k, k, f, c), dtype)
+        tap = np.empty((i, oh, ow, c), xp.dtype)
+        filter_gradient = partial(_tap_gradients, d_rows, xp, g.s, tap, grad)
+        dw = grad.transpose(2, 0, 1, 3)
+    else:
+        grad = np.empty((f, c * k * k), dtype)
+        cols = L._im2col(xp, k, g.s, oh, ow, np.empty((d_rows.shape[1], c * k * k), xp.dtype), 0)
+        filter_gradient = partial(np.dot, d_rows, cols, out=grad)
+        dw = grad.reshape(f, c, k, k).transpose(0, 2, 3, 1)
     if not need_dx:
         filter_gradient()
-        return None, dw.transpose(0, 2, 3, 1), db
-    # The dx taps run on this thread while a worker runs the dw GEMM, into
-    # a buffer from this thread's heap (a worker's allocations would stay
-    # in its own malloc arena).
+        return None, dw, db
+    # The dx taps run on this thread while a worker runs the filter gradient.
     dxp, _ = L.run_jobs([
-        partial(_scatter_taps, cache.padded_shape, d.dtype, g.k, g.s,
+        partial(_scatter_taps, xp.shape, d.dtype, g.k, g.s,
                 lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0]))),
         filter_gradient])
-    return (dxp[:, g.z:-g.z, g.z:-g.z, :] if g.z else dxp), dw.transpose(0, 2, 3, 1), db
+    return (dxp[:, g.z:-g.z, g.z:-g.z, :] if g.z else dxp), dw, db
 
 
 def pool_backward(d: np.ndarray, cache: L.PoolCache) -> np.ndarray:
@@ -448,10 +482,13 @@ class _PrefixMemo(dict):
         self.spec, self.params, self.stop, self.budget = spec, params, stop, budget
         self.nbytes = 0
         self.hits = 0  # batches served whole from the memo
+        self.returns = 0  # looked-up images stored before, at any batch size
+        self.images = set()  # (image bytes, shape, dtype) of each stored row
         self.full = False
 
     def clear(self):
         super().clear()
+        self.images.clear()
         self.nbytes = 0
 
     def features(self, x: Tensor4, look: bool = True) -> Tensor4:
@@ -461,6 +498,7 @@ class _PrefixMemo(dict):
             return x
         keys = [(image.tobytes(), image.shape, image.dtype.str, x.i)
                 for image in x.data] if look else []
+        self.returns += sum(key[:3] in self.images for key in keys)
         rows = [self.get(key) for key in keys]
         if rows and all(row is not None for row in rows):
             self.hits += 1
@@ -471,6 +509,7 @@ class _PrefixMemo(dict):
         self.full = self.full or self.nbytes + size > self.budget
         if not self.full:
             self.update((key, row.copy()) for key, row in new.items())
+            self.images.update(key[:3] for key in new)
             self.nbytes += size
         return out
 
@@ -517,7 +556,12 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     served whenever a shuffle brings a batch of stored rows back. Training
     batches stop using it, and its rows go, when a training batch does not
     fit (a reshuffled batch then seldom finds all its rows) or a pass after
-    the first is served nothing (augmented images are new every epoch).
+    the first brings back no more than half its images stored before, at
+    any batch size. An augmented image comes back only when a reshuffle
+    puts its source where it was (the augmentation draws by stream
+    position); an un-augmented pass brings back all of its images, though
+    it may be served none of its batches whole, since a reshuffle moves
+    images between the full batches and a partial last one.
     """
     if val_set is None and config.patience is not None:
         raise ConfigError("early stopping needs a validation set (or set patience=None)")
@@ -538,7 +582,7 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         hits = 0
         count = 0
         batch_index = 0
-        served = train_memo.hits
+        returns = train_memo.returns
         for xb, yb in _batches(train_set, config, epoch):
             rng = make_rng(config.seed, "dropout", epoch, batch_index)
             shifted = lookahead_params(params, velocity, config.momentum, trainable)
@@ -557,7 +601,7 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         if count == 0:
             raise ConfigError("training set produced no batches")
         train_loss, train_top1 = loss_sum / count, hits / count
-        look = look and (epoch == 1 or train_memo.hits > served)
+        look = look and (epoch == 1 or 2 * (train_memo.returns - returns) > count)
         if not look:
             train_memo.clear()
 

@@ -73,6 +73,20 @@ class TestPpmCodec:
         D.save_image(path, img)
         np.testing.assert_array_equal(D.load_image(path).pixels, img)
 
+    def test_decode_has_the_bytes_of_a_float64_cast_then_divide(self, tmp_path):
+        # Every byte value, in a P6 and a P5 file: the one-pass divide
+        # rounds each pixel as casting to float64 and dividing by 255 did.
+        values = np.arange(256, dtype=np.uint8)
+        ppm, pgm = tmp_path / "all.ppm", tmp_path / "all.pgm"
+        ppm.write_bytes(b"P6\n16 16\n255\n" + np.repeat(values, 3).tobytes())
+        pgm.write_bytes(b"P5\n16 16\n255\n" + values.tobytes())
+        want = values.astype(np.float64) / 255.0
+        rgb = D.load_image(ppm).pixels
+        assert rgb.dtype == np.float64 and rgb.shape == (16, 16, 3)
+        assert rgb.tobytes() == np.repeat(want, 3).tobytes()
+        gray = D.read_pgm(pgm)
+        assert gray.dtype == np.float64 and gray.tobytes() == want.tobytes()
+
     def test_dims_match_header(self, tmp_path):
         path = tmp_path / "dims.ppm"
         D.save_image(path, random_pixels(1, h=3, w=9))

@@ -146,8 +146,15 @@ class TestConv2d:
         want = tensordot_conv(x, filters, bias, k, s, z)
         assert out.dtype == want.dtype
         np.testing.assert_array_equal(out.data, want)
+        # The cache keeps the padded input; the im2col matrix rebuilt from
+        # it, times the filter bank, gives the forward's bytes.
+        xp = np.pad(x, ((0, 0), (z, z), (z, z), (0, 0)))
+        assert cache.xp.shape == xp.shape and cache.xp.tobytes() == xp.tobytes()
         oh, ow = want.shape[1:3]
-        assert cache.cols.shape == (3 * oh * ow, 4 * k * k)
+        cols = layers._im2col(cache.xp, k, s, oh, ow,
+                              np.empty((3 * oh * ow, 4 * k * k), dtype), 0)
+        product = cols @ filters.transpose(3, 1, 2, 0).reshape(-1, 5) + bias
+        assert product.reshape(want.shape).tobytes() == out.data.tobytes()
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(7)
@@ -278,9 +285,9 @@ def spy_on_blocks(monkeypatch) -> list:
 
 
 class TestBlockedConv:
-    """A conv that keeps no cache multiplies its im2col matrix block by block,
-    on one to three workers, and must give exactly the bytes of the one-GEMM
-    cached path."""
+    """A conv multiplies its im2col matrix block by block, on one to three
+    workers, with or without a cache, and must give exactly the bytes of
+    one GEMM of the whole matrix."""
 
     @pytest.fixture(autouse=True, params=[1, 2, 3])
     def workers(self, request, monkeypatch):
@@ -299,6 +306,20 @@ class TestBlockedConv:
         got, none = conv2d_cached(x, layer, need_cache=False)
         assert none is None
         np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("side, c, f", [(224, 128, 128), (112, 256, 256), (56, 512, 512)])
+    def test_paper_scale_shapes_match_one_gemm(self, side, c, f):
+        # The cached and uncached paths run the same blocks; the oracle is
+        # one GEMM of the whole im2col matrix.
+        rng = np.random.default_rng(side + 1)
+        x = rng.standard_normal((1, side, side, c), dtype=np.float32)
+        filters = rng.standard_normal((f, 3, 3, c), dtype=np.float32) * np.float32(0.05)
+        got, _ = conv2d_cached(Tensor4(x), conv_layer(filters, np.zeros(f, np.float32), k=3, z=1))
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        cols = layers._im2col(xp, 3, 1, side, side, np.empty((side * side, 9 * c), np.float32), 0)
+        want = cols @ filters.transpose(3, 1, 2, 0).reshape(-1, f)
+        del cols
+        assert got.data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("z", [0, 1])
@@ -320,13 +341,20 @@ class TestBlockedConv:
         x = Tensor4(rng.normal(size=(images, side, side, c)).astype(dtype))
         layer = conv_layer(rng.normal(size=(f, k, k, c)).astype(dtype) * 0.2,
                            rng.normal(size=f).astype(dtype), k, s, z, activation="relu")
-        calls = spy_on_blocks(monkeypatch)
-        want, _ = conv2d_cached(x, layer)
+        # The oracle: one GEMM of the whole matrix, bias, ReLU.
         units = images * oh
-        # The cached path fills the whole matrix at once, on this thread.
-        assert calls == [(0, units * oh, threading.get_ident())]
+        xp = np.pad(x.data, ((0, 0), (z, z), (z, z), (0, 0)))
+        cols = layers._im2col(xp, k, s, oh, oh, np.empty((units * oh, c * k * k), dtype), 0)
+        pre = cols @ layer.filters.transpose(3, 1, 2, 0).reshape(-1, f) + layer.bias
+        want = np.where(pre > 0, pre, 0).reshape(images, oh, oh, f)
+        calls = spy_on_blocks(monkeypatch)
+        cached, cache = conv2d_cached(x, layer)
+        assert cache.xp.tobytes() == xp.tobytes()
+        cached_calls = calls[:]
         calls.clear()
         got, _ = conv2d_cached(x, layer, need_cache=False)
+        # A cache changes neither the blocks nor the bytes.
+        assert sorted(call[:2] for call in cached_calls) == sorted(call[:2] for call in calls)
         blocks = sorted((first, first + rows // oh, thread) for first, rows, thread in calls)
         assert all(hi - lo == b for lo, hi, _ in blocks)
         assert len(blocks) >= 3 and blocks[0][0] == 0 and blocks[-1][1] == units
@@ -339,8 +367,8 @@ class TestBlockedConv:
         if workers == 1:  # one share: its last block overlaps the one before
             assert blocks[-1][0] < blocks[-2][1]
         assert any(lo // oh != (hi - 1) // oh for lo, hi, _ in blocks)  # spans two images
-        np.testing.assert_array_equal(got.data, want.data)
-        assert got.data.tobytes() == want.data.tobytes()
+        for out in (got, cached):
+            assert out.dtype == want.dtype and out.data.tobytes() == want.tobytes()
 
     def test_wide_product_keeps_blocks_of_many_rows(self, monkeypatch):
         # 2048 x 512 filters reach the multiply-add minimum in a single row,

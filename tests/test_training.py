@@ -6,7 +6,10 @@ computed here, independently of the engine's backward code.
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -125,6 +128,17 @@ class TestCrossEntropy:
             T.cross_entropy_loss(probs, np.eye(3))
 
 
+def rebuilt_gemm_dw(d, x, k, s, z):
+    """The filter gradient as one GEMM of d's rows by the im2col matrix of
+    the padded input, in (f, k, k, c) layout."""
+    f, c = d.shape[3], x.shape[3]
+    xp = np.pad(x, ((0, 0), (z, z), (z, z), (0, 0)))
+    cols = L._im2col(xp, k, s, d.shape[1], d.shape[2],
+                     np.empty((d[..., 0].size, c * k * k), x.dtype), 0)
+    dw = np.dot(d.transpose(3, 0, 1, 2).reshape(f, -1), cols)
+    return dw.reshape(f, c, k, k).transpose(0, 2, 3, 1)
+
+
 class TestBackwardBitExactness:
     """The backward passes against the formulas they replaced, which fix the
     float sums the golden artifacts depend on."""
@@ -175,9 +189,8 @@ class TestBackwardBitExactness:
         dx, dw, db = T.conv2d_backward(r, cache)
 
         d = r * cache.relu_mask
-        want_dw = np.dot(d.transpose(3, 0, 1, 2).reshape(f, -1), cache.cols)
-        want_dw = want_dw.reshape(f, shape[3], k, k).transpose(0, 2, 3, 1)
-        dxp = np.zeros(cache.padded_shape, np.float32)
+        want_dw = rebuilt_gemm_dw(d, x, k, s, z)
+        dxp = np.zeros(np.pad(x, ((0, 0), (z, z), (z, z), (0, 0))).shape, np.float32)
         oh, ow = out.data.shape[1:3]
         for p in range(k):
             for q in range(k):
@@ -204,6 +217,93 @@ class TestBackwardBitExactness:
         x_hat, inv_std, count = cache.x_hat, cache.inv_std, cache.count
         want = (gamma * inv_std / count) * (count * d - dbeta - x_hat * dgamma)
         np.testing.assert_array_equal(dx, want)
+
+
+class TestFilterGradientTaps:
+    """On one BLAS thread a conv's filter gradient is taken tap by tap from
+    its cached padded input, and must have the bytes of the one GEMM of the
+    rebuilt im2col matrix. Whether it does depends on how the BLAS build
+    picks its kernels, so CI also runs this class on one BLAS thread and on
+    one CPU."""
+
+    # (images, side, c, f): 4 x 32^2 puts some tap products above
+    # _MIN_BLOCK_MACS and some below; 1 x 40^2 with 3 channels and 8 x 16^2
+    # with 32 at stride 2 have small tap products but a large whole product.
+    CASES = [(4, 32, c, f) for c in (1, 2, 3, 8, 16) for f in (1, 2, 16, 128)]
+    CASES += [(1, 40, 3, 128), (8, 16, 32, 32)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("z", [0, 1])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_dw_has_the_bytes_of_the_rebuilt_gemm(self, k, s, z, dtype, monkeypatch):
+        tapped = []
+        real = T._tap_gradients
+
+        def spy(d_rows, *args):
+            tapped.append(d_rows.shape)
+            return real(d_rows, *args)
+
+        monkeypatch.setattr(T, "_tap_gradients", spy)
+        differ, routes, sides = [], [], set()
+        for images, side, c, f in self.CASES:
+            rng = np.random.default_rng([k, s, z, images, side, c, f])
+            x = rng.normal(size=(images, side, side, c)).astype(dtype)
+            layer = L.ConvLayer(rng.normal(size=(f, k, k, c)).astype(dtype),
+                                np.zeros(f, dtype), ConvGeometry(k, s, z))
+            out, cache = L.conv2d_cached(Tensor4(x), layer)
+            d = rng.normal(size=out.data.shape).astype(dtype)
+            tapped.clear()
+            _, dw, _ = T.conv2d_backward(d, cache, need_dx=False)
+            want = rebuilt_gemm_dw(d, x, k, s, z)
+            macs = f * c * d[..., 0].size
+            taps = L._ONE_BLAS_THREAD and f >= 2 and c >= 8 and macs >= L._MIN_BLOCK_MACS
+            routes.append(len(tapped) == taps)
+            if f >= 2 and c >= 8:
+                sides.add(macs >= L._MIN_BLOCK_MACS)
+            if dw.dtype != want.dtype or dw.tobytes() != want.tobytes():
+                differ.append((images, side, c, f))
+        assert not differ
+        assert all(routes)
+        assert sides == {True, False}  # products on both sides of the bound
+
+    def test_the_taps_on_one_blas_thread(self):
+        # This process may run a BLAS thread team, which takes no taps: run
+        # the test above in one that runs one BLAS thread.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, here, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestFilterGradientTaps::test_dw_has_the_bytes_of_the_rebuilt_gemm"],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout[-4000:]
+
+    def test_conv_caches_hold_no_im2col_matrix(self):
+        spec = M.build_purefoodnet(3, width_scale=0.125, input_side=32)
+        params = M.init_params(spec, seed=1)
+        x = Tensor4(np.random.default_rng(3).normal(size=(4, 32, 32, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            _, caches = M.forward_with_caches(spec, params, x, training=True,
+                                              rng=np.random.default_rng(0))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        im2col = {}
+        for layer, cache in caches:
+            if layer.kind == "conv":
+                _, k, _, c = cache.filters.shape
+                oh = (cache.xp.shape[1] - k) // cache.geometry.s + 1
+                ow = (cache.xp.shape[2] - k) // cache.geometry.s + 1
+                im2col[layer.name] = x.i * oh * ow * c * k * k * cache.xp.itemsize
+                # The filters are the parameter store's, not the cache's.
+                assert max(cache.xp.nbytes, cache.relu_mask.nbytes) < im2col[layer.name] / 4
+        assert len(im2col) == 8
+        # Every cache of the model together holds less than its convs'
+        # im2col matrices would.
+        assert held < sum(im2col.values())
 
 
 class TestLayerGradientsVsFiniteDifferences:
@@ -1138,6 +1238,30 @@ class TestFrozenPrefix:
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
         assert conv_images == [4, 4, 4] * 3
+
+    def test_a_pass_served_nothing_keeps_rows_that_come_back(self, base, memos, monkeypatch):
+        # 10 training images in batches of 4, 4 and 2: epoch 2 brings every
+        # stored image back but serves none of its batches whole, as each
+        # mixes rows stored at batch size 4 and 2. The rows stay, and epoch
+        # 3 is served.
+        passes = []  # (memo rows, batches served so far) when each training pass starts
+        real = D.batch_iterator
+
+        def recording(manifest, split, *args, **kwargs):
+            if split == "train":
+                passes.append((len(memos[-1]), memos[-1].hits))
+            return real(manifest, split, *args, **kwargs)
+
+        monkeypatch.setattr(D, "batch_iterator", recording)
+        args = ["--split-counts", "5,2,1", "--epochs", "4", "--seed", "1"]
+        memoized = self._finetune(base, "memo", *args)
+        train = memos[-1]
+        (rows1, _), (rows2, hits2), (rows3, hits3), (rows4, hits4) = passes
+        assert rows1 == 0 and rows2 == 10 and rows3 > rows2
+        assert hits2 == hits3 == 0 and hits4 > 0  # epoch 2 served nothing, epoch 3 some
+        assert train.looks == [True] * 12 and len(train) >= rows4
+        monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
+        assert self._finetune(base, "no-prefix", *args) == memoized
 
     def test_augmented_finetune_stops_storing_training_rows_after_epoch_2(
             self, base, memos, monkeypatch):
