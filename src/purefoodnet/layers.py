@@ -1,41 +1,42 @@
-"""Parameterized layers and their forward passes, plus weight penalties.
+"""Parameterized layers, their forward and backward passes, and weight
+penalties.
 
 Layer objects own their parameter arrays (by reference, so a store can hand
-the same buffers to many forward calls). Each operation has two entry
-points: a plain forward returning the output tensor, and a `*_cached`
-variant that additionally returns the intermediates its matching backward
-pass (in `training`) consumes. With `need_cache=False` (inference) conv,
-pool and batch norm return no cache and keep nothing for a backward.
+the same buffers to many forward calls). Each operation has a plain forward,
+a `*_cached` variant that also returns what its `*_backward` consumes (no
+cache for conv, pool and batch norm under `need_cache=False`), and that
+backward, which returns the input gradient, then any parameter gradients.
 
-A max-pool takes a running maximum of its k*k strided taps and, for a
-cache only, keeps each winning tap in a small unsigned type; an average
-pool averages its windows. A convolution copies its input windows into
-an im2col matrix (one row per output cell, columns in (channel, row,
-column) order) and multiplies it by the filter bank, one block of rows at a
-time: it fills a buffer with a block and multiplies it into its slice of
-the output. A matrix larger than one worker's share of about 32 MB is
-split into one share of output rows per worker, each share going block by
-block through that worker's own buffer, with or without a backward to
-follow: a cache keeps the padded input, not the matrix, and the filter
-gradient takes its products from it. There are as many workers as the CPU
-affinity mask allows (`taskset` limits them) when OpenBLAS runs one thread
-per call (`OPENBLAS_NUM_THREADS=1`), and one otherwise. Every block takes
-the BLAS kernel the whole product would, so the bits are the same at any
-worker count. Workers run only untraced numpy work (`run_jobs`).
-Convolutions are cross-correlations: the kernel is applied as stored,
-never flipped. Activations are fused into the conv and dense layers;
-`softmax` also exists standalone, with no backward.
+Every walk over the k*k windows of an input goes tap by tap (`_taps`): the
+im2col fill, the filter gradient, both pools, and the gradient scattered
+back onto the input. A max-pool keeps a running maximum of its taps and,
+for a cache only, each winning tap in a small unsigned type; an average
+pool sums its taps and divides once. A convolution copies its input
+windows into an im2col matrix (one row per output cell, columns in
+(channel, row, column) order) and multiplies it by the filter bank one
+block of rows at a time, through a buffer. A matrix larger than one
+worker's share of about 32 MB is split into one share of output rows per
+worker, each with its own buffer, with or without a backward to follow: a
+cache keeps the padded input, not the matrix, and the filter gradient takes
+its products from it. There are as many workers as the CPU affinity mask
+allows (`taskset` limits them) when OpenBLAS runs one thread per call
+(`OPENBLAS_NUM_THREADS=1`), and one otherwise. Every block takes the BLAS
+kernel the whole product would, so the bits are the same at any worker
+count. Workers run only untraced numpy work (`run_jobs`). Convolutions are
+cross-correlations: the kernel is applied as stored, never flipped.
+Activations are fused into the conv and dense layers; `softmax` also
+exists standalone, with no backward.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateBatchError, GeometryError, NonFiniteError, ShapeError
 from .tensor import ConvGeometry, Tensor4, conv_output_size
@@ -209,7 +210,7 @@ def _one_blas_thread() -> bool:
 # trained 7% slower than one and took 14 MB more memory. A team also
 # splits a product's sum unlike one thread does, and picks its size by the
 # product's, so only on one BLAS thread does a conv's filter gradient take
-# its products tap by tap (`training.conv2d_backward`).
+# its products tap by tap (`conv2d_backward`).
 _ONE_BLAS_THREAD = _one_blas_thread()
 _WORKERS = _CPUS if _ONE_BLAS_THREAD else 1
 
@@ -226,17 +227,27 @@ def run_jobs(jobs) -> list:
     """The result of each callable in `jobs`, in order. With more than one
     worker, this thread runs jobs[0] while the pool runs the rest; either
     way every job has finished before this returns or raises, and the first
-    error in job order is the one raised. Jobs must do only untraced numpy
-    work: the benchmark's span tracer is not thread-safe."""
+    error in job order is the one raised. Pool jobs run in copies of the
+    caller's context, which holds numpy's `errstate`. Jobs must do only
+    untraced numpy work: the benchmark's span tracer is not thread-safe."""
     if _WORKERS == 1:
         return [job() for job in jobs]
     from concurrent.futures import wait
-    futures = [_pool().submit(job) for job in jobs[1:]]
+    futures = [_pool().submit(contextvars.copy_context().run, job) for job in jobs[1:]]
     try:
         first = jobs[0]()
     finally:
         wait(futures)
     return [first, *(future.result() for future in futures)]
+
+
+def _taps(x: np.ndarray, k: int, s: int, oh: int, ow: int):
+    """(p, q, view) for each tap of the k x k windows of x at stride s, in
+    (p, q) order: the strided view, over x's last three axes (rows, columns,
+    channels), of the cell each of the oh x ow windows holds at (p, q)."""
+    for p in range(k):
+        for q in range(k):
+            yield p, q, x[..., p:p + s * (oh - 1) + 1:s, q:q + s * (ow - 1) + 1:s, :]
 
 
 def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int,
@@ -254,11 +265,8 @@ def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int,
     while done < len(units):
         n, r = divmod(first + done, oh)
         block = units[done:done + min(rows, oh - r)]
-        last = s * (len(block) - 1) + 1
-        for p in range(k):
-            for q in range(k):
-                block[..., p, q] = xp[n, s * r + p:s * r + p + last:s,
-                                      q:q + s * (ow - 1) + 1:s]
+        for p, q, tap in _taps(xp[n, s * r:], k, s, len(block), ow):
+            block[..., p, q] = tap
         done += len(block)
     return out
 
@@ -310,10 +318,8 @@ def _relu_inplace(out: np.ndarray) -> None:
 def conv2d_cached(x: Tensor4, layer: ConvLayer,
                   need_cache: bool = True) -> tuple[Tensor4, ConvCache | None]:
     """The conv output and, when `need_cache` is true, the cache its backward
-    consumes (None otherwise). An im2col matrix larger than one worker's
-    share of about _GEMM_BLOCK_BYTES is never whole: each worker multiplies
-    its own rows (`_share_bounds`) through its own buffer, with or without
-    a cache."""
+    consumes (None otherwise). Each worker multiplies its own share of the
+    output rows (`_share_bounds`) through its own buffer, cache or none."""
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -359,6 +365,71 @@ def conv2d_forward(x: Tensor4, layer: ConvLayer) -> Tensor4:
     return out
 
 
+def _tap_gradients(d_rows: np.ndarray, xp: np.ndarray, s: int, tap: np.ndarray,
+                   dw: np.ndarray) -> None:
+    """Write dw[p, q] = d_rows @ tap(p, q) for every tap of the k x k filter,
+    where tap(p, q), copied into the (i, oh, ow, c) buffer `tap`, holds the
+    input cell each output cell reads through it."""
+    _, oh, ow, c = tap.shape
+    rows = tap.reshape(-1, c)
+    for p, q, view in _taps(xp, dw.shape[0], s, oh, ow):
+        np.copyto(tap, view)
+        np.dot(d_rows, rows, out=dw[p, q])
+
+
+def _scatter_taps(shape, k: int, s: int, d: np.ndarray, contribution) -> np.ndarray:
+    """Adjoint of a k x k strided window read with output d: output cell
+    (r, t) read input cell (r*s + p, t*s + q) through tap (p, q), so each
+    tap's `contribution(p, q)`, shaped like d, is added back there."""
+    dx = np.zeros(shape, dtype=d.dtype)
+    for p, q, tap in _taps(dx, k, s, d.shape[1], d.shape[2]):
+        tap += contribution(p, q)
+    return dx
+
+
+def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
+    """Returns (dx, dfilters, dbias) for a conv forward (fused ReLU included);
+    dx is None when `need_dx` is false.
+
+    The filter gradient is d_rows @ cols, cols being the im2col matrix of
+    the cached padded input, taken one tap at a time: the (f, c) block of
+    tap (p, q) is d_rows times that tap's (rows, c) slab of the input, and
+    has the bytes of its columns of the whole product while both take
+    OpenBLAS's large-matrix kernel on one thread. Under a BLAS thread team,
+    for a tap product that would leave that kernel (one filter or channel,
+    or fewer than _MIN_BLOCK_MACS multiply-adds), and for fewer than 8
+    channels, whose taps are slower than one GEMM, the matrix is rebuilt
+    and the whole product taken instead."""
+    if cache.relu_mask is not None:
+        d = d * cache.relu_mask
+    xp, filters, g = cache.xp, cache.filters, cache.geometry
+    f, k, _, c = filters.shape
+    i, oh, ow, _ = d.shape
+    db = d.sum(axis=(0, 1, 2))
+    d_rows = d.transpose(3, 0, 1, 2).reshape(f, -1)
+    dtype = np.result_type(d_rows, xp)
+    # The buffers come from this thread's heap, as in `conv2d_cached`.
+    if _ONE_BLAS_THREAD and f >= 2 and c >= 8 and f * c * d_rows.shape[1] >= _MIN_BLOCK_MACS:
+        grad = np.empty((k, k, f, c), dtype)
+        tap = np.empty((i, oh, ow, c), xp.dtype)
+        filter_gradient = partial(_tap_gradients, d_rows, xp, g.s, tap, grad)
+        dw = grad.transpose(2, 0, 1, 3)
+    else:
+        grad = np.empty((f, c * k * k), dtype)
+        cols = _im2col(xp, k, g.s, oh, ow, np.empty((d_rows.shape[1], c * k * k), xp.dtype), 0)
+        filter_gradient = partial(np.dot, d_rows, cols, out=grad)
+        dw = grad.reshape(f, c, k, k).transpose(0, 2, 3, 1)
+    if not need_dx:
+        filter_gradient()
+        return None, dw, db
+    # The dx taps run on this thread while a worker runs the filter gradient.
+    dxp, _ = run_jobs([
+        partial(_scatter_taps, xp.shape, k, g.s, d,
+                lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0]))),
+        filter_gradient])
+    return (dxp[:, g.z:-g.z, g.z:-g.z, :] if g.z else dxp), dw, db
+
+
 def pool_output_size(h: int, w: int, window: int, stride: int) -> tuple[int, int]:
     """Output (height, width) of a pool; the window must tile both sides exactly."""
     for name, dim in (("height", h), ("width", w)):
@@ -375,15 +446,18 @@ def pool_cached(x: Tensor4, layer: PoolLayer,
                 need_cache: bool = True) -> tuple[Tensor4, PoolCache | None]:
     window, stride = layer.window, layer.stride
     oh, ow = pool_output_size(x.h, x.w, window, stride)
+    taps = (tap for _, _, tap in _taps(x.data, window, stride, oh, ow))
     if layer.mode == "average":
-        windows = sliding_window_view(x.data, (window, window), axis=(1, 2))
-        out, winner = windows[:, ::stride, ::stride].mean(axis=(4, 5)), None
+        # A sum over the taps in (p, q) order from +0.0, as numpy's sums
+        # start (a window of -0.0 averages to +0.0), then one division.
+        out, winner = next(taps) + 0.0, None
+        for tap in taps:
+            out += tap
+        out /= window * window
     else:
         # A running maximum over the taps in (p, q) order, where only a
         # strictly greater tap wins: the first winner, the sign of a zero
         # included. A cache also keeps each winner's tap index.
-        taps = (x.data[:, p:p + stride * (oh - 1) + 1:stride, q:q + stride * (ow - 1) + 1:stride]
-                for p in range(window) for q in range(window))
         out = next(taps).copy()
         winner = np.zeros(out.shape, np.min_scalar_type(window**2 - 1)) if need_cache else None
         for t, tap in enumerate(taps, 1):
@@ -404,6 +478,15 @@ def pool_forward(x: Tensor4, layer: PoolLayer) -> Tensor4:
     return out
 
 
+def pool_backward(d: np.ndarray, cache: PoolCache) -> np.ndarray:
+    window = cache.window
+    if cache.mode == "max":  # each window's gradient goes to its winner only
+        return _scatter_taps(cache.in_shape, window, cache.stride, d,
+                             lambda p, q: np.where(cache.argmax == p * window + q, d, 0))
+    per = d / (window * window)
+    return _scatter_taps(cache.in_shape, window, cache.stride, d, lambda p, q: per)
+
+
 def flatten_cached(x: Tensor4) -> tuple[Tensor4, FlattenCache]:
     out = x.data.reshape(x.i, 1, 1, x.h * x.w * x.c)
     return Tensor4(out), FlattenCache(x.data.shape)
@@ -415,6 +498,10 @@ def flatten(x: Tensor4) -> Tensor4:
     return out
 
 
+def flatten_backward(d: np.ndarray, cache: FlattenCache) -> np.ndarray:
+    return d.reshape(cache.in_shape)
+
+
 def dense_cached(x: Tensor4, layer: DenseLayer) -> tuple[Tensor4, DenseCache]:
     if x.h != 1 or x.w != 1:
         raise ShapeError(f"dense input must be flattened to (i, 1, 1, d), got {x.shape}")
@@ -423,8 +510,7 @@ def dense_cached(x: Tensor4, layer: DenseLayer) -> tuple[Tensor4, DenseCache]:
         raise ShapeError(f"dense expects {w.shape[0]} inputs, got {x.c} (weights {w.shape})")
     x2d = x.data.reshape(x.i, x.c)
     out = x2d @ w + layer.bias
-    relu_mask = None
-    probs = None
+    relu_mask = probs = None
     if layer.activation == "relu":
         relu_mask = out > 0
         _relu_inplace(out)
@@ -438,6 +524,31 @@ def dense_forward(x: Tensor4, layer: DenseLayer) -> Tensor4:
     """Affine map of flattened features: activation(x @ weights + bias)."""
     out, _ = dense_cached(x, layer)
     return out
+
+
+def dense_backward_from_pre(d_pre: np.ndarray, cache: DenseCache, need_dx: bool = True):
+    """Returns (dx, dweights, dbias) given the gradient of the
+    pre-activation; dx is None when `need_dx` is false."""
+    dw = cache.x2d.T @ d_pre
+    db = d_pre.sum(axis=0)
+    if not need_dx:
+        return None, dw, db
+    dx2d = d_pre @ cache.weights.T
+    return dx2d.reshape(d_pre.shape[0], 1, 1, -1), dw, db
+
+
+def dense_backward(d: np.ndarray, cache: DenseCache, need_dx: bool = True):
+    """Returns (dx, dweights, dbias), undoing the fused activation first;
+    dx is None when `need_dx` is false."""
+    d2d = d.reshape(d.shape[0], -1)
+    if cache.relu_mask is not None:
+        d_pre = d2d * cache.relu_mask
+    elif cache.probs is not None:
+        p = cache.probs
+        d_pre = p * (d2d - (d2d * p).sum(axis=1, keepdims=True))
+    else:
+        d_pre = d2d
+    return dense_backward_from_pre(d_pre, cache, need_dx)
 
 
 def _softmax2d(scores: np.ndarray) -> np.ndarray:
@@ -471,6 +582,10 @@ def dropout_forward(x: Tensor4, layer: DropoutLayer, training: bool = False,
     """
     out, _ = dropout_cached(x, layer, training, rng)
     return out
+
+
+def dropout_backward(d: np.ndarray, cache: DropoutCache) -> np.ndarray:
+    return d if cache.mask is None else d * cache.mask
 
 
 def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
@@ -525,6 +640,26 @@ def batchnorm_forward(x: Tensor4, layer: BatchNormLayer, training: bool = False)
     """
     out, _ = batchnorm_cached(x, layer, training, need_cache=False)
     return out
+
+
+def batchnorm_backward(d: np.ndarray, cache: BatchNormCache, need_dx: bool = True):
+    """Returns (dx, dgamma, dbeta). Handles both batch-stat and running-stat
+    forwards; the latter treats mean/var as constants. dx is None when
+    `need_dx` is false."""
+    x_hat, inv_std, gamma, count = cache
+    dgamma = (d * x_hat).sum(axis=(0, 1, 2))
+    dbeta = d.sum(axis=(0, 1, 2))
+    if not need_dx:
+        return None, dgamma, dbeta
+    if count is None:
+        return d * (gamma * inv_std), dgamma, dbeta
+    # (gamma * inv_std / count) * (count * d - dbeta - x_hat * dgamma),
+    # evaluated in place in the same order, so the bits match.
+    dx = count * d
+    dx -= dbeta
+    dx -= x_hat * dgamma
+    dx *= gamma * inv_std / count
+    return dx, dgamma, dbeta
 
 
 def l2_penalty(weight_arrays, lam: float) -> float:

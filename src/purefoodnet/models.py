@@ -100,8 +100,8 @@ class LayerSpec:
 
 # ---------------------------------------------------------------------------
 # Layer kinds: one table entry holds everything the engine knows about a
-# kind. A new kind is one entry here plus its kernels in `layers` and its
-# backward in `training`.
+# kind. A new kind is one entry here plus its forward and backward in
+# `layers` (the backward registered in `training._BACKWARD`).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -1,19 +1,15 @@
-"""Reverse-mode gradients, the cross-entropy objective, Nesterov-momentum
-SGD with step decay, Glorot initialization, the training loop with early
-stopping, and fit diagnostics.
-
-Each `*_backward` consumes the cache produced by its forward twin in
-`layers` and returns input gradients (plus parameter gradients where the
-layer has any). The training loop evaluates gradients at the Nesterov
-lookahead point theta + mu*v, then applies v <- mu*v - lr*grad and
-theta <- theta + v.
+"""Whole-model reverse-mode gradients, the cross-entropy objective,
+Nesterov-momentum SGD with step decay, the training loop with early
+stopping, the history CSV, and fit diagnostics; each layer kind's backward
+is in `layers`, beside its forward. The training loop evaluates gradients
+at the Nesterov lookahead point theta + mu*v, then applies
+v <- mu*v - lr*grad and theta <- theta + v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -21,6 +17,8 @@ from . import layers as L
 from . import models as M
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from .evaluation import check_one_hot
+from .layers import (batchnorm_backward, conv2d_backward, dense_backward, dense_backward_from_pre,
+                     dropout_backward, flatten_backward, pool_backward)
 from .seeding import make_rng
 from .tensor import Tensor4, all_finite, atomic_write_bytes, check_round_trip, decode_utf8
 
@@ -46,150 +44,14 @@ def cross_entropy_loss(probs, labels) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-layer backward passes.
-# ---------------------------------------------------------------------------
-
-def _scatter_taps(shape, dtype, k: int, stride: int, contribution) -> np.ndarray:
-    """Adjoint of a k x k strided window read: output cell (r, t) read input
-    cell (r*stride + p, t*stride + q) through tap (p, q), so each tap's
-    `contribution(p, q)`, shaped like the output, is added back there."""
-    dx = np.zeros(shape, dtype=dtype)
-    for p in range(k):
-        for q in range(k):
-            contrib = contribution(p, q)
-            oh, ow = contrib.shape[1], contrib.shape[2]
-            dx[:, p:p + stride * (oh - 1) + 1:stride,
-               q:q + stride * (ow - 1) + 1:stride, :] += contrib
-    return dx
-
-
-def _tap_gradients(d_rows: np.ndarray, xp: np.ndarray, s: int, tap: np.ndarray,
-                   dw: np.ndarray) -> None:
-    """Write dw[p, q] = d_rows @ tap(p, q) for every tap of the k x k filter,
-    where tap(p, q), copied into the (i, oh, ow, c) buffer `tap`, holds the
-    input cell each output cell reads through it."""
-    _, oh, ow, c = tap.shape
-    rows = tap.reshape(-1, c)
-    for p in range(dw.shape[0]):
-        for q in range(dw.shape[1]):
-            np.copyto(tap, xp[:, p:p + s * (oh - 1) + 1:s, q:q + s * (ow - 1) + 1:s])
-            np.dot(d_rows, rows, out=dw[p, q])
-
-
-def conv2d_backward(d: np.ndarray, cache: L.ConvCache, need_dx: bool = True):
-    """Returns (dx, dfilters, dbias) for a conv forward (fused ReLU included);
-    dx is None when `need_dx` is false.
-
-    The filter gradient is d_rows @ cols, cols being the im2col matrix of
-    the cached padded input, taken one tap at a time: the (f, c) block of
-    tap (p, q) is d_rows times that tap's (rows, c) slab of the input, and
-    has the bytes of its columns of the whole product while both take
-    OpenBLAS's large-matrix kernel on one thread. Under a BLAS thread team,
-    for a tap product that would leave that kernel (one filter or channel,
-    or fewer than _MIN_BLOCK_MACS multiply-adds), and for fewer than 8
-    channels, whose taps are slower than one GEMM, the matrix is rebuilt
-    and the whole product taken instead."""
-    if cache.relu_mask is not None:
-        d = d * cache.relu_mask
-    xp, filters, g = cache.xp, cache.filters, cache.geometry
-    f, k, _, c = filters.shape
-    i, oh, ow, _ = d.shape
-    db = d.sum(axis=(0, 1, 2))
-    d_rows = d.transpose(3, 0, 1, 2).reshape(f, -1)
-    dtype = np.result_type(d_rows, xp)
-    # The buffers come from this thread's heap before any job runs: a
-    # worker's allocations would stay in its own malloc arena.
-    if (L._ONE_BLAS_THREAD and f >= 2 and c >= 8
-            and f * c * d_rows.shape[1] >= L._MIN_BLOCK_MACS):
-        grad = np.empty((k, k, f, c), dtype)
-        tap = np.empty((i, oh, ow, c), xp.dtype)
-        filter_gradient = partial(_tap_gradients, d_rows, xp, g.s, tap, grad)
-        dw = grad.transpose(2, 0, 1, 3)
-    else:
-        grad = np.empty((f, c * k * k), dtype)
-        cols = L._im2col(xp, k, g.s, oh, ow, np.empty((d_rows.shape[1], c * k * k), xp.dtype), 0)
-        filter_gradient = partial(np.dot, d_rows, cols, out=grad)
-        dw = grad.reshape(f, c, k, k).transpose(0, 2, 3, 1)
-    if not need_dx:
-        filter_gradient()
-        return None, dw, db
-    # The dx taps run on this thread while a worker runs the filter gradient.
-    dxp, _ = L.run_jobs([
-        partial(_scatter_taps, xp.shape, d.dtype, g.k, g.s,
-                lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0]))),
-        filter_gradient])
-    return (dxp[:, g.z:-g.z, g.z:-g.z, :] if g.z else dxp), dw, db
-
-
-def pool_backward(d: np.ndarray, cache: L.PoolCache) -> np.ndarray:
-    window = cache.window
-    if cache.mode == "max":  # each window's gradient goes to its winner only
-        return _scatter_taps(cache.in_shape, d.dtype, window, cache.stride,
-                             lambda p, q: np.where(cache.argmax == p * window + q, d, 0))
-    per = d / (window * window)
-    return _scatter_taps(cache.in_shape, d.dtype, window, cache.stride, lambda p, q: per)
-
-
-def flatten_backward(d: np.ndarray, cache: L.FlattenCache) -> np.ndarray:
-    return d.reshape(cache.in_shape)
-
-
-def _dense_backward_from_pre(d_pre: np.ndarray, cache: L.DenseCache, need_dx: bool = True):
-    dw = cache.x2d.T @ d_pre
-    db = d_pre.sum(axis=0)
-    if not need_dx:
-        return None, dw, db
-    dx2d = d_pre @ cache.weights.T
-    return dx2d.reshape(d_pre.shape[0], 1, 1, -1), dw, db
-
-
-def dense_backward(d: np.ndarray, cache: L.DenseCache, need_dx: bool = True):
-    """Returns (dx, dweights, dbias), undoing the fused activation first;
-    dx is None when `need_dx` is false."""
-    d2d = d.reshape(d.shape[0], -1)
-    if cache.relu_mask is not None:
-        d_pre = d2d * cache.relu_mask
-    elif cache.probs is not None:
-        p = cache.probs
-        d_pre = p * (d2d - (d2d * p).sum(axis=1, keepdims=True))
-    else:
-        d_pre = d2d
-    return _dense_backward_from_pre(d_pre, cache, need_dx)
-
-
-def dropout_backward(d: np.ndarray, cache: L.DropoutCache) -> np.ndarray:
-    return d if cache.mask is None else d * cache.mask
-
-
-def batchnorm_backward(d: np.ndarray, cache: L.BatchNormCache, need_dx: bool = True):
-    """Returns (dx, dgamma, dbeta). Handles both batch-stat and running-stat
-    forwards; the latter treats mean/var as constants. dx is None when
-    `need_dx` is false."""
-    x_hat, inv_std, gamma, count = cache
-    dgamma = (d * x_hat).sum(axis=(0, 1, 2))
-    dbeta = d.sum(axis=(0, 1, 2))
-    if not need_dx:
-        return None, dgamma, dbeta
-    if count is None:
-        return d * (gamma * inv_std), dgamma, dbeta
-    # (gamma * inv_std / count) * (count * d - dbeta - x_hat * dgamma),
-    # evaluated in place in the same order, so the bits match.
-    dx = count * d
-    dx -= dbeta
-    dx -= x_hat * dgamma
-    dx *= gamma * inv_std / count
-    return dx, dgamma, dbeta
-
-
-# ---------------------------------------------------------------------------
 # Whole-model objective and gradients.
 # ---------------------------------------------------------------------------
 
 # Backward pass per layer kind: (d, cache, need_dx) -> (dx, gradients of the
 # kind's trainable fields in table order). Only kinds with trainable fields
 # can be the lowest layer a backward reaches, so only they skip dx. The
-# lambdas resolve the module globals when they run, so a backward can be
-# swapped at its module attribute.
+# lambdas look up the backwards imported from `layers` in this module's
+# globals when they run, so each can be swapped here (`training.<name>`).
 _BACKWARD = {
     "conv": lambda d, cache, need_dx: conv2d_backward(d, cache, need_dx),
     "pool": lambda d, cache, need_dx: (pool_backward(d, cache),),
@@ -251,8 +113,8 @@ def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
     # computes no input gradient: nothing below it would use one.
     top = len(spec.layers) - 1
     d_pre = (_as_rows(probs) - y) / y.shape[0]
-    d, *param_grads = _dense_backward_from_pre(d_pre.astype(probs.dtype), caches[-1][1],
-                                               need_dx=lowest < top)
+    d, *param_grads = dense_backward_from_pre(d_pre.astype(probs.dtype), caches[-1][1],
+                                              need_dx=lowest < top)
     record(last, param_grads)
     for index in range(top - 1, lowest - 1, -1):
         layer, cache = caches[index - first]
@@ -481,7 +343,6 @@ class _PrefixMemo(dict):
         super().__init__()
         self.spec, self.params, self.stop, self.budget = spec, params, stop, budget
         self.nbytes = 0
-        self.hits = 0  # batches served whole from the memo
         self.returns = 0  # looked-up images stored before, at any batch size
         self.images = set()  # (image bytes, shape, dtype) of each stored row
         self.full = False
@@ -501,7 +362,6 @@ class _PrefixMemo(dict):
         self.returns += sum(key[:3] in self.images for key in keys)
         rows = [self.get(key) for key in keys]
         if rows and all(row is not None for row in rows):
-            self.hits += 1
             return Tensor4(np.stack(rows))
         out = M.forward(self.spec, self.params, x, stop=self.stop)
         new = {key: row for key, row in zip(keys, out.data) if key not in self}
@@ -533,6 +393,8 @@ class _PrefixMemo(dict):
         return stored
 
 
+# A diverging run reports the finiteness check it fails, not numpy's warnings.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
           config: TrainConfig = TrainConfig()) -> TrainResult:
     """Run the full optimization loop.

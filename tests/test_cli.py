@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,39 @@ class TestTrain:
     def test_help_exits_zero(self):
         assert main(["train", "--help"]) == 0
         assert main(["--help"]) == 0
+
+
+@pytest.fixture(scope="module")
+def diverging_set(tmp_path_factory):
+    """2 classes of 6 tinted, noisy 16-px images."""
+    root = tmp_path_factory.mktemp("diverging") / "food"
+    rng = np.random.default_rng(0)
+    for c in range(2):
+        os.makedirs(root / f"class{c}")
+        for i in range(6):
+            img = np.zeros((16, 16, 3))
+            img[..., c] = 0.7
+            img += rng.random((16, 16, 3)) * 0.3
+            D.save_image(root / f"class{c}" / f"img{i}.ppm", img)
+    return root
+
+
+@pytest.mark.parametrize("lr, message", [("1e4", "batch norm batch statistics must be finite"),
+                                         ("1e2", "Tensor4 values must be finite")])
+def test_diverging_run_reports_only_the_failed_check(diverging_set, tmp_path, capsys, lr,
+                                                     message):
+    # The weights overflow long before a value reaches a finiteness check;
+    # with warnings as errors, a numpy warning would end the run first.
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--width-scale", "0.0625", "--input-side", "16",
+                     "--dataset-root", str(diverging_set), "--split-ratios", "0.5,0.25,0.25",
+                     "--epochs", "5", "--batch-size", "2", "--seed", "1",
+                     "--learning-rate", lr, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
 
 
 # Each training setting out of its range, with a piece of the message naming it.

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -270,6 +271,21 @@ class TestConvEpilogue:
         np.testing.assert_array_equal(out.data, want)
 
 
+def one_gemm_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """The conv forward as one GEMM of the whole im2col matrix, plus bias
+    and the activation: the bytes every blocking of the product must give."""
+    g, f = layer.geometry, layer.filters.shape[0]
+    images, h, w, c = x.shape
+    oh, ow = (h + 2 * g.z - g.k) // g.s + 1, (w + 2 * g.z - g.k) // g.s + 1
+    xp = np.pad(x, ((0, 0), (g.z, g.z), (g.z, g.z), (0, 0)))
+    cols = layers._im2col(xp, g.k, g.s, oh, ow,
+                          np.empty((images * oh * ow, c * g.k * g.k), x.dtype), 0)
+    pre = cols @ layer.filters.transpose(3, 1, 2, 0).reshape(-1, f) + layer.bias
+    del cols
+    out = np.where(pre > 0, pre, 0) if layer.activation == "relu" else pre
+    return out.reshape(images, oh, ow, f)
+
+
 def spy_on_blocks(monkeypatch) -> list:
     """(first output row, im2col rows filled, thread) of each block a conv
     fills from now on, in the order the blocks start."""
@@ -295,31 +311,18 @@ class TestBlockedConv:
         return request.param
 
     @pytest.mark.parametrize("side, c, f", [(224, 128, 128), (112, 256, 256), (56, 512, 512)])
-    def test_paper_scale_shapes_match_cached(self, side, c, f):
-        rng = np.random.default_rng(side)
-        x = Tensor4(rng.standard_normal((1, side, side, c), dtype=np.float32))
-        filters = rng.standard_normal((f, 3, 3, c), dtype=np.float32) * np.float32(0.05)
-        layer = conv_layer(filters, rng.standard_normal(f, dtype=np.float32), k=3, z=1,
-                           activation="relu")
-        want, cache = conv2d_cached(x, layer)
-        del cache
-        got, none = conv2d_cached(x, layer, need_cache=False)
-        assert none is None
-        np.testing.assert_array_equal(got.data, want.data)
-
-    @pytest.mark.parametrize("side, c, f", [(224, 128, 128), (112, 256, 256), (56, 512, 512)])
     def test_paper_scale_shapes_match_one_gemm(self, side, c, f):
-        # The cached and uncached paths run the same blocks; the oracle is
-        # one GEMM of the whole im2col matrix.
         rng = np.random.default_rng(side + 1)
         x = rng.standard_normal((1, side, side, c), dtype=np.float32)
         filters = rng.standard_normal((f, 3, 3, c), dtype=np.float32) * np.float32(0.05)
-        got, _ = conv2d_cached(Tensor4(x), conv_layer(filters, np.zeros(f, np.float32), k=3, z=1))
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        cols = layers._im2col(xp, 3, 1, side, side, np.empty((side * side, 9 * c), np.float32), 0)
-        want = cols @ filters.transpose(3, 1, 2, 0).reshape(-1, f)
-        del cols
-        assert got.data.tobytes() == want.tobytes()
+        layer = conv_layer(filters, rng.standard_normal(f, dtype=np.float32), k=3, z=1,
+                           activation="relu")
+        want = one_gemm_conv(x, layer).tobytes()
+        cached, cache = conv2d_cached(Tensor4(x), layer)
+        assert cached.data.tobytes() == want
+        del cached, cache
+        got, none = conv2d_cached(Tensor4(x), layer, need_cache=False)
+        assert none is None and got.data.tobytes() == want
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("z", [0, 1])
@@ -341,12 +344,9 @@ class TestBlockedConv:
         x = Tensor4(rng.normal(size=(images, side, side, c)).astype(dtype))
         layer = conv_layer(rng.normal(size=(f, k, k, c)).astype(dtype) * 0.2,
                            rng.normal(size=f).astype(dtype), k, s, z, activation="relu")
-        # The oracle: one GEMM of the whole matrix, bias, ReLU.
         units = images * oh
         xp = np.pad(x.data, ((0, 0), (z, z), (z, z), (0, 0)))
-        cols = layers._im2col(xp, k, s, oh, oh, np.empty((units * oh, c * k * k), dtype), 0)
-        pre = cols @ layer.filters.transpose(3, 1, 2, 0).reshape(-1, f) + layer.bias
-        want = np.where(pre > 0, pre, 0).reshape(images, oh, oh, f)
+        want = one_gemm_conv(x.data, layer)
         calls = spy_on_blocks(monkeypatch)
         cached, cache = conv2d_cached(x, layer)
         assert cache.xp.tobytes() == xp.tobytes()
@@ -380,7 +380,7 @@ class TestBlockedConv:
                            np.zeros(512, dtype=np.float32), k=1)
         assert layers._block_units(700, 1, 2048, 512, 4) == 256
         got, _ = conv2d_cached(x, layer, need_cache=False)
-        np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
+        assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_matrix_within_budget_is_one_block(self, workers, monkeypatch):
         # 23.6 MB of im2col: one block within the 32 MB budget on one
@@ -396,7 +396,7 @@ class TestBlockedConv:
         assert sorted((first, rows) for first, rows, _ in calls) == [
             (lo, (hi - lo) * 32) for lo, hi in zip(bounds, bounds[1:])]
         assert sum(rows for _, rows, _ in calls) * 16 * 9 * 4 <= layers._GEMM_BLOCK_BYTES
-        np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
+        assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_matrix_within_one_share_stays_on_the_calling_thread(self, monkeypatch):
         # 5.9 MB: one block at any worker count, on this thread, as the
@@ -408,7 +408,7 @@ class TestBlockedConv:
                            np.zeros(32, dtype=np.float32), k=3, z=1)
         got, _ = conv2d_cached(x, layer, need_cache=False)
         assert calls == [(0, 20 * 16 * 16, threading.get_ident())]
-        np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
+        assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_one_filter_is_never_split(self, monkeypatch):
         # A one-column product takes GEMV, whose bits depend on its length.
@@ -419,7 +419,7 @@ class TestBlockedConv:
         layer = conv_layer(rng.normal(size=(1, 3, 3, 16)).astype(np.float32),
                            np.zeros(1, dtype=np.float32), k=3, z=1)
         got, _ = conv2d_cached(x, layer, need_cache=False)
-        np.testing.assert_array_equal(got.data, conv2d_cached(x, layer)[0].data)
+        assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_paper_scale_conv_allocates_far_less_than_its_im2col(self):
         rng = np.random.default_rng(79)
@@ -527,6 +527,18 @@ class TestWorkerPool:
         monkeypatch.setattr(layers, "_WORKERS", workers)
         jobs = [lambda: threading.get_ident()] + [partial(pow, 2, i) for i in range(1, 4)]
         assert layers.run_jobs(jobs) == [threading.get_ident(), 2, 4, 8]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_jobs_run_under_the_callers_error_state(self, workers, monkeypatch):
+        # numpy keeps np.errstate in a context variable, which a pool thread
+        # sees only in a copy of the caller's context.
+        monkeypatch.setattr(layers, "_WORKERS", workers)
+        overflow = partial(np.multiply, np.float32(3e38), np.float32(2))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            layers.run_jobs([lambda: None, overflow])
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert layers.run_jobs([overflow, overflow]) == [np.inf, np.inf]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_conv_share_error_surfaces_after_every_other_share(self, workers, monkeypatch):
@@ -666,6 +678,39 @@ class TestPooling:
         for out in (got, cached):
             assert out.dtype == want.dtype and out.shape == want.shape
             assert out.data.tobytes() == want.tobytes()  # the sign of each zero too
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 8, 9])
+    def test_average_has_the_bytes_of_the_window_mean(self, window, dtype):
+        # Ties and zeros of both signs at magnitudes from 1e-20 to 1e29,
+        # where the order of the sums shows. The first image is all -0.0:
+        # numpy's sums start from +0.0, so its windows average to +0.0.
+        rng = np.random.default_rng(window)
+        for stride in sorted({1, 2, window}):
+            x = rounded_with_signed_zeros(rng, (3, window + 3 * stride, window + 2 * stride, 5),
+                                          dtype)
+            x *= (10.0 ** rng.integers(-20, 30, x.shape)).astype(dtype)
+            x[0] = -0.0
+            windows = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+            want = windows.mean(axis=(4, 5))
+            layer = PoolLayer(window, stride, "average")
+            for need_cache in (True, False):
+                got, _ = pool_cached(Tensor4(x), layer, need_cache)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [2, 3, 9])
+    def test_one_channel_averages_as_it_does_beside_others(self, window):
+        # numpy's mean of a one-channel window view sums each window row
+        # first (pairwise from 8 columns on), unlike with more channels; the
+        # pool sums every channel's taps in one order.
+        rng = np.random.default_rng(window + 100)
+        shape = (2, 3 * window, 2 * window, 1)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
+        layer = PoolLayer(window, window, "average")
+        one = pool_forward(Tensor4(x), layer).data
+        beside = pool_forward(Tensor4(np.repeat(x, 3, axis=3)), layer).data
+        assert one.tobytes() == np.ascontiguousarray(beside[..., 1:2]).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window, stride, h, w, winner", [

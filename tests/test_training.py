@@ -238,13 +238,13 @@ class TestFilterGradientTaps:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_dw_has_the_bytes_of_the_rebuilt_gemm(self, k, s, z, dtype, monkeypatch):
         tapped = []
-        real = T._tap_gradients
+        real = L._tap_gradients
 
         def spy(d_rows, *args):
             tapped.append(d_rows.shape)
             return real(d_rows, *args)
 
-        monkeypatch.setattr(T, "_tap_gradients", spy)
+        monkeypatch.setattr(L, "_tap_gradients", spy)
         differ, routes, sides = [], [], set()
         for images, side, c, f in self.CASES:
             rng = np.random.default_rng([k, s, z, images, side, c, f])
@@ -1000,20 +1000,31 @@ def _sha(path) -> str:
 
 @pytest.fixture()
 def memos(monkeypatch):
-    """Every `_PrefixMemo` that `train` makes from now on (its validation
-    memo, then its training one), each with the `look` of every batch."""
-    made = []
+    """Every `_PrefixMemo` made from now on (`train` makes its validation
+    memo, then its training one), each with the `look` of every batch and
+    `served`, the count of batches it returned without running the prefix."""
+    made, forward_calls = [], []
+    forward = M.forward
+
+    def counting(*args, **kwargs):
+        forward_calls.append(args)
+        return forward(*args, **kwargs)
 
     class Recorded(T._PrefixMemo):
         def __init__(self, *args):
             super().__init__(*args)
             self.looks = []
+            self.served = 0
             made.append(self)
 
         def features(self, x, look=True):
             self.looks.append(look)
-            return super().features(x, look)
+            calls = len(forward_calls)
+            out = super().features(x, look)
+            self.served += bool(self.stop) and len(forward_calls) == calls
+            return out
 
+    monkeypatch.setattr(M, "forward", counting)
     monkeypatch.setattr(T, "_PrefixMemo", Recorded)
     return made
 
@@ -1105,7 +1116,7 @@ class TestFrozenPrefix:
         memoized = run()
         val, train = memos[-2:]
         assert val.stop == train.stop == first
-        assert val.hits == (8 if first else 0)  # both val batches, every epoch
+        assert val.served == (8 if first else 0)  # both val batches, every epoch
         monkeypatch.setattr(T, "_MEMO_BYTES", 0)
         assert run() == memoized
         assert len(memos[-2]) == len(memos[-1]) == 0
@@ -1124,8 +1135,8 @@ class TestFrozenPrefix:
         conv_images.clear()
         assert run() == memoized
         val, train = memos[-2:]
-        assert val.hits == 8 and val.looks == [True] * 10
-        assert train.looks == [True] + [False] * 11 and len(train) == train.hits == 0
+        assert val.served == 8 and val.looks == [True] * 10
+        assert train.looks == [True] + [False] * 11 and len(train) == train.served == 0
         assert conv_images == [4, 2] + [4, 4, 2] * 4
         # Room for the first val batch only: the second is never run to be
         # stored, and the val passes look up only the first.
@@ -1133,7 +1144,7 @@ class TestFrozenPrefix:
         conv_images.clear()
         assert run() == memoized
         val, train = memos[-2:]
-        assert len(val) == 4 and val.hits == 4 and val.full
+        assert len(val) == 4 and val.served == 4 and val.full
         assert val.looks == [True] + [True, False] * 4
         assert train.looks == [True] + [False] * 11 and len(train) == 0
         assert conv_images == [4] + [4, 4, 2, 2] * 4
@@ -1159,7 +1170,7 @@ class TestFrozenPrefix:
         with pytest.raises(ValueError, match="above the lowest trainable layer"):
             loss(first + 1)
 
-    def test_rows_are_reused_only_in_batches_of_their_size(self, conv_images):
+    def test_rows_are_reused_only_in_batches_of_their_size(self, memos, conv_images):
         spec, first = PREFIX_CASES["frozen-backbone"]
         memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first, T._MEMO_BYTES)
         x = np.random.default_rng(2).normal(size=(3, 6, 6, 2)).astype(np.float32)
@@ -1173,11 +1184,11 @@ class TestFrozenPrefix:
         features([0])  # stored at batch size 2 and 3, not 1
         features([2], look=False)
         assert conv_images == [2, 3, 1, 1]
-        assert len(memo) == 6 and memo.hits == 1
+        assert len(memo) == 6 and memo.served == 1
         assert features([2, 1, 0]).tobytes() == features([2, 1, 0], look=False).tobytes()
-        assert memo.hits == 2
+        assert memo.served == 2
 
-    def test_a_batch_is_stored_whole_or_not_at_all(self):
+    def test_a_batch_is_stored_whole_or_not_at_all(self, memos):
         spec, first = PREFIX_CASES["frozen-backbone"]
         row = 6 * 6 * 2 * 4 + 3 * 3 * 3 * 4  # key and output bytes of one image
         memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first, 3 * row)
@@ -1189,7 +1200,7 @@ class TestFrozenPrefix:
         memo.features(Tensor4(x.data[2:3]))  # would fit, but a full memo stores nothing
         assert len(memo) == 2
         memo.features(Tensor4(x.data[:2]))
-        assert memo.hits == 1  # a full memo still serves its rows
+        assert memo.served == 1  # a full memo still serves its rows
         memo.clear()
         assert memo.nbytes == 0 and len(memo) == 0
 
@@ -1216,11 +1227,11 @@ class TestFrozenPrefix:
         # 5 training images a class: batches of 4, 4 and 2.
         args = ["--split-counts", "5,2,1", "--epochs", "4", "--seed", str(seed)]
         memoized = self._finetune(base, "memo", *args)
-        assert memos[-2].stop == 4 and memos[-2].hits == 4  # the val batch, every epoch
+        assert memos[-2].stop == 4 and memos[-2].served == 4  # the val batch, every epoch
         monkeypatch.setattr(T, "_MEMO_BYTES", 0)
         assert self._finetune(base, "bound-0", *args) == memoized
         assert len(memos[-2]) == len(memos[-1]) == 0
-        assert memos[-2].hits == memos[-1].hits == 0
+        assert memos[-2].served == memos[-1].served == 0
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
 
@@ -1232,8 +1243,8 @@ class TestFrozenPrefix:
         args = ["--split-counts", "4,2,1", "--epochs", "3", "--seed", "4"]
         memoized = self._finetune(base, "memo", *args)
         assert conv_images == [4, 4, 4]
-        assert len(memos[-2]) == 4 and memos[-2].hits == 3
-        assert len(memos[-1]) == 8 and memos[-1].hits == 4
+        assert len(memos[-2]) == 4 and memos[-2].served == 3
+        assert len(memos[-1]) == 8 and memos[-1].served == 4
         conv_images.clear()
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
@@ -1249,7 +1260,7 @@ class TestFrozenPrefix:
 
         def recording(manifest, split, *args, **kwargs):
             if split == "train":
-                passes.append((len(memos[-1]), memos[-1].hits))
+                passes.append((len(memos[-1]), memos[-1].served))
             return real(manifest, split, *args, **kwargs)
 
         monkeypatch.setattr(D, "batch_iterator", recording)
@@ -1282,8 +1293,8 @@ class TestFrozenPrefix:
         # its batches, so its rows go and the later passes neither look nor
         # store.
         val, train = memos[-2:]
-        assert rows == [0, 8, 0, 0, 0] and len(val) == 4 and val.hits == 5
-        assert train.looks == [True] * 4 + [False] * 6 and train.hits == 0
+        assert rows == [0, 8, 0, 0, 0] and len(val) == 4 and val.served == 5
+        assert train.looks == [True] * 4 + [False] * 6 and train.served == 0
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
 
