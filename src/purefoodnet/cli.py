@@ -12,6 +12,7 @@ underscores ('#' starts a comment).
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -70,12 +71,15 @@ def _or_none(parse):
     return convert
 
 
-def _setting(default, parse):
-    return field(default=default, metadata={"parse": parse})
+def _setting(default, parse, shown=None):
+    """A RunConfig field; `shown` is the default --help names where it is not `default`."""
+    return field(default=default, metadata={"parse": parse, "shown": shown or default})
 
 
 _PAIR = _comma_tuple(_parse_float, "low,high")
 _TRAIN = training.TrainConfig  # the training settings' defaults and checks
+_BUILD = inspect.signature(models.build_purefoodnet).parameters  # the architecture's defaults
+_HEAD = inspect.signature(models.attach_head).parameters
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,10 @@ class RunConfig:
     """Resolved settings for the training-style commands. Each field is one
     setting: its flag (`--out-dir` for out_dir) and config-file key are its
     name, and `_setting` gives its default and parser. The training settings
-    take their defaults from `training.TrainConfig`, which also checks them."""
+    take their defaults from `training.TrainConfig` and the `aug_*` ones from
+    `AugmentPolicy`, which check them. width_scale, input_side, dropout_rate and
+    head_units are None unless given; `models.build_purefoodnet` and
+    `attach_head` then use their own defaults: 1.0, 224, 0.5 and 512."""
 
     model: str = _setting("purefoodnet", str)
     dataset_root: str = _setting(None, str)
@@ -99,32 +106,27 @@ class RunConfig:
     l2_strength: float = _setting(_TRAIN.l2_strength, _parse_float)
     l1_strength: float = _setting(_TRAIN.l1_strength, _parse_float)
     seed: int = _setting(_TRAIN.seed, _parse_int)
-    input_side: int = _setting(224, _parse_int)
-    width_scale: float = _setting(1.0, _parse_float)
-    head_units: int = _setting(512, _parse_int)
-    dropout_rate: float = _setting(0.5, _parse_float)
+    input_side: int = _setting(None, _parse_int, _BUILD["input_side"].default)
+    width_scale: float = _setting(None, _parse_float, _BUILD["width_scale"].default)
+    head_units: int = _setting(None, _parse_int, _HEAD["units"].default)
+    dropout_rate: float = _setting(None, _parse_float, _BUILD["dropout_rate"].default)
     split_ratios: tuple = _setting((0.8, 0.1, 0.1), _comma_tuple(_parse_float, "train,val,test"))
     split_counts: tuple = _setting(None, _or_none(_comma_tuple(_parse_int, "train,val,test")))
-    aug_flip: float = _setting(0.0, _parse_float)
-    aug_crop: tuple = _setting((1.0, 1.0), _PAIR)
-    aug_tilt: tuple = _setting((0.0, 0.0), _PAIR)
-    aug_color_shift: float = _setting(0.0, _parse_float)
-    aug_rotation: tuple = _setting((0.0, 0.0), _PAIR)
-    aug_noise: float = _setting(0.0, _parse_float)
-    aug_contrast: tuple = _setting((1.0, 1.0), _PAIR)
+    aug_flip: float = _setting(AugmentPolicy.flip_probability, _parse_float)
+    aug_crop: tuple = _setting(AugmentPolicy.crop_fraction_range, _PAIR)
+    aug_tilt: tuple = _setting(AugmentPolicy.tilt_range, _PAIR)
+    aug_color_shift: float = _setting(AugmentPolicy.color_shift_magnitude, _parse_float)
+    aug_rotation: tuple = _setting(AugmentPolicy.rotation_range, _PAIR)
+    aug_noise: float = _setting(AugmentPolicy.noise_sigma, _parse_float)
+    aug_contrast: tuple = _setting(AugmentPolicy.contrast_range, _PAIR)
 
     def __post_init__(self):
         if not self.out_dir:
             raise ConfigError("out_dir must be non-empty")
 
     def policy(self) -> AugmentPolicy:
-        return AugmentPolicy(flip_probability=self.aug_flip,
-                             crop_fraction_range=self.aug_crop,
-                             tilt_range=self.aug_tilt,
-                             color_shift_magnitude=self.aug_color_shift,
-                             rotation_range=self.aug_rotation,
-                             noise_sigma=self.aug_noise,
-                             contrast_range=self.aug_contrast,
+        """The policy of the `aug_*` settings, which follow `AugmentPolicy`'s field order."""
+        return AugmentPolicy(*(getattr(self, key) for key in _AUG_KEYS),
                              seed=derive_seed(self.seed, "augment"))
 
     def train_config(self, patience) -> training.TrainConfig:
@@ -139,8 +141,9 @@ _CONVERTERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 _AUG_KEYS = tuple(key for key in _CONVERTERS if key.startswith("aug_"))
 
 
-def _read_config_file(path) -> dict:
-    values = {}
+def _read_config_file(path, keys) -> dict:
+    """The file's settings by key; a key outside `keys`, or given twice, is refused."""
+    values, line_of = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -155,30 +158,31 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONVERTERS:
-            raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        values[key] = value
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is not a setting this command reads")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {line_of[key]}")
+        values[key], line_of[key] = value, lineno
     return values
 
 
 def _resolve_config(args) -> RunConfig:
-    """Merge defaults, config file, then flags (flags win)."""
-    raw = {}
-    if getattr(args, "config", None):
-        raw.update(_read_config_file(args.config))
-    for key in _CONVERTERS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            raw[key] = flag
-    typed = {key: _CONVERTERS[key](value) for key, value in raw.items()}
-    return RunConfig(**typed)
+    """Merge defaults, config file, then flags (flags win). Only the command's
+    own keys are taken (`args.config_keys`; every key when it has none)."""
+    keys = getattr(args, "config_keys", _CONVERTERS)
+    raw = _read_config_file(args.config, keys) if getattr(args, "config", None) else {}
+    raw.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
+    return RunConfig(**{key: _CONVERTERS[key](value) for key, value in raw.items()})
 
 
 def _add_config_flags(parser, keys):
+    """One flag per setting in `keys`, the settings the command reads."""
     parser.add_argument("--config", help="flat key = value settings file")
+    parser.set_defaults(config_keys=tuple(keys))
     for key in keys:
+        shown = RunConfig.__dataclass_fields__[key].metadata["shown"]
         parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                            help=f"override {key} (default {getattr(RunConfig, key)!r})")
+                            help=f"override {key} (default {shown!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +213,9 @@ def _model_input_side(spec: models.ModelSpec) -> int:
     return h
 
 
-def _resolve_spec(cfg: RunConfig, n_classes: int) -> models.ModelSpec:
-    if cfg.model == "purefoodnet":
-        return models.build_purefoodnet(n_classes,
-                                        width_scale=cfg.width_scale,
-                                        input_side=cfg.input_side,
-                                        dropout_rate=cfg.dropout_rate)
-    return models.load_model_spec(cfg.model)
+def _given(**settings) -> dict:
+    """The settings that are not None; a model builder's default stands for the rest."""
+    return {name: value for name, value in settings.items() if value is not None}
 
 
 def _batch_sources(cfg: RunConfig, manifest, side):
@@ -262,8 +262,14 @@ def _train_and_write(cfg: RunConfig, spec, params, manifest) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    arch = _given(width_scale=cfg.width_scale, input_side=cfg.input_side,
+                  dropout_rate=cfg.dropout_rate)
+    if arch and cfg.model != "purefoodnet":
+        raise ConfigError(f"{cfg.model} fixes its own architecture; only --model"
+                          f" purefoodnet reads {', '.join(arch)}")
     manifest = _resolve_manifest(cfg)
-    spec = _resolve_spec(cfg, len(manifest.classes))
+    spec = (models.build_purefoodnet(len(manifest.classes), **arch)
+            if cfg.model == "purefoodnet" else models.load_model_spec(cfg.model))
     params = models.init_params(spec, seed=cfg.seed)
     return _train_and_write(cfg, spec, params, manifest)
 
@@ -274,9 +280,9 @@ def cmd_finetune(args) -> int:
     base_params = models.load_weights(args.base_weights, base_spec)
     manifest = _resolve_manifest(cfg)
     spec, params = models.attach_head(base_spec, base_params, len(manifest.classes),
-                                      units=cfg.head_units,
-                                      dropout_rate=cfg.dropout_rate,
-                                      seed=derive_seed(cfg.seed, "head"))
+                                      seed=derive_seed(cfg.seed, "head"),
+                                      **_given(units=cfg.head_units,
+                                               dropout_rate=cfg.dropout_rate))
     if args.freeze_backbone:
         frozen = [layer.name for layer in spec.layers[:spec.top_boundary]]
         spec = models.set_trainable(spec, frozen, False)
@@ -408,9 +414,8 @@ def cmd_diagnose(args) -> int:
     except DataFormatError as exc:
         # A bad history file is a usage problem for this command.
         raise ConfigError(str(exc)) from exc
-    thresholds = training.FitThresholds(low_error=_parse_float(args.low_error),
-                                        high_error=_parse_float(args.high_error),
-                                        gap=_parse_float(args.gap))
+    thresholds = training.FitThresholds(**{f.name: _parse_float(getattr(args, f.name))
+                                           for f in fields(training.FitThresholds)})
     verdict = training.diagnose_fit(history, thresholds)
     print(f"{verdict.label} train_error={verdict.train_error!r}"
           f" val_error={verdict.val_error!r} gap={verdict.gap!r}")
@@ -456,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_train = commands.add_parser("train", help="train a model from scratch")
-    _add_config_flags(p_train, _CONVERTERS)
+    _add_config_flags(p_train, [key for key in _CONVERTERS if key != "head_units"])
     p_train.set_defaults(handler=cmd_train)
 
     p_tune = commands.add_parser("finetune", help="re-head a trained model and train")
@@ -464,7 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--base-weights", required=True, help="weights of the trained model")
     p_tune.add_argument("--freeze-backbone", action="store_true",
                         help="train only the new head")
-    _add_config_flags(p_tune, _CONVERTERS)
+    _add_config_flags(p_tune, [key for key in _CONVERTERS
+                               if key not in ("model", "width_scale", "input_side")])
     p_tune.set_defaults(handler=cmd_finetune)
 
     p_eval = commands.add_parser("eval", help="measure top-k accuracy on a split")
@@ -500,9 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_diag = commands.add_parser("diagnose", help="classify a history as under/overfitting")
     p_diag.add_argument("--history", required=True, help="history CSV from train")
-    p_diag.add_argument("--low-error", default=0.10)
-    p_diag.add_argument("--high-error", default=0.30)
-    p_diag.add_argument("--gap", default=0.15)
+    for f in fields(training.FitThresholds):
+        p_diag.add_argument("--" + f.name.replace("_", "-"), default=f.default)
     p_diag.set_defaults(handler=cmd_diagnose)
 
     p_dataio = commands.add_parser("dataio", help="dataset utilities")

@@ -14,8 +14,9 @@ from purefoodnet import evaluation as E
 from purefoodnet import models as M
 from purefoodnet import cli
 from purefoodnet import training as T
+from purefoodnet.augment import AugmentPolicy
 from purefoodnet.cli import main
-from purefoodnet.errors import DataFormatError
+from purefoodnet.errors import ConfigError, DataFormatError
 from purefoodnet.tensor import Tensor4, load_tensor
 
 
@@ -140,24 +141,15 @@ class TestTrain:
         else:
             assert len(T.read_history_csv(out / "history.csv")) == 1
 
-    def test_each_setting_has_one_flag_and_one_config_key(self, tmp_path):
-        names = [f.name for f in dataclasses.fields(cli.RunConfig)]
-        assert len(names) == 27
-        commands = next(action for action in cli._build_parser()._actions
-                        if isinstance(action, argparse._SubParsersAction))
-        for command in ("train", "finetune"):
-            flags = {}
-            for action in commands.choices[command]._actions:
-                for flag in action.option_strings:
-                    flags.setdefault(flag, []).append(action.dest)
-            for name in names:
-                assert flags.pop("--" + name.replace("_", "-")) == [name]
-            assert all(dest not in names for dests in flags.values() for dest in dests)
-        config = tmp_path / "every.cfg"
-        config.write_text("".join(f"{name} = x\n" for name in names))
-        assert list(cli._read_config_file(config)) == names
-        assert list(cli._CONVERTERS) == names
-        assert cli._AUG_KEYS == tuple(name for name in names if name.startswith("aug_"))
+    def test_config_key_given_twice_exits_2_naming_both_lines(self, tmp_path, capsys):
+        data = make_dataset(tmp_path / "data")
+        config = tmp_path / "twice.cfg"
+        config.write_text("epochs = 1\nseed = 3\nepochs = 2\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--dataset-root", str(data),
+                     "--width-scale", "0.0625", "--input-side", "8", "--out-dir", str(out)]) == 2
+        assert f"{config}:3: 'epochs' is already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_class_count_comes_from_the_manifest_only(self, tmp_path):
         data = make_dataset(tmp_path / "data", classes=3, per_class=4)
@@ -226,9 +218,158 @@ class TestTrain:
         assert manifest.split_records("val")
         assert sorted(decoded) == sorted(wanted)  # 3 epochs, 3 validation passes
 
-    def test_help_exits_zero(self):
+    def test_help_exits_zero(self, capsys):
         assert main(["train", "--help"]) == 0
         assert main(["--help"]) == 0
+        assert main(["finetune", "--help"]) == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        for name, default in (("width_scale", 1.0), ("input_side", 224), ("dropout_rate", 0.5),
+                              ("head_units", 512)):
+            assert f"override {name} (default {default!r})" in shown
+
+
+SETTINGS = [f.name for f in dataclasses.fields(cli.RunConfig)]
+# One value of each setting, unlike its default, that resolves without a file.
+SAMPLE = {"model": "other.spec", "dataset_root": "d", "manifest": "m.txt", "out_dir": "o",
+          "epochs": "3", "batch_size": "2", "learning_rate": "0.5", "momentum": "0.5",
+          "decay_factor": "0.25", "decay_interval": "2", "patience": "3", "l2_strength": "0.1",
+          "l1_strength": "0.1", "seed": "4", "input_side": "16", "width_scale": "0.5",
+          "head_units": "4", "dropout_rate": "0.25", "split_ratios": "0.5,0.25,0.25",
+          "split_counts": "4,2,2", "aug_flip": "0.5", "aug_crop": "0.5,1", "aug_tilt": "0,0.1",
+          "aug_color_shift": "0.1", "aug_rotation": "-5,5", "aug_noise": "0.1",
+          "aug_contrast": "0.9,1.1"}
+# Each command with its required options, none of them a setting.
+COMMANDS = {"train": ["train"],
+            "finetune": ["finetune", "--base-spec", "s", "--base-weights", "w"],
+            "augment preview": ["augment", "preview", "--image", "i"]}
+UNREAD = {"train": {"head_units"}, "finetune": {"model", "width_scale", "input_side"},
+          "augment preview": set(SETTINGS) - {"seed", *cli._AUG_KEYS}}
+# Each unread setting as flag and as config key; a spec-file train does not read
+# the architecture settings. Preview's --out-dir is its own option, not a setting.
+REFUSALS = [(command, name, via) for via in ("flag", "config")
+            for command, names in [*UNREAD.items(), ("train --model", {"dropout_rate",
+                                                                       "input_side",
+                                                                       "width_scale"})]
+            for name in sorted(names)
+            if (command, name, via) != ("augment preview", "out_dir", "flag")]
+
+
+@pytest.fixture(scope="module")
+def settings_read(tmp_path_factory):
+    """The RunConfig settings each command reads in one run (train on the
+    built-in model), recorded on the resolved config."""
+    tmp = tmp_path_factory.mktemp("reads")
+    data = str(make_dataset(tmp / "data"))
+    common = ["--dataset-root", data, "--split-ratios", "0.5,0.25,0.25", "--epochs", "1",
+              "--batch-size", "4"]
+    runs = {"train": ["train", "--width-scale", "0.0625", "--input-side", "8", *common,
+                      "--out-dir", str(tmp / "run")],
+            "finetune": ["finetune", "--base-spec", str(tmp / "run" / "model.spec"),
+                         "--base-weights", str(tmp / "run" / "weights.pfw"),
+                         "--head-units", "4", *common, "--out-dir", str(tmp / "tuned")],
+            "augment preview": ["augment", "preview", "--image", data + "/food_0/img_000.ppm",
+                                "--count", "1", "--out-dir", str(tmp / "preview")]}
+    read = set()
+
+    class Recording(cli.RunConfig):
+        def __init__(self, **settings):
+            super().__init__(**settings)
+            object.__setattr__(self, "_resolved", True)
+
+        def __getattribute__(self, name):
+            if name in SETTINGS and "_resolved" in object.__getattribute__(self, "__dict__"):
+                read.add(name)
+            return super().__getattribute__(name)
+
+    reads = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "RunConfig", Recording)
+        for command, argv in runs.items():
+            read.clear()
+            assert main(argv) == 0, command
+            reads[command] = set(read)
+    return reads
+
+
+def _resolved(argv):
+    """The config `argv` resolves to, or None if its parser or config refuses it."""
+    try:
+        return cli._resolve_config(cli._build_parser().parse_args(argv))
+    except (SystemExit, ConfigError):
+        return None
+
+
+class TestSettingsPerCommand:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flags_config_keys_and_reads_are_one_set(self, settings_read, tmp_path, command):
+        by_flag, by_config = set(), set()
+        config = tmp_path / "one.cfg"
+        for name, text in SAMPLE.items():
+            value = cli._CONVERTERS[name](text)
+            assert getattr(cli.RunConfig(), name) != value, name
+            cfg = _resolved([*COMMANDS[command], f"--{name.replace('_', '-')}={text}"])
+            if cfg is not None and getattr(cfg, name) == value:
+                by_flag.add(name)
+            config.write_text(f"{name} = {text}\n")
+            cfg = _resolved([*COMMANDS[command], "--config", str(config)])
+            if cfg is not None and getattr(cfg, name) == value:
+                by_config.add(name)
+        assert by_flag == by_config == settings_read[command] == set(SETTINGS) - UNREAD[command]
+
+    def test_a_bare_namespace_takes_every_key(self, tmp_path):
+        config = tmp_path / "every.cfg"
+        config.write_text("".join(f"{name} = {text}\n" for name, text in SAMPLE.items()))
+        cfg = cli._resolve_config(argparse.Namespace(config=str(config)))
+        assert cfg == cli.RunConfig(**{name: cli._CONVERTERS[name](text)
+                                       for name, text in SAMPLE.items()})
+        assert cfg.policy() == AugmentPolicy(
+            flip_probability=0.5, crop_fraction_range=(0.5, 1.0), tilt_range=(0.0, 0.1),
+            color_shift_magnitude=0.1, rotation_range=(-5.0, 5.0), noise_sigma=0.1,
+            contrast_range=(0.9, 1.1), seed=cfg.policy().seed)
+
+    @pytest.mark.parametrize("command, name, via", REFUSALS,
+                             ids=["-".join(case) for case in REFUSALS])
+    def test_unread_setting_exits_2_without_an_output_directory(
+            self, base_model, tmp_path, capsys, command, name, via):
+        data, spec = str(base_model / "data"), str(base_model / "base.spec")
+        argv = {"train": ["train", "--dataset-root", data, "--width-scale", "0.0625",
+                          "--input-side", "8", "--epochs", "1"],
+                "train --model": ["train", "--model", spec, "--dataset-root", data,
+                                  "--epochs", "1"],
+                "finetune": ["finetune", "--base-spec", spec, "--base-weights",
+                             str(base_model / "base.pfw"), "--dataset-root", data,
+                             "--epochs", "1"],
+                "augment preview": ["augment", "preview", "--image",
+                                    data + "/food_0/img_000.ppm"]}[command]
+        if via == "flag":
+            argv.append(f"--{name.replace('_', '-')}={SAMPLE[name]}")
+        else:
+            config = tmp_path / "unread.cfg"
+            config.write_text(f"{name} = {SAMPLE[name]}\n")
+            argv += ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert name in err or "--" + name.replace("_", "-") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, explicit", [
+        (["train", "--input-side", "8"], ["--width-scale", "1.0", "--dropout-rate", "0.5"]),
+        (["train", "--width-scale", "0.0625"], ["--input-side", "224"]),
+        (["finetune", "--base-spec", "{spec}", "--base-weights", "{weights}"],
+         ["--head-units", "512", "--dropout-rate", "0.5"]),
+    ], ids=["train-width-dropout", "train-side", "finetune-head"])
+    def test_unset_architecture_settings_take_the_builders_defaults(self, base_model, tmp_path,
+                                                                    argv, explicit):
+        paths = {"spec": base_model / "base.spec", "weights": base_model / "base.pfw"}
+        common = [*(arg.format(**paths) for arg in argv),
+                  "--dataset-root", str(base_model / "data"), "--split-ratios", "0.5,0.25,0.25",
+                  "--epochs", "1", "--batch-size", "4", "--seed", "2"]
+        assert main([*common, "--out-dir", str(tmp_path / "unset")]) == 0
+        assert main([*common, *explicit, "--out-dir", str(tmp_path / "given")]) == 0
+        for name in ("model.spec", "weights.pfw", "history.csv", "manifest.txt"):
+            given = (tmp_path / "given" / name).read_bytes()
+            assert (tmp_path / "unset" / name).read_bytes() == given, name
 
 
 @pytest.fixture(scope="module")
