@@ -194,6 +194,14 @@ def _ensure_out_dir(path):
     return path
 
 
+def _out_dir_flag(text: str) -> str:
+    """An --out-dir of a command without a RunConfig: refused when empty,
+    as RunConfig's out_dir is, while the arguments are parsed (exit 2)."""
+    if not text:
+        raise argparse.ArgumentTypeError("out_dir must be non-empty")
+    return text
+
+
 def _resolve_manifest(cfg: RunConfig) -> dataio.DatasetManifest:
     if cfg.manifest:
         return dataio.load_manifest(cfg.manifest, root=cfg.dataset_root)
@@ -499,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("--image", required=True)
     p_ins.add_argument("--layers", default=None,
                        help="comma-separated layer names (default: every conv)")
-    p_ins.add_argument("--out-dir", default="inspect")
+    p_ins.add_argument("--out-dir", default="inspect", type=_out_dir_flag)
     p_ins.add_argument("--threshold", default=1e-6,
                        help="peak activation at or below this counts as dead")
     p_ins.set_defaults(handler=cmd_inspect)
@@ -519,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--batch-size", default=8)
     p_dump.add_argument("--input-side", default=32)
     p_dump.add_argument("--seed", default=None)
-    p_dump.add_argument("--out-dir", default="dump")
+    p_dump.add_argument("--out-dir", default="dump", type=_out_dir_flag)
     p_dump.set_defaults(handler=cmd_dump_batch)
 
     p_aug = commands.add_parser("augment", help="augmentation utilities")
@@ -527,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prev = aug_sub.add_parser("preview", help="write before/after image pairs")
     p_prev.add_argument("--image", required=True)
     p_prev.add_argument("--count", default=4)
-    p_prev.add_argument("--out-dir", default="preview")
+    p_prev.add_argument("--out-dir", default="preview", type=_out_dir_flag)
     _add_config_flags(p_prev, ("seed",) + _AUG_KEYS)
     p_prev.set_defaults(handler=cmd_augment_preview)
 

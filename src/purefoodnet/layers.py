@@ -7,23 +7,29 @@ a `*_cached` variant that also returns what its `*_backward` consumes (no
 cache for conv, pool and batch norm under `need_cache=False`), and that
 backward, which returns the input gradient, then any parameter gradients.
 
-Every walk over the k*k windows of an input goes tap by tap (`_taps`): the
-im2col fill, the filter gradient, both pools, and the gradient scattered
-back onto the input. A max-pool keeps a running maximum of its taps and,
-for a cache only, each winning tap in a small unsigned type; an average
-pool sums its taps and divides once. A convolution copies its input
-windows into an im2col matrix (one row per output cell, columns in
-(channel, row, column) order) and multiplies it by the filter bank one
-block of rows at a time, through a buffer. A matrix larger than one
-worker's share of about 32 MB is split into one share of output rows per
-worker, each with its own buffer, with or without a backward to follow: a
-cache keeps the padded input, not the matrix, and the filter gradient takes
-its products from it. There are as many workers as the CPU affinity mask
-allows (`taskset` limits them) when OpenBLAS runs one thread per call
-(`OPENBLAS_NUM_THREADS=1`), and one otherwise. Every block takes the BLAS
-kernel the whole product would, so the bits are the same at any worker
-count. Workers run only untraced numpy work (`run_jobs`). Convolutions are
-cross-correlations: the kernel is applied as stored, never flipped.
+Every walk over the k*k windows of an input goes tap by tap. The pools and
+the gradient scattered back onto the input step through strided views of
+each tap (`_taps`). The conv's im2col fill and filter gradient read each
+tap's cells from the unpadded input and write +0.0 where a window reaches
+into the zero padding (`_reach`): no padded copy of a conv input is made.
+A max-pool keeps a running maximum of its taps and, for a cache only, each
+winning tap in a small unsigned type; an average pool sums its taps and
+divides once. A convolution copies its input windows into an im2col matrix
+(one row per output cell, columns in (channel, row, column) order) and
+multiplies it by the filter bank. A matrix of at most 16 MB is one block,
+filled and multiplied on the calling thread. A larger one is split into
+one share of output rows per worker, and each worker multiplies its share
+in blocks of about 512 KB, never below the smallest block that takes the
+whole product's BLAS kernel, through its own buffer of one block: each
+block is still in cache when its GEMM reads it. That holds with or without
+a backward to follow: a cache keeps the input itself, by reference, not the
+matrix, and the filter gradient takes its products from it. There are as
+many workers as the CPU affinity mask allows (`taskset` limits them) when
+OpenBLAS runs one thread per call (`OPENBLAS_NUM_THREADS=1`), and one
+otherwise. Every block takes the BLAS kernel the whole product would, so
+the bits are the same at any worker count. Workers run only untraced numpy
+work (`run_jobs`). Convolutions are cross-correlations: the kernel is
+applied as stored, never flipped.
 Activations are fused into the conv and dense layers; `softmax` also
 exists standalone, with no backward.
 """
@@ -139,7 +145,7 @@ class BatchNormLayer:
 
 
 class ConvCache(NamedTuple):
-    xp: np.ndarray  # the input, zero-padded by the geometry's z on each side
+    x: np.ndarray  # the input itself, by reference: no padded copy
     filters: np.ndarray
     geometry: ConvGeometry
     relu_mask: np.ndarray | None
@@ -175,11 +181,15 @@ class BatchNormCache(NamedTuple):
     count: int | None  # per-channel element count; None when running stats were used
 
 
-# Bytes of im2col matrix filled per block of output rows; a block this size
-# stays in cache while all k*k taps are written into it.
+# Bytes of im2col matrix per block of a conv whose matrix is larger than
+# _ONE_BLOCK_BYTES: each block's fill is still in cache when its GEMM reads
+# it. The fill of a matrix within _ONE_BLOCK_BYTES also goes in pieces of
+# about this size, one tap at a time.
 _IM2COL_BLOCK_BYTES = 1 << 19
-# Bytes of im2col matrix a conv holds at once, across all its workers.
-_GEMM_BLOCK_BYTES = 32 << 20
+# An im2col matrix of at most this many bytes is filled and multiplied as
+# one block on the calling thread: a small matrix split across workers
+# spends its time in many small fills, which hold the GIL, not in GEMMs.
+_ONE_BLOCK_BYTES = 16 << 20
 # A block of the product must take the BLAS kernel the whole product takes,
 # or its bits differ: OpenBLAS uses GEMV for one row or one column and a
 # small-matrix kernel up to 10^6 multiply-adds. So a block has at least this
@@ -250,23 +260,55 @@ def _taps(x: np.ndarray, k: int, s: int, oh: int, ow: int):
             yield p, q, x[..., p:p + s * (oh - 1) + 1:s, q:q + s * (ow - 1) + 1:s, :]
 
 
-def _im2col(xp: np.ndarray, k: int, s: int, oh: int, ow: int,
-            out: np.ndarray, first: int) -> np.ndarray:
+def _reach(p: int, s: int, z: int, size: int, count: int) -> tuple[int, int, slice]:
+    """The positions lo..hi-1, of `count` output positions, that read a
+    cell of the input through tap p, and the slice of the input they read:
+    position j reads cell j*s + p - z of an input `size` cells long, and
+    every other position a cell of the zero padding. lo == hi == 0 when no
+    position reads the input."""
+    lo = max(0, -((p - z) // s))
+    hi = min(count, (size - 1 + z - p) // s + 1)
+    if hi <= lo:
+        return 0, 0, slice(0, 0)
+    start = lo * s + p - z
+    return lo, hi, slice(start, start + (hi - lo - 1) * s + 1, s)
+
+
+def _im2col(x: np.ndarray, k: int, s: int, z: int, oh: int, ow: int,
+            out: np.ndarray, first: int, sides: bool = True) -> np.ndarray:
     """Fill `out` with rows of the (i*oh*ow, c*k*k) matrix of every k x k
-    window of xp at stride s, columns in (c, k, k) order: as many output
-    rows' worth as `out` holds, from output row `first` on (output row u is
-    row u % oh of image u // oh). Rows are filled one tap at a time per
-    block of one image: a single copy of the 6-D window view runs its
-    innermost loop over only k elements, and measured about 2x slower."""
-    c = xp.shape[3]
+    window, at stride s, of x zero-padded by z on each side, columns in
+    (c, k, k) order: as many output rows' worth as `out` holds, from output
+    row `first` on (output row u is row u % oh of image u // oh).
+
+    The taps are read from x itself, never from a padded copy; the cells
+    that fall in the padding get +0.0. Those left and right of x are
+    written only when `sides` is true: they are the same cells in every
+    block, so a buffer that held an earlier block of the same conv has them
+    already. Those above and below are written in each block that reaches
+    them. Rows are filled one tap at a time per piece of one image: a
+    single copy of the 6-D window view runs its innermost loop over only k
+    elements, and measured about 2x slower."""
+    h, w, c = x.shape[1:]
     units = out.reshape(-1, ow, c, k, k)
-    rows = max(1, _IM2COL_BLOCK_BYTES // (ow * c * k * k * xp.itemsize))
+    columns = [_reach(q, s, z, w, ow) for q in range(k)]
+    if sides:
+        for q, (left, right, _) in enumerate(columns):
+            units[:, :left, ..., q] = 0
+            units[:, right:, ..., q] = 0
+    rows = max(1, _IM2COL_BLOCK_BYTES // units[0].nbytes)
     done = 0
     while done < len(units):
         n, r = divmod(first + done, oh)
         block = units[done:done + min(rows, oh - r)]
-        for p, q, tap in _taps(xp[n, s * r:], k, s, len(block), ow):
-            block[..., p, q] = tap
+        for p in range(k):
+            top, bottom, taps = _reach(p, s, z - s * r, h, len(block))
+            if top:
+                block[:top, ..., p, :] = 0
+            if bottom < len(block):
+                block[bottom:, ..., p, :] = 0
+            for q, (left, right, cols) in enumerate(columns):
+                block[top:bottom, left:right, :, p, q] = x[n, taps, cols]
         done += len(block)
     return out
 
@@ -278,33 +320,33 @@ def _least_units(ow: int, width: int, f: int) -> int:
 
 
 def _block_units(units: int, ow: int, width: int, f: int, itemsize: int) -> int:
-    """Output rows per block of a conv: one worker's share of the byte
-    budget, but never below the kernel minimums; `units`, the number of
-    output rows, means one block."""
-    if f < 2:
+    """Output rows per block of a conv: all `units` of them when the im2col
+    matrix is within _ONE_BLOCK_BYTES or the bank has one filter, else
+    about _IM2COL_BLOCK_BYTES of matrix, but never below the kernel
+    minimums."""
+    unit_bytes = ow * width * itemsize
+    if f < 2 or units * unit_bytes <= _ONE_BLOCK_BYTES:
         return units
-    b = max(_least_units(ow, width, f), _GEMM_BLOCK_BYTES // _WORKERS // (ow * width * itemsize))
-    return min(b, units)
+    return min(units, max(_least_units(ow, width, f), _IM2COL_BLOCK_BYTES // unit_bytes))
 
 
-def _share_bounds(units: int, b: int, least: int, unit_bytes: int) -> list[int]:
+def _share_bounds(units: int, b: int, least: int) -> list[int]:
     """Bounds of the workers' shares of `units` output rows in blocks of b:
     one share when one block holds them all, else one per worker, but never
-    more than there are blocks, shares of at least `least` rows, or buffers
-    of b rows of `unit_bytes` each that fit in the byte budget together."""
-    n = 1 if b == units else min(_WORKERS, -(-units // b), units // least,
-                                 max(1, _GEMM_BLOCK_BYTES // (b * unit_bytes)))
+    more than there are blocks or shares of at least `least` rows."""
+    n = 1 if b == units else min(_WORKERS, -(-units // b), units // least)
     return [units * j // n for j in range(n + 1)]
 
 
-def _multiply_rows(xp: np.ndarray, k: int, s: int, oh: int, ow: int, fmat: np.ndarray,
+def _multiply_rows(x: np.ndarray, g: ConvGeometry, oh: int, ow: int, fmat: np.ndarray,
                    rows: np.ndarray, start: int, stop: int, cols: np.ndarray) -> None:
     """Write output rows start..stop-1 of the conv into `rows` through the
     im2col buffer `cols`, as many at a time as it holds, the last block
     overlapping the one before (blocks may span images)."""
     b = len(cols) // ow
-    for u in (*range(start, stop - b, b), stop - b):
-        np.dot(_im2col(xp, k, s, oh, ow, cols, u), fmat, out=rows[u * ow:(u + b) * ow])
+    for j, u in enumerate((*range(start, stop - b, b), stop - b)):
+        np.dot(_im2col(x, g.k, g.s, g.z, oh, ow, cols, u, sides=j == 0), fmat,
+               out=rows[u * ow:(u + b) * ow])
 
 
 def _relu_inplace(out: np.ndarray) -> None:
@@ -319,7 +361,8 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
                   need_cache: bool = True) -> tuple[Tensor4, ConvCache | None]:
     """The conv output and, when `need_cache` is true, the cache its backward
     consumes (None otherwise). Each worker multiplies its own share of the
-    output rows (`_share_bounds`) through its own buffer, cache or none."""
+    output rows (`_share_bounds`) through its own buffer of one block
+    (`_block_units`), cache or none."""
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -328,20 +371,19 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
         )
     g = layer.geometry
     oh, ow = conv_output_size(x.h, g), conv_output_size(x.w, g)
-    xp = np.pad(x.data, ((0, 0), (g.z, g.z), (g.z, g.z), (0, 0))) if g.z else x.data
     # Columns stay in (c, k, k) order: the float sums, and with them the
     # trained weights' bytes, depend on it.
     f = filters.shape[0]
     fmat = filters.transpose(3, 1, 2, 0).reshape(-1, f)
-    out = np.empty((x.i, oh, ow, f), dtype=np.result_type(xp, fmat))
+    out = np.empty((x.i, oh, ow, f), dtype=np.result_type(x.data, fmat))
     units, width = x.i * oh, len(fmat)
-    b = _block_units(units, ow, width, f, xp.itemsize)
-    bounds = _share_bounds(units, b, _least_units(ow, width, f), ow * width * xp.itemsize)
+    b = _block_units(units, ow, width, f, x.data.itemsize)
+    bounds = _share_bounds(units, b, _least_units(ow, width, f))
     # Every buffer comes from this thread's heap: memory a worker allocated
     # would stay in that thread's own malloc arena.
-    buffers = [np.empty((min(b, hi - lo) * ow, width), dtype=xp.dtype)
+    buffers = [np.empty((min(b, hi - lo) * ow, width), dtype=x.data.dtype)
                for lo, hi in zip(bounds, bounds[1:])]
-    run_jobs([partial(_multiply_rows, xp, g.k, g.s, oh, ow, fmat, out.reshape(-1, f), lo, hi, cols)
+    run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f), lo, hi, cols)
               for lo, hi, cols in zip(bounds, bounds[1:], buffers)])
     # A bias of a wider dtype widens the sum, as `out + bias` would.
     out = out.astype(np.result_type(out, layer.bias), copy=False)
@@ -351,7 +393,7 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
         if need_cache:
             relu_mask = out > 0
         _relu_inplace(out)
-    cache = ConvCache(xp, filters, g, relu_mask) if need_cache else None
+    cache = ConvCache(x.data, filters, g, relu_mask) if need_cache else None
     return Tensor4(out), cache
 
 
@@ -365,16 +407,25 @@ def conv2d_forward(x: Tensor4, layer: ConvLayer) -> Tensor4:
     return out
 
 
-def _tap_gradients(d_rows: np.ndarray, xp: np.ndarray, s: int, tap: np.ndarray,
+def _tap_gradients(d_rows: np.ndarray, x: np.ndarray, s: int, z: int, tap: np.ndarray,
                    dw: np.ndarray) -> None:
     """Write dw[p, q] = d_rows @ tap(p, q) for every tap of the k x k filter,
     where tap(p, q), copied into the (i, oh, ow, c) buffer `tap`, holds the
-    input cell each output cell reads through it."""
+    cell of x, zero-padded by z on each side, that each output cell reads
+    through it: +0.0 where that cell is in the padding."""
     _, oh, ow, c = tap.shape
     rows = tap.reshape(-1, c)
-    for p, q, view in _taps(xp, dw.shape[0], s, oh, ow):
-        np.copyto(tap, view)
-        np.dot(d_rows, rows, out=dw[p, q])
+    k = dw.shape[0]
+    for p in range(k):
+        top, bottom, taps = _reach(p, s, z, x.shape[1], oh)
+        for q in range(k):
+            left, right, cols = _reach(q, s, z, x.shape[2], ow)
+            tap[:, :top] = 0
+            tap[:, bottom:] = 0
+            tap[:, :, :left] = 0
+            tap[:, :, right:] = 0
+            tap[:, top:bottom, left:right] = x[:, taps, cols]
+            np.dot(d_rows, rows, out=dw[p, q])
 
 
 def _scatter_taps(shape, k: int, s: int, d: np.ndarray, contribution) -> np.ndarray:
@@ -392,7 +443,7 @@ def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
     dx is None when `need_dx` is false.
 
     The filter gradient is d_rows @ cols, cols being the im2col matrix of
-    the cached padded input, taken one tap at a time: the (f, c) block of
+    the cached input, taken one tap at a time: the (f, c) block of
     tap (p, q) is d_rows times that tap's (rows, c) slab of the input, and
     has the bytes of its columns of the whole product while both take
     OpenBLAS's large-matrix kernel on one thread. Under a BLAS thread team,
@@ -402,29 +453,31 @@ def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
     and the whole product taken instead."""
     if cache.relu_mask is not None:
         d = d * cache.relu_mask
-    xp, filters, g = cache.xp, cache.filters, cache.geometry
+    x, filters, g = cache.x, cache.filters, cache.geometry
     f, k, _, c = filters.shape
     i, oh, ow, _ = d.shape
     db = d.sum(axis=(0, 1, 2))
     d_rows = d.transpose(3, 0, 1, 2).reshape(f, -1)
-    dtype = np.result_type(d_rows, xp)
+    dtype = np.result_type(d_rows, x)
     # The buffers come from this thread's heap, as in `conv2d_cached`.
     if _ONE_BLAS_THREAD and f >= 2 and c >= 8 and f * c * d_rows.shape[1] >= _MIN_BLOCK_MACS:
         grad = np.empty((k, k, f, c), dtype)
-        tap = np.empty((i, oh, ow, c), xp.dtype)
-        filter_gradient = partial(_tap_gradients, d_rows, xp, g.s, tap, grad)
+        tap = np.empty((i, oh, ow, c), x.dtype)
+        filter_gradient = partial(_tap_gradients, d_rows, x, g.s, g.z, tap, grad)
         dw = grad.transpose(2, 0, 1, 3)
     else:
         grad = np.empty((f, c * k * k), dtype)
-        cols = _im2col(xp, k, g.s, oh, ow, np.empty((d_rows.shape[1], c * k * k), xp.dtype), 0)
+        cols = _im2col(x, k, g.s, g.z, oh, ow, np.empty((d_rows.shape[1], c * k * k), x.dtype), 0)
         filter_gradient = partial(np.dot, d_rows, cols, out=grad)
         dw = grad.reshape(f, c, k, k).transpose(0, 2, 3, 1)
     if not need_dx:
         filter_gradient()
         return None, dw, db
-    # The dx taps run on this thread while a worker runs the filter gradient.
+    # The dx taps run on this thread while a worker runs the filter gradient;
+    # they scatter into a padded buffer, whose border is then cut off.
+    padded = (i, x.shape[1] + 2 * g.z, x.shape[2] + 2 * g.z, c)
     dxp, _ = run_jobs([
-        partial(_scatter_taps, xp.shape, k, g.s, d,
+        partial(_scatter_taps, padded, k, g.s, d,
                 lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0]))),
         filter_gradient])
     return (dxp[:, g.z:-g.z, g.z:-g.z, :] if g.z else dxp), dw, db

@@ -405,8 +405,10 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
     `first` and `stop` (internal) run only the layers spec.layers[first:stop],
     x being the input of layer `first`.
 
-    No layer keeps a cache, so a conv holds at most about 32 MB of its im2col
-    matrix at a time (`layers.conv2d_cached`).
+    No layer keeps a cache. A conv holds its whole im2col matrix only when
+    that is at most 16 MB; a larger one is taken in blocks of about 512 KB,
+    one buffer per worker, and no conv makes a padded copy of its input
+    (`layers.conv2d_cached`).
     """
     for layer in spec.layers[first:stop]:
         x = apply_layer(layer, params, x, need_cache=False)[0]

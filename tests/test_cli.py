@@ -508,6 +508,23 @@ class TestInputsCheckedBeforeOutDir:
         assert not probe["out"].exists()
 
     @pytest.mark.parametrize("argv", [
+        ["inspect", "--spec", "{missing}", "--weights", "{missing}", "--image", "{missing}"],
+        ["dataio", "dump-batch", "--manifest", "{missing}"],
+        ["augment", "preview", "--image", "{missing}"],
+    ], ids=["inspect", "dump-batch", "augment-preview"])
+    def test_empty_out_dir_exits_2_before_any_input_is_read(self, tmp_path, capsys,
+                                                            monkeypatch, argv):
+        # Every input is missing, so reading any of them would exit 3; and
+        # nothing appears in the working directory.
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        missing = str(tmp_path / "missing")
+        assert main([*(arg.format(missing=missing) for arg in argv), "--out-dir", ""]) == 2
+        assert "out_dir must be non-empty" in capsys.readouterr().err
+        assert not any(cwd.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ["eval", "--manifest", "{manifest}", "--batch-size", "x"],
         ["predict", "--image", "{image}", "--k", "x"],
         ["dataio", "dump-batch", "--manifest", "{manifest}", "--batch-size", "x"],

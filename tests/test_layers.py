@@ -10,9 +10,12 @@ import time
 import tracemalloc
 import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from purefoodnet import layers
@@ -147,12 +150,11 @@ class TestConv2d:
         want = tensordot_conv(x, filters, bias, k, s, z)
         assert out.dtype == want.dtype
         np.testing.assert_array_equal(out.data, want)
-        # The cache keeps the padded input; the im2col matrix rebuilt from
-        # it, times the filter bank, gives the forward's bytes.
-        xp = np.pad(x, ((0, 0), (z, z), (z, z), (0, 0)))
-        assert cache.xp.shape == xp.shape and cache.xp.tobytes() == xp.tobytes()
+        # The cache keeps the input itself, unpadded; the im2col matrix
+        # rebuilt from it, times the filter bank, gives the forward's bytes.
+        assert cache.x.shape == x.shape and cache.x.tobytes() == x.tobytes()
         oh, ow = want.shape[1:3]
-        cols = layers._im2col(cache.xp, k, s, oh, ow,
+        cols = layers._im2col(cache.x, k, s, z, oh, ow,
                               np.empty((3 * oh * ow, 4 * k * k), dtype), 0)
         product = cols @ filters.transpose(3, 1, 2, 0).reshape(-1, 5) + bias
         assert product.reshape(want.shape).tobytes() == out.data.tobytes()
@@ -273,12 +275,13 @@ class TestConvEpilogue:
 
 def one_gemm_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """The conv forward as one GEMM of the whole im2col matrix, plus bias
-    and the activation: the bytes every blocking of the product must give."""
+    and the activation: the bytes every blocking of the product must give.
+    The matrix is filled from a padded copy of x."""
     g, f = layer.geometry, layer.filters.shape[0]
     images, h, w, c = x.shape
     oh, ow = (h + 2 * g.z - g.k) // g.s + 1, (w + 2 * g.z - g.k) // g.s + 1
     xp = np.pad(x, ((0, 0), (g.z, g.z), (g.z, g.z), (0, 0)))
-    cols = layers._im2col(xp, g.k, g.s, oh, ow,
+    cols = layers._im2col(xp, g.k, g.s, 0, oh, ow,
                           np.empty((images * oh * ow, c * g.k * g.k), x.dtype), 0)
     pre = cols @ layer.filters.transpose(3, 1, 2, 0).reshape(-1, f) + layer.bias
     del cols
@@ -287,14 +290,15 @@ def one_gemm_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
 
 def spy_on_blocks(monkeypatch) -> list:
-    """(first output row, im2col rows filled, thread) of each block a conv
-    fills from now on, in the order the blocks start."""
+    """(first output row, im2col rows filled, thread, whether the fill
+    zeroed the buffer's left and right padding) of each block a conv fills
+    from now on, in the order the blocks start."""
     calls = []
     im2col = layers._im2col
 
-    def spy(xp, k, s, oh, ow, out, first):
-        calls.append((first, len(out), threading.get_ident()))
-        return im2col(xp, k, s, oh, ow, out, first)
+    def spy(x, k, s, z, oh, ow, out, first, sides=True):
+        calls.append((first, len(out), threading.get_ident(), sides))
+        return im2col(x, k, s, z, oh, ow, out, first, sides)
 
     monkeypatch.setattr(layers, "_im2col", spy)
     return calls
@@ -333,11 +337,12 @@ class TestBlockedConv:
         # its large one.
         c, f, side = 16, 8, 23
         oh = (side + 2 * z - k) // s + 1  # = ow
-        # A budget of one smallest block per worker: every block has the
-        # smallest height allowed.
+        # No matrix is one block, and every block has the smallest height
+        # allowed.
         b = layers._least_units(oh, c * k * k, f)
         unit_bytes = oh * c * k * k * np.dtype(dtype).itemsize
-        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", workers * b * unit_bytes)
+        monkeypatch.setattr(layers, "_ONE_BLOCK_BYTES", 0)
+        monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", b * unit_bytes)
         assert layers._block_units(10**6, oh, c * k * k, f, np.dtype(dtype).itemsize) == b
         images = math.ceil(2.5 * b / oh)  # room for three blocks or more
         rng = np.random.default_rng(7 * k + 3 * s + z)
@@ -345,17 +350,16 @@ class TestBlockedConv:
         layer = conv_layer(rng.normal(size=(f, k, k, c)).astype(dtype) * 0.2,
                            rng.normal(size=f).astype(dtype), k, s, z, activation="relu")
         units = images * oh
-        xp = np.pad(x.data, ((0, 0), (z, z), (z, z), (0, 0)))
         want = one_gemm_conv(x.data, layer)
         calls = spy_on_blocks(monkeypatch)
         cached, cache = conv2d_cached(x, layer)
-        assert cache.xp.tobytes() == xp.tobytes()
+        assert cache.x is x.data  # the input itself, not a padded copy
         cached_calls = calls[:]
         calls.clear()
         got, _ = conv2d_cached(x, layer, need_cache=False)
         # A cache changes neither the blocks nor the bytes.
         assert sorted(call[:2] for call in cached_calls) == sorted(call[:2] for call in calls)
-        blocks = sorted((first, first + rows // oh, thread) for first, rows, thread in calls)
+        blocks = sorted((first, first + rows // oh, thread) for first, rows, thread, _ in calls)
         assert all(hi - lo == b for lo, hi, _ in blocks)
         assert len(blocks) >= 3 and blocks[0][0] == 0 and blocks[-1][1] == units
         assert all(lo <= prev_hi for (_, prev_hi, _), (lo, _, _) in zip(blocks, blocks[1:]))
@@ -367,13 +371,51 @@ class TestBlockedConv:
         if workers == 1:  # one share: its last block overlaps the one before
             assert blocks[-1][0] < blocks[-2][1]
         assert any(lo // oh != (hi - 1) // oh for lo, hi, _ in blocks)  # spans two images
+        # Each share's first block writes the left and right padding of its
+        # buffer, and the later blocks through that buffer keep those zeros.
+        bounds = layers._share_bounds(units, b, b)
+        for lo, hi in zip(bounds, bounds[1:]):
+            sides = [sides for first, _, _, sides in calls if lo <= first < hi]
+            assert sides == [True] + [False] * (len(sides) - 1)
         for out in (got, cached):
             assert out.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(st.data())
+    def test_unpadded_fill_equals_the_fill_of_a_padded_copy(self, data):
+        # The buffer starts as NaN, so a cell left unwritten shows. Later
+        # blocks through the same buffer skip the left and right padding,
+        # which the first one wrote. z runs past k, where whole taps, and
+        # whole output rows and columns, fall in the padding.
+        k = data.draw(st.integers(1, 5), "k")
+        s = data.draw(st.integers(1, 3), "s")
+        z = data.draw(st.integers(0, k), "z")
+        h = data.draw(st.integers(max(1, k - 2 * z), 12), "h")
+        w = data.draw(st.integers(max(1, k - 2 * z), 12), "w")
+        images = data.draw(st.integers(1, 3), "images")
+        c = data.draw(st.integers(1, 3), "c")
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), "dtype")
+        oh, ow = (h + 2 * z - k) // s + 1, (w + 2 * z - k) // s + 1
+        units = images * oh
+        count = data.draw(st.integers(1, units), "output rows per block")
+        firsts = data.draw(st.lists(st.integers(0, units - count), min_size=1, max_size=3),
+                           "first output row of each block")
+        piece = data.draw(st.integers(1, count), "output rows per piece of the fill")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        x = rounded_with_signed_zeros(rng, (images, h, w, c), dtype)  # -0.0 stays -0.0
+        xp = np.pad(x, ((0, 0), (z, z), (z, z), (0, 0)))
+        got = np.full((count * ow, c * k * k), np.nan, dtype)
+        with mock.patch.object(layers, "_IM2COL_BLOCK_BYTES", piece * ow * got[0].nbytes):
+            for j, first in enumerate(firsts):
+                layers._im2col(x, k, s, z, oh, ow, got, first, sides=j == 0)
+                want = layers._im2col(xp, k, s, 0, oh, ow, np.full_like(got, np.nan), first)
+                assert got.tobytes() == want.tobytes()
 
     def test_wide_product_keeps_blocks_of_many_rows(self, monkeypatch):
         # 2048 x 512 filters reach the multiply-add minimum in a single row,
         # and a one-row block would take GEMV.
-        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", 0)
+        monkeypatch.setattr(layers, "_ONE_BLOCK_BYTES", 0)
         rng = np.random.default_rng(83)
         x = Tensor4(rng.standard_normal((1, 700, 1, 2048), dtype=np.float32))
         layer = conv_layer(rng.standard_normal((512, 1, 1, 2048), dtype=np.float32),
@@ -382,20 +424,29 @@ class TestBlockedConv:
         got, _ = conv2d_cached(x, layer, need_cache=False)
         assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
-    def test_matrix_within_budget_is_one_block(self, workers, monkeypatch):
-        # 23.6 MB of im2col: one block within the 32 MB budget on one
-        # worker, else one block per worker, the shares in flight at once
-        # still within the budget.
+    def test_matrix_above_the_threshold_goes_in_cache_sized_blocks(self, workers, monkeypatch):
+        # 23.6 MB of im2col, above _ONE_BLOCK_BYTES: blocks of 28 output
+        # rows (516 KB), each worker's share through its own buffer of one
+        # block. One output row less than the threshold holds is one block.
+        unit_bytes = 32 * 16 * 9 * 4
+        b = layers._IM2COL_BLOCK_BYTES // unit_bytes
+        assert b == 28 and layers._block_units(40 * 32, 32, 144, 16, 4) == b
+        within = layers._ONE_BLOCK_BYTES // unit_bytes
+        assert layers._block_units(within, 32, 144, 16, 4) == within
+        assert layers._block_units(within + 1, 32, 144, 16, 4) == b
         calls = spy_on_blocks(monkeypatch)
         rng = np.random.default_rng(71)
         x = Tensor4(rng.normal(size=(40, 32, 32, 16)).astype(np.float32))
         layer = conv_layer(rng.normal(size=(16, 3, 3, 16)).astype(np.float32),
                            np.zeros(16, dtype=np.float32), k=3, z=1)
         got, _ = conv2d_cached(x, layer, need_cache=False)
-        bounds = [40 * 32 * j // workers for j in range(workers + 1)]
-        assert sorted((first, rows) for first, rows, _ in calls) == [
-            (lo, (hi - lo) * 32) for lo, hi in zip(bounds, bounds[1:])]
-        assert sum(rows for _, rows, _ in calls) * 16 * 9 * 4 <= layers._GEMM_BLOCK_BYTES
+        assert {rows for _, rows, _, _ in calls} == {b * 32}
+        assert sum(sides for *_, sides in calls) == workers  # one buffer per worker
+        assert (len({thread for _, _, thread, _ in calls}) > 1) == (workers > 1)
+        written = np.zeros(40 * 32, dtype=int)
+        for first, _, _, _ in calls:
+            written[first:first + b] += 1
+        assert written.min() >= 1  # every output row, each share's last block overlapping
         assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_matrix_within_one_share_stays_on_the_calling_thread(self, monkeypatch):
@@ -407,12 +458,12 @@ class TestBlockedConv:
         layer = conv_layer(rng.normal(size=(32, 3, 3, 32)).astype(np.float32),
                            np.zeros(32, dtype=np.float32), k=3, z=1)
         got, _ = conv2d_cached(x, layer, need_cache=False)
-        assert calls == [(0, 20 * 16 * 16, threading.get_ident())]
+        assert calls == [(0, 20 * 16 * 16, threading.get_ident(), True)]
         assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_one_filter_is_never_split(self, monkeypatch):
         # A one-column product takes GEMV, whose bits depend on its length.
-        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", 0)
+        monkeypatch.setattr(layers, "_ONE_BLOCK_BYTES", 0)
         assert layers._block_units(10**6, 224, 1152, 1, 4) == 10**6
         rng = np.random.default_rng(73)
         x = Tensor4(rng.normal(size=(2, 40, 40, 16)).astype(np.float32))
@@ -421,22 +472,30 @@ class TestBlockedConv:
         got, _ = conv2d_cached(x, layer, need_cache=False)
         assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
-    def test_paper_scale_conv_allocates_far_less_than_its_im2col(self):
+    @pytest.mark.parametrize("need_cache", [False, True])
+    def test_paper_scale_conv_allocates_far_less_than_its_im2col(self, need_cache, workers):
         rng = np.random.default_rng(79)
         x = Tensor4(rng.standard_normal((1, 224, 224, 128), dtype=np.float32))
         layer = conv_layer(rng.standard_normal((128, 3, 3, 128), dtype=np.float32)
                            * np.float32(0.05), np.zeros(128, dtype=np.float32), k=3, z=1,
                            activation="relu")
-        im2col_mb = 224 * 224 * 128 * 9 * 4 / 2**20  # 220.5 MiB (231 MB)
+        # The im2col matrix is 220.5 MiB; a block is two output rows of it.
+        block = layers._block_units(224, 224, 1152, 128, 4) * 224 * 1152 * 4
+        assert block == 2 * 224 * 1152 * 4  # 1.97 MiB
         tracemalloc.start()
         try:
-            out, _ = conv2d_cached(x, layer, need_cache=False)
+            out, cache = conv2d_cached(x, layer, need_cache=need_cache)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The output and the padded input (24.5 MiB each) plus one block
-        # buffer of at most _GEMM_BLOCK_BYTES.
-        assert peak / 2**20 < 0.5 * im2col_mb
+        # The output (24.5 MiB) and one block buffer per worker, plus the
+        # 0.6 MiB filter matrix and the 1 MiB of the output's finiteness
+        # check: no padded copy of the input. On two workers that is under
+        # 32 MiB. A cache adds its ReLU mask and keeps the input itself.
+        mask = cache.relu_mask.nbytes if need_cache else 0
+        assert peak - mask < out.data.nbytes + workers * block + 2 * 2**20
+        if need_cache:
+            assert np.shares_memory(cache.x, x.data)
         assert out.data.shape == (1, 224, 224, 128)
 
 
@@ -498,18 +557,18 @@ class TestWorkerPool:
             monkeypatch.setenv(var, value)
         assert layers._one_blas_thread() == one
 
-    def test_many_workers_stay_within_the_budget(self, monkeypatch):
-        # At 224^2 x 64 -> 64 the smallest block (two output rows, 1.03 MB)
-        # is larger than 64 workers' share of the budget, so fewer shares
-        # run, and their buffers together stay within it. The pool keeps
-        # the threads it started with; the shares queue for them.
+    def test_many_workers_hold_one_block_each(self, monkeypatch):
+        # At 224^2 x 64 -> 64 a block is the smallest allowed, two output
+        # rows (1.03 MB): each of 64 workers' shares goes through its own
+        # buffer of one block. The pool keeps the threads it started with;
+        # the shares queue for them.
         monkeypatch.setattr(layers, "_WORKERS", 64)
         buffers = {}
         im2col = layers._im2col
 
-        def spy(xp, k, s, oh, ow, out, first):
+        def spy(x, k, s, z, oh, ow, out, first, sides=True):
             buffers[out.ctypes.data] = out.nbytes
-            return im2col(xp, k, s, oh, ow, out, first)
+            return im2col(x, k, s, z, oh, ow, out, first, sides)
 
         monkeypatch.setattr(layers, "_im2col", spy)
         rng = np.random.default_rng(80)
@@ -517,8 +576,8 @@ class TestWorkerPool:
         layer = conv_layer(rng.standard_normal((64, 3, 3, 64), dtype=np.float32)
                            * np.float32(0.05), np.zeros(64, dtype=np.float32), k=3, z=1)
         got, _ = conv2d_cached(x, layer, need_cache=False)
-        assert 1 < len(buffers) < 64
-        assert sum(buffers.values()) <= layers._GEMM_BLOCK_BYTES
+        assert layers._block_units(224, 224, 576, 64, 4) == 2
+        assert len(buffers) == 64 and set(buffers.values()) == {2 * 224 * 576 * 4}
         monkeypatch.setattr(layers, "_im2col", im2col)
         assert got.data.tobytes() == conv2d_cached(x, layer)[0].data.tobytes()
 
@@ -545,24 +604,26 @@ class TestWorkerPool:
         # The share of the last worker fails at once; the caller sees the
         # error only when the other shares have written all their blocks.
         monkeypatch.setattr(layers, "_WORKERS", workers)
-        b, unit_bytes = layers._least_units(40, 144, 16), 40 * 144 * 4
-        monkeypatch.setattr(layers, "_GEMM_BLOCK_BYTES", workers * b * unit_bytes)
+        # Every block has the smallest height allowed.
+        b = layers._least_units(40, 144, 16)
+        monkeypatch.setattr(layers, "_ONE_BLOCK_BYTES", 0)
+        monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 0)
         rng = np.random.default_rng(74)
         x = Tensor4(rng.normal(size=(4, 40, 40, 16)).astype(np.float32))
         layer = conv_layer(rng.normal(size=(16, 3, 3, 16)).astype(np.float32),
                            np.zeros(16, dtype=np.float32), k=3, z=1)
         assert layers._block_units(160, 40, 144, 16, 4) == b
-        bounds = layers._share_bounds(160, b, b, unit_bytes)
+        bounds = layers._share_bounds(160, b, b)
         assert len(bounds) == workers + 1
         filled = []
         im2col = layers._im2col
 
-        def failing(xp, k, s, oh, ow, out, first):
+        def failing(x, k, s, z, oh, ow, out, first, sides=True):
             if first >= bounds[-2]:
                 raise MemoryError("share refused")
             time.sleep(0.02)
             filled.append(first)
-            return im2col(xp, k, s, oh, ow, out, first)
+            return im2col(x, k, s, z, oh, ow, out, first, sides)
 
         monkeypatch.setattr(layers, "_im2col", failing)
         with pytest.raises(MemoryError, match="share refused"):

@@ -369,10 +369,11 @@ class TestCaptureActivations:
         caps = M.capture_activations(spec, params, x, ["out"])
         np.testing.assert_array_equal(caps["out"].data, M.forward(spec, params, x).data)
 
-    @pytest.mark.parametrize("budget", [None, 0])  # 0: cache-free convs in minimal blocks
-    def test_every_layer_equals_forward_with_caches(self, budget, monkeypatch):
-        if budget is not None:
-            monkeypatch.setattr(L, "_GEMM_BLOCK_BYTES", budget)
+    @pytest.mark.parametrize("blocks", [None, 0])  # 0: cache-free convs in minimal blocks
+    def test_every_layer_equals_forward_with_caches(self, blocks, monkeypatch):
+        if blocks is not None:
+            monkeypatch.setattr(L, "_ONE_BLOCK_BYTES", blocks)
+            monkeypatch.setattr(L, "_IM2COL_BLOCK_BYTES", blocks)
         spec = M.parse_model_spec(GOLDEN_SPEC_TEXT)
         params = M.init_params(spec, seed=10)
         x = Tensor4(np.random.default_rng(14).normal(size=(64, 16, 16, 3)).astype(np.float32))

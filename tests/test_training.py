@@ -130,10 +130,10 @@ class TestCrossEntropy:
 
 def rebuilt_gemm_dw(d, x, k, s, z):
     """The filter gradient as one GEMM of d's rows by the im2col matrix of
-    the padded input, in (f, k, k, c) layout."""
+    a padded copy of the input, in (f, k, k, c) layout."""
     f, c = d.shape[3], x.shape[3]
     xp = np.pad(x, ((0, 0), (z, z), (z, z), (0, 0)))
-    cols = L._im2col(xp, k, s, d.shape[1], d.shape[2],
+    cols = L._im2col(xp, k, s, 0, d.shape[1], d.shape[2],
                      np.empty((d[..., 0].size, c * k * k), x.dtype), 0)
     dw = np.dot(d.transpose(3, 0, 1, 2).reshape(f, -1), cols)
     return dw.reshape(f, c, k, k).transpose(0, 2, 3, 1)
@@ -221,10 +221,10 @@ class TestBackwardBitExactness:
 
 class TestFilterGradientTaps:
     """On one BLAS thread a conv's filter gradient is taken tap by tap from
-    its cached padded input, and must have the bytes of the one GEMM of the
-    rebuilt im2col matrix. Whether it does depends on how the BLAS build
-    picks its kernels, so CI also runs this class on one BLAS thread and on
-    one CPU."""
+    its cached input, the cells in the padding written as +0.0, and must
+    have the bytes of the one GEMM of the rebuilt im2col matrix. Whether it
+    does depends on how the BLAS build picks its kernels, so CI also runs
+    this class on one BLAS thread and on one CPU."""
 
     # (images, side, c, f): 4 x 32^2 puts some tap products above
     # _MIN_BLOCK_MACS and some below; 1 x 40^2 with 3 channels and 8 x 16^2
@@ -291,15 +291,18 @@ class TestFilterGradientTaps:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        first, cache = caches[0]
+        assert first.kind == "conv" and cache.x is x.data  # the input itself, unpadded
         im2col = {}
         for layer, cache in caches:
             if layer.kind == "conv":
                 _, k, _, c = cache.filters.shape
-                oh = (cache.xp.shape[1] - k) // cache.geometry.s + 1
-                ow = (cache.xp.shape[2] - k) // cache.geometry.s + 1
-                im2col[layer.name] = x.i * oh * ow * c * k * k * cache.xp.itemsize
+                g = cache.geometry
+                oh = (cache.x.shape[1] + 2 * g.z - k) // g.s + 1
+                ow = (cache.x.shape[2] + 2 * g.z - k) // g.s + 1
+                im2col[layer.name] = x.i * oh * ow * c * k * k * cache.x.itemsize
                 # The filters are the parameter store's, not the cache's.
-                assert max(cache.xp.nbytes, cache.relu_mask.nbytes) < im2col[layer.name] / 4
+                assert max(cache.x.nbytes, cache.relu_mask.nbytes) < im2col[layer.name] / 4
         assert len(im2col) == 8
         # Every cache of the model together holds less than its convs'
         # im2col matrices would.
