@@ -305,33 +305,20 @@ def _parse_ks(text) -> tuple:
         raise ConfigError(f"expected comma-separated k values, got {text!r}") from None
 
 
-def _class_count(spec: models.ModelSpec) -> int:
-    return math.prod(models.infer_shapes(spec)[-1])
-
-
-def _check_ks(spec: models.ModelSpec, ks) -> None:
-    """Refuse each of `ks` that the spec's class count cannot rank; a
-    command calls this before it reads any weight."""
-    n_classes = _class_count(spec)
-    for k in ks:
-        evaluation.check_k(k, n_classes)
-
-
-def _check_class_names(spec: models.ModelSpec, names) -> None:
-    """Refuse a manifest whose class count is not the spec's; a command
+def _check_class_names(n_classes: int, names) -> None:
+    """Refuse a manifest whose class count is not the model's; a command
     calls this before it reads any weight."""
-    n_classes = _class_count(spec)
     if len(names) != n_classes:
         raise ConfigError(f"manifest has {len(names)} classes, model outputs {n_classes}")
 
 
 def cmd_eval(args) -> int:
-    ks = None if args.ks is None else _parse_ks(args.ks)  # None: evaluation.default_ks
+    ks = None if args.ks is None else _parse_ks(args.ks)  # None: plan_scores' default
     batch_size = _parse_int(args.batch_size)
     spec = models.load_model_spec(args.spec)
-    _check_ks(spec, ks or ())
+    plan = evaluation.plan_scores(spec, ks)
     manifest = dataio.load_manifest(args.manifest, root=args.dataset_root)
-    _check_class_names(spec, manifest.classes)
+    _check_class_names(plan.n_classes, manifest.classes)
     batches = dataio.batch_iterator(manifest, args.split, batch_size, _model_input_side(spec))
     report = evaluation.evaluate(spec, models.load_weights(args.weights, spec), batches, ks=ks)
     summary = " ".join(f"top{k}={report.accuracy(k)!r}" for k in report.ks)
@@ -346,13 +333,13 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     k = _parse_int(args.k)
     spec = models.load_model_spec(args.spec)
-    _check_ks(spec, (k,))
+    plan = evaluation.plan_scores(spec, (k,))
     side = _model_input_side(spec)
     if args.manifest:
         names = dataio.load_manifest(args.manifest).classes
-        _check_class_names(spec, names)
+        _check_class_names(plan.n_classes, names)
     else:
-        names = tuple(f"class_{i}" for i in range(_class_count(spec)))
+        names = tuple(f"class_{i}" for i in range(plan.n_classes))
     params = models.load_weights(args.weights, spec)
     image = dataio.load_image(args.image).pixels
     packed = dataio.pack_image(image, side)
@@ -489,7 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", default="test", choices=dataio.SPLITS)
     p_eval.add_argument("--ks", default=None,
                         help="comma-separated k values (default 1,5, or 1 below 5 classes)")
-    p_eval.add_argument("--batch-size", default=32)
+    p_eval.add_argument("--batch-size", default=_TRAIN.batch_size,
+                        help=f"images per forward (default {_TRAIN.batch_size}, as train's)")
     p_eval.add_argument("--out", default=None, help="write a per-class report CSV here")
     p_eval.set_defaults(handler=cmd_eval)
 
@@ -524,9 +512,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--manifest", required=True)
     p_dump.add_argument("--dataset-root", default=None)
     p_dump.add_argument("--split", default="train", choices=dataio.SPLITS)
-    p_dump.add_argument("--batch-size", default=8)
-    p_dump.add_argument("--input-side", default=32)
-    p_dump.add_argument("--seed", default=None)
+    p_dump.add_argument("--batch-size", default=8,
+                        help="images in the batch (default 8, not train's)")
+    p_dump.add_argument("--input-side", default=32,
+                        help="side the images are packed to (default 32, not train's)")
+    p_dump.add_argument("--seed", default=None,
+                        help="shuffle seed (default none: the manifest order, not train's 0)")
     p_dump.add_argument("--out-dir", default="dump", type=_out_dir_flag)
     p_dump.set_defaults(handler=cmd_dump_batch)
 

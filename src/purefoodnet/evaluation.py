@@ -1,25 +1,34 @@
 """One-hot label codecs, top-k accuracy, and evaluation reports.
 
-Top-k candidate sets are computed by stable argsort on negated scores, so
-tied scores resolve to the lower class index first and every metric here
-is deterministic.
+Every metric here, and training's top-1, reads one ranking of the scores,
+`rank`: a stable argsort on negated scores, so tied scores resolve to the
+lower class index first and every count is deterministic. The class count
+and the ks come from the model spec alone (`plan_scores`), before any
+forward or weight read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import models
 from .errors import DataError, ShapeError
 from .tensor import Tensor4
 
 __all__ = [
     "EvalReport",
     "PredictionBatch",
+    "ScorePlan",
     "check_one_hot",
     "evaluate",
+    "hit_counts",
     "one_hot_matrix",
+    "plan_scores",
+    "rank",
     "report_to_csv",
     "top_k_accuracy",
     "top_k_candidates",
@@ -45,19 +54,6 @@ def check_one_hot(rows: np.ndarray) -> None:
         raise ValueError("labels must be one-hot rows (exactly one 1, rest 0)")
 
 
-def _truth_indices(labels, n_classes: int) -> np.ndarray:
-    """Accept truth as class indices or as one-hot rows."""
-    arr = np.asarray(labels)
-    if arr.ndim == 2:
-        if arr.shape[1] != n_classes:
-            raise ShapeError(f"labels have {arr.shape[1]} columns, scores {n_classes}")
-        check_one_hot(arr)
-        return arr.argmax(axis=1).astype(np.int64)
-    if arr.ndim == 1:
-        return arr.astype(np.int64)
-    raise ShapeError(f"labels must be indices or one-hot rows, got shape {arr.shape}")
-
-
 @dataclass(frozen=True)
 class PredictionBatch:
     """Score matrix plus the true class index of each row."""
@@ -66,22 +62,27 @@ class PredictionBatch:
     truth: np.ndarray
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = np.array(self.scores, dtype=np.float64)  # a copy, frozen below as truth is
         if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
             raise ShapeError(f"scores must be (N, n_classes) with N >= 1, got {scores.shape}")
         if not np.isfinite(scores).all():
             raise ValueError("scores contain non-finite values")
-        truth = _truth_indices(self.truth, scores.shape[1])
+        truth = np.asarray(self.truth)  # class indices, or one-hot rows
+        if truth.ndim == 2:
+            if truth.shape[1] != scores.shape[1]:
+                raise ShapeError(f"labels have {truth.shape[1]} columns, scores {scores.shape[1]}")
+            check_one_hot(truth)
+            truth = truth.argmax(axis=1)
+        elif truth.ndim != 1:
+            raise ShapeError(f"labels must be indices or one-hot rows, got shape {truth.shape}")
+        truth = truth.astype(np.int64)
         if truth.shape[0] != scores.shape[0]:
             raise ShapeError(f"{scores.shape[0]} score rows but {truth.shape[0]} labels")
         if truth.min() < 0 or truth.max() >= scores.shape[1]:
             raise ValueError("truth indices out of range")
-        scores = scores.copy()
-        scores.setflags(write=False)
-        truth = truth.copy()
-        truth.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "truth", truth)
+        for name, arr in (("scores", scores), ("truth", truth)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_samples(self) -> int:
@@ -97,28 +98,31 @@ def check_k(k: int, n_classes: int) -> None:
         raise ValueError(f"k must be in [1, {n_classes}], got {k}")
 
 
+def rank(scores) -> np.ndarray:
+    """The class indices of each score row (the last axis), highest score
+    first; of tied scores the lower index comes first."""
+    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")
+
+
+def hit_counts(order: np.ndarray, truth: np.ndarray, ks) -> dict[int, int]:
+    """Per k, how many rows of a ranking (`rank` of an (N, n_classes) score
+    matrix) hold their true class index among their first k."""
+    return {k: int((order[:, :k] == truth[:, None]).any(axis=1).sum()) for k in ks}
+
+
 def top_k_candidates(score_row, k: int) -> np.ndarray:
-    """Indices of the k highest scores, tied scores to the lower index."""
+    """Indices of the k highest scores in `rank` order, ties to the lower index."""
     row = np.asarray(score_row, dtype=np.float64)
     if row.ndim != 1:
         raise ShapeError(f"expected a score row, got shape {row.shape}")
     check_k(k, row.shape[0])
-    return np.argsort(-row, kind="stable")[:k]
-
-
-def _hit_counts(scores: np.ndarray, truth: np.ndarray, ks) -> dict[int, int]:
-    order = np.argsort(-scores, axis=1, kind="stable")
-    counts = {}
-    for k in ks:
-        counts[k] = int((order[:, :k] == truth[:, None]).any(axis=1).sum())
-    return counts
+    return rank(row)[:k]
 
 
 def top_k_accuracy(batch: PredictionBatch, k: int) -> float:
     """Fraction of rows whose true class lands in the top-k candidate set."""
     check_k(k, batch.n_classes)
-    hits = _hit_counts(batch.scores, batch.truth, (k,))[k]
-    return hits / batch.n_samples
+    return hit_counts(rank(batch.scores), batch.truth, (k,))[k] / batch.n_samples
 
 
 @dataclass
@@ -139,50 +143,55 @@ class EvalReport:
         return tuple(sorted(self.hits))
 
 
-def default_ks(n_classes: int) -> tuple:
-    return tuple(k for k in (1, 5) if k <= n_classes)
+class ScorePlan(NamedTuple):
+    """A model's scores, read from its spec alone: the (h, w, c) output of
+    one image, its class count (every cell of that output) and the ks."""
+
+    shape: tuple
+    n_classes: int
+    ks: tuple
+
+
+def plan_scores(spec, ks=None) -> ScorePlan:
+    """The scores of `spec` and the ks to rank them by: `ks` without repeats
+    (default 1 and 5, or 1 below 5 classes), each checked against the class
+    count. A command calls this before it reads any weight."""
+    shape = tuple(models.infer_shapes(spec)[-1])
+    n_classes = math.prod(shape)
+    if ks is None:
+        ks = (k for k in (1, 5) if k <= n_classes)
+    ks = tuple(dict.fromkeys(int(k) for k in ks))
+    for k in ks:
+        check_k(k, n_classes)
+    return ScorePlan(shape, n_classes, ks)
 
 
 def evaluate(spec, params, batches, ks=None) -> EvalReport:
-    """Run inference over an iterable of (Tensor4, labels) batches.
-
-    Labels may be class-index vectors or one-hot rows. Counters are exact
-    integers; a report is the merge of its batches in any order.
-    """
-    from .models import forward
-
-    n_samples = 0
-    n_classes = None
-    hits = None
-    class_correct = None
-    class_total = None
+    """Run inference over an iterable of (Tensor4, labels) batches, labels
+    as class-index vectors or one-hot rows. `plan_scores` sizes the report,
+    so a bad k, or an output that is not a score vector, is refused before
+    the first forward. Top-k hits and per-class top-1 (column 0) read one
+    `rank` of each batch. Counters are exact integers; a report is the merge
+    of its batches in any order."""
+    plan = plan_scores(spec, ks)
+    if plan.shape[:2] != (1, 1):
+        raise ShapeError(f"model output is not a score vector: {plan.shape}")
+    hits = dict.fromkeys(plan.ks, 0)
+    class_correct, class_total = np.zeros((2, plan.n_classes), dtype=np.int64)
     for x, labels in batches:
         if not isinstance(x, Tensor4):
             x = Tensor4(np.asarray(x))
-        out = forward(spec, params, x)
-        if out.h != 1 or out.w != 1:
-            raise ShapeError(f"model output is not a score vector: {out.shape}")
-        scores = out.data.reshape(out.i, out.c)
-        if n_classes is None:
-            n_classes = scores.shape[1]
-            if ks is None:
-                ks = default_ks(n_classes)
-            ks = tuple(dict.fromkeys(int(k) for k in ks))
-            for k in ks:
-                check_k(k, n_classes)
-            hits = {k: 0 for k in ks}
-            class_correct = np.zeros(n_classes, dtype=np.int64)
-            class_total = np.zeros(n_classes, dtype=np.int64)
-        batch = PredictionBatch(scores, labels)
-        for k, count in _hit_counts(batch.scores, batch.truth, ks).items():
+        out = models.forward(spec, params, x)
+        batch = PredictionBatch(out.data.reshape(out.i, plan.n_classes), labels)
+        order = rank(batch.scores)
+        for k, count in hit_counts(order, batch.truth, plan.ks).items():
             hits[k] += count
-        top1 = batch.scores.argmax(axis=1)  # argmax takes the lowest tied index
         np.add.at(class_total, batch.truth, 1)
-        np.add.at(class_correct, batch.truth[top1 == batch.truth], 1)
-        n_samples += batch.n_samples
+        np.add.at(class_correct, batch.truth[order[:, 0] == batch.truth], 1)
+    n_samples = int(class_total.sum())
     if n_samples == 0:
         raise DataError("evaluation split produced no batches")
-    return EvalReport(n_samples, n_classes, hits, class_correct, class_total)
+    return EvalReport(n_samples, plan.n_classes, hits, class_correct, class_total)
 
 
 def report_to_csv(report: EvalReport, class_names=None) -> str:

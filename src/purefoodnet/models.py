@@ -291,9 +291,13 @@ class ParamStore(UserDict):
         return new
 
     def __eq__(self, other):
+        """Same names in order, and arrays of one dtype, shape and bytes: -0.0 is not +0.0."""
         if not isinstance(other, ParamStore):
             return NotImplemented
-        return list(self) == list(other) and all(np.array_equal(self[k], other[k]) for k in self)
+        return list(self) == list(other) and all(
+            a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(f"V{a.itemsize}"), b.view(f"V{b.itemsize}"))
+            for a, b in zip(self.data.values(), other.data.values()))
 
     def __repr__(self):
         return f"ParamStore({len(self)} tensors)"

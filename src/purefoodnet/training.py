@@ -16,7 +16,7 @@ import numpy as np
 from . import layers as L
 from . import models as M
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
-from .evaluation import check_one_hot
+from .evaluation import check_one_hot, hit_counts, rank
 from .layers import (batchnorm_backward, conv2d_backward, dense_backward, dense_backward_from_pre,
                      dropout_backward, flatten_backward, pool_backward)
 from .seeding import make_rng
@@ -269,11 +269,6 @@ class TrainResult:
     stopped_early: bool
 
 
-def _top1_hits(probs, labels: np.ndarray) -> int:
-    p = _as_rows(probs)
-    return int((p.argmax(axis=1) == labels.argmax(axis=1)).sum())
-
-
 def _batches(source, config: TrainConfig, epoch: int | None = None):
     """One pass over a batch source: a callable, given the epoch of a training
     pass, or an in-memory (Tensor4, labels) pair, which a training pass
@@ -304,7 +299,7 @@ def evaluate_loss_top1(spec: M.ModelSpec, params: M.ParamStore, batches, first: 
         probs = M.forward(spec, params, xb, first=first)
         y = _as_rows(yb)
         loss_sum += cross_entropy_loss(probs, y) * xb.i
-        hits += _top1_hits(probs, y)
+        hits += hit_counts(rank(_as_rows(probs)), y.argmax(axis=1), (1,))[1]
         count += xb.i
     if count == 0:
         return math.nan, math.nan
@@ -455,7 +450,7 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
                 l2_strength=config.l2_strength, l1_strength=config.l1_strength,
                 rng=rng, first=first)
             loss_sum += loss * xb.i
-            hits += _top1_hits(probs, _as_rows(yb))
+            hits += hit_counts(rank(_as_rows(probs)), _as_rows(yb).argmax(axis=1), (1,))[1]
             count += xb.i
             if grads:
                 sgd_nesterov_step(params, grads, velocity, config.momentum, lr)

@@ -227,6 +227,21 @@ class TestTrain:
                               ("head_units", 512)):
             assert f"override {name} (default {default!r})" in shown
 
+    def test_own_flags_name_their_defaults(self, capsys):
+        # eval and dump-batch define flags that share names with train's
+        # settings, with defaults of their own; their help says which.
+        args = cli._build_parser().parse_args(["eval", "--spec", "s", "--weights", "w",
+                                               "--manifest", "m"])
+        assert args.batch_size == T.TrainConfig.batch_size
+        assert main(["eval", "--help"]) == 0
+        assert main(["dataio", "dump-batch", "--help"]) == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        for text in (f"images per forward (default {T.TrainConfig.batch_size}, as train's)",
+                     "images in the batch (default 8, not train's)",
+                     "side the images are packed to (default 32, not train's)",
+                     "shuffle seed (default none: the manifest order, not train's 0)"):
+            assert text in shown
+
 
 SETTINGS = [f.name for f in dataclasses.fields(cli.RunConfig)]
 # One value of each setting, unlike its default, that resolves without a file.

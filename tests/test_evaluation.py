@@ -2,9 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purefoodnet import evaluation as E
 from purefoodnet import models as M
+from purefoodnet import training as T
 from purefoodnet.errors import DataError, ShapeError
 from purefoodnet.tensor import Tensor4
 
@@ -281,6 +284,78 @@ class TestEvaluate:
         x = np.zeros((2, 1, 1, 2))
         with pytest.raises(ValueError):
             E.evaluate(spec, params, self._batches(x, np.array([0, 1]), 2), ks=(4,))
+
+
+class TestOneRanking:
+    """Every top-1 count, in `evaluate` and in training, is column 0 of
+    `rank`, and must equal the `argmax` expressions it replaced, which take
+    the lowest tied index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda c: st.tuples(
+        st.just(c),
+        st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=c, max_size=c),
+                           st.integers(0, c - 1)), min_size=1, max_size=24),
+        st.integers(1, 8))))
+    def test_top1_and_per_class_counts_match_argmax(self, case):
+        n_classes, rows, batch_size = case
+        scores = np.array([row for row, _ in rows], dtype=np.float64)  # tie-heavy
+        truth = np.array([t for _, t in rows])
+        top1 = scores.argmax(axis=1)  # evaluate's old per-class top-1
+        want_hits = int((top1 == truth).sum())
+        want_correct = np.zeros(n_classes, dtype=np.int64)
+        np.add.at(want_correct, truth[top1 == truth], 1)
+        onehot = E.one_hot_matrix(truth, n_classes)
+        want_train = int((scores.argmax(axis=1) == onehot.argmax(axis=1)).sum())  # training's
+
+        assert E.hit_counts(E.rank(scores), truth, (1,)) == {1: want_hits}
+        # An identity dense layer outputs the scores themselves.
+        spec = M.ModelSpec((1, 1, n_classes), (M.flatten_spec(), M.dense_spec("out", n_classes)),
+                           top_boundary=0)
+        params = M.ParamStore({"out.weights": np.eye(n_classes), "out.bias": np.zeros(n_classes)})
+        x = scores.reshape(-1, 1, 1, n_classes)
+        batches = [(Tensor4(x[at:at + batch_size].copy()), truth[at:at + batch_size])
+                   for at in range(0, len(rows), batch_size)]
+        report = E.evaluate(spec, params, batches, ks=(1,))
+        assert report.hits == {1: want_hits}
+        assert report.class_correct.tobytes() == want_correct.tobytes()
+        assert report.class_total.tobytes() == np.bincount(truth, minlength=n_classes).tobytes()
+        rows_of = [(xb, E.one_hot_matrix(yb, n_classes)) for xb, yb in batches]
+        _, top1_rate = T.evaluate_loss_top1(spec, params, rows_of)
+        assert top1_rate == want_train / len(rows)
+
+    def test_rank_orders_each_row_with_ties_to_the_lower_index(self):
+        scores = np.array([[0.2, 0.7, 0.7, -0.0], [0.0, -0.0, 0.0, 1.0]])
+        assert E.rank(scores).tolist() == [[1, 2, 0, 3], [3, 0, 1, 2]]
+        assert E.hit_counts(E.rank(scores), np.array([2, 1]), (1, 2, 3)) == {1: 0, 2: 1, 3: 2}
+
+
+class TestPlanScores:
+    def test_class_count_and_ks_come_from_the_spec(self):
+        assert E.plan_scores(linear_spec(3, 8)) == E.ScorePlan((1, 1, 8), 8, (1, 5))
+        assert E.plan_scores(linear_spec(3, 4)).ks == (1,)
+        assert E.plan_scores(linear_spec(3, 8), ks=(5, "1", 5, 1)).ks == (5, 1)
+        with pytest.raises(ValueError, match=re.escape("k must be in [1, 8], got 9")):
+            E.plan_scores(linear_spec(3, 8), ks=(1, 9))
+
+    def test_a_spatial_output_counts_every_cell(self):
+        spec = M.ModelSpec((2, 2, 1), (M.conv_spec("c", 3, 1),), top_boundary=0)
+        plan = E.plan_scores(spec, ks=(12,))
+        assert plan.shape == (2, 2, 3) and plan.n_classes == 12
+
+    @pytest.mark.parametrize("spec, ks, error, message", [
+        (linear_spec(2, 3), (4,), ValueError, "k must be in [1, 3], got 4"),
+        (M.ModelSpec((2, 2, 1), (M.conv_spec("c", 3, 1),), top_boundary=0), None, ShapeError,
+         "model output is not a score vector: (2, 2, 3)"),
+    ], ids=["bad-k", "not-a-vector"])
+    def test_evaluate_refuses_before_any_forward(self, monkeypatch, spec, ks, error, message):
+        forwards = []
+        monkeypatch.setattr(M, "forward", lambda *args, **kwargs: forwards.append(args))
+        params = M.init_params(spec, seed=1, dtype=np.float64)
+        x = Tensor4(np.zeros((2, *spec.input_shape)))
+        with pytest.raises(error, match=re.escape(message)):
+            E.evaluate(spec, params, [(x, np.array([0, 1]))], ks=ks)
+        assert not forwards
 
 
 class TestReportCsv:

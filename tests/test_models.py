@@ -232,6 +232,25 @@ class TestParamStore:
         assert M.ParamStore(x=a["x"], y=c["x"]) != M.ParamStore(y=c["x"], x=a["x"])  # order
         assert a != {"x": np.arange(4.0)}
 
+    def test_equality_compares_bytes(self):
+        zeros = np.zeros(3)
+        signed = np.array([0.0, -0.0, 0.0])
+        assert np.array_equal(zeros, signed)  # what `==` must not rely on
+        assert M.ParamStore(x=zeros) != M.ParamStore(x=signed)
+        assert M.ParamStore(x=signed) == M.ParamStore(x=signed.copy())
+        values = np.arange(4.0)
+        assert M.ParamStore(x=values) != M.ParamStore(x=values.astype(np.float32))
+        assert M.ParamStore(x=values) != M.ParamStore(x=values.astype(">f8"))  # byte order
+        # Strided and 0-d arrays compare by their values' bytes, as contiguous ones.
+        grid = np.arange(12.0).reshape(3, 4)
+        assert M.ParamStore(x=grid.T) == M.ParamStore(x=np.ascontiguousarray(grid.T))
+        assert M.ParamStore(x=grid[:, ::2]) != M.ParamStore(x=grid[:, 1::2])
+        assert M.ParamStore(x=np.array(-0.0)) != M.ParamStore(x=np.array(0.0))
+        assert M.ParamStore(x=np.array(2.5)) == M.ParamStore(x=np.array(2.5))
+        wide = np.array([1 + 0j, complex(-0.0, 0.0)])  # 16-byte items
+        assert M.ParamStore(x=wide) == M.ParamStore(x=wide.copy())
+        assert M.ParamStore(x=wide) != M.ParamStore(x=np.array([1 + 0j, 0j]))
+
 
 class TestParamShapesAndInit:
     def test_expected_shapes(self):

@@ -201,6 +201,49 @@ class TestBackwardBitExactness:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    def test_conv_dw_reads_the_padded_dx_slice_from_the_conv_above(self, monkeypatch):
+        # A padded conv's dx is a strided slice of its padded buffer, and
+        # reaches a conv with activation "none" below it as it is: its
+        # filter gradient then copies d's rows into C order, where a
+        # contiguous d would give a strided view. The two layouts round
+        # differently, so the bytes pin the slice (see CHANGES.md).
+        seen = {}
+        real = T.conv2d_backward
+
+        def spy(d, cache, need_dx=True):
+            seen[need_dx] = (d, cache)
+            return real(d, cache, need_dx)
+
+        monkeypatch.setattr(T, "conv2d_backward", spy)
+        layouts_differ = []
+        for f in (2, 8, 32):
+            spec = M.ModelSpec((16, 16, 3), (
+                M.conv_spec("c1", f, 1, activation="none"), M.conv_spec("c2", 4, 3, padding=1),
+                M.flatten_spec(), M.dense_spec("out", 3, "softmax")), top_boundary=0)
+            rng = np.random.default_rng(f)
+            x = rng.normal(size=(4, 16, 16, 3)).astype(np.float32)
+            labels = np.eye(3, dtype=np.float32)[rng.integers(0, 3, 4)]
+            _, grads, _ = T.loss_and_gradients(spec, M.init_params(spec, seed=f),
+                                               Tensor4(x.copy()), labels)
+            # c2's dx, scattered into a padded buffer and sliced, as conv2d_backward does.
+            d2, cache2 = seen[True]
+            d2 = d2 * cache2.relu_mask
+            dxp = np.zeros((4, 18, 18, f), np.float32)
+            for p in range(3):
+                for q in range(3):
+                    dxp[:, p:p + 16, q:q + 16, :] += np.tensordot(
+                        d2, cache2.filters[:, p, q, :], axes=([3], [0]))
+            d1 = dxp[:, 1:-1, 1:-1, :]
+            assert seen[False][0].tobytes() == d1.tobytes()
+            want = rebuilt_gemm_dw(d1, x, 1, 1, 0)
+            got = grads["c1.filters"]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            contiguous = rebuilt_gemm_dw(np.ascontiguousarray(d1), x, 1, 1, 0)
+            layouts_differ.append(contiguous.tobytes() != want.tobytes())
+        # On this BLAS build the layouts give different bytes, so this test
+        # would catch a contiguous dx.
+        assert any(layouts_differ)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(2, 1, 1, 3), (4, 5, 5, 2), (40, 32, 32, 16),
                                        (1, 7, 3, 9)])
