@@ -30,6 +30,15 @@ otherwise. Every block takes the BLAS kernel the whole product would, so
 the bits are the same at any worker count. Workers run only untraced numpy
 work (`run_jobs`). Convolutions are cross-correlations: the kernel is
 applied as stored, never flipped.
+Without a cache, a conv can also run the inference batch norm after it
+and a pool whose window is its stride (`conv2d_cached(bn=, pool=)`, as
+`models.forward` calls it): each worker adds the bias, applies the ReLU,
+the batch norm and the pool to each block right after its GEMM, scans the
+block for finiteness, and writes only the pooled rows. A pooled run's
+blocks and shares are whole pool windows of rows. The batch-norm and pool
+arithmetic is one helper each (`_normalize`, `_pool_windows`), shared with
+`batchnorm_cached` and `pool_cached`, so a run has the bytes of its layers
+run one by one.
 Activations are fused into the conv and dense layers; `softmax` also
 exists standalone, with no backward.
 """
@@ -45,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBatchError, GeometryError, NonFiniteError, ShapeError
-from .tensor import ConvGeometry, Tensor4, conv_output_size
+from .tensor import ConvGeometry, Tensor4, all_finite, conv_output_size
 
 BATCHNORM_EPS = 1e-5
 BATCHNORM_MOMENTUM = 0.1
@@ -319,34 +328,47 @@ def _least_units(ow: int, width: int, f: int) -> int:
     return max(-(-_MIN_BLOCK_ROWS // ow), -(-_MIN_BLOCK_MACS // (ow * width * f)))
 
 
-def _block_units(units: int, ow: int, width: int, f: int, itemsize: int) -> int:
+def _round_up(n: int, step: int) -> int:
+    return -(-n // step) * step
+
+
+def _block_units(units: int, ow: int, width: int, f: int, itemsize: int, step: int = 1) -> int:
     """Output rows per block of a conv: all `units` of them when the im2col
     matrix is within _ONE_BLOCK_BYTES or the bank has one filter, else
     about _IM2COL_BLOCK_BYTES of matrix, but never below the kernel
-    minimums."""
+    minimums; a whole number of `step`s (pool windows) of rows either way,
+    `units` being one."""
     unit_bytes = ow * width * itemsize
     if f < 2 or units * unit_bytes <= _ONE_BLOCK_BYTES:
         return units
-    return min(units, max(_least_units(ow, width, f), _IM2COL_BLOCK_BYTES // unit_bytes))
+    b = max(_least_units(ow, width, f), _IM2COL_BLOCK_BYTES // unit_bytes)
+    return min(units, _round_up(b, step))
 
 
-def _share_bounds(units: int, b: int, least: int) -> list[int]:
+def _share_bounds(units: int, b: int, least: int, step: int = 1) -> list[int]:
     """Bounds of the workers' shares of `units` output rows in blocks of b:
     one share when one block holds them all, else one per worker, but never
-    more than there are blocks or shares of at least `least` rows."""
-    n = 1 if b == units else min(_WORKERS, -(-units // b), units // least)
-    return [units * j // n for j in range(n + 1)]
+    more than there are blocks or shares of at least `least` rows. Every
+    bound is a whole number of `step`s, which divides `units` and b."""
+    n = 1 if b == units else min(_WORKERS, -(-units // b), units // _round_up(least, step))
+    return [step * (units // step * j // n) for j in range(n + 1)]
 
 
 def _multiply_rows(x: np.ndarray, g: ConvGeometry, oh: int, ow: int, fmat: np.ndarray,
-                   rows: np.ndarray, start: int, stop: int, cols: np.ndarray) -> None:
-    """Write output rows start..stop-1 of the conv into `rows` through the
+                   rows: np.ndarray, start: int, stop: int, cols: np.ndarray,
+                   finish=None, block: np.ndarray | None = None) -> None:
+    """Write output rows start..stop-1 of the conv's product through the
     im2col buffer `cols`, as many at a time as it holds, the last block
-    overlapping the one before (blocks may span images)."""
+    overlapping the one before (blocks may span images). Each block's
+    product goes to its rows of `rows`, or to `block`, a buffer of one
+    block, when one is given; `finish(product, u)`, if given, then takes
+    it, u being the block's first output row."""
     b = len(cols) // ow
     for j, u in enumerate((*range(start, stop - b, b), stop - b)):
-        np.dot(_im2col(x, g.k, g.s, g.z, oh, ow, cols, u, sides=j == 0), fmat,
-               out=rows[u * ow:(u + b) * ow])
+        product = rows[u * ow:(u + b) * ow] if block is None else block
+        np.dot(_im2col(x, g.k, g.s, g.z, oh, ow, cols, u, sides=j == 0), fmat, out=product)
+        if finish is not None:
+            finish(product, u)
 
 
 def _relu_inplace(out: np.ndarray) -> None:
@@ -357,12 +379,80 @@ def _relu_inplace(out: np.ndarray) -> None:
     out += 0.0
 
 
-def conv2d_cached(x: Tensor4, layer: ConvLayer,
-                  need_cache: bool = True) -> tuple[Tensor4, ConvCache | None]:
+def fusable(x: Tensor4, layer: ConvLayer, bn: BatchNormLayer | None,
+            pool: PoolLayer | None) -> tuple[BatchNormLayer | None, PoolLayer | None]:
+    """What of `bn`, an inference batch norm right after the conv `layer` on
+    x, and then `pool` can run in the conv's blocks (`conv2d_cached`):
+    neither when the conv's bias or the batch norm's parameters would widen
+    the conv's dtype, and no pool whose window is not its stride."""
+    dtype = np.result_type(x.data, layer.filters)
+    arrays = (layer.bias,) if bn is None else (layer.bias, bn.gamma, bn.beta,
+                                               bn.running_mean, bn.running_var)
+    if np.result_type(dtype, *arrays) != dtype:
+        return None, None
+    return bn, pool if pool is None or pool.window == pool.stride else None
+
+
+def _fused_step(x: Tensor4, layer: ConvLayer, bn: BatchNormLayer | None,
+                pool: PoolLayer | None, need_cache: bool, oh: int, ow: int) -> int:
+    """Output rows per pool window of a conv that runs `bn` and `pool` in its
+    blocks, 1 without a pool; raises when they cannot run there."""
+    if bn is None and pool is None:
+        return 1
+    if need_cache:
+        raise ValueError("a conv runs a batch norm or pool in its blocks only without a cache")
+    fit = fusable(x, layer, bn, pool)
+    if fit[0] is not bn or fit[1] is not pool:
+        raise ValueError("a batch norm or pool in a conv's blocks must keep its dtype, "
+                         "and the pool's window must be its stride")
+    f = layer.filters.shape[0]
+    if bn is not None and bn.gamma.shape != (f,):
+        raise ShapeError(f"batch norm has {bn.gamma.shape[0]} channels, input has {f}")
+    if pool is None:
+        return 1
+    pool_output_size(oh, ow, pool.window, pool.stride)
+    return pool.window
+
+
+def _finish_block(bias: np.ndarray, relu: bool, bn: BatchNormLayer | None,
+                  inv_std: np.ndarray | None, pool: PoolLayer | None, out: np.ndarray,
+                  product: np.ndarray, u: int) -> None:
+    """Bias, ReLU and the inference batch norm `bn` of a block of a conv's
+    product, output rows u.. of the conv, in place. With `pool`, the block
+    is then checked for finiteness, as a `Tensor4` of the whole map would
+    be (a value that loses its window must still fail), and pooled into its
+    rows of `out`, the pooled map."""
+    product += bias
+    if relu:
+        _relu_inplace(product)
+    if bn is not None:
+        product -= bn.running_mean
+        _normalize(product, inv_std, bn.gamma, bn.beta)
+    if pool is None:
+        return
+    if not all_finite(product):
+        raise NonFiniteError("Tensor4 values must be finite")
+    p, (_, _, ow, f) = pool.window, out.shape
+    b = len(product) // (ow * p)  # output rows in the block
+    out.reshape(-1, ow, f)[u // p:(u + b) // p] = _pool_windows(
+        product.reshape(b, ow * p, f), pool, b // p, ow)[0]
+
+
+def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
+                  bn: BatchNormLayer | None = None,
+                  pool: PoolLayer | None = None) -> tuple[Tensor4, ConvCache | None]:
     """The conv output and, when `need_cache` is true, the cache its backward
     consumes (None otherwise). Each worker multiplies its own share of the
     output rows (`_share_bounds`) through its own buffer of one block
-    (`_block_units`), cache or none."""
+    (`_block_units`), cache or none.
+
+    Without a cache, `bn` (an inference batch norm) and then `pool` (a pool
+    whose window is its stride) run inside the blocks: each worker adds the
+    bias, applies the ReLU, the batch norm and the pool to each block right
+    after its GEMM, and only the final map is made. A pooled run takes its
+    blocks and shares in whole pool windows of rows, so no window spans two
+    blocks or two images. The bytes are those of the layers run one by one;
+    `fusable` says which batch norm and pool can run there."""
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -375,16 +465,27 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer,
     # trained weights' bytes, depend on it.
     f = filters.shape[0]
     fmat = filters.transpose(3, 1, 2, 0).reshape(-1, f)
-    out = np.empty((x.i, oh, ow, f), dtype=np.result_type(x.data, fmat))
+    dtype = np.result_type(x.data, fmat)
+    step = _fused_step(x, layer, bn, pool, need_cache, oh, ow)
     units, width = x.i * oh, len(fmat)
-    b = _block_units(units, ow, width, f, x.data.itemsize)
-    bounds = _share_bounds(units, b, _least_units(ow, width, f))
+    b = _block_units(units, ow, width, f, x.data.itemsize, step)
+    bounds = _share_bounds(units, b, _least_units(ow, width, f), step)
+    shares = list(zip(bounds, bounds[1:]))
     # Every buffer comes from this thread's heap: memory a worker allocated
     # would stay in that thread's own malloc arena.
-    buffers = [np.empty((min(b, hi - lo) * ow, width), dtype=x.data.dtype)
-               for lo, hi in zip(bounds, bounds[1:])]
+    buffers = [np.empty((min(b, hi - lo) * ow, width), dtype=x.data.dtype) for lo, hi in shares]
+    out = np.empty((x.i, oh // step, ow // step, f), dtype=dtype)
+    if bn is not None or pool is not None:
+        finish = partial(_finish_block, layer.bias, layer.activation == "relu", bn,
+                         None if bn is None else _inv_std(bn.running_var), pool, out)
+        # A pooled block's product goes to a buffer of one block.
+        blocks = [None if pool is None else np.empty((len(cols), f), dtype) for cols in buffers]
+        run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f), lo, hi,
+                          cols, finish, block)
+                  for (lo, hi), cols, block in zip(shares, buffers, blocks)])
+        return Tensor4(out), None
     run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f), lo, hi, cols)
-              for lo, hi, cols in zip(bounds, bounds[1:], buffers)])
+              for (lo, hi), cols in zip(shares, buffers)])
     # A bias of a wider dtype widens the sum, as `out + bias` would.
     out = out.astype(np.result_type(out, layer.bias), copy=False)
     out += layer.bias
@@ -495,29 +596,38 @@ def pool_output_size(h: int, w: int, window: int, stride: int) -> tuple[int, int
     return (h - window) // stride + 1, (w - window) // stride + 1
 
 
+def _pool_windows(x: np.ndarray, layer: PoolLayer, oh: int, ow: int,
+                  need_winner: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The oh x ow pool of x (rows, columns and channels on its last three
+    axes) as a new array, and, for a max-pool with `need_winner`, each
+    window's winning tap (else None)."""
+    window = layer.window
+    taps = (tap for _, _, tap in _taps(x, window, layer.stride, oh, ow))
+    if layer.mode == "average":
+        # A sum over the taps in (p, q) order from +0.0, as numpy's sums
+        # start (a window of -0.0 averages to +0.0), then one division.
+        out = next(taps) + 0.0
+        for tap in taps:
+            out += tap
+        out /= window * window
+        return out, None
+    # A running maximum over the taps in (p, q) order, where only a strictly
+    # greater tap wins: the first winner, the sign of a zero included.
+    out = next(taps).copy()
+    winner = np.zeros(out.shape, np.min_scalar_type(window**2 - 1)) if need_winner else None
+    for t, tap in enumerate(taps, 1):
+        wins = tap > out
+        out = np.where(wins, tap, out)
+        if need_winner:
+            winner = np.where(wins, t, winner)
+    return out, winner
+
+
 def pool_cached(x: Tensor4, layer: PoolLayer,
                 need_cache: bool = True) -> tuple[Tensor4, PoolCache | None]:
     window, stride = layer.window, layer.stride
     oh, ow = pool_output_size(x.h, x.w, window, stride)
-    taps = (tap for _, _, tap in _taps(x.data, window, stride, oh, ow))
-    if layer.mode == "average":
-        # A sum over the taps in (p, q) order from +0.0, as numpy's sums
-        # start (a window of -0.0 averages to +0.0), then one division.
-        out, winner = next(taps) + 0.0, None
-        for tap in taps:
-            out += tap
-        out /= window * window
-    else:
-        # A running maximum over the taps in (p, q) order, where only a
-        # strictly greater tap wins: the first winner, the sign of a zero
-        # included. A cache also keeps each winner's tap index.
-        out = next(taps).copy()
-        winner = np.zeros(out.shape, np.min_scalar_type(window**2 - 1)) if need_cache else None
-        for t, tap in enumerate(taps, 1):
-            wins = tap > out
-            out = np.where(wins, tap, out)
-            if need_cache:
-                winner = np.where(wins, t, winner)
+    out, winner = _pool_windows(x.data, layer, oh, ow, need_cache)
     cache = PoolCache(layer.mode, winner, x.data.shape, window, stride) if need_cache else None
     return Tensor4(out), cache
 
@@ -641,6 +751,22 @@ def dropout_backward(d: np.ndarray, cache: DropoutCache) -> np.ndarray:
     return d if cache.mask is None else d * cache.mask
 
 
+def _inv_std(var: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(var + BATCHNORM_EPS)
+
+
+def _normalize(centered: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray,
+               beta: np.ndarray) -> np.ndarray:
+    """gamma * (centered * inv_std) + beta, a batch norm's output without a
+    cache, in centered's buffer; a wider gamma widens it first, as
+    `gamma * x_hat` would."""
+    centered *= inv_std
+    out = centered.astype(np.result_type(centered, gamma), copy=False)
+    out *= gamma
+    out += beta
+    return out
+
+
 def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
                      update_stats: bool = True,
                      need_cache: bool = True) -> tuple[Tensor4, BatchNormCache | None]:
@@ -668,16 +794,11 @@ def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
         count = None
         centered = x.data - layer.running_mean
         var = layer.running_var
-    inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPS)
+    inv_std = _inv_std(var)
+    if not need_cache:
+        return Tensor4(_normalize(centered, inv_std, layer.gamma, layer.beta)), None
     x_hat = centered
     x_hat *= inv_std
-    if not need_cache:
-        # The output in x_hat's buffer; a wider gamma widens it first, as
-        # `gamma * x_hat` would.
-        out = x_hat.astype(np.result_type(x_hat, layer.gamma), copy=False)
-        out *= layer.gamma
-        out += layer.beta
-        return Tensor4(out), None
     out = layer.gamma * x_hat
     out += layer.beta
     return Tensor4(out), BatchNormCache(x_hat, inv_std, layer.gamma, count)

@@ -121,6 +121,18 @@ def _geometry(layer: LayerSpec) -> ConvGeometry:
     return ConvGeometry(layer.kernel, layer.stride, layer.padding)
 
 
+def _conv_layer(layer: LayerSpec, p) -> L.ConvLayer:
+    return L.ConvLayer(p("filters"), p("bias"), _geometry(layer), layer.activation)
+
+
+def _pool_layer(layer: LayerSpec) -> L.PoolLayer:
+    return L.PoolLayer(layer.window, layer.stride, layer.mode)
+
+
+def _batchnorm_layer(p) -> L.BatchNormLayer:
+    return L.BatchNormLayer(p("gamma"), p("beta"), p("running_mean"), p("running_var"))
+
+
 def _dense_out(layer: LayerSpec, h: int, w: int, c: int):
     if h != 1 or w != 1:
         raise ShapeError(f"dense needs flattened input, have ({h}, {w}, {c})")
@@ -142,8 +154,7 @@ KIND_TABLE = {
         trainable=("filters", "bias"),
         penalized=("filters",),
         forward=lambda layer, p, x, training, rng, need_cache: L.conv2d_cached(
-            x, L.ConvLayer(p("filters"), p("bias"), _geometry(layer), layer.activation),
-            need_cache=need_cache),
+            x, _conv_layer(layer, p), need_cache=need_cache),
     ),
     "pool": LayerKind(
         keys=("mode", "window", "stride"),
@@ -151,7 +162,7 @@ KIND_TABLE = {
                              and layer.mode in L.POOL_MODES),
         out_shape=lambda layer, h, w, c: (*L.pool_output_size(h, w, layer.window, layer.stride), c),
         forward=lambda layer, p, x, training, rng, need_cache: L.pool_cached(
-            x, L.PoolLayer(layer.window, layer.stride, layer.mode), need_cache=need_cache),
+            x, _pool_layer(layer), need_cache=need_cache),
     ),
     "flatten": LayerKind(
         keys=(),
@@ -182,8 +193,7 @@ KIND_TABLE = {
                                               (c,)),
         trainable=("gamma", "beta"),
         forward=lambda layer, p, x, training, rng, need_cache: L.batchnorm_cached(
-            x, L.BatchNormLayer(p("gamma"), p("beta"), p("running_mean"), p("running_var")),
-            training and layer.trainable, need_cache=need_cache),
+            x, _batchnorm_layer(p), training and layer.trainable, need_cache=need_cache),
     ),
 }
 
@@ -383,10 +393,13 @@ def apply_layer(layer: LayerSpec, params: ParamStore, x: Tensor4,
                 need_cache: bool = True) -> tuple[Tensor4, object]:
     """Run one layer on x; returns its output and the cache its backward uses
     (which may be None when `need_cache` is false)."""
-    def param(field):
-        return params[f"{layer.name}.{field}"]
+    return KIND_TABLE[layer.kind].forward(layer, _params_of(layer, params), x, training, rng,
+                                          need_cache)
 
-    return KIND_TABLE[layer.kind].forward(layer, param, x, training, rng, need_cache)
+
+def _params_of(layer: LayerSpec, params: ParamStore) -> Callable:
+    """field -> the layer's parameter of that name in `params`."""
+    return lambda field: params[f"{layer.name}.{field}"]
 
 
 def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
@@ -409,14 +422,43 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
     `first` and `stop` (internal) run only the layers spec.layers[first:stop],
     x being the input of layer `first`.
 
-    No layer keeps a cache. A conv holds its whole im2col matrix only when
-    that is at most 16 MB; a larger one is taken in blocks of about 512 KB,
-    one buffer per worker, and no conv makes a padded copy of its input
-    (`layers.conv2d_cached`).
+    No layer keeps a cache. Each conv runs the batch norm right after it and
+    then a pool whose window is its stride, where those follow, in one
+    `layers.conv2d_cached` call (`_conv_run`): its workers finish each block
+    of the product through the pool, so no full-size conv or batch-norm map
+    of such a run is made. The bytes are those of the layers run one by one
+    (`forward_with_caches`, `capture_activations`). A conv holds its whole
+    im2col matrix only when that is at most 16 MB; a larger one is taken in
+    blocks of about 512 KB, one buffer per worker, and no conv makes a
+    padded copy of its input.
     """
-    for layer in spec.layers[first:stop]:
-        x = apply_layer(layer, params, x, need_cache=False)[0]
+    run = spec.layers[first:stop]
+    j = 0
+    while j < len(run):
+        if run[j].kind == "conv":
+            conv, bn, pool, n = _conv_run(run[j:], params, x)
+            x = L.conv2d_cached(x, conv, need_cache=False, bn=bn, pool=pool)[0]
+        else:
+            x, n = apply_layer(run[j], params, x, need_cache=False)[0], 1
+        j += n
     return x
+
+
+def _conv_run(run, params: ParamStore, x: Tensor4):
+    """(conv, batch norm, pool, layers covered) of the inference run that
+    starts at the conv run[0]: the batch norm right after it and then the
+    pool after that, each None where absent or where it cannot run in the
+    conv's blocks (`layers.fusable`), which then run layer by layer."""
+    conv = _conv_layer(run[0], _params_of(run[0], params))
+    bn = pool = None
+    n = 1
+    if n < len(run) and run[n].kind == "batchnorm":
+        bn, n = _batchnorm_layer(_params_of(run[n], params)), n + 1
+    if n < len(run) and run[n].kind == "pool":
+        pool = _pool_layer(run[n])
+    # fusable drops the pool whenever it drops the batch norm before it.
+    bn, pool = L.fusable(x, conv, bn, pool)
+    return conv, bn, pool, 1 + (bn is not None) + (pool is not None)
 
 
 def _known_names(spec: ModelSpec, layer_names) -> set:

@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -1026,6 +1028,19 @@ def test_out_of_memory_exits_5(tmp_path, capsys, monkeypatch):
     assert main(["predict", "--spec", str(tmp_path / "net.spec"),
                  "--weights", str(tmp_path / "w.pfw"), "--image", str(tmp_path / "img.ppm")]) == 5
     assert capsys.readouterr().err == "error: out of memory: Unable to allocate 812. MiB for an array\n"
+
+
+def test_module_run_exits_as_the_console_script(tmp_path):
+    # `python -m purefoodnet.cli` runs the command and exits with its code,
+    # as `purefoodnet` does: a missing spec file is exit 3.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-m", "purefoodnet.cli", "predict", "--spec", "nosuch",
+                          "--weights", "nosuch", "--image", "nosuch"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3
+    assert "error: " in run.stderr and "nosuch" in run.stderr
 
 
 @pytest.mark.parametrize("low", [-1.0, -1e-7])

@@ -20,6 +20,7 @@ from purefoodnet.errors import (
 )
 from purefoodnet.tensor import Tensor4
 from test_golden import SPEC_TEXT as GOLDEN_SPEC_TEXT
+from test_layers import rounded_with_signed_zeros, spy_on_blocks
 
 
 def layer_named(spec, name):
@@ -347,7 +348,7 @@ class TestForward:
         x = Tensor4(np.random.default_rng(12).normal(size=(5, 16, 16, 3)).astype(np.float32))
         got = M.forward(spec, params, x)
         want, _ = M.forward_with_caches(spec, params, x)
-        np.testing.assert_array_equal(got.data, want.data)
+        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
 
     def test_output_shapes_match_inference(self):
         rng = np.random.default_rng(13)
@@ -402,7 +403,8 @@ class TestCaptureActivations:
                                  min(spec.top_boundary, j + 1))
             want, caches = M.forward_with_caches(prefix, params, x)
             assert all(cache is not None for _, cache in caches)
-            np.testing.assert_array_equal(caps[layer.name].data, want.data)
+            got = caps[layer.name]
+            assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
 
     def test_splice_consistency(self):
         spec = tiny_spec()
@@ -420,6 +422,212 @@ class TestCaptureActivations:
         x = Tensor4(np.zeros((1, 8, 8, 2), dtype=np.float32))
         with pytest.raises(UnknownLayerError):
             M.capture_activations(spec, params, x, ["ghost"])
+
+
+def per_layer(layers, params, x):
+    """The inference output of `layers` run one by one (`apply_layer`)."""
+    for layer in layers:
+        x = M.apply_layer(layer, params, x, need_cache=False)[0]
+    return x
+
+
+def shifted_params(spec, seed, dtype):
+    """`init_params`, with the conv and dense biases and the batch norms'
+    means, shifts and scales drawn from halves, about half of their zeros
+    negative (a scale of zero passes its shift through), and variances from
+    [0.5, 2)."""
+    params = M.init_params(spec, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name, arr in params.items():
+        field = name.rsplit(".", 1)[1]
+        if field in ("bias", "beta", "gamma", "running_mean"):
+            arr[...] = rounded_with_signed_zeros(rng, arr.shape, dtype)
+        elif field == "running_var":
+            arr[...] = rng.uniform(0.5, 2.0, arr.shape)
+    return params
+
+
+def spy_on_convs(monkeypatch) -> list:
+    """The (batch norm, pool) each `conv2d_cached` call from now on runs in
+    its blocks, None where it runs none."""
+    runs = []
+    real = L.conv2d_cached
+
+    def spy(x, layer, need_cache=True, bn=None, pool=None):
+        runs.append((bn, pool))
+        return real(x, layer, need_cache, bn=bn, pool=pool)
+
+    monkeypatch.setattr(L, "conv2d_cached", spy)
+    return runs
+
+
+def backbone_spec(side=16, channels=16):
+    """Three conv runs: conv -> batch norm -> max-pool, a stride-1 conv with
+    no activation -> batch norm -> average pool, and a 1x1 conv -> batch
+    norm with no pool."""
+    return M.ModelSpec(
+        (side, side, channels),
+        (M.conv_spec("c1", filters=16, kernel=3), M.batchnorm_spec("bn1"),
+         M.pool_spec("p1", window=2, stride=2, mode="max"),
+         M.conv_spec("c2", filters=16, kernel=3, activation="none"), M.batchnorm_spec("bn2"),
+         M.pool_spec("p2", window=2, stride=2, mode="average"),
+         M.conv_spec("c3", filters=8, kernel=1), M.batchnorm_spec("bn3")),
+        top_boundary=8)
+
+
+def small_blocks(monkeypatch):
+    """Every conv matrix is split into blocks of the least height allowed."""
+    monkeypatch.setattr(L, "_ONE_BLOCK_BYTES", 0)
+    monkeypatch.setattr(L, "_IM2COL_BLOCK_BYTES", 0)
+
+
+class TestFusedForward:
+    """`models.forward` runs each conv with the batch norm and the pool after
+    it in one call, finishing each block of the product through them; its
+    bytes must be those of the layers run one by one."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(L, "_WORKERS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("images", [1, 3, 64])
+    @pytest.mark.parametrize("blocks", ["default", "small"])
+    def test_golden_spec_matches_the_layers_one_by_one(self, blocks, images, monkeypatch):
+        # Max and average pools, a stride-2 conv with no activation and a
+        # frozen batch norm.
+        if blocks == "small":
+            small_blocks(monkeypatch)
+        spec = M.parse_model_spec(GOLDEN_SPEC_TEXT)
+        params = shifted_params(spec, 21 + images, np.float32)
+        x = Tensor4(rounded_with_signed_zeros(np.random.default_rng(images), (images, 16, 16, 3),
+                                              np.float32))
+        want = per_layer(spec.layers, params, x)
+        runs = spy_on_convs(monkeypatch)
+        got = M.forward(spec, params, x)
+        assert [(bn is not None, pool.mode) for bn, pool in runs] == [(True, "max"),
+                                                                       (True, "average")]
+        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("images", [1, 5])
+    @pytest.mark.parametrize("blocks", ["default", "small"])
+    def test_backbone_matches_the_layers_one_by_one(self, blocks, images, dtype, monkeypatch):
+        if blocks == "small":
+            small_blocks(monkeypatch)
+        spec = backbone_spec()
+        params = shifted_params(spec, 30 + images, dtype)
+        # Zero scales pass their shifts through, -0.0 and +0.0.
+        for name in ("bn1", "bn3"):
+            params[f"{name}.gamma"][:2] = 0
+            params[f"{name}.beta"][:2] = (-0.0, 0.0)
+        x = Tensor4(rounded_with_signed_zeros(np.random.default_rng(images), (images, 16, 16, 16),
+                                              dtype))
+        want = per_layer(spec.layers, params, x)
+        runs = spy_on_convs(monkeypatch)
+        got = M.forward(spec, params, x)
+        assert [(bn is not None, pool is not None) for bn, pool in runs] == [
+            (True, True), (True, True), (True, False)]
+        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+        assert np.signbit(got.data[..., 0]).all() and not np.signbit(got.data[..., 1]).any()
+
+    @pytest.mark.parametrize("mode", ["max", "average"])
+    def test_blocks_and_shares_are_whole_pool_windows(self, mode, workers, monkeypatch):
+        # Blocks of 29 output rows at the least, rounded up to 30: they span
+        # images of 16 rows, and each share's last block overlaps the one
+        # before it. 112 rows in 3 shares would split at rows 37 and 74.
+        small_blocks(monkeypatch)
+        spec = M.ModelSpec((16, 16, 16), (M.conv_spec("c1", filters=16, kernel=3),
+                                          M.batchnorm_spec("bn1"),
+                                          M.pool_spec("p1", mode=mode)), top_boundary=3)
+        assert L._least_units(16, 144, 16) == 29
+        params = shifted_params(spec, 41, np.float32)
+        x = Tensor4(rounded_with_signed_zeros(np.random.default_rng(42), (7, 16, 16, 16),
+                                              np.float32))
+        want = per_layer(spec.layers, params, x)
+        calls = spy_on_blocks(monkeypatch)
+        got = M.forward(spec, params, x)
+        assert got.data.tobytes() == want.data.tobytes()
+        blocks = sorted((first, first + rows // 16, thread) for first, rows, thread, _ in calls)
+        assert all(hi - lo == 30 and lo % 2 == 0 for lo, hi, _ in blocks)
+        assert any(lo // 16 != (hi - 1) // 16 for lo, hi, _ in blocks)  # spans two images
+        assert (len({thread for *_, thread in blocks}) > 1) == (workers > 1)
+        written = np.zeros(7 * 16, dtype=int)
+        for lo, hi, _ in blocks:
+            written[lo:hi] += 1
+        assert written.min() == 1 and written.max() == 2  # overlapping last blocks
+
+    @pytest.mark.parametrize("field", ["c1.bias", "bn1.running_mean", "bn1.running_var"])
+    def test_a_wider_parameter_runs_the_layers_one_by_one(self, field, monkeypatch):
+        spec = backbone_spec()
+        params = shifted_params(spec, 51, np.float32)
+        params[field] = params[field].astype(np.float64)
+        x = Tensor4(np.random.default_rng(52).normal(size=(2, 16, 16, 16)).astype(np.float32))
+        want = per_layer(spec.layers, params, x)
+        runs = spy_on_convs(monkeypatch)
+        got = M.forward(spec, params, x)
+        assert runs[0] == (None, None)
+        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+
+    def test_conv_refuses_a_run_it_cannot_take(self):
+        rng = np.random.default_rng(81)
+        x = Tensor4(rng.normal(size=(1, 8, 8, 2)).astype(np.float32))
+        conv = L.ConvLayer(rng.normal(size=(4, 3, 3, 2)).astype(np.float32),
+                           np.zeros(4, np.float32), TN.ConvGeometry(3, 1, 1), "relu")
+        bn = L.BatchNormLayer(*(np.ones(4, np.float32) for _ in range(4)))
+        wide = L.BatchNormLayer(*(np.ones(4, np.float64) for _ in range(4)))
+        overlapping = L.PoolLayer(3, 1)
+        assert L.fusable(x, conv, wide, L.PoolLayer(2, 2)) == (None, None)
+        assert L.fusable(x, conv, bn, overlapping) == (bn, None)
+        for kwargs in ({"need_cache": True, "bn": bn}, {"need_cache": False, "bn": wide},
+                       {"need_cache": False, "pool": overlapping}):
+            with pytest.raises(ValueError):
+                L.conv2d_cached(x, conv, **kwargs)
+
+    def test_forward_stops_and_starts_inside_a_run(self):
+        spec = backbone_spec()
+        params = shifted_params(spec, 61, np.float32)
+        x = Tensor4(np.random.default_rng(62).normal(size=(2, 16, 16, 16)).astype(np.float32))
+        for first, stop in ((0, 1), (0, 2), (1, 3), (2, 6), (4, 8)):
+            start = per_layer(spec.layers[:first], params, x)
+            want = per_layer(spec.layers[first:stop], params, start)
+            got = M.forward(spec, params, start, first=first, stop=stop)
+            assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("poison", ["overflow", "nan"])
+    @pytest.mark.parametrize("pool", [True, False])
+    def test_a_non_finite_batch_norm_output_fails_even_where_it_loses_its_window(
+            self, poison, pool, monkeypatch):
+        # A 1x1 identity conv and a batch norm whose output is -inf (scale
+        # 1e38 at a cell of -10) or NaN (an infinite conv output times a
+        # scale of 0) at one cell of the last image: the cell (1, 1) of its
+        # window, which a max-pool would pass over. Each worker checks its
+        # block before the pool, as the batch norm's map is checked alone.
+        small_blocks(monkeypatch)
+        layers_ = (M.conv_spec("c1", filters=16, kernel=1, activation="none"),
+                   M.batchnorm_spec("bn1"))
+        spec = M.ModelSpec((16, 16, 16), layers_ + (M.pool_spec("p1"),) * pool,
+                           top_boundary=2 + pool)
+        params = M.init_params(spec, seed=0)
+        params["c1.filters"] = np.eye(16, dtype=np.float32).reshape(16, 1, 1, 16)
+        params["bn1.gamma"] = np.full(16, 1e38, np.float32)
+        cell = np.float32(-10.0)
+        if poison == "nan":
+            params["c1.filters"] *= np.float32(1e38)
+            params["bn1.gamma"][:] = 0
+            cell = np.float32(10.0)
+        data = np.random.default_rng(71).uniform(-1, 1, (32, 16, 16, 16)).astype(np.float32)
+        data[-1, 5, 5, 3] = cell
+        x = Tensor4(data.copy())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for walk in (lambda: per_layer(spec.layers, params, x),
+                         lambda: M.forward(spec, params, x)):
+                with pytest.raises(NonFiniteError, match="^Tensor4 values must be finite$"):
+                    walk()
+            if pool:  # the pool alone would have hidden it
+                data[-1, 5, 5, 3] = 0
+                clean = M.forward(spec, params, Tensor4(data))
+                assert np.isfinite(clean.data).all()
 
 
 class TestBuildPureFoodNet:

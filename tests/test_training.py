@@ -1081,9 +1081,9 @@ def conv_images(monkeypatch):
     images = []
     real = L.conv2d_cached
 
-    def counting(x, layer, need_cache=True):
+    def counting(x, layer, need_cache=True, **fused):
         images.append(x.i)
-        return real(x, layer, need_cache)
+        return real(x, layer, need_cache, **fused)
 
     monkeypatch.setattr(L, "conv2d_cached", counting)
     return images
