@@ -6,9 +6,12 @@ Nesterov-momentum training with early stopping, the PureFoodNet
 architecture with transfer-learning helpers, seeded data augmentation,
 top-k evaluation, PPM dataset ingestion, and a CLI that ties the pieces
 together.
+
+`cli` is not imported here, so `python -m purefoodnet.cli` runs it only
+once; `from purefoodnet import cli` loads it.
 """
 
-from . import augment, cli, dataio, evaluation, layers, models, seeding, training
+from . import augment, dataio, evaluation, layers, models, seeding, training
 from .errors import (ConfigError, DataError, DataFormatError,
                      DegenerateBatchError, EngineError, GeometryError,
                      NonFiniteError, ShapeError, UnknownLayerError,

@@ -30,15 +30,17 @@ otherwise. Every block takes the BLAS kernel the whole product would, so
 the bits are the same at any worker count. Workers run only untraced numpy
 work (`run_jobs`). Convolutions are cross-correlations: the kernel is
 applied as stored, never flipped.
-Without a cache, a conv can also run the inference batch norm after it
-and a pool whose window is its stride (`conv2d_cached(bn=, pool=)`, as
-`models.forward` calls it): each worker adds the bias, applies the ReLU,
-the batch norm and the pool to each block right after its GEMM, scans the
-block for finiteness, and writes only the pooled rows. A pooled run's
-blocks and shares are whole pool windows of rows. The batch-norm and pool
-arithmetic is one helper each (`_normalize`, `_pool_windows`), shared with
-`batchnorm_cached` and `pool_cached`, so a run has the bytes of its layers
-run one by one.
+Every conv, cached or not and at any dtype, finishes each block in the
+worker that multiplied it: the worker adds the bias and applies the ReLU
+right after the block's GEMM. Without a cache, it can also apply the
+inference batch norm after the conv and a pool whose window is its stride
+(`conv2d_cached(bn=, pool=)`, as `models.forward` calls it); a pooled
+block is scanned for finiteness and only its pooled rows are written. A
+pooled run's blocks and shares are whole pool windows of rows. A bias or
+batch norm of a wider dtype widens each block as it would the whole map.
+The batch-norm and pool arithmetic is one helper each (`_normalize`,
+`_pool_windows`), shared with `batchnorm_cached` and `pool_cached`, so a
+run has the bytes of its layers run one by one.
 Activations are fused into the conv and dense layers; `softmax` also
 exists standalone, with no backward.
 """
@@ -356,19 +358,18 @@ def _share_bounds(units: int, b: int, least: int, step: int = 1) -> list[int]:
 
 def _multiply_rows(x: np.ndarray, g: ConvGeometry, oh: int, ow: int, fmat: np.ndarray,
                    rows: np.ndarray, start: int, stop: int, cols: np.ndarray,
-                   finish=None, block: np.ndarray | None = None) -> None:
+                   block: np.ndarray | None, finish) -> None:
     """Write output rows start..stop-1 of the conv's product through the
     im2col buffer `cols`, as many at a time as it holds, the last block
     overlapping the one before (blocks may span images). Each block's
     product goes to its rows of `rows`, or to `block`, a buffer of one
-    block, when one is given; `finish(product, u)`, if given, then takes
-    it, u being the block's first output row."""
+    block, when one is given; `finish(product, u)` then takes it, u being
+    the block's first output row."""
     b = len(cols) // ow
     for j, u in enumerate((*range(start, stop - b, b), stop - b)):
         product = rows[u * ow:(u + b) * ow] if block is None else block
         np.dot(_im2col(x, g.k, g.s, g.z, oh, ow, cols, u, sides=j == 0), fmat, out=product)
-        if finish is not None:
-            finish(product, u)
+        finish(product, u)
 
 
 def _relu_inplace(out: np.ndarray) -> None:
@@ -379,37 +380,21 @@ def _relu_inplace(out: np.ndarray) -> None:
     out += 0.0
 
 
-def fusable(x: Tensor4, layer: ConvLayer, bn: BatchNormLayer | None,
-            pool: PoolLayer | None) -> tuple[BatchNormLayer | None, PoolLayer | None]:
-    """What of `bn`, an inference batch norm right after the conv `layer` on
-    x, and then `pool` can run in the conv's blocks (`conv2d_cached`):
-    neither when the conv's bias or the batch norm's parameters would widen
-    the conv's dtype, and no pool whose window is not its stride."""
-    dtype = np.result_type(x.data, layer.filters)
-    arrays = (layer.bias,) if bn is None else (layer.bias, bn.gamma, bn.beta,
-                                               bn.running_mean, bn.running_var)
-    if np.result_type(dtype, *arrays) != dtype:
-        return None, None
-    return bn, pool if pool is None or pool.window == pool.stride else None
-
-
-def _fused_step(x: Tensor4, layer: ConvLayer, bn: BatchNormLayer | None,
-                pool: PoolLayer | None, need_cache: bool, oh: int, ow: int) -> int:
+def _fused_step(layer: ConvLayer, bn: BatchNormLayer | None, pool: PoolLayer | None,
+                need_cache: bool, oh: int, ow: int) -> int:
     """Output rows per pool window of a conv that runs `bn` and `pool` in its
     blocks, 1 without a pool; raises when they cannot run there."""
     if bn is None and pool is None:
         return 1
     if need_cache:
         raise ValueError("a conv runs a batch norm or pool in its blocks only without a cache")
-    fit = fusable(x, layer, bn, pool)
-    if fit[0] is not bn or fit[1] is not pool:
-        raise ValueError("a batch norm or pool in a conv's blocks must keep its dtype, "
-                         "and the pool's window must be its stride")
     f = layer.filters.shape[0]
     if bn is not None and bn.gamma.shape != (f,):
         raise ShapeError(f"batch norm has {bn.gamma.shape[0]} channels, input has {f}")
     if pool is None:
         return 1
+    if pool.window != pool.stride:
+        raise ValueError("a pool in a conv's blocks must have its window as its stride")
     pool_output_size(oh, ow, pool.window, pool.stride)
     return pool.window
 
@@ -418,21 +403,28 @@ def _finish_block(bias: np.ndarray, relu: bool, bn: BatchNormLayer | None,
                   inv_std: np.ndarray | None, pool: PoolLayer | None, out: np.ndarray,
                   product: np.ndarray, u: int) -> None:
     """Bias, ReLU and the inference batch norm `bn` of a block of a conv's
-    product, output rows u.. of the conv, in place. With `pool`, the block
-    is then checked for finiteness, as a `Tensor4` of the whole map would
-    be (a value that loses its window must still fail), and pooled into its
-    rows of `out`, the pooled map."""
+    product, output rows u.. of the conv, each widening the block first
+    where its parameter is wider, as the layer alone would. Without `pool`,
+    the block then goes to its rows of `out`, the conv's map, unless it is
+    those rows already. With `pool`, it is checked for finiteness, as a
+    `Tensor4` of the whole map would be (a value that loses its window must
+    still fail), and pooled into its rows of `out`, the pooled map."""
+    product = product.astype(np.result_type(product, bias), copy=False)
     product += bias
     if relu:
         _relu_inplace(product)
     if bn is not None:
+        product = product.astype(np.result_type(product, bn.running_mean), copy=False)
         product -= bn.running_mean
-        _normalize(product, inv_std, bn.gamma, bn.beta)
+        product = _normalize(product, inv_std, bn.gamma, bn.beta)
+    _, _, ow, f = out.shape
     if pool is None:
+        if not np.may_share_memory(product, out):
+            out.reshape(-1, f)[u * ow:u * ow + len(product)] = product
         return
     if not all_finite(product):
         raise NonFiniteError("Tensor4 values must be finite")
-    p, (_, _, ow, f) = pool.window, out.shape
+    p = pool.window
     b = len(product) // (ow * p)  # output rows in the block
     out.reshape(-1, ow, f)[u // p:(u + b) // p] = _pool_windows(
         product.reshape(b, ow * p, f), pool, b // p, ow)[0]
@@ -444,15 +436,15 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
     """The conv output and, when `need_cache` is true, the cache its backward
     consumes (None otherwise). Each worker multiplies its own share of the
     output rows (`_share_bounds`) through its own buffer of one block
-    (`_block_units`), cache or none.
-
-    Without a cache, `bn` (an inference batch norm) and then `pool` (a pool
-    whose window is its stride) run inside the blocks: each worker adds the
-    bias, applies the ReLU, the batch norm and the pool to each block right
-    after its GEMM, and only the final map is made. A pooled run takes its
-    blocks and shares in whole pool windows of rows, so no window spans two
-    blocks or two images. The bytes are those of the layers run one by one;
-    `fusable` says which batch norm and pool can run there."""
+    (`_block_units`), cache or none, and finishes each block right after
+    its GEMM (`_finish_block`): bias and ReLU, then, without a cache, `bn`
+    (an inference batch norm) and `pool` (a pool whose window is its
+    stride), where given. Only the final map is made. A pooled run takes
+    its blocks and shares in whole pool windows of rows, so no window spans
+    two blocks or two images. A cache's ReLU mask is read from the finished
+    map. A bias or batch norm of a wider dtype widens each block as it
+    would the whole map; the bytes are those of the layers run one by
+    one."""
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -466,7 +458,7 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
     f = filters.shape[0]
     fmat = filters.transpose(3, 1, 2, 0).reshape(-1, f)
     dtype = np.result_type(x.data, fmat)
-    step = _fused_step(x, layer, bn, pool, need_cache, oh, ow)
+    step = _fused_step(layer, bn, pool, need_cache, oh, ow)
     units, width = x.i * oh, len(fmat)
     b = _block_units(units, ow, width, f, x.data.itemsize, step)
     bounds = _share_bounds(units, b, _least_units(ow, width, f), step)
@@ -474,26 +466,17 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
     # Every buffer comes from this thread's heap: memory a worker allocated
     # would stay in that thread's own malloc arena.
     buffers = [np.empty((min(b, hi - lo) * ow, width), dtype=x.data.dtype) for lo, hi in shares]
-    out = np.empty((x.i, oh // step, ow // step, f), dtype=dtype)
-    if bn is not None or pool is not None:
-        finish = partial(_finish_block, layer.bias, layer.activation == "relu", bn,
-                         None if bn is None else _inv_std(bn.running_var), pool, out)
-        # A pooled block's product goes to a buffer of one block.
-        blocks = [None if pool is None else np.empty((len(cols), f), dtype) for cols in buffers]
-        run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f), lo, hi,
-                          cols, finish, block)
-                  for (lo, hi), cols, block in zip(shares, buffers, blocks)])
-        return Tensor4(out), None
-    run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f), lo, hi, cols)
-              for (lo, hi), cols in zip(shares, buffers)])
-    # A bias of a wider dtype widens the sum, as `out + bias` would.
-    out = out.astype(np.result_type(out, layer.bias), copy=False)
-    out += layer.bias
-    relu_mask = None
-    if layer.activation == "relu":
-        if need_cache:
-            relu_mask = out > 0
-        _relu_inplace(out)
+    wide = np.result_type(dtype, layer.bias, *(() if bn is None else (bn.running_mean, bn.gamma)))
+    out = np.empty((x.i, oh // step, ow // step, f), dtype=wide)
+    finish = partial(_finish_block, layer.bias, layer.activation == "relu", bn,
+                     None if bn is None else _inv_std(bn.running_var), pool, out)
+    # A pooled or widened block's product goes to a buffer of one block.
+    blocks = [np.empty((len(cols), f), dtype) if pool is not None or wide != dtype else None
+              for cols in buffers]
+    run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f), lo, hi,
+                      cols, block, finish)
+              for (lo, hi), cols, block in zip(shares, buffers, blocks)])
+    relu_mask = out > 0 if need_cache and layer.activation == "relu" else None
     cache = ConvCache(x.data, filters, g, relu_mask) if need_cache else None
     return Tensor4(out), cache
 

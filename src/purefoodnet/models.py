@@ -424,19 +424,19 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
 
     No layer keeps a cache. Each conv runs the batch norm right after it and
     then a pool whose window is its stride, where those follow, in one
-    `layers.conv2d_cached` call (`_conv_run`): its workers finish each block
-    of the product through the pool, so no full-size conv or batch-norm map
-    of such a run is made. The bytes are those of the layers run one by one
-    (`forward_with_caches`, `capture_activations`). A conv holds its whole
-    im2col matrix only when that is at most 16 MB; a larger one is taken in
-    blocks of about 512 KB, one buffer per worker, and no conv makes a
-    padded copy of its input.
+    `layers.conv2d_cached` call (`_conv_run`), at any dtype: its workers
+    finish each block of the product through the pool, so no full-size
+    conv or batch-norm map of such a run is made. The bytes are those of
+    the layers run one by one (`forward_with_caches`,
+    `capture_activations`). A conv holds its whole im2col matrix only when
+    that is at most 16 MB; a larger one is taken in blocks of about 512 KB,
+    one buffer per worker, and no conv makes a padded copy of its input.
     """
     run = spec.layers[first:stop]
     j = 0
     while j < len(run):
         if run[j].kind == "conv":
-            conv, bn, pool, n = _conv_run(run[j:], params, x)
+            conv, bn, pool, n = _conv_run(run[j:], params)
             x = L.conv2d_cached(x, conv, need_cache=False, bn=bn, pool=pool)[0]
         else:
             x, n = apply_layer(run[j], params, x, need_cache=False)[0], 1
@@ -444,21 +444,19 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
     return x
 
 
-def _conv_run(run, params: ParamStore, x: Tensor4):
+def _conv_run(run, params: ParamStore):
     """(conv, batch norm, pool, layers covered) of the inference run that
     starts at the conv run[0]: the batch norm right after it and then the
-    pool after that, each None where absent or where it cannot run in the
-    conv's blocks (`layers.fusable`), which then run layer by layer."""
+    pool after that, each None where absent; a pool whose window is not its
+    stride is left out of the run, to run alone."""
     conv = _conv_layer(run[0], _params_of(run[0], params))
     bn = pool = None
     n = 1
     if n < len(run) and run[n].kind == "batchnorm":
         bn, n = _batchnorm_layer(_params_of(run[n], params)), n + 1
-    if n < len(run) and run[n].kind == "pool":
-        pool = _pool_layer(run[n])
-    # fusable drops the pool whenever it drops the batch norm before it.
-    bn, pool = L.fusable(x, conv, bn, pool)
-    return conv, bn, pool, 1 + (bn is not None) + (pool is not None)
+    if n < len(run) and run[n].kind == "pool" and run[n].window == run[n].stride:
+        pool, n = _pool_layer(run[n]), n + 1
+    return conv, bn, pool, n
 
 
 def _known_names(spec: ModelSpec, layer_names) -> set:

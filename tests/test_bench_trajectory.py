@@ -1,11 +1,13 @@
 """Schema of BENCH_trajectory.json, the record of benchmark figures over the
 project's history: every workload and metric it names is one that
-BENCHMARK.json declares, and every figure is a median within its quartiles."""
+BENCHMARK.json declares, every figure is a median within its quartiles, and
+entries are only appended to the committed file."""
 
 import json
 import math
 import pathlib
 import re
+import subprocess
 
 import pytest
 
@@ -47,6 +49,21 @@ def test_every_entry_names_declared_workloads_and_metrics(entries, declared):
             groups = figures["rounds"] if entry["kind"] == "baseline" else [figures]
             for group in groups:
                 assert group["metrics"] and set(group["metrics"]) <= metrics
+
+
+def test_committed_entries_are_kept_in_order(entries):
+    # The entries of the file at HEAD lead the working file's, unchanged.
+    try:
+        top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=ROOT,
+                             capture_output=True, text=True, timeout=60)
+    except FileNotFoundError:
+        top = None
+    if top is None or top.returncode != 0 or pathlib.Path(top.stdout.strip()) != ROOT:
+        pytest.skip("the tree is not a git checkout")
+    shown = subprocess.run(["git", "show", "HEAD:./BENCH_trajectory.json"], cwd=ROOT,
+                           capture_output=True, text=True, timeout=60, check=True)
+    committed = json.loads(shown.stdout)["entries"]
+    assert entries[:len(committed)] == committed
 
 
 def test_recorded_dates_only_grow(entries):

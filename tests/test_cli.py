@@ -1032,7 +1032,8 @@ def test_out_of_memory_exits_5(tmp_path, capsys, monkeypatch):
 
 def test_module_run_exits_as_the_console_script(tmp_path):
     # `python -m purefoodnet.cli` runs the command and exits with its code,
-    # as `purefoodnet` does: a missing spec file is exit 3.
+    # as `purefoodnet` does: a missing spec file is exit 3. The module runs
+    # once, as __main__, with no runpy warning.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -1041,6 +1042,7 @@ def test_module_run_exits_as_the_console_script(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 3
     assert "error: " in run.stderr and "nosuch" in run.stderr
+    assert "RuntimeWarning" not in run.stderr  # the package does not import cli first
 
 
 @pytest.mark.parametrize("low", [-1.0, -1e-7])

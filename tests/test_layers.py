@@ -270,7 +270,7 @@ class TestConvEpilogue:
         out = conv2d_forward(Tensor4(x), conv_layer(filters, bias, k=3, z=1))
         want = tensordot_conv(x, filters, bias, 3, 1, 1)
         assert out.dtype == want.dtype == np.float64
-        np.testing.assert_array_equal(out.data, want)
+        assert out.data.tobytes() == want.tobytes()
 
 
 def one_gemm_conv(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -328,13 +328,16 @@ class TestBlockedConv:
         got, none = conv2d_cached(Tensor4(x), layer, need_cache=False)
         assert none is None and got.data.tobytes() == want
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype, bias_dtype", [(np.float32, np.float32),
+                                                   (np.float64, np.float64),
+                                                   (np.float32, np.float64)])
     @pytest.mark.parametrize("z", [0, 1])
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_blocks_match_cached(self, k, s, z, dtype, workers, monkeypatch):
+    def test_blocks_match_cached(self, k, s, z, dtype, bias_dtype, workers, monkeypatch):
         # Few filters: there OpenBLAS's small-matrix kernel rounds unlike
-        # its large one.
+        # its large one. A float64 bias widens each block of a float32
+        # product in a buffer of its own.
         c, f, side = 16, 8, 23
         oh = (side + 2 * z - k) // s + 1  # = ow
         # No matrix is one block, and every block has the smallest height
@@ -346,11 +349,19 @@ class TestBlockedConv:
         assert layers._block_units(10**6, oh, c * k * k, f, np.dtype(dtype).itemsize) == b
         images = math.ceil(2.5 * b / oh)  # room for three blocks or more
         rng = np.random.default_rng(7 * k + 3 * s + z)
-        x = Tensor4(rng.normal(size=(images, side, side, c)).astype(dtype))
-        layer = conv_layer(rng.normal(size=(f, k, k, c)).astype(dtype) * 0.2,
-                           rng.normal(size=f).astype(dtype), k, s, z, activation="relu")
+        data = rng.normal(size=(images, side, side, c)).astype(dtype)
+        # Windows of -0.0 alone and signed zero biases: exact zeros before
+        # the ReLU, which it and the mask must both take as not positive.
+        data[1, :5] = -0.0
+        x = Tensor4(data)
+        filters = rng.normal(size=(f, k, k, c)).astype(dtype) * 0.2
+        bias = rng.normal(size=f).astype(bias_dtype)
+        bias[:2] = (-0.0, 0.0)
+        layer = conv_layer(filters, bias, k, s, z, activation="relu")
         units = images * oh
         want = one_gemm_conv(x.data, layer)
+        pre = one_gemm_conv(x.data, conv_layer(filters, bias, k, s, z))
+        assert (pre == 0).any() and want.dtype == bias_dtype
         calls = spy_on_blocks(monkeypatch)
         cached, cache = conv2d_cached(x, layer)
         assert cache.x is x.data  # the input itself, not a padded copy
@@ -379,6 +390,7 @@ class TestBlockedConv:
             assert sides == [True] + [False] * (len(sides) - 1)
         for out in (got, cached):
             assert out.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+        assert cache.relu_mask.tobytes() == (pre > 0).tobytes()
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])

@@ -557,17 +557,39 @@ class TestFusedForward:
             written[lo:hi] += 1
         assert written.min() == 1 and written.max() == 2  # overlapping last blocks
 
-    @pytest.mark.parametrize("field", ["c1.bias", "bn1.running_mean", "bn1.running_var"])
-    def test_a_wider_parameter_runs_the_layers_one_by_one(self, field, monkeypatch):
+    @pytest.mark.parametrize("field", ["c1.bias", "bn1.running_mean", "bn1.running_var",
+                                       "bn1.gamma", "bn1.beta"])
+    @pytest.mark.parametrize("blocks", ["default", "small"])
+    def test_a_wider_parameter_runs_fused_with_the_same_bytes(self, blocks, field, monkeypatch):
+        # A float64 bias, mean or gamma widens the map from the first run
+        # on; a float64 variance or beta does not.
+        if blocks == "small":
+            small_blocks(monkeypatch)
         spec = backbone_spec()
         params = shifted_params(spec, 51, np.float32)
         params[field] = params[field].astype(np.float64)
         x = Tensor4(np.random.default_rng(52).normal(size=(2, 16, 16, 16)).astype(np.float32))
         want = per_layer(spec.layers, params, x)
+        assert want.dtype == (np.float32 if field in ("bn1.running_var", "bn1.beta")
+                              else np.float64)
         runs = spy_on_convs(monkeypatch)
         got = M.forward(spec, params, x)
-        assert runs[0] == (None, None)
+        assert [(bn is not None, pool is not None) for bn, pool in runs] == [
+            (True, True), (True, True), (True, False)]
         assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+
+    def test_a_pool_whose_window_is_not_its_stride_runs_alone(self, monkeypatch):
+        spec = M.ModelSpec((8, 8, 4), (M.conv_spec("c1", filters=4, kernel=3),
+                                       M.batchnorm_spec("bn1"),
+                                       M.pool_spec("p1", window=3, stride=1)), top_boundary=3)
+        params = shifted_params(spec, 91, np.float32)
+        x = Tensor4(rounded_with_signed_zeros(np.random.default_rng(92), (2, 8, 8, 4),
+                                              np.float32))
+        want = per_layer(spec.layers, params, x)
+        runs = spy_on_convs(monkeypatch)
+        got = M.forward(spec, params, x)
+        assert [(bn is not None, pool) for bn, pool in runs] == [(True, None)]
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_conv_refuses_a_run_it_cannot_take(self):
         rng = np.random.default_rng(81)
@@ -575,12 +597,8 @@ class TestFusedForward:
         conv = L.ConvLayer(rng.normal(size=(4, 3, 3, 2)).astype(np.float32),
                            np.zeros(4, np.float32), TN.ConvGeometry(3, 1, 1), "relu")
         bn = L.BatchNormLayer(*(np.ones(4, np.float32) for _ in range(4)))
-        wide = L.BatchNormLayer(*(np.ones(4, np.float64) for _ in range(4)))
-        overlapping = L.PoolLayer(3, 1)
-        assert L.fusable(x, conv, wide, L.PoolLayer(2, 2)) == (None, None)
-        assert L.fusable(x, conv, bn, overlapping) == (bn, None)
-        for kwargs in ({"need_cache": True, "bn": bn}, {"need_cache": False, "bn": wide},
-                       {"need_cache": False, "pool": overlapping}):
+        for kwargs in ({"need_cache": True, "bn": bn},
+                       {"need_cache": False, "pool": L.PoolLayer(3, 1)}):
             with pytest.raises(ValueError):
                 L.conv2d_cached(x, conv, **kwargs)
 
