@@ -107,8 +107,8 @@ class LayerSpec:
 @dataclass(frozen=True)
 class LayerKind:
     keys: tuple[str, ...]  # LayerSpec fields in text-form order (hashed into the digest)
-    # (layer, param getter, x, training, rng, need_cache) -> (out, cache);
-    # a kind may return a None cache when need_cache is false.
+    # (layer, param getter, x, training, rng) -> (out, cache); in inference a
+    # kind may return a None cache.
     forward: Callable
     valid: Callable = lambda layer: True  # hyperparameter values are in range
     out_shape: Callable = lambda layer, h, w, c: (h, w, c)
@@ -153,21 +153,21 @@ KIND_TABLE = {
                                  "bias": (layer.filters,)},
         trainable=("filters", "bias"),
         penalized=("filters",),
-        forward=lambda layer, p, x, training, rng, need_cache: L.conv2d_cached(
-            x, _conv_layer(layer, p), need_cache=need_cache),
+        forward=lambda layer, p, x, training, rng: L.conv2d_cached(
+            x, _conv_layer(layer, p), need_cache=training),
     ),
     "pool": LayerKind(
         keys=("mode", "window", "stride"),
         valid=lambda layer: (layer.window >= 1 and layer.stride >= 1
                              and layer.mode in L.POOL_MODES),
         out_shape=lambda layer, h, w, c: (*L.pool_output_size(h, w, layer.window, layer.stride), c),
-        forward=lambda layer, p, x, training, rng, need_cache: L.pool_cached(
-            x, _pool_layer(layer), need_cache=need_cache),
+        forward=lambda layer, p, x, training, rng: L.pool_cached(
+            x, _pool_layer(layer), need_cache=training),
     ),
     "flatten": LayerKind(
         keys=(),
         out_shape=lambda layer, h, w, c: (1, 1, h * w * c),
-        forward=lambda layer, p, x, training, rng, need_cache: L.flatten_cached(x),
+        forward=lambda layer, p, x, training, rng: L.flatten_cached(x),
     ),
     "dense": LayerKind(
         keys=("units", "activation"),
@@ -176,13 +176,13 @@ KIND_TABLE = {
         params=lambda layer, c: {"weights": (c, layer.units), "bias": (layer.units,)},
         trainable=("weights", "bias"),
         penalized=("weights",),
-        forward=lambda layer, p, x, training, rng, need_cache: L.dense_cached(
+        forward=lambda layer, p, x, training, rng: L.dense_cached(
             x, L.DenseLayer(p("weights"), p("bias"), layer.activation)),
     ),
     "dropout": LayerKind(
         keys=("rate",),
         valid=lambda layer: 0.0 <= layer.rate < 1.0,
-        forward=lambda layer, p, x, training, rng, need_cache: L.dropout_cached(
+        forward=lambda layer, p, x, training, rng: L.dropout_cached(
             x, L.DropoutLayer(layer.rate), training, rng),
     ),
     # Frozen batch norm runs on its running statistics even during training,
@@ -192,8 +192,8 @@ KIND_TABLE = {
         params=lambda layer, c: dict.fromkeys(("gamma", "beta", "running_mean", "running_var"),
                                               (c,)),
         trainable=("gamma", "beta"),
-        forward=lambda layer, p, x, training, rng, need_cache: L.batchnorm_cached(
-            x, _batchnorm_layer(p), training and layer.trainable, need_cache=need_cache),
+        forward=lambda layer, p, x, training, rng: L.batchnorm_cached(
+            x, _batchnorm_layer(p), training and layer.trainable, need_cache=training),
     ),
 }
 
@@ -388,13 +388,13 @@ def init_params(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> ParamStore:
                        for name, shape in param_shapes(spec).items()})
 
 
-def apply_layer(layer: LayerSpec, params: ParamStore, x: Tensor4,
-                training: bool = False, rng: np.random.Generator | None = None,
-                need_cache: bool = True) -> tuple[Tensor4, object]:
-    """Run one layer on x; returns its output and the cache its backward uses
-    (which may be None when `need_cache` is false)."""
-    return KIND_TABLE[layer.kind].forward(layer, _params_of(layer, params), x, training, rng,
-                                          need_cache)
+def apply_layer(layer: LayerSpec, params: ParamStore, x: Tensor4, training: bool = False,
+                rng: np.random.Generator | None = None) -> tuple[Tensor4, object]:
+    """One layer on x: (output, cache). In training a trainable batch norm uses
+    batch statistics, dropout draws its mask from `rng` and the cache is what
+    backward reads; in inference batch norm uses running statistics, dropout is
+    the identity and a conv, pool or batch norm returns a None cache."""
+    return KIND_TABLE[layer.kind].forward(layer, _params_of(layer, params), x, training, rng)
 
 
 def _params_of(layer: LayerSpec, params: ParamStore) -> Callable:
@@ -403,15 +403,14 @@ def _params_of(layer: LayerSpec, params: ParamStore) -> Callable:
 
 
 def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
-                        training: bool = False,
                         rng: np.random.Generator | None = None, first: int = 0,
                         ) -> tuple[Tensor4, list[tuple[LayerSpec, object]]]:
-    """Run the model, keeping each layer's cache in layer order. `first`
-    (internal) starts at that layer, x being its input; the caches then
-    cover spec.layers[first:]."""
+    """The training walk: every layer in training mode, its cache kept in layer
+    order. `first` (internal) starts at that layer, x being its input; the
+    caches then cover spec.layers[first:]."""
     caches = []
     for layer in spec.layers[first:]:
-        x, cache = apply_layer(layer, params, x, training, rng)
+        x, cache = apply_layer(layer, params, x, True, rng)
         caches.append((layer, cache))
     return x, caches
 
@@ -419,18 +418,18 @@ def forward_with_caches(spec: ModelSpec, params: ParamStore, x: Tensor4,
 def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
             first: int = 0, stop: int | None = None) -> Tensor4:
     """Run the whole model in inference mode; returns the final layer's output.
-    `first` and `stop` (internal) run only the layers spec.layers[first:stop],
-    x being the input of layer `first`.
+    `first` and `stop` (internal; `capture_activations` walks by them) run only
+    the layers spec.layers[first:stop], x being the input of layer `first`.
 
     No layer keeps a cache. Each conv runs the batch norm right after it and
     then a pool whose window is its stride, where those follow, in one
     `layers.conv2d_cached` call (`_conv_run`), at any dtype: its workers
     finish each block of the product through the pool, so no full-size
     conv or batch-norm map of such a run is made. The bytes are those of
-    the layers run one by one (`forward_with_caches`,
-    `capture_activations`). A conv holds its whole im2col matrix only when
-    that is at most 16 MB; a larger one is taken in blocks of about 512 KB,
-    one buffer per worker, and no conv makes a padded copy of its input.
+    the layers run one by one in inference (`apply_layer`). A conv holds its
+    whole im2col matrix only when that is at most 16 MB; a larger one is
+    taken in blocks of about 512 KB, one buffer per worker, and no conv
+    makes a padded copy of its input.
     """
     run = spec.layers[first:stop]
     j = 0
@@ -439,7 +438,7 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
             conv, bn, pool, n = _conv_run(run[j:], params)
             x = L.conv2d_cached(x, conv, need_cache=False, bn=bn, pool=pool)[0]
         else:
-            x, n = apply_layer(run[j], params, x, need_cache=False)[0], 1
+            x, n = apply_layer(run[j], params, x)[0], 1
         j += n
     return x
 
@@ -471,13 +470,14 @@ def _known_names(spec: ModelSpec, layer_names) -> set:
 
 def capture_activations(spec: ModelSpec, params: ParamStore, x: Tensor4,
                         layer_names) -> dict[str, Tensor4]:
-    """Inference-mode outputs at the named layers, keyed by name."""
+    """Inference-mode outputs at the named layers, keyed by name: `forward` runs
+    from one named layer to the next (its conv runs fused) and stops at the last."""
     wanted = _known_names(spec, layer_names)
-    captured: dict[str, Tensor4] = {}
-    for layer in spec.layers:
-        x = apply_layer(layer, params, x, need_cache=False)[0]
+    captured, first = {}, 0
+    for stop, layer in enumerate(spec.layers, 1):
         if layer.name in wanted:
-            captured[layer.name] = x
+            x = captured[layer.name] = forward(spec, params, x, first, stop)
+            first = stop
     return captured
 
 

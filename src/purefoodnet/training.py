@@ -91,7 +91,7 @@ def loss_and_gradients(spec: M.ModelSpec, params: M.ParamStore, x: Tensor4,
     lowest = _lowest_trainable(spec)
     if first > (len(spec.layers) - 1 if lowest is None else lowest):
         raise ValueError(f"layer {first} is above the lowest trainable layer or the predictor")
-    probs, caches = M.forward_with_caches(spec, params, x, training=True, rng=rng, first=first)
+    probs, caches = M.forward_with_caches(spec, params, x, rng=rng, first=first)
     y = _as_rows(labels)
     loss = cross_entropy_loss(probs, y)
     penalized = M.penalized_weight_names(spec)

@@ -20,6 +20,7 @@ from purefoodnet.augment import AugmentPolicy
 from purefoodnet.cli import main
 from purefoodnet.errors import ConfigError, DataFormatError
 from purefoodnet.tensor import Tensor4, load_tensor
+from test_models import spy_on_kernels
 
 
 def make_dataset(root, classes=2, per_class=8, side=8, seed=0):
@@ -830,18 +831,14 @@ class TestInspect:
         M.save_weights(tmp / "dead.pfw", spec, params)
         image = next(iter((trained_run["data"] / "food_0").iterdir()))
         dest = tmp / "inspect_once"
-        calls = []
-        apply_layer = M.apply_layer
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].name)
-            return apply_layer(*args, **kwargs)
-
-        monkeypatch.setattr(M, "apply_layer", counting)
+        kinds = spy_on_kernels(monkeypatch)
         assert main(["inspect", "--spec", str(out / "model.spec"),
                      "--weights", str(tmp / "dead.pfw"), "--image", str(image),
                      "--out-dir", str(dest), *(["--layers", layers] if layers else [])]) == 0
-        assert calls == [layer.name for layer in spec.layers]
+        # Each layer runs once, up to the last one asked for (c1, the only
+        # conv, when none is named).
+        last = [layer.name for layer in spec.layers].index("fc1" if layers else "c1")
+        assert kinds == [layer.kind for layer in spec.layers[:last + 1]]
         monkeypatch.undo()
 
         x = Tensor4(D.pack_image(D.load_image(image).pixels, 8)[np.newaxis].astype(np.float32))

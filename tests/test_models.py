@@ -342,12 +342,12 @@ class TestForward:
         y = L.dense_forward(y, L.DenseLayer(params["out.weights"], params["out.bias"], "softmax"))
         np.testing.assert_array_equal(got.data, y.data)
 
-    def test_matches_forward_with_caches_on_every_kind(self):
+    def test_matches_the_layers_one_by_one_on_every_kind(self):
         spec = M.parse_model_spec(GOLDEN_SPEC_TEXT)
         params = M.init_params(spec, seed=9)
         x = Tensor4(np.random.default_rng(12).normal(size=(5, 16, 16, 3)).astype(np.float32))
         got = M.forward(spec, params, x)
-        want, _ = M.forward_with_caches(spec, params, x)
+        want = per_layer(spec.layers, params, x)
         assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
 
     def test_output_shapes_match_inference(self):
@@ -356,7 +356,7 @@ class TestForward:
             spec = tiny_spec(num_classes=2 + seed)
             params = M.init_params(spec, seed=seed)
             x = Tensor4(rng.normal(size=(2, 8, 8, 2)).astype(np.float32))
-            out, caches = M.forward_with_caches(spec, params, x)
+            out = M.forward(spec, params, x)
             shapes = M.infer_shapes(spec)
             assert out.data.shape == (2, *shapes[-1])
 
@@ -365,7 +365,7 @@ class TestForward:
         params = M.init_params(spec, seed=0)
         x = Tensor4(np.random.default_rng(1).normal(size=(2, 8, 8, 2)).astype(np.float32))
         with pytest.raises(ValueError):
-            M.forward_with_caches(spec, params, x, training=True)
+            M.forward_with_caches(spec, params, x)
 
     def test_frozen_batchnorm_ignores_batch_stats(self):
         spec = tiny_spec()
@@ -374,10 +374,10 @@ class TestForward:
         params["bn1.running_mean"][:] = 0.5
         x = Tensor4(np.random.default_rng(3).normal(size=(2, 8, 8, 2)))
         before = params["bn1.running_mean"].copy()
-        M.forward_with_caches(frozen, params, x, training=True, rng=np.random.default_rng(0))
+        M.forward_with_caches(frozen, params, x, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(params["bn1.running_mean"], before)
         # The unfrozen spec does update the running stats in training mode.
-        M.forward_with_caches(spec, params, x, training=True, rng=np.random.default_rng(0))
+        M.forward_with_caches(spec, params, x, rng=np.random.default_rng(0))
         assert not np.array_equal(params["bn1.running_mean"], before)
 
 
@@ -390,7 +390,7 @@ class TestCaptureActivations:
         np.testing.assert_array_equal(caps["out"].data, M.forward(spec, params, x).data)
 
     @pytest.mark.parametrize("blocks", [None, 0])  # 0: cache-free convs in minimal blocks
-    def test_every_layer_equals_forward_with_caches(self, blocks, monkeypatch):
+    def test_every_layer_equals_the_layers_one_by_one(self, blocks, monkeypatch):
         if blocks is not None:
             monkeypatch.setattr(L, "_ONE_BLOCK_BYTES", blocks)
             monkeypatch.setattr(L, "_IM2COL_BLOCK_BYTES", blocks)
@@ -399,10 +399,7 @@ class TestCaptureActivations:
         x = Tensor4(np.random.default_rng(14).normal(size=(64, 16, 16, 3)).astype(np.float32))
         caps = M.capture_activations(spec, params, x, [layer.name for layer in spec.layers])
         for j, layer in enumerate(spec.layers):
-            prefix = M.ModelSpec(spec.input_shape, spec.layers[:j + 1],
-                                 min(spec.top_boundary, j + 1))
-            want, caches = M.forward_with_caches(prefix, params, x)
-            assert all(cache is not None for _, cache in caches)
+            want = per_layer(spec.layers[:j + 1], params, x)
             got = caps[layer.name]
             assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
 
@@ -427,7 +424,7 @@ class TestCaptureActivations:
 def per_layer(layers, params, x):
     """The inference output of `layers` run one by one (`apply_layer`)."""
     for layer in layers:
-        x = M.apply_layer(layer, params, x, need_cache=False)[0]
+        x = M.apply_layer(layer, params, x)[0]
     return x
 
 
@@ -479,6 +476,95 @@ def small_blocks(monkeypatch):
     """Every conv matrix is split into blocks of the least height allowed."""
     monkeypatch.setattr(L, "_ONE_BLOCK_BYTES", 0)
     monkeypatch.setattr(L, "_IM2COL_BLOCK_BYTES", 0)
+
+
+def spy_on_kernels(monkeypatch) -> list:
+    """The kind of each layer a `layers` kernel runs from now on, in order; a
+    conv that runs a batch norm and a pool in its blocks counts them too."""
+    kinds = []
+
+    def spy(kernel, kind):
+        real = getattr(L, kernel)
+
+        def counting(*args, **kwargs):
+            kinds.append(kind)
+            kinds.extend(fused for fused, key in (("batchnorm", "bn"), ("pool", "pool"))
+                         if kwargs.get(key) is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(L, kernel, counting)
+
+    for kind in ("conv", "batchnorm", "pool", "flatten", "dense", "dropout"):
+        spy("conv2d_cached" if kind == "conv" else f"{kind}_cached", kind)
+    return kinds
+
+
+class TestCaptureWalk:
+    """`capture_activations` runs `forward` from one named layer to the next:
+    the conv runs between two captures run fused, no layer after the last
+    named one runs, and every capture has the bytes of the layers run one by
+    one."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(L, "_WORKERS", request.param)
+
+    @pytest.fixture(autouse=True, params=["default", "small"])
+    def blocks(self, request, monkeypatch):
+        if request.param == "small":
+            small_blocks(monkeypatch)
+
+    @pytest.fixture()
+    def golden(self):
+        spec = M.parse_model_spec(GOLDEN_SPEC_TEXT)
+        params = shifted_params(spec, 71, np.float32)
+        x = Tensor4(rounded_with_signed_zeros(np.random.default_rng(72), (5, 16, 16, 3),
+                                              np.float32))
+        return spec, params, x
+
+    def check_bytes(self, spec, params, x, caps):
+        names = [layer.name for layer in spec.layers]
+        for name, got in caps.items():
+            want = per_layer(spec.layers[:names.index(name) + 1], params, x)
+            assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("names, runs", [
+        (["bn2"], [(True, "max"), (True, None)]),
+        (["fc1"], [(True, "max"), (True, "average")]),
+        (["predictor", "bn1"], [(True, None), (True, "average")]),
+        (["p1", "bn2", "fc1_drop"], [(True, "max"), (True, None)]),
+    ])
+    def test_convs_before_a_capture_run_fused(self, golden, names, runs, monkeypatch):
+        spec, params, x = golden
+        conv_runs = spy_on_convs(monkeypatch)
+        caps = M.capture_activations(spec, params, x, names)
+        assert [(bn is not None, pool and pool.mode) for bn, pool in conv_runs] == runs
+        assert sorted(caps) == sorted(names)
+        self.check_bytes(spec, params, x, caps)
+
+    @pytest.mark.parametrize("names", [["c1"], ["c2"], ["c2", "c1"]])
+    def test_only_convs_requested_runs_no_layer_after_the_last(self, golden, names,
+                                                                monkeypatch):
+        spec, params, x = golden
+        kinds = spy_on_kernels(monkeypatch)
+        caps = M.capture_activations(spec, params, x, names)
+        assert "dense" not in kinds
+        last = max(j for j, layer in enumerate(spec.layers) if layer.name in names)
+        assert kinds == [layer.kind for layer in spec.layers[:last + 1]]
+        self.check_bytes(spec, params, x, caps)
+
+    def test_no_names_run_no_layer(self, golden, monkeypatch):
+        spec, params, x = golden
+        kinds = spy_on_kernels(monkeypatch)
+        assert M.capture_activations(spec, params, x, []) == {}
+        assert kinds == []
+
+    def test_every_capture_has_the_bytes_of_the_layers_one_by_one(self, golden, monkeypatch):
+        spec, params, x = golden
+        kinds = spy_on_kernels(monkeypatch)
+        caps = M.capture_activations(spec, params, x, [layer.name for layer in spec.layers])
+        assert kinds == [layer.kind for layer in spec.layers]
+        self.check_bytes(spec, params, x, caps)
 
 
 class TestFusedForward:

@@ -329,8 +329,7 @@ class TestFilterGradientTaps:
         x = Tensor4(np.random.default_rng(3).normal(size=(4, 32, 32, 3)).astype(np.float32))
         tracemalloc.start()
         try:
-            _, caches = M.forward_with_caches(spec, params, x, training=True,
-                                              rng=np.random.default_rng(0))
+            _, caches = M.forward_with_caches(spec, params, x, rng=np.random.default_rng(0))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
