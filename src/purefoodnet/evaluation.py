@@ -54,6 +54,25 @@ def check_one_hot(rows: np.ndarray) -> None:
         raise ValueError("labels must be one-hot rows (exactly one 1, rest 0)")
 
 
+def _truth_indices(truth, n_rows: int, n_classes: int) -> np.ndarray:
+    """The true class index of each of n_rows score rows over n_classes,
+    from class indices or one-hot rows, checked against both counts."""
+    truth = np.asarray(truth)
+    if truth.ndim == 2:
+        if truth.shape[1] != n_classes:
+            raise ShapeError(f"labels have {truth.shape[1]} columns, scores {n_classes}")
+        check_one_hot(truth)
+        truth = truth.argmax(axis=1)
+    elif truth.ndim != 1:
+        raise ShapeError(f"labels must be indices or one-hot rows, got shape {truth.shape}")
+    truth = truth.astype(np.int64)
+    if truth.shape[0] != n_rows:
+        raise ShapeError(f"{n_rows} score rows but {truth.shape[0]} labels")
+    if truth.min() < 0 or truth.max() >= n_classes:
+        raise ValueError("truth indices out of range")
+    return truth
+
+
 @dataclass(frozen=True)
 class PredictionBatch:
     """Score matrix plus the true class index of each row."""
@@ -67,19 +86,7 @@ class PredictionBatch:
             raise ShapeError(f"scores must be (N, n_classes) with N >= 1, got {scores.shape}")
         if not np.isfinite(scores).all():
             raise ValueError("scores contain non-finite values")
-        truth = np.asarray(self.truth)  # class indices, or one-hot rows
-        if truth.ndim == 2:
-            if truth.shape[1] != scores.shape[1]:
-                raise ShapeError(f"labels have {truth.shape[1]} columns, scores {scores.shape[1]}")
-            check_one_hot(truth)
-            truth = truth.argmax(axis=1)
-        elif truth.ndim != 1:
-            raise ShapeError(f"labels must be indices or one-hot rows, got shape {truth.shape}")
-        truth = truth.astype(np.int64)
-        if truth.shape[0] != scores.shape[0]:
-            raise ShapeError(f"{scores.shape[0]} score rows but {truth.shape[0]} labels")
-        if truth.min() < 0 or truth.max() >= scores.shape[1]:
-            raise ValueError("truth indices out of range")
+        truth = _truth_indices(self.truth, *scores.shape)
         for name, arr in (("scores", scores), ("truth", truth)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -181,13 +188,13 @@ def evaluate(spec, params, batches, ks=None) -> EvalReport:
     for x, labels in batches:
         if not isinstance(x, Tensor4):
             x = Tensor4(np.asarray(x))
-        out = models.forward(spec, params, x)
-        batch = PredictionBatch(out.data.reshape(out.i, plan.n_classes), labels)
-        order = rank(batch.scores)
-        for k, count in hit_counts(order, batch.truth, plan.ks).items():
+        out = models.forward(spec, params, x)  # a Tensor4: finite, at least one row
+        truth = _truth_indices(labels, out.i, plan.n_classes)
+        order = rank(out.data.reshape(out.i, plan.n_classes))
+        for k, count in hit_counts(order, truth, plan.ks).items():
             hits[k] += count
-        np.add.at(class_total, batch.truth, 1)
-        np.add.at(class_correct, batch.truth[order[:, 0] == batch.truth], 1)
+        np.add.at(class_total, truth, 1)
+        np.add.at(class_correct, truth[order[:, 0] == truth], 1)
     n_samples = int(class_total.sum())
     if n_samples == 0:
         raise DataError("evaluation split produced no batches")

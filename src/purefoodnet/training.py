@@ -326,8 +326,8 @@ class _PrefixMemo(dict):
     """(image bytes, shape, dtype, images in its batch) -> the image's output
     of the frozen prefix, kept by one `train` call for its later passes. It
     stores a batch whole or not at all, within `budget` bytes, keys
-    included; the first batch that does not fit makes it `full`, and it
-    stores nothing more.
+    included. Once `full` it stores nothing more, and it serves what it
+    holds until the call ends.
 
     The conv GEMMs pick their BLAS kernel by row count, so a row is reused
     only in a batch of the size it was computed in, and a batch with any
@@ -342,21 +342,15 @@ class _PrefixMemo(dict):
         self.images = set()  # (image bytes, shape, dtype) of each stored row
         self.full = False
 
-    def clear(self):
-        super().clear()
-        self.images.clear()
-        self.nbytes = 0
-
-    def features(self, x: Tensor4, look: bool = True) -> Tensor4:
-        """The prefix output of batch x; with `look` false the memo is neither
-        read nor written."""
+    def features(self, x: Tensor4) -> Tensor4:
+        """The prefix output of batch x; the first batch that does not fit
+        makes the memo `full`."""
         if not self.stop:
             return x
-        keys = [(image.tobytes(), image.shape, image.dtype.str, x.i)
-                for image in x.data] if look else []
+        keys = [(image.tobytes(), image.shape, image.dtype.str, x.i) for image in x.data]
         self.returns += sum(key[:3] in self.images for key in keys)
         rows = [self.get(key) for key in keys]
-        if rows and all(row is not None for row in rows):
+        if all(row is not None for row in rows):
             return Tensor4(np.stack(rows))
         out = M.forward(self.spec, self.params, x, stop=self.stop)
         new = {key: row for key, row in zip(keys, out.data) if key not in self}
@@ -368,24 +362,18 @@ class _PrefixMemo(dict):
             self.nbytes += size
         return out
 
-    def fill(self, batches) -> int:
-        """Store the prefix outputs of `batches`, in order, until a batch does
-        not fit; returns how many batches were stored. A batch that the rows
-        stored so far (or, before any, its keys alone) show cannot fit is
-        not run."""
-        stored = 0
+    def fill(self, batches) -> None:
+        """Store the prefix outputs of `batches`, in order, until one does not
+        fit. A batch that the rows stored so far (or, before any, its keys
+        alone) show cannot fit is not run."""
         if not self.stop:
-            return stored
+            return
         for xb, _ in batches:
             row = self.nbytes / len(self) if self else xb.data[0].nbytes
-            if self.nbytes + xb.i * row > self.budget:
-                self.full = True
-            else:
-                self.features(xb)
+            self.full = self.full or self.nbytes + xb.i * row > self.budget
             if self.full:
                 break
-            stored += 1
-        return stored
+            self.features(xb)
 
 
 # A diverging run reports the finiteness check it fails, not numpy's warnings.
@@ -407,18 +395,18 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     bit for bit.
 
     The frozen prefix (`_frozen_prefix`) runs once per image and batch size
-    per call, up to `_MEMO_BYTES` of stored outputs (`_PrefixMemo`).
-    Validation batches are stored first, in their order, before epoch 1:
-    every pass serves those that fit. The room left takes training rows,
-    served whenever a shuffle brings a batch of stored rows back. Training
-    batches stop using it, and its rows go, when a training batch does not
-    fit (a reshuffled batch then seldom finds all its rows) or a pass after
-    the first brings back no more than half its images stored before, at
-    any batch size. An augmented image comes back only when a reshuffle
-    puts its source where it was (the augmentation draws by stream
-    position); an un-augmented pass brings back all of its images, though
-    it may be served none of its batches whole, since a reshuffle moves
-    images between the full batches and a partial last one.
+    per call, up to `_MEMO_BYTES` of stored outputs in one `_PrefixMemo`.
+    Validation batches are stored first, in their order, before epoch 1;
+    training rows take the room left, and a shuffle that brings a batch of
+    stored rows back is served them. The memo stores nothing more once a
+    batch does not fit, or once a training pass after the first brings back
+    no more than half its images stored before, at any batch size; it
+    serves what it holds until `train` returns. An augmented image comes
+    back only when a reshuffle puts its source where it was (the
+    augmentation draws by stream position); an un-augmented pass brings
+    back all of its images, though it may be served none of its batches
+    whole, since a reshuffle moves images between the full batches and a
+    partial last one.
     """
     if val_set is None and config.patience is not None:
         raise ConfigError("early stopping needs a validation set (or set patience=None)")
@@ -428,10 +416,9 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     history: list[EpochStats] = []
     stopped_early = False
     first = _frozen_prefix(spec)
-    val_memo = _PrefixMemo(spec, params, first, _MEMO_BYTES)
-    stored = 0 if val_set is None else val_memo.fill(_batches(val_set, config))
-    train_memo = _PrefixMemo(spec, params, first, _MEMO_BYTES - val_memo.nbytes)
-    look = True  # whether training batches use train_memo
+    memo = _PrefixMemo(spec, params, first, _MEMO_BYTES)
+    if val_set is not None:
+        memo.fill(_batches(val_set, config))
 
     for epoch in range(1, config.epochs + 1):
         lr = scheduled_lr(config, epoch)
@@ -439,14 +426,12 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         hits = 0
         count = 0
         batch_index = 0
-        returns = train_memo.returns
+        returns = memo.returns
         for xb, yb in _batches(train_set, config, epoch):
             rng = make_rng(config.seed, "dropout", epoch, batch_index)
             shifted = lookahead_params(params, velocity, config.momentum, trainable)
-            features = train_memo.features(xb, look)
-            look = look and not train_memo.full
             loss, grads, probs = loss_and_gradients(
-                spec, shifted, features, yb,
+                spec, shifted, memo.features(xb), yb,
                 l2_strength=config.l2_strength, l1_strength=config.l1_strength,
                 rng=rng, first=first)
             loss_sum += loss * xb.i
@@ -458,15 +443,12 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
         if count == 0:
             raise ConfigError("training set produced no batches")
         train_loss, train_top1 = loss_sum / count, hits / count
-        look = look and (epoch == 1 or 2 * (train_memo.returns - returns) > count)
-        if not look:
-            train_memo.clear()
+        memo.full = memo.full or (epoch > 1 and 2 * (memo.returns - returns) <= count)
 
         if val_set is None:
             val_loss = val_top1 = math.nan
         else:
-            val_batches = ((val_memo.features(xb, index < stored), yb)
-                           for index, (xb, yb) in enumerate(_batches(val_set, config)))
+            val_batches = ((memo.features(xb), yb) for xb, yb in _batches(val_set, config))
             val_loss, val_top1 = evaluate_loss_top1(spec, params, val_batches, first)
             if math.isnan(val_top1) and config.patience is not None:
                 raise ConfigError("early stopping needs at least one validation sample")

@@ -285,6 +285,30 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             E.evaluate(spec, params, self._batches(x, np.array([0, 1]), 2), ks=(4,))
 
+    def test_ranks_the_forward_output_without_a_prediction_batch(self, monkeypatch):
+        # The scores are ranked as the forward left them, with no float64
+        # copy, and the labels get `PredictionBatch`'s checks.
+        spec = linear_spec(3, 5)
+        params = M.init_params(spec, seed=9)  # float32 scores
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(12, 1, 1, 3)).astype(np.float32)
+        truth = rng.integers(0, 5, 12)
+        scores = M.forward(spec, params, Tensor4(x)).data.reshape(12, 5)
+        batch = E.PredictionBatch(scores, truth)
+        want = {k: E.top_k_accuracy(batch, k) for k in (1, 3)}
+
+        def refuse(*args):
+            raise AssertionError("evaluate built a PredictionBatch")
+
+        monkeypatch.setattr(E, "PredictionBatch", refuse)
+        report = E.evaluate(spec, params, self._batches(x, truth, 5), ks=(1, 3))
+        assert {k: report.accuracy(k) for k in (1, 3)} == want
+        for labels, error in (([0, 5], ValueError), ([0], ShapeError),
+                              (np.eye(4)[[0, 1]], ShapeError), (np.ones((2, 5)), ValueError),
+                              (np.zeros((2, 1, 1)), ShapeError)):
+            with pytest.raises(error):
+                E.evaluate(spec, params, [(Tensor4(x[:2]), labels)], ks=(1,))
+
 
 class TestOneRanking:
     """Every top-1 count, in `evaluate` and in training, is column 0 of

@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from purefoodnet import dataio as D
@@ -1045,9 +1047,9 @@ def _sha(path) -> str:
 
 @pytest.fixture()
 def memos(monkeypatch):
-    """Every `_PrefixMemo` made from now on (`train` makes its validation
-    memo, then its training one), each with the `look` of every batch and
-    `served`, the count of batches it returned without running the prefix."""
+    """Every `_PrefixMemo` made from now on (`train` makes one), each with
+    `served`, the count of batches, validation and training alike, that it
+    returned without running the prefix."""
     made, forward_calls = [], []
     forward = M.forward
 
@@ -1058,14 +1060,12 @@ def memos(monkeypatch):
     class Recorded(T._PrefixMemo):
         def __init__(self, *args):
             super().__init__(*args)
-            self.looks = []
             self.served = 0
             made.append(self)
 
-        def features(self, x, look=True):
-            self.looks.append(look)
+        def features(self, x):
             calls = len(forward_calls)
-            out = super().features(x, look)
+            out = super().features(x)
             self.served += bool(self.stop) and len(forward_calls) == calls
             return out
 
@@ -1119,6 +1119,9 @@ PREFIX_CASES = {
     "wholly-frozen-toy": (_frozen(toy_linear_spec(), ["out"]), 1),
 }
 
+# Key and output bytes of one float32 image of the frozen-backbone case.
+_ROW = 6 * 6 * 2 * 4 + 3 * 3 * 3 * 4
+
 
 class TestFrozenPrefix:
     """`train` runs the frozen prefix once per image and batch size, and the
@@ -1159,12 +1162,14 @@ class TestFrozenPrefix:
         spec, first = PREFIX_CASES[case]
         run = self._runner(spec)
         memoized = run()
-        val, train = memos[-2:]
-        assert val.stop == train.stop == first
-        assert val.served == (8 if first else 0)  # both val batches, every epoch
+        memo = memos[-1]
+        assert memo.stop == first
+        # Both val batches every epoch, and the 4 training batches the
+        # shuffles bring back whole.
+        assert memo.served == (8 + 4 if first else 0)
         monkeypatch.setattr(T, "_MEMO_BYTES", 0)
         assert run() == memoized
-        assert len(memos[-2]) == len(memos[-1]) == 0
+        assert len(memos[-1]) == memos[-1].served == 0
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert run() == memoized
 
@@ -1172,32 +1177,29 @@ class TestFrozenPrefix:
         spec, first = PREFIX_CASES["frozen-backbone"]
         run = self._runner(spec)
         memoized = run()
-        val_bytes = memos[-2].nbytes
-        assert len(memos[-2]) == 6 and memos[-1].nbytes > 0
-        # Room for the val rows alone: the first training batch finds the
-        # memo full, and no later one looks.
+        val_bytes = 6 * _ROW
+        assert memos[-1].nbytes > val_bytes  # the val rows, then training rows
+        # Room for the val rows alone: the first training batch makes the
+        # memo full, and only the val batches are served.
         monkeypatch.setattr(T, "_MEMO_BYTES", val_bytes)
         conv_images.clear()
         assert run() == memoized
-        val, train = memos[-2:]
-        assert val.served == 8 and val.looks == [True] * 10
-        assert train.looks == [True] + [False] * 11 and len(train) == train.served == 0
+        memo = memos[-1]
+        assert len(memo) == 6 and memo.nbytes == val_bytes and memo.full and memo.served == 8
         assert conv_images == [4, 2] + [4, 4, 2] * 4
         # Room for the first val batch only: the second is never run to be
-        # stored, and the val passes look up only the first.
+        # stored, and only the first is served.
         monkeypatch.setattr(T, "_MEMO_BYTES", val_bytes - 1)
         conv_images.clear()
         assert run() == memoized
-        val, train = memos[-2:]
-        assert len(val) == 4 and val.served == 4 and val.full
-        assert val.looks == [True] + [True, False] * 4
-        assert train.looks == [True] + [False] * 11 and len(train) == 0
+        memo = memos[-1]
+        assert len(memo) == 4 and memo.served == 4 and memo.full
         assert conv_images == [4] + [4, 4, 2, 2] * 4
         # No room: nothing runs before epoch 1, and nothing is stored.
         monkeypatch.setattr(T, "_MEMO_BYTES", 0)
         conv_images.clear()
         assert run() == memoized
-        assert memos[-2].looks == [False, False] * 4 and len(memos[-1]) == 0
+        assert len(memos[-1]) == memos[-1].served == 0 and memos[-1].full
         assert conv_images == [4, 4, 2, 4, 2] * 4
 
     @pytest.mark.parametrize("case", ["frozen-backbone", "wholly-frozen-toy"])
@@ -1217,37 +1219,35 @@ class TestFrozenPrefix:
 
     def test_rows_are_reused_only_in_batches_of_their_size(self, memos, conv_images):
         spec, first = PREFIX_CASES["frozen-backbone"]
-        memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first, T._MEMO_BYTES)
+        params = M.init_params(spec, seed=1)
+        memo = T._PrefixMemo(spec, params, first, T._MEMO_BYTES)
         x = np.random.default_rng(2).normal(size=(3, 6, 6, 2)).astype(np.float32)
 
-        def features(take, look=True):
-            return memo.features(Tensor4(x[take]), look).data
+        def features(take):
+            return memo.features(Tensor4(x[take])).data
 
         pair = features([0, 1])
         assert features([1, 0]).tobytes() == pair[[1, 0]].tobytes()  # served
         features([0, 1, 2])  # one image new: the whole batch runs
         features([0])  # stored at batch size 2 and 3, not 1
-        features([2], look=False)
-        assert conv_images == [2, 3, 1, 1]
+        assert conv_images == [2, 3, 1]
         assert len(memo) == 6 and memo.served == 1
-        assert features([2, 1, 0]).tobytes() == features([2, 1, 0], look=False).tobytes()
+        unmemoized = M.forward(spec, params, Tensor4(x[[2, 1, 0]]), stop=first).data
+        assert features([2, 1, 0]).tobytes() == unmemoized.tobytes()
         assert memo.served == 2
 
     def test_a_batch_is_stored_whole_or_not_at_all(self, memos):
         spec, first = PREFIX_CASES["frozen-backbone"]
-        row = 6 * 6 * 2 * 4 + 3 * 3 * 3 * 4  # key and output bytes of one image
-        memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first, 3 * row)
+        memo = T._PrefixMemo(spec, M.init_params(spec, seed=1), first, 3 * _ROW)
         x = Tensor4(np.random.default_rng(2).normal(size=(4, 6, 6, 2)).astype(np.float32))
         memo.features(Tensor4(x.data[:2]))
-        assert memo.nbytes == 2 * row and not memo.full
+        assert memo.nbytes == 2 * _ROW and not memo.full
         memo.features(Tensor4(x.data[2:]))  # 2 more rows would pass the bound
-        assert memo.nbytes == 2 * row and len(memo) == 2 and memo.full
+        assert memo.nbytes == 2 * _ROW and len(memo) == 2 and memo.full
         memo.features(Tensor4(x.data[2:3]))  # would fit, but a full memo stores nothing
         assert len(memo) == 2
         memo.features(Tensor4(x.data[:2]))
         assert memo.served == 1  # a full memo still serves its rows
-        memo.clear()
-        assert memo.nbytes == 0 and len(memo) == 0
 
     @pytest.fixture()
     def base(self, tmp_path):
@@ -1272,11 +1272,12 @@ class TestFrozenPrefix:
         # 5 training images a class: batches of 4, 4 and 2.
         args = ["--split-counts", "5,2,1", "--epochs", "4", "--seed", str(seed)]
         memoized = self._finetune(base, "memo", *args)
-        assert memos[-2].stop == 4 and memos[-2].served == 4  # the val batch, every epoch
+        # The val batch every epoch, and the 5 training batches the shuffles
+        # bring back whole.
+        assert memos[-1].stop == 4 and memos[-1].served == 4 + 5
         monkeypatch.setattr(T, "_MEMO_BYTES", 0)
         assert self._finetune(base, "bound-0", *args) == memoized
-        assert len(memos[-2]) == len(memos[-1]) == 0
-        assert memos[-2].served == memos[-1].served == 0
+        assert len(memos[-1]) == memos[-1].served == 0
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
 
@@ -1288,8 +1289,8 @@ class TestFrozenPrefix:
         args = ["--split-counts", "4,2,1", "--epochs", "3", "--seed", "4"]
         memoized = self._finetune(base, "memo", *args)
         assert conv_images == [4, 4, 4]
-        assert len(memos[-2]) == 4 and memos[-2].served == 3
-        assert len(memos[-1]) == 8 and memos[-1].served == 4
+        # 4 val rows and 8 training rows; 3 val batches and 4 training ones served.
+        assert len(memos[-1]) == 12 and memos[-1].served == 7
         conv_images.clear()
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
@@ -1299,7 +1300,7 @@ class TestFrozenPrefix:
         # 10 training images in batches of 4, 4 and 2: epoch 2 brings every
         # stored image back but serves none of its batches whole, as each
         # mixes rows stored at batch size 4 and 2. The rows stay, and epoch
-        # 3 is served.
+        # 3 is served. The one val batch is served in every epoch.
         passes = []  # (memo rows, batches served so far) when each training pass starts
         real = D.batch_iterator
 
@@ -1311,11 +1312,12 @@ class TestFrozenPrefix:
         monkeypatch.setattr(D, "batch_iterator", recording)
         args = ["--split-counts", "5,2,1", "--epochs", "4", "--seed", "1"]
         memoized = self._finetune(base, "memo", *args)
-        train = memos[-1]
+        memo = memos[-1]
         (rows1, _), (rows2, hits2), (rows3, hits3), (rows4, hits4) = passes
-        assert rows1 == 0 and rows2 == 10 and rows3 > rows2
-        assert hits2 == hits3 == 0 and hits4 > 0  # epoch 2 served nothing, epoch 3 some
-        assert train.looks == [True] * 12 and len(train) >= rows4
+        assert rows1 == 4 and rows2 == 14 and rows3 > rows2
+        # Training batches: none served in epoch 2, some in epoch 3.
+        assert (hits2, hits3) == (1, 2) and hits4 > 3
+        assert not memo.full and len(memo) >= rows4
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
 
@@ -1334,14 +1336,45 @@ class TestFrozenPrefix:
                 "--aug-noise", "0.05", "--aug-flip", "0.5"]
         memoized = self._finetune(base, "memo", *args)
         # The 4 val rows are stored before epoch 1 and served in every
-        # epoch. Epoch 1 stores 8 training rows; epoch 2 is served none of
-        # its batches, so its rows go and the later passes neither look nor
-        # store.
-        val, train = memos[-2:]
-        assert rows == [0, 8, 0, 0, 0] and len(val) == 4 and val.served == 5
-        assert train.looks == [True] * 4 + [False] * 6 and train.served == 0
+        # epoch. Epoch 1 stores 8 training rows. Epoch 2 brings back 1 of
+        # its 8 images and stores the other 7; that is no more than half, so
+        # the memo is full from then on: the rows stay, and no training
+        # batch is served.
+        memo = memos[-1]
+        assert rows == [4, 12, 19, 19, 19] and memo.full and memo.served == 5
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
+
+
+class TestPrefixMemoProperty:
+    """Any sequence of batches drawn from a pool of images, at any sizes,
+    with repeats and at any budget: each `features` output has the bytes
+    of the prefix run on that batch, `nbytes` counts the keys and rows
+    exactly and stays within the budget, a batch is stored whole or not at
+    all, and no stored row goes. Whether a row keeps its bits in another
+    batch of its size depends on the BLAS build, so CI also runs this class
+    on one BLAS thread and on one CPU."""
+
+    SPEC, FIRST = PREFIX_CASES["frozen-backbone"]
+    POOL = np.random.default_rng(11).normal(size=(6, 6, 6, 2)).astype(np.float32)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @given(budget=st.integers(0, 24 * _ROW),
+           batches=st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=1, max_size=5),
+                                      st.booleans()), max_size=12))
+    def test_any_batches_keep_the_bytes_and_the_budget(self, budget, batches):
+        params = M.init_params(self.SPEC, seed=1)
+        memo = T._PrefixMemo(self.SPEC, params, self.FIRST, budget)
+        for take, wide in batches:
+            x = Tensor4(self.POOL[take].astype(np.float64 if wide else np.float32))
+            before = set(memo)
+            out = memo.features(x)
+            want = M.forward(self.SPEC, params, x, stop=self.FIRST)
+            assert out.dtype == want.dtype and out.data.tobytes() == want.data.tobytes()
+            assert memo.nbytes == sum(len(key[0]) + row.nbytes for key, row in memo.items())
+            assert memo.nbytes <= budget
+            keys = {(image.tobytes(), image.shape, image.dtype.str, x.i) for image in x.data}
+            assert before <= set(memo) and set(memo) - before in (set(), keys - before)
 
 
 class TestHistoryCsv:
