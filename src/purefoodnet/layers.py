@@ -23,13 +23,11 @@ in blocks of about 512 KB, never below the smallest block that takes the
 whole product's BLAS kernel, through its own buffer of one block: each
 block is still in cache when its GEMM reads it. That holds with or without
 a backward to follow: a cache keeps the input itself, by reference, not the
-matrix, and the filter gradient takes its products from it. There are as
-many workers as the CPU affinity mask allows (`taskset` limits them) when
-OpenBLAS runs one thread per call (`OPENBLAS_NUM_THREADS=1`), and one
-otherwise. Every block takes the BLAS kernel the whole product would, so
-the bits are the same at any worker count. Workers run only untraced numpy
-work (`run_jobs`). Convolutions are cross-correlations: the kernel is
-applied as stored, never flipped.
+matrix, and the filter gradient takes its products from it. The workers
+are those of `workers.run_jobs`. Every block takes the BLAS kernel the
+whole product would, so the bits are the same at any worker count.
+Convolutions are cross-correlations: the kernel is applied as stored,
+never flipped.
 Every conv, cached or not and at any dtype, finishes each block in the
 worker that multiplied it: the worker adds the bias and applies the ReLU
 right after the block's GEMM. Without a cache, it can also apply the
@@ -47,14 +45,13 @@ exists standalone, with no backward.
 
 from __future__ import annotations
 
-import contextvars
-import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from . import workers
 from .errors import DegenerateBatchError, GeometryError, NonFiniteError, ShapeError
 from .tensor import ConvGeometry, Tensor4, all_finite, conv_output_size
 
@@ -193,73 +190,16 @@ class BatchNormCache(NamedTuple):
 
 
 # Bytes of im2col matrix per block of a conv whose matrix is larger than
-# _ONE_BLOCK_BYTES: each block's fill is still in cache when its GEMM reads
-# it. The fill of a matrix within _ONE_BLOCK_BYTES also goes in pieces of
+# workers._ONE_BLOCK_BYTES: each block's fill is still in cache when its
+# GEMM reads it. The fill of a matrix within that also goes in pieces of
 # about this size, one tap at a time.
 _IM2COL_BLOCK_BYTES = 1 << 19
-# An im2col matrix of at most this many bytes is filled and multiplied as
-# one block on the calling thread: a small matrix split across workers
-# spends its time in many small fills, which hold the GIL, not in GEMMs.
-_ONE_BLOCK_BYTES = 16 << 20
 # A block of the product must take the BLAS kernel the whole product takes,
 # or its bits differ: OpenBLAS uses GEMV for one row or one column and a
 # small-matrix kernel up to 10^6 multiply-adds. So a block has at least this
 # many rows and multiply-adds, and a one-filter product is never split.
 _MIN_BLOCK_ROWS = 256
 _MIN_BLOCK_MACS = 1 << 20
-# CPUs this process may use: the affinity mask where the platform has one,
-# else every CPU.
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-
-
-def _one_blas_thread() -> bool:
-    """Whether OpenBLAS runs each call on one thread: the first of its
-    thread-count variables that holds a positive number says 1."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
-
-
-# Threads that run conv work at once: one per CPU, numpy releasing the GIL
-# in np.dot and in large copies and ufunc loops, but only while each BLAS
-# call stays on one thread. Otherwise OpenBLAS starts a team per call, the
-# teams of two callers compete for the same CPUs, and the work stays on the
-# calling thread: with OpenBLAS's default team on two CPUs, two workers
-# trained 7% slower than one and took 14 MB more memory. A team also
-# splits a product's sum unlike one thread does, and picks its size by the
-# product's, so only on one BLAS thread does a conv's filter gradient take
-# its products tap by tap (`conv2d_backward`).
-_ONE_BLAS_THREAD = _one_blas_thread()
-_WORKERS = _CPUS if _ONE_BLAS_THREAD else 1
-
-
-@cache
-def _pool():
-    """The threads beside the calling one, which is a worker too, made when
-    first used: importing concurrent.futures takes about 11 ms."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max(1, _CPUS - 1), thread_name_prefix="purefoodnet")
-
-
-def run_jobs(jobs) -> list:
-    """The result of each callable in `jobs`, in order. With more than one
-    worker, this thread runs jobs[0] while the pool runs the rest; either
-    way every job has finished before this returns or raises, and the first
-    error in job order is the one raised. Pool jobs run in copies of the
-    caller's context, which holds numpy's `errstate`. Jobs must do only
-    untraced numpy work: the benchmark's span tracer is not thread-safe."""
-    if _WORKERS == 1:
-        return [job() for job in jobs]
-    from concurrent.futures import wait
-    futures = [_pool().submit(contextvars.copy_context().run, job) for job in jobs[1:]]
-    try:
-        first = jobs[0]()
-    finally:
-        wait(futures)
-    return [first, *(future.result() for future in futures)]
 
 
 def _taps(x: np.ndarray, k: int, s: int, oh: int, ow: int):
@@ -341,7 +281,7 @@ def _block_units(units: int, ow: int, width: int, f: int, itemsize: int, step: i
     minimums; a whole number of `step`s (pool windows) of rows either way,
     `units` being one."""
     unit_bytes = ow * width * itemsize
-    if f < 2 or units * unit_bytes <= _ONE_BLOCK_BYTES:
+    if f < 2 or units * unit_bytes <= workers._ONE_BLOCK_BYTES:
         return units
     b = max(_least_units(ow, width, f), _IM2COL_BLOCK_BYTES // unit_bytes)
     return min(units, _round_up(b, step))
@@ -352,7 +292,8 @@ def _share_bounds(units: int, b: int, least: int, step: int = 1) -> list[int]:
     one share when one block holds them all, else one per worker, but never
     more than there are blocks or shares of at least `least` rows. Every
     bound is a whole number of `step`s, which divides `units` and b."""
-    n = 1 if b == units else min(_WORKERS, -(-units // b), units // _round_up(least, step))
+    n = 1 if b == units else min(workers._WORKERS, -(-units // b),
+                                 units // _round_up(least, step))
     return [step * (units // step * j // n) for j in range(n + 1)]
 
 
@@ -370,6 +311,17 @@ def _multiply_rows(x: np.ndarray, g: ConvGeometry, oh: int, ow: int, fmat: np.nd
         product = rows[u * ow:(u + b) * ow] if block is None else block
         np.dot(_im2col(x, g.k, g.s, g.z, oh, ow, cols, u, sides=j == 0), fmat, out=product)
         finish(product, u)
+
+
+def _filter_matrix(filters: np.ndarray) -> np.ndarray:
+    """`filters.transpose(3, 1, 2, 0).reshape(-1, f)`, rows in the (c, k, k)
+    order the trained bytes depend on, copied 64 filters at a time (3x as
+    fast at paper scale), per call: kept per array it would hold 31 MB more."""
+    f, k, _, c = filters.shape
+    fmat = np.empty((c * k * k, f), filters.dtype)
+    for j in range(0, f, 64):
+        fmat.reshape(c, k, k, f)[..., j:j + 64] = filters[j:j + 64].transpose(3, 1, 2, 0)
+    return fmat
 
 
 def _relu_inplace(out: np.ndarray) -> None:
@@ -453,10 +405,8 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
         )
     g = layer.geometry
     oh, ow = conv_output_size(x.h, g), conv_output_size(x.w, g)
-    # Columns stay in (c, k, k) order: the float sums, and with them the
-    # trained weights' bytes, depend on it.
     f = filters.shape[0]
-    fmat = filters.transpose(3, 1, 2, 0).reshape(-1, f)
+    fmat = _filter_matrix(filters)
     dtype = np.result_type(x.data, fmat)
     step = _fused_step(layer, bn, pool, need_cache, oh, ow)
     units, width = x.i * oh, len(fmat)
@@ -473,8 +423,8 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
     # A pooled or widened block's product goes to a buffer of one block.
     blocks = [np.empty((len(cols), f), dtype) if pool is not None or wide != dtype else None
               for cols in buffers]
-    run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f), lo, hi,
-                      cols, block, finish)
+    workers.run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f),
+                              lo, hi, cols, block, finish)
               for (lo, hi), cols, block in zip(shares, buffers, blocks)])
     relu_mask = out > 0 if need_cache and layer.activation == "relu" else None
     cache = ConvCache(x.data, filters, g, relu_mask) if need_cache else None
@@ -544,7 +494,8 @@ def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
     d_rows = d.transpose(3, 0, 1, 2).reshape(f, -1)
     dtype = np.result_type(d_rows, x)
     # The buffers come from this thread's heap, as in `conv2d_cached`.
-    if _ONE_BLAS_THREAD and f >= 2 and c >= 8 and f * c * d_rows.shape[1] >= _MIN_BLOCK_MACS:
+    if (workers._ONE_BLAS_THREAD and f >= 2 and c >= 8
+            and f * c * d_rows.shape[1] >= _MIN_BLOCK_MACS):
         grad = np.empty((k, k, f, c), dtype)
         tap = np.empty((i, oh, ow, c), x.dtype)
         filter_gradient = partial(_tap_gradients, d_rows, x, g.s, g.z, tap, grad)
@@ -560,7 +511,7 @@ def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
     # The dx taps run on this thread while a worker runs the filter gradient;
     # they scatter into a padded buffer, whose border is then cut off.
     padded = (i, x.shape[1] + 2 * g.z, x.shape[2] + 2 * g.z, c)
-    dxp, _ = run_jobs([
+    dxp, _ = workers.run_jobs([
         partial(_scatter_taps, padded, k, g.s, d,
                 lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0]))),
         filter_gradient])

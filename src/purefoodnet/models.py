@@ -15,6 +15,7 @@ cannot be loaded onto a different architecture.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import io
@@ -22,11 +23,13 @@ import math
 import struct
 from collections import UserDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import layers as L
+from . import workers
 from .errors import (
     DataFormatError,
     GeometryError,
@@ -345,10 +348,13 @@ def glorot_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray
     """Uniform samples in +-sqrt(6 / (fan_in + fan_out)), as `dtype`.
 
     Dense (n_in, n_out) shapes use the two dims directly; conv banks
-    (f, k, k, c) use receptive-field fans k*k*c and k*k*f. The draw is
-    made in row chunks, each cast straight into the result; a Generator
-    consumes its stream the same way in chunks as in one draw, so the
-    values are those of `rng.uniform(-bound, bound, size=shape)`.
+    (f, k, k, c) use receptive-field fans k*k*c and k*k*f. The values are
+    those of `rng.uniform(-bound, bound, size=shape)`, drawn in row chunks
+    cast straight into the result. A PCG64 draw over
+    workers._ONE_BLOCK_BYTES goes in one share of rows per worker, each
+    from a copy of the stream advanced past the values before it (a double
+    is one output; Philox's `advance` counts four); `rng` is then advanced
+    past the draw, keeping its buffered uint32.
     """
     if len(shape) == 2:
         fan_in, fan_out = shape
@@ -361,10 +367,24 @@ def glorot_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     out = np.empty(shape, dtype=dtype)
     rows = out.reshape(shape[0], -1)
+    bits = rng.bit_generator
+    if out.nbytes <= workers._ONE_BLOCK_BYTES or not isinstance(bits, np.random.PCG64):
+        _draw_rows(rng, bound, rows)
+        return out
+    workers.run_jobs([partial(_draw_rows, np.random.Generator(
+        copy.deepcopy(bits).advance(lo * rows.shape[1])), bound, rows[lo:hi])
+        for lo, hi in workers.shares(len(rows))])
+    state = bits.state
+    bits.state = {**bits.advance(rows.size).state,
+                  "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return out
+
+
+def _draw_rows(rng: np.random.Generator, bound: float, rows: np.ndarray) -> None:
+    """Fill `rows` with `rng.uniform(-bound, bound)` draws, in row chunks."""
     step = max(1, _INIT_CHUNK_VALUES // rows.shape[1])
     for r in range(0, len(rows), step):
         rows[r:r + step] = rng.uniform(-bound, bound, size=rows[r:r + step].shape)
-    return out
 
 
 def _fresh_param(name: str, shape, seed: int, dtype) -> np.ndarray:

@@ -20,9 +20,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import workers
 from .errors import DataFormatError, GeometryError, NonFiniteError, ShapeError
 
 DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -53,11 +55,24 @@ _FINITE_CHUNK = 1 << 20
 
 
 def all_finite(arr: np.ndarray) -> bool:
-    """`np.isfinite(arr).all()`, taken _FINITE_CHUNK values at a time; an
-    array that is not contiguous is copied one chunk at a time."""
+    """`np.isfinite(arr).all()`, taken _FINITE_CHUNK values at a time: one
+    share per worker, each through its part of one buffer made here, for a
+    C-contiguous array over workers._ONE_BLOCK_BYTES; else copied one chunk
+    at a time where the array is not contiguous."""
+    if arr.nbytes > workers._ONE_BLOCK_BYTES and arr.flags.c_contiguous:
+        flat, bounds = arr.reshape(-1), workers.shares(arr.size)
+        parts = np.array_split(np.empty(_FINITE_CHUNK, bool), len(bounds))
+        return all(workers.run_jobs([partial(_scan_finite, flat[lo:hi], part)
+                                     for (lo, hi), part in zip(bounds, parts)]))
     chunks = np.nditer(arr, flags=["external_loop", "buffered", "zerosize_ok"],
                        buffersize=_FINITE_CHUNK)
     return all(np.isfinite(chunk).all() for chunk in chunks)
+
+
+def _scan_finite(flat: np.ndarray, buf: np.ndarray) -> bool:
+    """Whether every value of the 1-D `flat` is finite, scanned through `buf`."""
+    return all(np.isfinite(piece, out=buf[:piece.size]).all()
+               for piece in np.array_split(flat, -(-flat.size // buf.size)))
 
 
 class Tensor4:
@@ -174,7 +189,9 @@ def pft1_read(fh, remaining: int) -> np.ndarray:
     (`Tensor4`, `ParamStore`) checks the values. `remaining` is the number of
     bytes the stream holds from there; the payload size is a Python int
     checked against it before allocating, so dims whose product overflows 64
-    bits cannot wrap."""
+    bits cannot wrap. A payload over workers._ONE_BLOCK_BYTES in a file is
+    read in one slice per worker, each with `os.preadv` straight into its
+    part of the array, and the stream is then set to the record's end."""
     if remaining < 37:
         raise DataFormatError(f"PFT1 data truncated: {remaining} bytes")
     head = fh.read(37)
@@ -193,12 +210,27 @@ def pft1_read(fh, remaining: int) -> np.ndarray:
     if nbytes > remaining - 37:
         raise DataFormatError(f"PFT1 payload length {remaining - 37}, expected {nbytes}")
     arr = np.empty(dims, dtype=dtype)
-    got = fh.readinto(arr)
+    if (nbytes > workers._ONE_BLOCK_BYTES and hasattr(os, "preadv")
+            and isinstance(fh, (io.BufferedReader, io.FileIO))):
+        start, raw = fh.tell(), arr.reshape(-1).view(np.uint8)
+        got = sum(workers.run_jobs([partial(_pread_into, fh.fileno(), raw[lo:hi], start + lo)
+                                    for lo, hi in workers.shares(nbytes)]))
+        fh.seek(start + got)
+    else:
+        got = fh.readinto(arr)
     if got != nbytes:  # the stream shrank after `remaining` was measured
         raise DataFormatError(f"PFT1 payload length {got}, expected {nbytes}")
     if not dtype.isnative:
         arr = arr.astype(dtype.newbyteorder("="))
     return arr
+
+
+def _pread_into(fd: int, buf: np.ndarray, offset: int) -> int:
+    """Bytes read into `buf` from the file at `offset`: all, or all there are."""
+    got = 0
+    while got < buf.size and (n := os.preadv(fd, [buf[got:]], offset + got)):
+        got += n
+    return got
 
 
 def pft1_decode(buf: bytes) -> tuple[np.ndarray, int]:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from purefoodnet import layers
+from purefoodnet import workers as W
 from purefoodnet.errors import DegenerateBatchError, GeometryError, NonFiniteError, ShapeError
 from purefoodnet.layers import (
     POOL_MODES,
@@ -311,7 +312,7 @@ class TestBlockedConv:
 
     @pytest.fixture(autouse=True, params=[1, 2, 3])
     def workers(self, request, monkeypatch):
-        monkeypatch.setattr(layers, "_WORKERS", request.param)
+        monkeypatch.setattr(W, "_WORKERS", request.param)
         return request.param
 
     @pytest.mark.parametrize("side, c, f", [(224, 128, 128), (112, 256, 256), (56, 512, 512)])
@@ -344,7 +345,7 @@ class TestBlockedConv:
         # allowed.
         b = layers._least_units(oh, c * k * k, f)
         unit_bytes = oh * c * k * k * np.dtype(dtype).itemsize
-        monkeypatch.setattr(layers, "_ONE_BLOCK_BYTES", 0)
+        monkeypatch.setattr(W, "_ONE_BLOCK_BYTES", 0)
         monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", b * unit_bytes)
         assert layers._block_units(10**6, oh, c * k * k, f, np.dtype(dtype).itemsize) == b
         images = math.ceil(2.5 * b / oh)  # room for three blocks or more
@@ -427,7 +428,7 @@ class TestBlockedConv:
     def test_wide_product_keeps_blocks_of_many_rows(self, monkeypatch):
         # 2048 x 512 filters reach the multiply-add minimum in a single row,
         # and a one-row block would take GEMV.
-        monkeypatch.setattr(layers, "_ONE_BLOCK_BYTES", 0)
+        monkeypatch.setattr(W, "_ONE_BLOCK_BYTES", 0)
         rng = np.random.default_rng(83)
         x = Tensor4(rng.standard_normal((1, 700, 1, 2048), dtype=np.float32))
         layer = conv_layer(rng.standard_normal((512, 1, 1, 2048), dtype=np.float32),
@@ -443,7 +444,7 @@ class TestBlockedConv:
         unit_bytes = 32 * 16 * 9 * 4
         b = layers._IM2COL_BLOCK_BYTES // unit_bytes
         assert b == 28 and layers._block_units(40 * 32, 32, 144, 16, 4) == b
-        within = layers._ONE_BLOCK_BYTES // unit_bytes
+        within = W._ONE_BLOCK_BYTES // unit_bytes
         assert layers._block_units(within, 32, 144, 16, 4) == within
         assert layers._block_units(within + 1, 32, 144, 16, 4) == b
         calls = spy_on_blocks(monkeypatch)
@@ -462,8 +463,10 @@ class TestBlockedConv:
         assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_matrix_within_one_share_stays_on_the_calling_thread(self, monkeypatch):
-        # 5.9 MB: one block at any worker count, on this thread, as the
-        # small fills that hold the GIL are faster unsplit.
+        # 5.9 MB: one block at any worker count, on this thread. Small
+        # fills would split (two threads filled a train_inmem-size matrix
+        # 1.25-1.37x as fast as one with two CPUs given); the gate keeps
+        # training-size convs off the pool's hand-offs.
         calls = spy_on_blocks(monkeypatch)
         rng = np.random.default_rng(72)
         x = Tensor4(rng.normal(size=(20, 16, 16, 32)).astype(np.float32))
@@ -475,7 +478,7 @@ class TestBlockedConv:
 
     def test_one_filter_is_never_split(self, monkeypatch):
         # A one-column product takes GEMV, whose bits depend on its length.
-        monkeypatch.setattr(layers, "_ONE_BLOCK_BYTES", 0)
+        monkeypatch.setattr(W, "_ONE_BLOCK_BYTES", 0)
         assert layers._block_units(10**6, 224, 1152, 1, 4) == 10**6
         rng = np.random.default_rng(73)
         x = Tensor4(rng.normal(size=(2, 40, 40, 16)).astype(np.float32))
@@ -511,8 +514,28 @@ class TestBlockedConv:
         assert out.data.shape == (1, 224, 224, 128)
 
 
+class TestFilterMatrix:
+    """`conv2d_cached` copies the filter bank into its (c*k*k, f) matrix 64
+    filters at a time: the bytes of the whole transposed bank."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f, k, c", [(1, 3, 3), (63, 3, 5), (65, 1, 7), (512, 3, 4)])
+    def test_blocks_give_the_transposed_bank(self, f, k, c, dtype):
+        filters = rounded_with_signed_zeros(np.random.default_rng(f), (f, k, k, c), dtype)
+        want = filters.transpose(3, 1, 2, 0).reshape(-1, f)
+        got = layers._filter_matrix(filters)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_strided_bank(self):
+        # A bank that is a view of a larger one, as a test may pass it.
+        bank = np.random.default_rng(5).standard_normal((130, 3, 3, 8))[::2, :, :, 1:7]
+        want = bank.transpose(3, 1, 2, 0).reshape(-1, 65)
+        assert layers._filter_matrix(bank).tobytes() == want.tobytes()
+
+
 class TestWorkerPool:
-    """`layers.run_jobs` returns or raises only once every job it started
+    """`workers.run_jobs` returns or raises only once every job it started
     has finished, whichever thread a job runs on."""
 
     def test_imports_without_an_affinity_mask(self, monkeypatch):
@@ -521,8 +544,8 @@ class TestWorkerPool:
         # classes other modules hold stay as they are.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        spec = importlib.util.spec_from_file_location("purefoodnet._layers_copy",
-                                                      layers.__file__)
+        spec = importlib.util.spec_from_file_location("purefoodnet._workers_copy",
+                                                      W.__file__)
         copy = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, copy)
         spec.loader.exec_module(copy)
@@ -540,12 +563,12 @@ class TestWorkerPool:
             "import sys\n"
             "import numpy as np\n"
             "import purefoodnet\n"
-            "from purefoodnet import layers, models\n"
+            "from purefoodnet import models, workers\n"
             "from purefoodnet.tensor import Tensor4\n"
             "spec = models.build_purefoodnet(3, width_scale=0.125, input_side=8)\n"
             "x = Tensor4(np.zeros((1, 8, 8, 3), dtype=np.float32))\n"
             "models.forward(spec, models.init_params(spec, seed=0), x)\n"
-            "print(layers._WORKERS, 'concurrent.futures' in sys.modules)\n"
+            "print(workers._WORKERS, 'concurrent.futures' in sys.modules)\n"
         )
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120)
@@ -567,14 +590,14 @@ class TestWorkerPool:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert layers._one_blas_thread() == one
+        assert W._one_blas_thread() == one
 
     def test_many_workers_hold_one_block_each(self, monkeypatch):
         # At 224^2 x 64 -> 64 a block is the smallest allowed, two output
         # rows (1.03 MB): each of 64 workers' shares goes through its own
         # buffer of one block. The pool keeps the threads it started with;
         # the shares queue for them.
-        monkeypatch.setattr(layers, "_WORKERS", 64)
+        monkeypatch.setattr(W, "_WORKERS", 64)
         buffers = {}
         im2col = layers._im2col
 
@@ -595,30 +618,30 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_results_in_job_order(self, workers, monkeypatch):
-        monkeypatch.setattr(layers, "_WORKERS", workers)
+        monkeypatch.setattr(W, "_WORKERS", workers)
         jobs = [lambda: threading.get_ident()] + [partial(pow, 2, i) for i in range(1, 4)]
-        assert layers.run_jobs(jobs) == [threading.get_ident(), 2, 4, 8]
+        assert W.run_jobs(jobs) == [threading.get_ident(), 2, 4, 8]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_jobs_run_under_the_callers_error_state(self, workers, monkeypatch):
         # numpy keeps np.errstate in a context variable, which a pool thread
         # sees only in a copy of the caller's context.
-        monkeypatch.setattr(layers, "_WORKERS", workers)
+        monkeypatch.setattr(W, "_WORKERS", workers)
         overflow = partial(np.multiply, np.float32(3e38), np.float32(2))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            layers.run_jobs([lambda: None, overflow])
+            W.run_jobs([lambda: None, overflow])
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert layers.run_jobs([overflow, overflow]) == [np.inf, np.inf]
+            assert W.run_jobs([overflow, overflow]) == [np.inf, np.inf]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_conv_share_error_surfaces_after_every_other_share(self, workers, monkeypatch):
         # The share of the last worker fails at once; the caller sees the
         # error only when the other shares have written all their blocks.
-        monkeypatch.setattr(layers, "_WORKERS", workers)
+        monkeypatch.setattr(W, "_WORKERS", workers)
         # Every block has the smallest height allowed.
         b = layers._least_units(40, 144, 16)
-        monkeypatch.setattr(layers, "_ONE_BLOCK_BYTES", 0)
+        monkeypatch.setattr(W, "_ONE_BLOCK_BYTES", 0)
         monkeypatch.setattr(layers, "_IM2COL_BLOCK_BYTES", 0)
         rng = np.random.default_rng(74)
         x = Tensor4(rng.normal(size=(4, 40, 40, 16)).astype(np.float32))
@@ -644,9 +667,30 @@ class TestWorkerPool:
                 for u in (*range(lo, hi - b, b), hi - b)]
         assert sorted(filled) == want
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_jobs_started_on_a_pool_thread_run_there(self, workers, monkeypatch):
+        # A pool job that calls run_jobs (a conv block's finiteness scan can)
+        # runs those jobs in order on its own thread: waiting there for the
+        # pool, which that very job occupies, would never end.
+        monkeypatch.setattr(W, "_WORKERS", workers)
+
+        def nested():
+            return W.run_jobs([threading.get_ident, threading.get_ident])
+
+        result = []
+        caller = threading.Thread(target=lambda: result.append(
+            W.run_jobs([nested] * workers)), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "nested run_jobs deadlocked"
+        (got,) = result
+        # The caller's own nested call may still use the pool.
+        assert got[0][0] == caller.ident
+        assert all(len(set(pair)) == 1 and caller.ident not in pair for pair in got[1:])
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_caller_error_waits_for_the_pool(self, workers, monkeypatch):
-        monkeypatch.setattr(layers, "_WORKERS", workers)
+        monkeypatch.setattr(W, "_WORKERS", workers)
         done = []
 
         def refuse():
@@ -657,7 +701,7 @@ class TestWorkerPool:
             done.append(tag)
 
         with pytest.raises(MemoryError, match="caller refused"):
-            layers.run_jobs([refuse, partial(slow, 1), partial(slow, 2)])
+            W.run_jobs([refuse, partial(slow, 1), partial(slow, 2)])
         # One worker runs the jobs in order and stops at the first error.
         assert sorted(done) == ([1, 2] if workers > 1 else [])
 

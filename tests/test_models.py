@@ -10,6 +10,7 @@ from purefoodnet import layers as L
 from purefoodnet import models as M
 from purefoodnet import tensor as TN
 from purefoodnet import training as T
+from purefoodnet import workers as W
 from purefoodnet.errors import (
     DataFormatError,
     GeometryError,
@@ -21,6 +22,7 @@ from purefoodnet.errors import (
 from purefoodnet.tensor import Tensor4
 from test_golden import SPEC_TEXT as GOLDEN_SPEC_TEXT
 from test_layers import rounded_with_signed_zeros, spy_on_blocks
+from test_tensor import spy_on_jobs
 
 
 def layer_named(spec, name):
@@ -322,6 +324,65 @@ class TestParamShapesAndInit:
         assert peak < 16 * 2**20 + 2 * 8 * M._INIT_CHUNK_VALUES
 
 
+def glorot_reference(shape, rng, dtype):
+    """The one-thread Glorot draw: one `uniform` call over the whole shape."""
+    fan_in, fan_out = shape if len(shape) == 2 else (np.prod(shape[1:]), np.prod(shape[:3]))
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+class TestSplitGlorot:
+    """A PCG64 draw past the gate goes in one share of rows per worker, each
+    from a copy of the stream advanced to the share's first value: the
+    values, and the caller's stream afterwards, are the one-thread draw's."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(W, "_WORKERS", request.param)
+        monkeypatch.setattr(W, "_ONE_BLOCK_BYTES", 0)
+        return request.param
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 3, 3, 4), (1, 9), (11, 13)])
+    @pytest.mark.parametrize("chunk", [4, 1 << 20])
+    def test_shares_draw_the_sequential_draw(self, shape, dtype, buffered, chunk, workers,
+                                             monkeypatch):
+        # Chunks of 4 values make each share draw several row chunks.
+        monkeypatch.setattr(M, "_INIT_CHUNK_VALUES", chunk)
+        jobs = spy_on_jobs(monkeypatch)
+        rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+        if buffered:  # a uint32 draw leaves half of a 64-bit output buffered
+            for g in (rng, ref):
+                g.integers(2**32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        got = M.glorot_init(shape, rng, dtype)
+        want = glorot_reference(shape, ref, dtype)
+        assert jobs == [min(workers, shape[0])]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+        assert rng.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_draw_on_this_thread(self, bits, workers, monkeypatch):
+        # MT19937 cannot advance; Philox's `advance` counts blocks of four
+        # outputs, not one per double.
+        jobs = spy_on_jobs(monkeypatch)
+        rng, ref = np.random.Generator(bits(8)), np.random.Generator(bits(8))
+        got = M.glorot_init((9, 4), rng, np.float64)
+        assert jobs == []
+        assert got.tobytes() == glorot_reference((9, 4), ref, np.float64).tobytes()
+
+    def test_training_size_draws_stay_on_this_thread(self, monkeypatch):
+        # The gate is 16 MB: no draw of a 1/8-width model is split.
+        monkeypatch.setattr(W, "_WORKERS", 2)
+        jobs = spy_on_jobs(monkeypatch)
+        spec = M.build_purefoodnet(3, width_scale=0.125, input_side=32)
+        M.init_params(spec, seed=1)
+        assert jobs == []
+
+
 class TestForward:
     def test_matches_manual_composition(self):
         spec = tiny_spec()
@@ -392,7 +453,7 @@ class TestCaptureActivations:
     @pytest.mark.parametrize("blocks", [None, 0])  # 0: cache-free convs in minimal blocks
     def test_every_layer_equals_the_layers_one_by_one(self, blocks, monkeypatch):
         if blocks is not None:
-            monkeypatch.setattr(L, "_ONE_BLOCK_BYTES", blocks)
+            monkeypatch.setattr(W, "_ONE_BLOCK_BYTES", blocks)
             monkeypatch.setattr(L, "_IM2COL_BLOCK_BYTES", blocks)
         spec = M.parse_model_spec(GOLDEN_SPEC_TEXT)
         params = M.init_params(spec, seed=10)
@@ -474,7 +535,7 @@ def backbone_spec(side=16, channels=16):
 
 def small_blocks(monkeypatch):
     """Every conv matrix is split into blocks of the least height allowed."""
-    monkeypatch.setattr(L, "_ONE_BLOCK_BYTES", 0)
+    monkeypatch.setattr(W, "_ONE_BLOCK_BYTES", 0)
     monkeypatch.setattr(L, "_IM2COL_BLOCK_BYTES", 0)
 
 
@@ -507,7 +568,7 @@ class TestCaptureWalk:
 
     @pytest.fixture(autouse=True, params=[1, 2, 3])
     def workers(self, request, monkeypatch):
-        monkeypatch.setattr(L, "_WORKERS", request.param)
+        monkeypatch.setattr(W, "_WORKERS", request.param)
 
     @pytest.fixture(autouse=True, params=["default", "small"])
     def blocks(self, request, monkeypatch):
@@ -574,7 +635,7 @@ class TestFusedForward:
 
     @pytest.fixture(autouse=True, params=[1, 2, 3])
     def workers(self, request, monkeypatch):
-        monkeypatch.setattr(L, "_WORKERS", request.param)
+        monkeypatch.setattr(W, "_WORKERS", request.param)
         return request.param
 
     @pytest.mark.parametrize("images", [1, 3, 64])

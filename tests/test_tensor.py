@@ -1,12 +1,16 @@
 """Tensor container, shape arithmetic, and PFT1 serialization tests."""
 
+import io
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from purefoodnet import tensor as tensor_module
+from purefoodnet import workers as W
 from purefoodnet.errors import DataFormatError, GeometryError, NonFiniteError, ShapeError
 from purefoodnet.tensor import (
     ConvGeometry,
@@ -17,6 +21,7 @@ from purefoodnet.tensor import (
     load_tensor,
     pft1_decode,
     pft1_encode,
+    pft1_read,
     same_padding_amount,
     save_tensor,
     tensor_from_bytes,
@@ -147,6 +152,139 @@ class TestAllFinite:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+
+@pytest.fixture(params=[1, 2, 3])
+def split_workers(request, monkeypatch):
+    """The worker count, with the split gate at 0 bytes."""
+    monkeypatch.setattr(W, "_WORKERS", request.param)
+    monkeypatch.setattr(W, "_ONE_BLOCK_BYTES", 0)
+    return request.param
+
+
+def spy_on_jobs(monkeypatch) -> list:
+    """The number of jobs of each `workers.run_jobs` call from now on."""
+    calls = []
+    real = W.run_jobs
+
+    def spy(jobs):
+        calls.append(len(jobs))
+        return real(jobs)
+
+    monkeypatch.setattr(W, "run_jobs", spy)
+    return calls
+
+
+class TestSplitFinite:
+    """A C-contiguous array past the gate is scanned in one share per worker,
+    each through its part of one buffer made on the calling thread."""
+
+    @pytest.mark.parametrize("chunk", [5, 1 << 20])
+    def test_finds_every_nonfinite_value_wherever_it_is(self, chunk, split_workers,
+                                                       monkeypatch):
+        # 5-value buffers split among the workers put piece edges all over
+        # each share; every position is tried, share edges included.
+        monkeypatch.setattr(tensor_module, "_FINITE_CHUNK", chunk)
+        base = np.random.default_rng(3).normal(size=(3, 4, 5)).astype(np.float32)
+        assert all_finite(base)
+        for at in range(base.size):
+            for value in (np.nan, np.inf, -np.inf):
+                arr = base.copy()
+                arr.reshape(-1)[at] = value
+                assert not all_finite(arr), (at, value)
+
+    def test_one_share_per_worker_through_one_buffer(self, split_workers, monkeypatch):
+        scans = []
+        real = tensor_module._scan_finite
+
+        def spy(flat, buf):
+            scans.append((flat.size, buf.size, buf.base, threading.get_ident()))
+            return real(flat, buf)
+
+        monkeypatch.setattr(tensor_module, "_scan_finite", spy)
+        assert all_finite(np.zeros((7, 11)))
+        assert [size for size, *_ in scans] == [hi - lo for lo, hi in W.shares(77)]
+        assert sum(part for _, part, *_ in scans) == tensor_module._FINITE_CHUNK
+        assert len({id(base) for *_, base, _ in scans}) == 1  # parts of one buffer
+        threads = [thread for *_, thread in scans]
+        assert threads[0] == threading.get_ident()
+        assert all(thread != threading.get_ident() for thread in threads[1:])
+
+    def test_a_strided_array_takes_the_chunked_path(self, split_workers, monkeypatch):
+        jobs = spy_on_jobs(monkeypatch)
+        base = np.random.default_rng(4).normal(size=(6, 8))
+        for view in (lambda a: a[:, ::2], lambda a: a.T, lambda a: np.asfortranarray(a)):
+            arr = base.copy()
+            assert all_finite(view(arr))
+            arr[5, 6] = -np.inf
+            assert not all_finite(view(arr))
+        assert jobs == []
+
+
+class TestSplitRead:
+    """A PFT1 payload past the gate in a file is read in one slice per worker
+    with os.preadv: the array, and the stream's position after it, are those
+    `readinto` gives."""
+
+    first = np.random.default_rng(6).normal(size=(1, 3, 5, 7)).astype(np.float32)
+    second = np.random.default_rng(7).normal(size=(2, 2, 3, 1))
+
+    def file_of_two_records(self, tmp_path):
+        blob = b"head" + pft1_encode(self.first) + pft1_encode(self.second)
+        path = tmp_path / "two.pft"
+        path.write_bytes(blob)
+        return path, blob
+
+    @pytest.mark.parametrize("buffering", [0, -1])
+    def test_slices_give_the_bytes_of_readinto(self, tmp_path, split_workers, buffering,
+                                               monkeypatch):
+        path, blob = self.file_of_two_records(tmp_path)
+        jobs = spy_on_jobs(monkeypatch)
+        want, end = pft1_decode(blob[4:])  # an in-memory stream: readinto
+        assert jobs == []
+        with open(path, "rb", buffering=buffering) as fh:
+            fh.read(4)
+            got = pft1_read(fh, len(blob) - 4)
+            assert fh.tell() == 4 + end
+            after = pft1_read(fh, len(blob) - fh.tell())
+            assert fh.tell() == len(blob) and fh.read() == b""
+        assert jobs == [min(split_workers, self.first.nbytes),
+                        min(split_workers, self.second.nbytes)]
+        assert got.dtype == want.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert after.shape == (2, 2, 3, 1) and after.tobytes() == self.second.tobytes()
+
+    def test_a_file_cut_after_it_was_measured_raises(self, tmp_path, split_workers):
+        # Cut inside the first payload, at each share edge among others,
+        # the first record raises as readinto would; cut inside the second,
+        # the first still parses and the second raises.
+        path, blob = self.file_of_two_records(tmp_path)
+        first_end = 4 + 37 + self.first.nbytes
+        edges = [4 + 37 + lo for lo, _ in W.shares(self.first.nbytes)]
+        for cut in sorted({*edges, *(e + 1 for e in edges), *(e - 1 for e in edges[1:]),
+                           first_end - 1, first_end + 37 + 1, len(blob) - 1}):
+            path.write_bytes(blob)
+            with open(path, "rb") as fh:
+                fh.read(4)
+                os.truncate(path, cut)
+                if cut < first_end:
+                    with pytest.raises(DataFormatError, match=(
+                            f"PFT1 payload length {cut - 41}, expected {self.first.nbytes}")):
+                        pft1_read(fh, len(blob) - 4)
+                    continue
+                got = pft1_read(fh, len(blob) - 4)
+                assert got.tobytes() == self.first.tobytes() and fh.tell() == first_end
+                with pytest.raises(DataFormatError, match=(
+                        f"PFT1 payload length {cut - first_end - 37}, "
+                        f"expected {self.second.nbytes}")):
+                    pft1_read(fh, len(blob) - first_end)
+
+    def test_bytes_io_keeps_readinto(self, split_workers, monkeypatch):
+        blob = pft1_encode(self.second)  # scanned past the gate: before the spy
+        jobs = spy_on_jobs(monkeypatch)
+        fh = io.BytesIO(blob)
+        assert pft1_read(fh, len(blob)).tobytes() == self.second.tobytes()
+        assert fh.tell() == len(blob) and jobs == []
 
 
 class TestPFT1:

@@ -22,6 +22,7 @@ from purefoodnet import dataio as D
 from purefoodnet import layers as L
 from purefoodnet import models as M
 from purefoodnet import training as T
+from purefoodnet import workers as W
 from purefoodnet.errors import ConfigError, NonFiniteError, ShapeError
 from purefoodnet.tensor import ConvGeometry, Tensor4
 from test_cli import make_dataset, tiny_spec_file
@@ -180,7 +181,7 @@ class TestBackwardBitExactness:
                                                           monkeypatch):
         # dw runs on a worker beside the dx taps; both keep the bytes of the
         # one-thread formulas.
-        monkeypatch.setattr(L, "_WORKERS", workers)
+        monkeypatch.setattr(W, "_WORKERS", workers)
         rng = np.random.default_rng(sum(shape) + k)
         f = shape[3]
         x = rng.normal(size=shape).astype(np.float32)
@@ -302,7 +303,7 @@ class TestFilterGradientTaps:
             _, dw, _ = T.conv2d_backward(d, cache, need_dx=False)
             want = rebuilt_gemm_dw(d, x, k, s, z)
             macs = f * c * d[..., 0].size
-            taps = L._ONE_BLAS_THREAD and f >= 2 and c >= 8 and macs >= L._MIN_BLOCK_MACS
+            taps = W._ONE_BLAS_THREAD and f >= 2 and c >= 8 and macs >= L._MIN_BLOCK_MACS
             routes.append(len(tapped) == taps)
             if f >= 2 and c >= 8:
                 sides.add(macs >= L._MIN_BLOCK_MACS)
