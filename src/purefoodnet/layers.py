@@ -26,6 +26,10 @@ a backward to follow: a cache keeps the input itself, by reference, not the
 matrix, and the filter gradient takes its products from it. The workers
 are those of `workers.run_jobs`. Every block takes the BLAS kernel the
 whole product would, so the bits are the same at any worker count.
+Every kernel that multiplies (`conv2d_cached`, `conv2d_backward`,
+`dense_cached`, `dense_backward_from_pre`) runs inside
+`workers.one_blas_thread`, so each product is taken on one BLAS thread,
+with the same bytes whatever thread count the caller's BLAS was given.
 Convolutions are cross-correlations: the kernel is applied as stored,
 never flipped.
 Every conv, cached or not and at any dtype, finishes each block in the
@@ -382,6 +386,7 @@ def _finish_block(bias: np.ndarray, relu: bool, bn: BatchNormLayer | None,
         product.reshape(b, ow * p, f), pool, b // p, ow)[0]
 
 
+@workers.one_blas_thread()
 def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
                   bn: BatchNormLayer | None = None,
                   pool: PoolLayer | None = None) -> tuple[Tensor4, ConvCache | None]:
@@ -472,6 +477,7 @@ def _scatter_taps(shape, k: int, s: int, d: np.ndarray, contribution) -> np.ndar
     return dx
 
 
+@workers.one_blas_thread()
 def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
     """Returns (dx, dfilters, dbias) for a conv forward (fused ReLU included);
     dx is None when `need_dx` is false.
@@ -480,11 +486,12 @@ def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
     the cached input, taken one tap at a time: the (f, c) block of
     tap (p, q) is d_rows times that tap's (rows, c) slab of the input, and
     has the bytes of its columns of the whole product while both take
-    OpenBLAS's large-matrix kernel on one thread. Under a BLAS thread team,
-    for a tap product that would leave that kernel (one filter or channel,
-    or fewer than _MIN_BLOCK_MACS multiply-adds), and for fewer than 8
-    channels, whose taps are slower than one GEMM, the matrix is rebuilt
-    and the whole product taken instead."""
+    OpenBLAS's large-matrix kernel on one thread, as `workers.one_blas_thread`
+    holds every product here. For a tap product that would leave that kernel
+    (one filter or channel, or fewer than _MIN_BLOCK_MACS multiply-adds),
+    for fewer than 8 channels, whose taps are slower than one GEMM, and on a
+    BLAS that cannot be held at one thread, the matrix is rebuilt and the
+    whole product taken instead."""
     if cache.relu_mask is not None:
         d = d * cache.relu_mask
     x, filters, g = cache.x, cache.filters, cache.geometry
@@ -599,6 +606,7 @@ def flatten_backward(d: np.ndarray, cache: FlattenCache) -> np.ndarray:
     return d.reshape(cache.in_shape)
 
 
+@workers.one_blas_thread()
 def dense_cached(x: Tensor4, layer: DenseLayer) -> tuple[Tensor4, DenseCache]:
     if x.h != 1 or x.w != 1:
         raise ShapeError(f"dense input must be flattened to (i, 1, 1, d), got {x.shape}")
@@ -623,6 +631,7 @@ def dense_forward(x: Tensor4, layer: DenseLayer) -> Tensor4:
     return out
 
 
+@workers.one_blas_thread()
 def dense_backward_from_pre(d_pre: np.ndarray, cache: DenseCache, need_dx: bool = True):
     """Returns (dx, dweights, dbias) given the gradient of the
     pre-activation; dx is None when `need_dx` is false."""

@@ -350,11 +350,13 @@ def glorot_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray
     Dense (n_in, n_out) shapes use the two dims directly; conv banks
     (f, k, k, c) use receptive-field fans k*k*c and k*k*f. The values are
     those of `rng.uniform(-bound, bound, size=shape)`, drawn in row chunks
-    cast straight into the result. A PCG64 draw over
-    workers._ONE_BLOCK_BYTES goes in one share of rows per worker, each
-    from a copy of the stream advanced past the values before it (a double
-    is one output; Philox's `advance` counts four); `rng` is then advanced
-    past the draw, keeping its buffered uint32.
+    through a float64 buffer and cast straight into the result. A PCG64
+    draw over workers._ONE_BLOCK_BYTES goes in one share of rows per
+    worker, each from a copy of the stream advanced past the values before
+    it (a double is one output; Philox's `advance` counts four); `rng` is
+    then advanced past the draw, keeping its buffered uint32. Each share's
+    buffer is made on this thread: memory a worker allocated would stay in
+    its own malloc arena.
     """
     if len(shape) == 2:
         fan_in, fan_out = shape
@@ -367,12 +369,14 @@ def glorot_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     out = np.empty(shape, dtype=dtype)
     rows = out.reshape(shape[0], -1)
+    step = max(1, _INIT_CHUNK_VALUES // rows.shape[1])
     bits = rng.bit_generator
     if out.nbytes <= workers._ONE_BLOCK_BYTES or not isinstance(bits, np.random.PCG64):
-        _draw_rows(rng, bound, rows)
+        _draw_rows(rng, -bound, bound, rows, np.empty((min(step, len(rows)), rows.shape[1])))
         return out
     workers.run_jobs([partial(_draw_rows, np.random.Generator(
-        copy.deepcopy(bits).advance(lo * rows.shape[1])), bound, rows[lo:hi])
+        copy.deepcopy(bits).advance(lo * rows.shape[1])), -bound, bound, rows[lo:hi],
+        np.empty((min(step, hi - lo), rows.shape[1])))
         for lo, hi in workers.shares(len(rows))])
     state = bits.state
     bits.state = {**bits.advance(rows.size).state,
@@ -380,11 +384,19 @@ def glorot_init(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray
     return out
 
 
-def _draw_rows(rng: np.random.Generator, bound: float, rows: np.ndarray) -> None:
-    """Fill `rows` with `rng.uniform(-bound, bound)` draws, in row chunks."""
-    step = max(1, _INIT_CHUNK_VALUES // rows.shape[1])
-    for r in range(0, len(rows), step):
-        rows[r:r + step] = rng.uniform(-bound, bound, size=rows[r:r + step].shape)
+def _draw_rows(rng: np.random.Generator, low: float, high: float, rows: np.ndarray,
+               buf: np.ndarray) -> None:
+    """Fill `rows` with `rng.uniform(low, high)` draws, as many rows at a
+    time as the float64 buffer `buf` holds: `low + (high - low) * u`, u
+    drawn into `buf`, in numpy's order of operations, so the bytes are
+    `uniform`'s unless the build fuses the multiply and the add."""
+    for r in range(0, len(rows), len(buf)):
+        part = rows[r:r + len(buf)]
+        u = buf[:len(part)]
+        rng.random(out=u)
+        u *= high - low
+        u += low
+        part[...] = u
 
 
 def _fresh_param(name: str, shape, seed: int, dtype) -> np.ndarray:

@@ -396,7 +396,8 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
 
     The frozen prefix (`_frozen_prefix`) runs once per image and batch size
     per call, up to `_MEMO_BYTES` of stored outputs in one `_PrefixMemo`.
-    Validation batches are stored first, in their order, before epoch 1;
+    Validation batches are stored first, in their order, before epoch 1
+    (with no epoch to run, none is);
     training rows take the room left, and a shuffle that brings a batch of
     stored rows back is served them. The memo stores nothing more once a
     batch does not fit, or once a training pass after the first brings back
@@ -417,7 +418,7 @@ def train(spec: M.ModelSpec, params: M.ParamStore, train_set, val_set,
     stopped_early = False
     first = _frozen_prefix(spec)
     memo = _PrefixMemo(spec, params, first, _MEMO_BYTES)
-    if val_set is not None:
+    if val_set is not None and config.epochs:
         memo.fill(_batches(val_set, config))
 
     for epoch in range(1, config.epochs + 1):

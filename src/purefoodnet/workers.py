@@ -1,14 +1,18 @@
 """Worker threads for the engine's large numpy work: conv products, Glorot
 draws, finiteness scans and PFT1 payload reads, each split only past
 _ONE_BLOCK_BYTES, each share giving the bytes it would on one thread. There
-is one worker per CPU the affinity mask allows (`taskset` limits them) when
-OpenBLAS runs one thread per call (`OPENBLAS_NUM_THREADS=1`), else one."""
+is one worker per CPU the affinity mask allows (`taskset` limits them)
+wherever `one_blas_thread` can hold numpy's BLAS at one thread, as it can
+on OpenBLAS, whatever thread count the environment gives it; on a BLAS
+without OpenBLAS's thread-count calls there is one."""
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 import threading
+from contextlib import contextmanager
 from functools import cache
 
 # An array of at most this many bytes is worked on as one piece on the
@@ -21,23 +25,69 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
 
-def _one_blas_thread() -> bool:
-    """Whether OpenBLAS runs each call on one thread: the first of its
-    thread-count variables that holds a positive number says 1."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
+def _blas_thread_calls():
+    """(get, set) of the thread count of the BLAS numpy loaded, found
+    through numpy's own extension module, or None where that BLAS has no
+    such calls: numpy's bundled OpenBLAS prefixes its symbols with
+    `scipy_` and suffixes its 64-bit-index build with `64_`."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        blas = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(blas, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(blas, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
 
 
-# One worker per CPU only while each BLAS call stays on one thread: two
-# callers' OpenBLAS teams compete for the same CPUs (on two CPUs, two workers
-# trained 7% slower than one and took 14 MB more). A team also splits a
-# product's sum unlike one thread does, so only on one BLAS thread does a
-# conv's filter gradient take its products tap by tap.
-_ONE_BLAS_THREAD = _one_blas_thread()
+_BLAS_THREADS = _blas_thread_calls()
+# One worker per CPU only where every product can be held on one BLAS
+# thread: two callers' OpenBLAS teams compete for the same CPUs (on two CPUs,
+# two workers trained 7% slower than one and took 14 MB more). A team also
+# splits a product's sum unlike one thread does, so only there does a conv's
+# filter gradient take its products tap by tap.
+_ONE_BLAS_THREAD = _BLAS_THREADS is not None
 _WORKERS = _CPUS if _ONE_BLAS_THREAD else 1
+_hold_lock = threading.Lock()
+_holds = 0  # holds entered and not yet left, on any thread
+_callers_threads = 1  # the BLAS thread count when the outermost hold began
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS at one thread per call, as a `with` block or a
+    decorator, and give the caller's count back when the outermost hold
+    ends, whether it returns or raises. The count is the process's, so holds
+    nest and overlap across threads: the first sets it, the last restores
+    it. Where the count is 1 already a hold costs one `get` call; where the
+    BLAS has no such calls it does nothing."""
+    global _holds, _callers_threads
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    with _hold_lock:
+        if not _holds:
+            _callers_threads = get()
+            if _callers_threads != 1:
+                put(1)
+        _holds += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _holds -= 1
+            if not _holds and _callers_threads != 1:
+                put(_callers_threads)
+
+
 _local = threading.local()  # `in_pool` is true on the pool's threads
 
 

@@ -543,7 +543,6 @@ class TestWorkerPool:
         # is then every CPU. A fresh copy of the module is loaded, so the
         # classes other modules hold stay as they are.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         spec = importlib.util.spec_from_file_location("purefoodnet._workers_copy",
                                                       W.__file__)
         copy = importlib.util.module_from_spec(spec)
@@ -551,46 +550,6 @@ class TestWorkerPool:
         spec.loader.exec_module(copy)
         assert copy._CPUS == copy._WORKERS == (os.cpu_count() or 1)
         assert copy._pool.cache_info().currsize == 0  # no pool until a job needs it
-
-    def test_one_worker_never_imports_the_pool(self):
-        # With OpenBLAS's thread variables unset there is one worker, and a
-        # forward pass leaves concurrent.futures unimported.
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        src = os.path.dirname(os.path.dirname(layers.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import sys\n"
-            "import numpy as np\n"
-            "import purefoodnet\n"
-            "from purefoodnet import models, workers\n"
-            "from purefoodnet.tensor import Tensor4\n"
-            "spec = models.build_purefoodnet(3, width_scale=0.125, input_side=8)\n"
-            "x = Tensor4(np.zeros((1, 8, 8, 3), dtype=np.float32))\n"
-            "models.forward(spec, models.init_params(spec, seed=0), x)\n"
-            "print(workers._WORKERS, 'concurrent.futures' in sys.modules)\n"
-        )
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["1", "False"]
-
-    @pytest.mark.parametrize("env, one", [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": " 1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "4"}, False),
-    ])
-    def test_workers_only_beside_one_blas_thread(self, env, one, monkeypatch):
-        # OpenBLAS takes the first of these variables that holds a positive
-        # number; any other team size keeps conv work on the calling thread.
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        assert W._one_blas_thread() == one
 
     def test_many_workers_hold_one_block_each(self, monkeypatch):
         # At 224^2 x 64 -> 64 a block is the smallest allowed, two output
@@ -704,6 +663,147 @@ class TestWorkerPool:
             W.run_jobs([refuse, partial(slow, 1), partial(slow, 2)])
         # One worker runs the jobs in order and stops at the first error.
         assert sorted(done) == ([1, 2] if workers > 1 else [])
+
+
+@pytest.fixture
+def blas_team():
+    """numpy's OpenBLAS given a team of two threads for the test, and the
+    count it had given back after; yields the count's `get` call."""
+    if W._BLAS_THREADS is None:
+        pytest.skip("this BLAS has no thread-count calls")
+    get, put = W._BLAS_THREADS
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+class TestOneBlasThread:
+    """`workers.one_blas_thread` holds numpy's OpenBLAS at one thread around
+    every product of the engine and gives the caller's count back after."""
+
+    def test_finds_numpys_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas:
+            pytest.skip(f"numpy was built against {blas}")
+        assert W._BLAS_THREADS is not None
+        assert W._ONE_BLAS_THREAD and W._WORKERS == W._CPUS
+
+    def test_without_the_calls_one_worker_and_the_whole_matrix(self):
+        # A BLAS without OpenBLAS's thread-count calls (Accelerate has none)
+        # cannot be held: one worker, so no pool, and each filter gradient
+        # is one product of the rebuilt im2col matrix, never its taps.
+        src = os.path.dirname(os.path.dirname(layers.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import ctypes, sys, types\n"
+            "import numpy as np\n"
+            "ctypes.CDLL = lambda *args, **kwargs: types.SimpleNamespace()\n"
+            "from purefoodnet import layers, models, workers\n"
+            "from purefoodnet.tensor import ConvGeometry, Tensor4\n"
+            "taps = []\n"
+            "real = layers._tap_gradients\n"
+            "layers._tap_gradients = lambda *args: taps.append(args) or real(*args)\n"
+            "spec = models.build_purefoodnet(3, width_scale=0.125, input_side=8)\n"
+            "x = Tensor4(np.zeros((1, 8, 8, 3), dtype=np.float32))\n"
+            "models.forward(spec, models.init_params(spec, seed=0), x)\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = Tensor4(rng.normal(size=(4, 32, 32, 16)).astype(np.float32))\n"
+            "bank = rng.normal(size=(16, 3, 3, 16)).astype(np.float32)\n"
+            "conv = layers.ConvLayer(bank, np.zeros(16, np.float32), ConvGeometry(3, 1, 1))\n"
+            "out, cache = layers.conv2d_cached(x, conv)\n"
+            "layers.conv2d_backward(out.data, cache)\n"
+            "print(workers._BLAS_THREADS, workers._WORKERS, len(taps),\n"
+            "      'concurrent.futures' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["None", "1", "0", "False"]
+
+    def test_gives_the_callers_count_back_after_a_return_or_a_raise(self, blas_team):
+        with W.one_blas_thread():
+            assert blas_team() == 1
+        assert blas_team() == 2
+        with pytest.raises(KeyError), W.one_blas_thread():
+            assert blas_team() == 1
+            raise KeyError("refused")
+        assert blas_team() == 2
+
+    def test_a_kernel_that_raises_gives_the_count_back(self, blas_team):
+        layer = conv_layer(np.zeros((2, 3, 3, 4), np.float32), np.zeros(2, np.float32), k=3, z=1)
+        with pytest.raises(ShapeError):
+            conv2d_cached(Tensor4(np.zeros((1, 8, 8, 3), np.float32)), layer)
+        assert blas_team() == 2
+
+    def test_nested_holds_give_it_back_at_the_outermost(self, blas_team):
+        with W.one_blas_thread():
+            with W.one_blas_thread():
+                assert blas_team() == 1
+            assert blas_team() == 1
+        assert blas_team() == 2
+
+    @pytest.mark.parametrize("other_leaves_first", [False, True])
+    def test_two_threads_holding_at_once(self, other_leaves_first, blas_team):
+        # The count is the process's: the thread that leaves first must not
+        # give it back while the other still holds.
+        entered, leave, left = threading.Event(), threading.Event(), threading.Event()
+
+        def other():
+            with W.one_blas_thread():
+                entered.set()
+                leave.wait(30)
+            left.set()
+
+        thread = threading.Thread(target=other, daemon=True)
+        with W.one_blas_thread():
+            thread.start()
+            assert entered.wait(30)
+            if other_leaves_first:
+                leave.set()
+                assert left.wait(30)
+                assert blas_team() == 1
+        assert blas_team() == (2 if other_leaves_first else 1)
+        leave.set()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert blas_team() == 2
+
+    def test_every_kernel_that_multiplies_holds(self, monkeypatch):
+        # A stand-in BLAS whose caller runs a team of two records each set.
+        sets = []
+        monkeypatch.setattr(W, "_BLAS_THREADS", (lambda: 2, sets.append))
+        rng = np.random.default_rng(6)
+        x = Tensor4(rng.normal(size=(2, 6, 6, 3)).astype(np.float32))
+        conv = conv_layer(rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
+                          np.zeros(4, np.float32), k=3, z=1)
+        dense = DenseLayer(rng.normal(size=(3, 5)).astype(np.float32), np.zeros(5, np.float32))
+        flat = Tensor4(x.data[:, :1, :1, :])
+        out, conv_cache = conv2d_cached(x, conv)
+        scores, dense_cache = layers.dense_cached(flat, dense)
+        layers.conv2d_backward(out.data, conv_cache)
+        layers.dense_backward_from_pre(scores.data.reshape(2, 5), dense_cache)
+        assert sets == [1, 2] * 4
+
+    def test_a_product_a_team_splits_gets_the_one_thread_bytes(self, blas_team):
+        # OpenBLAS's team splits the sum of a long float64 dot product across
+        # its threads; a dense layer of one unit on 2^18 inputs takes one.
+        _, put = W._BLAS_THREADS
+        differ = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((1, 1 << 18))
+            layer = DenseLayer(rng.standard_normal((1 << 18, 1)), np.zeros(1))
+            team = x @ layer.weights
+            put(1)
+            one = x @ layer.weights
+            put(2)
+            differ += team.tobytes() != one.tobytes()
+            got = dense_forward(Tensor4(x.reshape(1, 1, 1, -1)), layer).data
+            assert got.tobytes() == (one + layer.bias).tobytes()
+            assert blas_team() == 2
+        assert differ  # the team does round this product otherwise
 
 
 class TestParameterChecks:

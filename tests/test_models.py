@@ -298,10 +298,12 @@ class TestParamShapesAndInit:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(5, 7), (3000, 700), (64, 3, 3, 32), (1, 9)])
-    @pytest.mark.parametrize("chunk", [1, 5, 1 << 20])
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 16, 1 << 20])
     def test_glorot_chunks_draw_the_whole_draw(self, shape, chunk, dtype, monkeypatch):
         # A Generator consumes its stream the same way in row chunks as in
-        # one draw, and each chunk is cast as `astype` casts the whole.
+        # one draw, and each chunk is cast as `astype` casts the whole. The
+        # chunks are scaled and shifted in place, in `uniform`'s order: a
+        # build that fused the multiply and the add would fail here.
         monkeypatch.setattr(M, "_INIT_CHUNK_VALUES", chunk)
         got = M.glorot_init(shape, np.random.default_rng(17), dtype)
         fan_in, fan_out = shape if len(shape) == 2 else (np.prod(shape[1:]),
@@ -344,11 +346,12 @@ class TestSplitGlorot:
 
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(7, 5), (5, 3, 3, 4), (1, 9), (11, 13)])
-    @pytest.mark.parametrize("chunk", [4, 1 << 20])
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 3, 3, 4), (1, 9), (11, 13), (301, 217)])
+    @pytest.mark.parametrize("chunk", [4, 1000, 1 << 20])
     def test_shares_draw_the_sequential_draw(self, shape, dtype, buffered, chunk, workers,
                                              monkeypatch):
-        # Chunks of 4 values make each share draw several row chunks.
+        # Chunks of 4 values make each share draw several row chunks, and
+        # chunks of 4 rows of 217 values end inside a share of 301 rows.
         monkeypatch.setattr(M, "_INIT_CHUNK_VALUES", chunk)
         jobs = spy_on_jobs(monkeypatch)
         rng, ref = np.random.default_rng(41), np.random.default_rng(41)

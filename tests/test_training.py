@@ -133,12 +133,14 @@ class TestCrossEntropy:
 
 def rebuilt_gemm_dw(d, x, k, s, z):
     """The filter gradient as one GEMM of d's rows by the im2col matrix of
-    a padded copy of the input, in (f, k, k, c) layout."""
+    a padded copy of the input, in (f, k, k, c) layout, taken on one BLAS
+    thread as the engine takes its products: a team may split its sum."""
     f, c = d.shape[3], x.shape[3]
     xp = np.pad(x, ((0, 0), (z, z), (z, z), (0, 0)))
     cols = L._im2col(xp, k, s, 0, d.shape[1], d.shape[2],
                      np.empty((d[..., 0].size, c * k * k), x.dtype), 0)
-    dw = np.dot(d.transpose(3, 0, 1, 2).reshape(f, -1), cols)
+    with W.one_blas_thread():
+        dw = np.dot(d.transpose(3, 0, 1, 2).reshape(f, -1), cols)
     return dw.reshape(f, c, k, k).transpose(0, 2, 3, 1)
 
 
@@ -266,11 +268,12 @@ class TestBackwardBitExactness:
 
 
 class TestFilterGradientTaps:
-    """On one BLAS thread a conv's filter gradient is taken tap by tap from
-    its cached input, the cells in the padding written as +0.0, and must
-    have the bytes of the one GEMM of the rebuilt im2col matrix. Whether it
-    does depends on how the BLAS build picks its kernels, so CI also runs
-    this class on one BLAS thread and on one CPU."""
+    """On one BLAS thread, where the engine holds every product, a conv's
+    filter gradient is taken tap by tap from its cached input, the cells in
+    the padding written as +0.0, and must have the bytes of the one GEMM of
+    the rebuilt im2col matrix. Whether it does depends on how the BLAS build
+    picks its kernels, so CI also runs this class with OpenBLAS given one
+    thread, given two, and on one CPU."""
 
     # (images, side, c, f): 4 x 32^2 puts some tap products above
     # _MIN_BLOCK_MACS and some below; 1 x 40^2 with 3 channels and 8 x 16^2
@@ -314,9 +317,9 @@ class TestFilterGradientTaps:
         assert sides == {True, False}  # products on both sides of the bound
 
     def test_the_taps_on_one_blas_thread(self):
-        # This process may run a BLAS thread team, which takes no taps: run
-        # the test above in one that runs one BLAS thread.
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        # The engine holds its products on one BLAS thread itself: a process
+        # whose OpenBLAS was given a team of two takes the taps above too.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
         here = os.path.dirname(os.path.abspath(__file__))
         src = os.path.join(os.path.dirname(here), "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, here, env.get("PYTHONPATH")]))
@@ -1281,6 +1284,24 @@ class TestFrozenPrefix:
         assert len(memos[-1]) == memos[-1].served == 0
         monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
         assert self._finetune(base, "no-prefix", *args) == memoized
+
+    def test_no_epoch_runs_no_prefix(self, base, memos, monkeypatch):
+        # With no epoch to run, the validation rows are never stored, so no
+        # forward runs; the artifacts are those of a run without a prefix.
+        forwards = []
+        real = M.forward
+
+        def counting(*args, **kwargs):
+            forwards.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(M, "forward", counting)
+        args = ["--split-counts", "4,2,1", "--epochs", "0", "--seed", "4"]
+        artifacts = self._finetune(base, "memo", *args)
+        assert forwards == [] and memos[-1].stop == 4 and len(memos[-1]) == 0
+        monkeypatch.setattr(T, "_frozen_prefix", lambda spec: 0)
+        assert self._finetune(base, "no-prefix", *args) == artifacts
+        assert forwards == []
 
     def test_prefix_runs_once_per_image_and_batch_size(self, base, memos, conv_images,
                                                        monkeypatch):
