@@ -8,24 +8,35 @@ cache for conv, pool and batch norm under `need_cache=False`), and that
 backward, which returns the input gradient, then any parameter gradients.
 
 Every walk over the k*k windows of an input goes tap by tap. The pools and
-the gradient scattered back onto the input step through strided views of
+the gradients scattered back onto the input step through strided views of
 each tap (`_taps`). The conv's im2col fill and filter gradient read each
 tap's cells from the unpadded input and write +0.0 where a window reaches
 into the zero padding (`_reach`): no padded copy of a conv input is made.
 A max-pool keeps a running maximum of its taps and, for a cache only, each
-winning tap in a small unsigned type; an average pool sums its taps and
-divides once. A convolution copies its input windows into an im2col matrix
-(one row per output cell, columns in (channel, row, column) order) and
-multiplies it by the filter bank. A matrix of at most 16 MB is one block,
-filled and multiplied on the calling thread. A larger one is split into
-one share of output rows per worker, and each worker multiplies its share
-in blocks of about 512 KB, never below the smallest block that takes the
-whole product's BLAS kernel, through its own buffer of one block: each
-block is still in cache when its GEMM reads it. That holds with or without
-a backward to follow: a cache keeps the input itself, by reference, not the
-matrix, and the filter gradient takes its products from it. The workers
-are those of `workers.run_jobs`. Every block takes the BLAS kernel the
-whole product would, so the bits are the same at any worker count.
+winning tap in a small unsigned type, taking each win bit for bit through a
+mask of all ones; an average pool sums its taps and divides once. A
+convolution copies its input windows into an im2col matrix (one row per
+output cell, columns in (channel, row, column) order) and multiplies it by
+the filter bank. Each worker takes its own share of the output rows. A
+matrix of at most 16 MB is one block per share, and a share must hold the
+rows of the whole product's BLAS kernel (`_least_units`) and
+workers._LEAST_SHARE_BYTES of matrix, or the matrix is one share on the
+calling thread. A larger one is multiplied in blocks of about 1 MB, never
+below the smallest block that takes the whole product's BLAS kernel,
+through one buffer of one block per worker: each block is still in cache
+when its GEMM reads it. That holds with or without a backward to follow: a
+cache keeps the input itself, by reference, not the matrix, and the filter
+gradient takes its products from it. The workers are those of
+`workers.run_jobs`. Every block takes the BLAS kernel the whole product
+would, so the bits are the same at any worker count.
+The other training kernels work the same way: the workers take image
+shares of the elementwise and per-image work (batch-norm centring,
+squaring and scaling, both pools, the ReLU mask, the input gradients), each
+writing only its rows of buffers the calling thread made, and independent
+sums and products run side by side (a conv's filter-gradient taps beside
+its input gradient, a batch norm's two parameter sums). A sum over images
+is always taken whole, in row order, which keeps its bytes. Jobs call only
+private helpers and build no `Tensor4`.
 Every kernel that multiplies (`conv2d_cached`, `conv2d_backward`,
 `dense_cached`, `dense_backward_from_pre`) runs inside
 `workers.one_blas_thread`, so each product is taken on one BLAS thread,
@@ -33,8 +44,9 @@ with the same bytes whatever thread count the caller's BLAS was given.
 Convolutions are cross-correlations: the kernel is applied as stored,
 never flipped.
 Every conv, cached or not and at any dtype, finishes each block in the
-worker that multiplied it: the worker adds the bias and applies the ReLU
-right after the block's GEMM. Without a cache, it can also apply the
+worker that multiplied it: the worker adds the bias, applies the ReLU and,
+for a cache, writes the block's rows of the ReLU mask right after the
+block's GEMM. Without a cache, it can also apply the
 inference batch norm after the conv and a pool whose window is its stride
 (`conv2d_cached(bn=, pool=)`, as `models.forward` calls it); a pooled
 block is scanned for finiteness and only its pooled rows are written. A
@@ -194,10 +206,15 @@ class BatchNormCache(NamedTuple):
 
 
 # Bytes of im2col matrix per block of a conv whose matrix is larger than
-# workers._ONE_BLOCK_BYTES: each block's fill is still in cache when its
-# GEMM reads it. The fill of a matrix within that also goes in pieces of
-# about this size, one tap at a time.
-_IM2COL_BLOCK_BYTES = 1 << 19
+# workers._ONE_BLOCK_BYTES: each block's fill is still in cache (2 MB of L2
+# per core on the 2-CPU Xeon host measured) when its GEMM reads it. The
+# fill of a matrix within that also goes in pieces of about this size,
+# whole images where one fits, one tap at a time. With two CPUs free, two
+# workers ran train_inmem's six conv forward shapes 1.2-1.7x as fast as one
+# at this size, against 1.0-1.4x with 512 KB pieces: fewer, larger copies
+# take the GIL less often. 2 MB pieces, which fill the L2, made paper-scale
+# fills 25% slower on one worker.
+_IM2COL_BLOCK_BYTES = 1 << 20
 # A block of the product must take the BLAS kernel the whole product takes,
 # or its bits differ: OpenBLAS uses GEMV for one row or one column and a
 # small-matrix kernel up to 10^6 multiply-adds. So a block has at least this
@@ -241,9 +258,9 @@ def _im2col(x: np.ndarray, k: int, s: int, z: int, oh: int, ow: int,
     written only when `sides` is true: they are the same cells in every
     block, so a buffer that held an earlier block of the same conv has them
     already. Those above and below are written in each block that reaches
-    them. Rows are filled one tap at a time per piece of one image: a
-    single copy of the 6-D window view runs its innermost loop over only k
-    elements, and measured about 2x slower."""
+    them. Rows are filled one tap at a time per piece of whole images or
+    of rows of one image: a single copy of the 6-D window view runs its
+    innermost loop over only k elements, and measured about 2x slower."""
     h, w, c = x.shape[1:]
     units = out.reshape(-1, ow, c, k, k)
     columns = [_reach(q, s, z, w, ow) for q in range(k)]
@@ -255,16 +272,19 @@ def _im2col(x: np.ndarray, k: int, s: int, z: int, oh: int, ow: int,
     done = 0
     while done < len(units):
         n, r = divmod(first + done, oh)
-        block = units[done:done + min(rows, oh - r)]
+        # A piece is whole images where one fits, else rows of one image.
+        m = 0 if r else min(rows, len(units) - done) // oh
+        block = units[done:done + (m * oh or min(rows, oh - r))]
+        block = block.reshape(max(m, 1), -1, *block.shape[1:])
         for p in range(k):
-            top, bottom, taps = _reach(p, s, z - s * r, h, len(block))
+            top, bottom, taps = _reach(p, s, z - s * r, h, block.shape[1])
             if top:
-                block[:top, ..., p, :] = 0
-            if bottom < len(block):
-                block[bottom:, ..., p, :] = 0
+                block[:, :top, ..., p, :] = 0
+            if bottom < block.shape[1]:
+                block[:, bottom:, ..., p, :] = 0
             for q, (left, right, cols) in enumerate(columns):
-                block[top:bottom, left:right, :, p, q] = x[n, taps, cols]
-        done += len(block)
+                block[:, top:bottom, left:right, :, p, q] = x[n:n + len(block), taps, cols]
+        done += block.shape[0] * block.shape[1]
     return out
 
 
@@ -293,12 +313,40 @@ def _block_units(units: int, ow: int, width: int, f: int, itemsize: int, step: i
 
 def _share_bounds(units: int, b: int, least: int, step: int = 1) -> list[int]:
     """Bounds of the workers' shares of `units` output rows in blocks of b:
-    one share when one block holds them all, else one per worker, but never
-    more than there are blocks or shares of at least `least` rows. Every
-    bound is a whole number of `step`s, which divides `units` and b."""
-    n = 1 if b == units else min(workers._WORKERS, -(-units // b),
-                                 units // _round_up(least, step))
+    one per worker, but never more than there are blocks or shares of at
+    least `least` rows, and at least one. Every bound is a whole number of
+    `step`s, which divides `units` and b."""
+    n = max(1, min(workers._WORKERS, -(-units // b) if b < units else units,
+                   units // _round_up(least, step)))
     return [step * (units // step * j // n) for j in range(n + 1)]
+
+
+def _least_share(unit_bytes: int, least: int = 1) -> int:
+    """Units (images, or a conv's output rows) in the smallest share of a
+    training kernel: at least `least`, and at least
+    workers._LEAST_SHARE_BYTES of input at `unit_bytes` bytes per unit."""
+    return max(least, -(-workers._LEAST_SHARE_BYTES // max(1, unit_bytes)))
+
+
+def _image_shares(x: np.ndarray, least: int = 1) -> list[tuple[int, int]]:
+    """(start, stop) of the workers' shares of x's images (`_least_share`)."""
+    return workers.shares(len(x), _least_share(x[:1].nbytes, least))
+
+
+def _in_turn(calls) -> None:
+    for call in calls:
+        call()
+
+
+def _side_by_side(*lists) -> None:
+    """Deal each list's callables over the workers in turn, the m-th to the
+    (m % workers)-th job of one `workers.run_jobs` call; a job runs its
+    callables in the order dealt."""
+    lanes = [[] for _ in range(workers._WORKERS)]
+    for calls in lists:
+        for m, call in enumerate(calls):
+            lanes[m % len(lanes)].append(call)
+    workers.run_jobs([partial(_in_turn, lane) for lane in lanes if lane])
 
 
 def _multiply_rows(x: np.ndarray, g: ConvGeometry, oh: int, ow: int, fmat: np.ndarray,
@@ -357,23 +405,27 @@ def _fused_step(layer: ConvLayer, bn: BatchNormLayer | None, pool: PoolLayer | N
 
 def _finish_block(bias: np.ndarray, relu: bool, bn: BatchNormLayer | None,
                   inv_std: np.ndarray | None, pool: PoolLayer | None, out: np.ndarray,
-                  product: np.ndarray, u: int) -> None:
+                  mask: np.ndarray | None, product: np.ndarray, u: int) -> None:
     """Bias, ReLU and the inference batch norm `bn` of a block of a conv's
     product, output rows u.. of the conv, each widening the block first
-    where its parameter is wider, as the layer alone would. Without `pool`,
-    the block then goes to its rows of `out`, the conv's map, unless it is
-    those rows already. With `pool`, it is checked for finiteness, as a
-    `Tensor4` of the whole map would be (a value that loses its window must
-    still fail), and pooled into its rows of `out`, the pooled map."""
+    where its parameter is wider, as the layer alone would. A cache's ReLU
+    mask takes the block's rows of `mask`, (rows, f) like the product.
+    Without `pool`, the block then goes to its rows of `out`, the conv's
+    map, unless it is those rows already. With `pool`, it is checked for
+    finiteness, as a `Tensor4` of the whole map would be (a value that loses
+    its window must still fail), and pooled into its rows of `out`, the
+    pooled map."""
     product = product.astype(np.result_type(product, bias), copy=False)
     product += bias
     if relu:
         _relu_inplace(product)
+    _, _, ow, f = out.shape
+    if mask is not None:
+        np.greater(product, 0, out=mask[u * ow:u * ow + len(product)])
     if bn is not None:
         product = product.astype(np.result_type(product, bn.running_mean), copy=False)
         product -= bn.running_mean
         product = _normalize(product, inv_std, bn.gamma, bn.beta)
-    _, _, ow, f = out.shape
     if pool is None:
         if not np.may_share_memory(product, out):
             out.reshape(-1, f)[u * ow:u * ow + len(product)] = product
@@ -382,8 +434,8 @@ def _finish_block(bias: np.ndarray, relu: bool, bn: BatchNormLayer | None,
         raise NonFiniteError("Tensor4 values must be finite")
     p = pool.window
     b = len(product) // (ow * p)  # output rows in the block
-    out.reshape(-1, ow, f)[u // p:(u + b) // p] = _pool_windows(
-        product.reshape(b, ow * p, f), pool, b // p, ow)[0]
+    _pool_windows(product.reshape(b, ow * p, f), pool, b // p, ow,
+                  out.reshape(-1, ow, f)[u // p:(u + b) // p])
 
 
 @workers.one_blas_thread()
@@ -398,10 +450,10 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
     (an inference batch norm) and `pool` (a pool whose window is its
     stride), where given. Only the final map is made. A pooled run takes
     its blocks and shares in whole pool windows of rows, so no window spans
-    two blocks or two images. A cache's ReLU mask is read from the finished
-    map. A bias or batch norm of a wider dtype widens each block as it
-    would the whole map; the bytes are those of the layers run one by
-    one."""
+    two blocks or two images. Each worker writes its rows of a cache's ReLU
+    mask from its finished blocks. A bias or batch norm of a wider dtype
+    widens each block as it would the whole map; the bytes are those of the
+    layers run one by one."""
     filters = layer.filters
     if filters.shape[3] != x.c:
         raise ShapeError(
@@ -416,22 +468,28 @@ def conv2d_cached(x: Tensor4, layer: ConvLayer, need_cache: bool = True,
     step = _fused_step(layer, bn, pool, need_cache, oh, ow)
     units, width = x.i * oh, len(fmat)
     b = _block_units(units, ow, width, f, x.data.itemsize, step)
-    bounds = _share_bounds(units, b, _least_units(ow, width, f), step)
+    # A one-filter product takes GEMV, whose bits depend on its length.
+    least = _least_units(ow, width, f) if f > 1 else units
+    if b == units:  # each share is one block, and must be worth a hand-off
+        least = max(least, _least_share(ow * width * x.data.itemsize))
+    bounds = _share_bounds(units, b, least, step)
     shares = list(zip(bounds, bounds[1:]))
     # Every buffer comes from this thread's heap: memory a worker allocated
     # would stay in that thread's own malloc arena.
     buffers = [np.empty((min(b, hi - lo) * ow, width), dtype=x.data.dtype) for lo, hi in shares]
     wide = np.result_type(dtype, layer.bias, *(() if bn is None else (bn.running_mean, bn.gamma)))
     out = np.empty((x.i, oh // step, ow // step, f), dtype=wide)
+    relu_mask = (np.empty(out.shape, bool) if need_cache and layer.activation == "relu"
+                 else None)
     finish = partial(_finish_block, layer.bias, layer.activation == "relu", bn,
-                     None if bn is None else _inv_std(bn.running_var), pool, out)
+                     None if bn is None else _inv_std(bn.running_var), pool, out,
+                     None if relu_mask is None else relu_mask.reshape(-1, f))
     # A pooled or widened block's product goes to a buffer of one block.
     blocks = [np.empty((len(cols), f), dtype) if pool is not None or wide != dtype else None
               for cols in buffers]
     workers.run_jobs([partial(_multiply_rows, x.data, g, oh, ow, fmat, out.reshape(-1, f),
                               lo, hi, cols, block, finish)
               for (lo, hi), cols, block in zip(shares, buffers, blocks)])
-    relu_mask = out > 0 if need_cache and layer.activation == "relu" else None
     cache = ConvCache(x.data, filters, g, relu_mask) if need_cache else None
     return Tensor4(out), cache
 
@@ -447,40 +505,56 @@ def conv2d_forward(x: Tensor4, layer: ConvLayer) -> Tensor4:
 
 
 def _tap_gradients(d_rows: np.ndarray, x: np.ndarray, s: int, z: int, tap: np.ndarray,
-                   dw: np.ndarray) -> None:
-    """Write dw[p, q] = d_rows @ tap(p, q) for every tap of the k x k filter,
-    where tap(p, q), copied into the (i, oh, ow, c) buffer `tap`, holds the
-    cell of x, zero-padded by z on each side, that each output cell reads
-    through it: +0.0 where that cell is in the padding."""
+                   dw: np.ndarray, lo: int, hi: int) -> None:
+    """Write dw[p, q] = d_rows @ tap(p, q) for taps lo..hi-1, in (p, q)
+    order, of the k x k filter, where tap(p, q), copied into the (i, oh, ow,
+    c) buffer `tap`, holds the cell of x, zero-padded by z on each side,
+    that each output cell reads through it: +0.0 where that cell is in the
+    padding. A stride-1 conv that keeps its size reads a C-contiguous x
+    itself through its centre tap, so that tap is not copied."""
     _, oh, ow, c = tap.shape
     rows = tap.reshape(-1, c)
     k = dw.shape[0]
-    for p in range(k):
+    for p, q in (divmod(t, k) for t in range(lo, hi)):
+        if p == q == z and s == 1 and x.shape[1:3] == (oh, ow) and x.flags.c_contiguous:
+            np.dot(d_rows, x.reshape(-1, c), out=dw[p, q])
+            continue
         top, bottom, taps = _reach(p, s, z, x.shape[1], oh)
-        for q in range(k):
-            left, right, cols = _reach(q, s, z, x.shape[2], ow)
-            tap[:, :top] = 0
-            tap[:, bottom:] = 0
-            tap[:, :, :left] = 0
-            tap[:, :, right:] = 0
-            tap[:, top:bottom, left:right] = x[:, taps, cols]
-            np.dot(d_rows, rows, out=dw[p, q])
+        left, right, cols = _reach(q, s, z, x.shape[2], ow)
+        tap[:, :top] = 0
+        tap[:, bottom:] = 0
+        tap[:, :, :left] = 0
+        tap[:, :, right:] = 0
+        tap[:, top:bottom, left:right] = x[:, taps, cols]
+        np.dot(d_rows, rows, out=dw[p, q])
 
 
-def _scatter_taps(shape, k: int, s: int, d: np.ndarray, contribution) -> np.ndarray:
-    """Adjoint of a k x k strided window read with output d: output cell
-    (r, t) read input cell (r*s + p, t*s + q) through tap (p, q), so each
-    tap's `contribution(p, q)`, shaped like d, is added back there."""
-    dx = np.zeros(shape, dtype=d.dtype)
-    for p, q, tap in _taps(dx, k, s, d.shape[1], d.shape[2]):
-        tap += contribution(p, q)
-    return dx
+def _input_gradient(d: np.ndarray, filters: np.ndarray, s: int, dxp: np.ndarray,
+                    product: np.ndarray) -> None:
+    """Add each tap's share of the input gradient, d (C-contiguous, (i, oh,
+    ow, f)) times the tap's (f, c) filters, through the (i*oh*ow, c) buffer
+    `product`, into the cells of the padded gradient dxp that the tap read,
+    in (p, q) order: the adjoint of the conv's window read."""
+    _, oh, ow, f = d.shape
+    rows = d.reshape(-1, f)
+    for p, q, tap in _taps(dxp, filters.shape[1], s, oh, ow):
+        np.dot(rows, filters[:, p, q, :], out=product)
+        tap += product.reshape(tap.shape)
 
 
 @workers.one_blas_thread()
 def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
     """Returns (dx, dfilters, dbias) for a conv forward (fused ReLU included);
     dx is None when `need_dx` is false.
+
+    The workers multiply d by the ReLU mask in image shares (beside the
+    im2col fill below, where there is one). Then each takes, side by side,
+    its images' input gradient (`_input_gradient`,
+    into its rows of one padded buffer, whose border is then cut off) and
+    its share of the filter gradient's taps, and one of them the bias
+    gradient. An image share of the input gradient's products takes the
+    BLAS kernel of the whole product (`_least_units`), or the images are one
+    share.
 
     The filter gradient is d_rows @ cols, cols being the im2col matrix of
     the cached input, taken one tap at a time: the (f, c) block of
@@ -490,38 +564,49 @@ def conv2d_backward(d: np.ndarray, cache: ConvCache, need_dx: bool = True):
     holds every product here. For a tap product that would leave that kernel
     (one filter or channel, or fewer than _MIN_BLOCK_MACS multiply-adds),
     for fewer than 8 channels, whose taps are slower than one GEMM, and on a
-    BLAS that cannot be held at one thread, the matrix is rebuilt and the
-    whole product taken instead."""
-    if cache.relu_mask is not None:
-        d = d * cache.relu_mask
+    BLAS that cannot be held at one thread, the matrix is rebuilt, in image
+    shares, and the whole product taken by one worker instead."""
     x, filters, g = cache.x, cache.filters, cache.geometry
     f, k, _, c = filters.shape
     i, oh, ow, _ = d.shape
-    db = d.sum(axis=(0, 1, 2))
+    # Every buffer comes from this thread's heap, as in `conv2d_cached`.
+    masking = fill = ()
+    if cache.relu_mask is not None:
+        masked = np.empty(d.shape, np.result_type(d, cache.relu_mask))
+        masking = [partial(np.multiply, d[lo:hi], cache.relu_mask[lo:hi], out=masked[lo:hi])
+                   for lo, hi in _image_shares(d)]
+        d = masked
+    db = np.empty(f, d.dtype)
     d_rows = d.transpose(3, 0, 1, 2).reshape(f, -1)
     dtype = np.result_type(d_rows, x)
-    # The buffers come from this thread's heap, as in `conv2d_cached`.
     if (workers._ONE_BLAS_THREAD and f >= 2 and c >= 8
             and f * c * d_rows.shape[1] >= _MIN_BLOCK_MACS):
         grad = np.empty((k, k, f, c), dtype)
-        tap = np.empty((i, oh, ow, c), x.dtype)
-        filter_gradient = partial(_tap_gradients, d_rows, x, g.s, g.z, tap, grad)
+        filter_gradient = [partial(_tap_gradients, d_rows, x, g.s, g.z,
+                                   np.empty((i, oh, ow, c), x.dtype), grad, lo, hi)
+                           for lo, hi in workers.shares(k * k)]
         dw = grad.transpose(2, 0, 1, 3)
     else:
         grad = np.empty((f, c * k * k), dtype)
-        cols = _im2col(x, k, g.s, g.z, oh, ow, np.empty((d_rows.shape[1], c * k * k), x.dtype), 0)
-        filter_gradient = partial(np.dot, d_rows, cols, out=grad)
+        cols = np.empty((d_rows.shape[1], c * k * k), x.dtype)
+        fill = [partial(_im2col, x, k, g.s, g.z, oh, ow, cols[lo * ow:hi * ow], lo)
+                for lo, hi in workers.shares(i * oh, _least_share(ow * cols[0].nbytes))]
+        filter_gradient = [partial(np.dot, d_rows, cols, out=grad)]
         dw = grad.reshape(f, c, k, k).transpose(0, 2, 3, 1)
+    _side_by_side(masking, fill)
+    # The bias gradient goes beside the filter gradient's parts.
+    parameter_gradients = [*filter_gradient, partial(_channel_sum, d, db)]
     if not need_dx:
-        filter_gradient()
+        _side_by_side(parameter_gradients)
         return None, dw, db
-    # The dx taps run on this thread while a worker runs the filter gradient;
-    # they scatter into a padded buffer, whose border is then cut off.
-    padded = (i, x.shape[1] + 2 * g.z, x.shape[2] + 2 * g.z, c)
-    dxp, _ = workers.run_jobs([
-        partial(_scatter_taps, padded, k, g.s, d,
-                lambda p, q: np.tensordot(d, filters[:, p, q, :], axes=([3], [0]))),
-        filter_gradient])
+    dxp = np.zeros((i, x.shape[1] + 2 * g.z, x.shape[2] + 2 * g.z, c), d.dtype)
+    rows = d if d.flags.c_contiguous else np.ascontiguousarray(d)
+    # A product of one filter or channel takes GEMV or GER: it stays whole.
+    shares = _image_shares(d, _least_units(oh * ow, f, c) if min(f, c) > 1 else i)
+    input_gradient = [partial(_input_gradient, rows[lo:hi], filters, g.s, dxp[lo:hi],
+                              np.empty(((hi - lo) * oh * ow, c), np.result_type(d, filters)))
+                      for lo, hi in shares]
+    _side_by_side(input_gradient, parameter_gradients)
     return (dxp[:, g.z:-g.z, g.z:-g.z, :] if g.z else dxp), dw, db
 
 
@@ -537,38 +622,64 @@ def pool_output_size(h: int, w: int, window: int, stride: int) -> tuple[int, int
     return (h - window) // stride + 1, (w - window) // stride + 1
 
 
-def _pool_windows(x: np.ndarray, layer: PoolLayer, oh: int, ow: int,
-                  need_winner: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """The oh x ow pool of x (rows, columns and channels on its last three
-    axes) as a new array, and, for a max-pool with `need_winner`, each
-    window's winning tap (else None)."""
+def _pool_windows(x: np.ndarray, layer: PoolLayer, oh: int, ow: int, out: np.ndarray,
+                  winner: np.ndarray | None = None, spare=None) -> None:
+    """Write the oh x ow pool of x (rows, columns and channels on its last
+    three axes) into `out` and, for a max-pool given `winner`, each window's
+    winning tap into that. A max-pool works through `spare`, a bool array
+    and an unsigned one of out's item size, both shaped like out, or
+    through temporaries."""
     window = layer.window
     taps = (tap for _, _, tap in _taps(x, window, layer.stride, oh, ow))
     if layer.mode == "average":
         # A sum over the taps in (p, q) order from +0.0, as numpy's sums
         # start (a window of -0.0 averages to +0.0), then one division.
-        out = next(taps) + 0.0
+        np.add(next(taps), 0.0, out=out)
         for tap in taps:
             out += tap
         out /= window * window
-        return out, None
+        return
     # A running maximum over the taps in (p, q) order, where only a strictly
-    # greater tap wins: the first winner, the sign of a zero included.
-    out = next(taps).copy()
-    winner = np.zeros(out.shape, np.min_scalar_type(window**2 - 1)) if need_winner else None
+    # greater tap wins: the first winner, the sign of a zero included. A win
+    # flips out's bits to the tap's (bits ^ (bits ^ tap) * wins), several
+    # times as fast as np.where with a mask that changes from cell to cell.
+    wins, flips = (np.empty(out.shape, bool), np.empty(out.shape, _unsigned(out))) \
+        if spare is None else spare
+    bits = out.view(flips.dtype)
+    np.copyto(out, next(taps))
+    if winner is not None:
+        winner[...] = 0
     for t, tap in enumerate(taps, 1):
-        wins = tap > out
-        out = np.where(wins, tap, out)
-        if need_winner:
-            winner = np.where(wins, t, winner)
-    return out, winner
+        np.greater(tap, out, out=wins)
+        if winner is not None:  # t is above every earlier winner
+            np.multiply(wins, flips.dtype.type(t), out=flips)
+            np.maximum(winner, flips, out=winner, casting="unsafe")
+        np.bitwise_xor(bits, tap.view(flips.dtype), out=flips)
+        np.multiply(flips, wins, out=flips)
+        bits ^= flips
+
+
+def _unsigned(a: np.ndarray) -> np.dtype:
+    """The unsigned integer type of a's item size, to view its bits."""
+    return np.dtype(f"u{a.itemsize}")
 
 
 def pool_cached(x: Tensor4, layer: PoolLayer,
                 need_cache: bool = True) -> tuple[Tensor4, PoolCache | None]:
+    """The pool output and, when `need_cache` is true, the cache its
+    backward consumes (None otherwise), the workers pooling image shares
+    into their rows of the output and of the winners."""
     window, stride = layer.window, layer.stride
     oh, ow = pool_output_size(x.h, x.w, window, stride)
-    out, winner = _pool_windows(x.data, layer, oh, ow, need_cache)
+    out = np.empty((x.i, oh, ow, x.c), x.dtype)
+    winner = (np.empty(out.shape, np.min_scalar_type(window**2 - 1))
+              if need_cache and layer.mode == "max" else None)
+    spare = ((np.empty(out.shape, bool), np.empty(out.shape, _unsigned(out)))
+             if layer.mode == "max" else None)
+    workers.run_jobs([partial(_pool_windows, x.data[lo:hi], layer, oh, ow, out[lo:hi],
+                              None if winner is None else winner[lo:hi],
+                              None if spare is None else [a[lo:hi] for a in spare])
+                      for lo, hi in _image_shares(x.data)])
     cache = PoolCache(layer.mode, winner, x.data.shape, window, stride) if need_cache else None
     return Tensor4(out), cache
 
@@ -582,13 +693,39 @@ def pool_forward(x: Tensor4, layer: PoolLayer) -> Tensor4:
     return out
 
 
+def _scatter_pool(d: np.ndarray, winner: np.ndarray | None, window: int, stride: int,
+                  dx: np.ndarray, spare) -> None:
+    """Add each tap's part of d into the cells of dx (zeros) that it read, in
+    (p, q) order: for a max-pool (`winner` given) d where the tap won, else
+    +0.0, through `spare`, a bool array and an unsigned one of d's item
+    size; for an average pool d / window**2, through `spare`, typed like
+    d. Each is shaped like d."""
+    _, oh, ow, _ = d.shape
+    if winner is None:
+        np.divide(d, window * window, out=spare)
+    for p, q, tap in _taps(dx, window, stride, oh, ow):
+        if winner is None:
+            tap += spare
+            continue
+        hits, part = spare  # part: the bits of np.where(winner == p*window + q, d, 0)
+        np.equal(winner, p * window + q, out=hits)
+        np.multiply(d.view(part.dtype), hits, out=part)
+        tap += part.view(d.dtype)
+
+
 def pool_backward(d: np.ndarray, cache: PoolCache) -> np.ndarray:
-    window = cache.window
-    if cache.mode == "max":  # each window's gradient goes to its winner only
-        return _scatter_taps(cache.in_shape, window, cache.stride, d,
-                             lambda p, q: np.where(cache.argmax == p * window + q, d, 0))
-    per = d / (window * window)
-    return _scatter_taps(cache.in_shape, window, cache.stride, d, lambda p, q: per)
+    """The input gradient of a pool: each window's gradient goes to its
+    winner (max) or evenly over it (average), the workers taking image
+    shares."""
+    dx = np.zeros(cache.in_shape, d.dtype)
+    spare = ((np.empty(d.shape, bool), np.empty(d.shape, _unsigned(d)))
+             if cache.mode == "max" else np.empty(d.shape, d.dtype))
+    workers.run_jobs([partial(_scatter_pool, d[lo:hi],
+                              cache.argmax[lo:hi] if cache.mode == "max" else None,
+                              cache.window, cache.stride, dx[lo:hi],
+                              [a[lo:hi] for a in spare] if cache.mode == "max" else spare[lo:hi])
+                      for lo, hi in _image_shares(dx)])
+    return dx
 
 
 def flatten_cached(x: Tensor4) -> tuple[Tensor4, FlattenCache]:
@@ -699,32 +836,75 @@ def _inv_std(var: np.ndarray) -> np.ndarray:
 
 
 def _normalize(centered: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray,
-               beta: np.ndarray) -> np.ndarray:
-    """gamma * (centered * inv_std) + beta, a batch norm's output without a
-    cache, in centered's buffer; a wider gamma widens it first, as
-    `gamma * x_hat` would."""
+               beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """gamma * (centered * inv_std) + beta, a batch norm's output, written
+    into `out`, or into centered's buffer where gamma does not widen it (a
+    wider gamma widens a copy first, as `gamma * x_hat` would). `centered`
+    is left holding x_hat."""
     centered *= inv_std
-    out = centered.astype(np.result_type(centered, gamma), copy=False)
-    out *= gamma
+    if out is None:
+        out = centered.astype(np.result_type(centered, gamma), copy=False)
+    np.multiply(centered, gamma, out=out)
     out += beta
     return out
+
+
+def _center(x: np.ndarray, mean: np.ndarray, centered: np.ndarray,
+            square: np.ndarray | None) -> None:
+    """centered = x - mean and, given `square`, square = centered**2."""
+    np.subtract(x, mean, out=centered)
+    if square is not None:
+        np.square(centered, out=square)
+
+
+def _center_normalize(x: np.ndarray, mean: np.ndarray, centered: np.ndarray,
+                      inv_std: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                      out: np.ndarray) -> None:
+    _center(x, mean, centered, None)
+    _normalize(centered, inv_std, gamma, beta, out)
+
+
+def _channel_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`a.sum(axis=(0, 1, 2))`, a's rows added one by one, in order, into
+    `out` (else a new array). numpy adds the rows of two or more channels
+    so, and so does `einsum`, 3-4x as fast at train_inmem sizes, where
+    numpy's per-row overhead dominates; numpy sums one channel pairwise."""
+    if a.shape[3] < 2:
+        return np.sum(a, axis=(0, 1, 2), out=out)
+    return np.einsum("ijkc->c", a, out=out)
+
+
+def _channel_mean(a: np.ndarray) -> np.ndarray:
+    """`a.mean(axis=(0, 1, 2))` of a float array: its channel sums, divided
+    in place by the count as an intp, as numpy's mean divides them."""
+    total = _channel_sum(a)
+    return np.true_divide(total, np.intp(a[..., 0].size), out=total, casting="unsafe")
 
 
 def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
                      update_stats: bool = True,
                      need_cache: bool = True) -> tuple[Tensor4, BatchNormCache | None]:
+    """The batch norm output and, when `need_cache` is true, the cache its
+    backward consumes (None otherwise). The workers centre, square and
+    normalize image shares into buffers made here, the squares' buffer
+    becoming the output; each sum is taken whole, in row order, on this
+    thread, which also folds the running statistics."""
     if layer.gamma.shape != (x.c,):
         raise ShapeError(f"batch norm has {layer.gamma.shape[0]} channels, input has {x.c}")
+    shares = _image_shares(x.data)
     if training:
         count = x.i * x.h * x.w
         if count < 2:
             raise DegenerateBatchError(
                 f"batch norm needs >= 2 elements per channel in training, got {count}"
             )
-        mean = x.data.mean(axis=(0, 1, 2))
-        centered = x.data - mean
+        mean = _channel_mean(x.data)
+        centered = np.empty(x.shape, np.result_type(x.data, mean))
+        square = np.empty_like(centered)
+        workers.run_jobs([partial(_center, x.data[lo:hi], mean, centered[lo:hi], square[lo:hi])
+                          for lo, hi in shares])
         # Biased, matching the running estimate; the same sums as x.var.
-        var = np.square(centered).mean(axis=(0, 1, 2))
+        var = _channel_mean(square)
         if update_stats:
             if not (np.isfinite(mean).all() and np.isfinite(var).all()):
                 raise NonFiniteError("batch norm batch statistics must be finite")
@@ -734,17 +914,23 @@ def batchnorm_cached(x: Tensor4, layer: BatchNormLayer, training: bool = False,
             layer.running_var *= 1.0 - m
             layer.running_var += m * var
     else:
-        count = None
-        centered = x.data - layer.running_mean
-        var = layer.running_var
+        count = square = None
+        mean, var = layer.running_mean, layer.running_var
+        centered = np.empty(x.shape, np.result_type(x.data, mean))
     inv_std = _inv_std(var)
-    if not need_cache:
-        return Tensor4(_normalize(centered, inv_std, layer.gamma, layer.beta)), None
-    x_hat = centered
-    x_hat *= inv_std
-    out = layer.gamma * x_hat
-    out += layer.beta
-    return Tensor4(out), BatchNormCache(x_hat, inv_std, layer.gamma, count)
+    wide = np.result_type(centered, layer.gamma)
+    # The output takes the squares' buffer, or without a cache centered's.
+    spare = square if training else None if need_cache else centered
+    out = spare if spare is not None and spare.dtype == wide else np.empty(x.shape, wide)
+    if training:
+        workers.run_jobs([partial(_normalize, centered[lo:hi], inv_std, layer.gamma,
+                                  layer.beta, out[lo:hi]) for lo, hi in shares])
+    else:
+        workers.run_jobs([partial(_center_normalize, x.data[lo:hi], mean, centered[lo:hi],
+                                  inv_std, layer.gamma, layer.beta, out[lo:hi])
+                          for lo, hi in shares])
+    cache = BatchNormCache(centered, inv_std, layer.gamma, count) if need_cache else None
+    return Tensor4(out), cache
 
 
 def batchnorm_forward(x: Tensor4, layer: BatchNormLayer, training: bool = False) -> Tensor4:
@@ -759,23 +945,43 @@ def batchnorm_forward(x: Tensor4, layer: BatchNormLayer, training: bool = False)
     return out
 
 
+def _scale_rows(d: np.ndarray, x_hat: np.ndarray, count: int, dbeta: np.ndarray,
+                dgamma: np.ndarray, scale: np.ndarray, dx: np.ndarray, spare: np.ndarray) -> None:
+    """dx = (count * d - dbeta - x_hat * dgamma) * scale, in place in dx, in
+    that order, x_hat * dgamma going through `spare`."""
+    np.multiply(count, d, out=dx)
+    dx -= dbeta
+    np.multiply(x_hat, dgamma, out=spare)
+    dx -= spare
+    dx *= scale
+
+
 def batchnorm_backward(d: np.ndarray, cache: BatchNormCache, need_dx: bool = True):
     """Returns (dx, dgamma, dbeta). Handles both batch-stat and running-stat
     forwards; the latter treats mean/var as constants. dx is None when
-    `need_dx` is false."""
+    `need_dx` is false. The workers take d * x_hat and dx in image shares,
+    and the two sums, each whole and in row order, side by side."""
     x_hat, inv_std, gamma, count = cache
-    dgamma = (d * x_hat).sum(axis=(0, 1, 2))
-    dbeta = d.sum(axis=(0, 1, 2))
+    shares = _image_shares(x_hat)
+    spare = np.empty(x_hat.shape, np.result_type(d, x_hat))
+    workers.run_jobs([partial(np.multiply, d[lo:hi], x_hat[lo:hi], out=spare[lo:hi])
+                      for lo, hi in shares])
+    dgamma, dbeta = np.empty(x_hat.shape[3], spare.dtype), np.empty(x_hat.shape[3], d.dtype)
+    workers.run_jobs([partial(_channel_sum, spare, dgamma), partial(_channel_sum, d, dbeta)])
     if not need_dx:
         return None, dgamma, dbeta
     if count is None:
-        return d * (gamma * inv_std), dgamma, dbeta
+        scale = gamma * inv_std
+        dx = np.empty(d.shape, np.result_type(d, scale))
+        workers.run_jobs([partial(np.multiply, d[lo:hi], scale, out=dx[lo:hi])
+                          for lo, hi in shares])
+        return dx, dgamma, dbeta
     # (gamma * inv_std / count) * (count * d - dbeta - x_hat * dgamma),
     # evaluated in place in the same order, so the bits match.
-    dx = count * d
-    dx -= dbeta
-    dx -= x_hat * dgamma
-    dx *= gamma * inv_std / count
+    dx = np.empty(d.shape, d.dtype)
+    scale = gamma * inv_std / count
+    workers.run_jobs([partial(_scale_rows, d[lo:hi], x_hat[lo:hi], count, dbeta, dgamma,
+                              scale, dx[lo:hi], spare[lo:hi]) for lo, hi in shares])
     return dx, dgamma, dbeta
 
 

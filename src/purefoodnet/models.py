@@ -460,7 +460,7 @@ def forward(spec: ModelSpec, params: ParamStore, x: Tensor4,
     conv or batch-norm map of such a run is made. The bytes are those of
     the layers run one by one in inference (`apply_layer`). A conv holds its
     whole im2col matrix only when that is at most 16 MB; a larger one is
-    taken in blocks of about 512 KB, one buffer per worker, and no conv
+    taken in blocks of about 1 MB, one buffer per worker, and no conv
     makes a padded copy of its input.
     """
     run = spec.layers[first:stop]

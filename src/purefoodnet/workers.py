@@ -1,9 +1,11 @@
-"""Worker threads for the engine's large numpy work: conv products, Glorot
-draws, finiteness scans and PFT1 payload reads, each split only past
-_ONE_BLOCK_BYTES, each share giving the bytes it would on one thread. There
-is one worker per CPU the affinity mask allows (`taskset` limits them)
-wherever `one_blas_thread` can hold numpy's BLAS at one thread, as it can
-on OpenBLAS, whatever thread count the environment gives it; on a BLAS
+"""Worker threads for the engine's numpy work, each share giving the bytes it
+would on one thread. The training kernels (conv, batch norm and pool,
+forward and backward) give out image shares of at least _LEAST_SHARE_BYTES,
+and run independent sums and products side by side; Glorot draws,
+finiteness scans and PFT1 payload reads split only past _ONE_BLOCK_BYTES.
+There is one worker per CPU the affinity mask allows (`taskset` limits
+them) wherever `one_blas_thread` can hold numpy's BLAS at one thread, as it
+can on OpenBLAS, whatever thread count the environment gives it; on a BLAS
 without OpenBLAS's thread-count calls there is one."""
 
 from __future__ import annotations
@@ -11,15 +13,23 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import os
+import queue
 import threading
 from contextlib import contextmanager
 from functools import cache
 
-# An array of at most this many bytes is worked on as one piece on the
-# calling thread. Small work does split: with two CPUs given, two threads
-# filled a train_inmem-size im2col matrix 1.25-1.37x as fast as one. The
-# gate keeps it off the pool's hand-offs, as every training-size run was.
+# Glorot draws, finiteness scans, PFT1 reads and a conv's cache-sized
+# blocks: an array of at most this many bytes is worked on as one piece on
+# the calling thread. The training kernels are gated by _LEAST_SHARE_BYTES
+# instead, and a conv whose im2col matrix is within this is one block per
+# share.
 _ONE_BLOCK_BYTES = 16 << 20
+# A training kernel's share walks at least this many bytes of its input, or
+# the call is one share on the calling thread. On a 2-CPU Xeon host a
+# hand-off to the pool and back took 37-65 us, and a batch norm or pool over
+# 256 KB 110-360 us on one thread, so two shares at this floor save more
+# than their hand-offs cost when two CPUs are free.
+_LEAST_SHARE_BYTES = 1 << 18
 # CPUs this process may use: its affinity mask where the platform has one.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
@@ -92,17 +102,46 @@ _local = threading.local()  # `in_pool` is true on the pool's threads
 
 
 @cache
-def _pool():
-    """The threads beside the calling one, which is a worker too, made when
-    first used: importing concurrent.futures takes about 11 ms."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max(1, _CPUS - 1), thread_name_prefix="purefoodnet",
-                              initializer=setattr, initargs=(_local, "in_pool", True))
+def _pool() -> queue.SimpleQueue:
+    """The queue of the threads beside the calling one, which is a worker
+    too, started when first used. On a 2-CPU Xeon host two no-op jobs
+    through it took 37-65 us where concurrent.futures' executor took
+    117-168 us, the pool's thread having been idle for 0.2-3 ms first, as
+    it is between kernels."""
+    tasks = queue.SimpleQueue()
+    for j in range(max(1, _CPUS - 1)):
+        threading.Thread(target=_serve, args=(tasks,), name=f"purefoodnet-{j}",
+                         daemon=True).start()
+    return tasks
 
 
-def shares(total: int) -> list[tuple[int, int]]:
-    """(start, stop) of min(_WORKERS, total) near-equal shares of `total`."""
-    n = max(1, min(_WORKERS, total))
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """Run the queued jobs, in order, for as long as the process lives. The
+    pool job that pops a call's last token wakes its caller. A job's
+    references go before that: kept until the next task, a job's arrays
+    (a conv's input and buffers) would outlive its call."""
+    _local.in_pool = True
+    while True:
+        task = tasks.get()
+        context, job, j, results, errors, tokens, done = task
+        del task
+        try:
+            results[j] = context.run(job)
+        except BaseException as error:  # the caller raises it
+            errors[j] = error
+        del context, job, results, errors
+        if tokens.pop() == 0:
+            done.release()
+
+
+def shares(total: int, least: int = 1) -> list[tuple[int, int]]:
+    """(start, stop) of near-equal shares of `total`: one per worker, but
+    never more than there are shares of at least `least`, and at least one."""
+    n = max(1, min(_WORKERS, total // max(1, least)))
     return [(total * j // n, total * (j + 1) // n) for j in range(n)]
 
 
@@ -114,13 +153,22 @@ def run_jobs(jobs) -> list:
     caller's context, which holds numpy's `errstate`. Jobs do untraced
     work (the span tracer is not thread-safe) in buffers the caller made (a
     pool thread's allocations stay in its malloc arena). A pool thread runs
-    its own jobs in order: waiting there for the pool could deadlock."""
-    if _WORKERS == 1 or getattr(_local, "in_pool", False):
+    its own jobs in order: waiting there for the pool could deadlock. A
+    single job runs on this thread, and starts no pool."""
+    if len(jobs) < 2 or _WORKERS == 1 or getattr(_local, "in_pool", False):
         return [job() for job in jobs]
-    from concurrent.futures import wait
-    futures = [_pool().submit(contextvars.copy_context().run, job) for job in jobs[1:]]
+    tasks = _pool()
+    results, errors = [None] * len(jobs), [None] * len(jobs)
+    tokens = list(range(len(jobs) - 1))  # list.pop is atomic under the GIL
+    done = threading.Lock()
+    done.acquire()
+    for j, job in enumerate(jobs[1:], 1):
+        tasks.put((contextvars.copy_context(), job, j, results, errors, tokens, done))
     try:
-        first = jobs[0]()
+        results[0] = jobs[0]()
     finally:
-        wait(futures)
-    return [first, *(future.result() for future in futures)]
+        done.acquire()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from functools import partial
 from unittest import mock
 
@@ -438,12 +439,12 @@ class TestBlockedConv:
         assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_matrix_above_the_threshold_goes_in_cache_sized_blocks(self, workers, monkeypatch):
-        # 23.6 MB of im2col, above _ONE_BLOCK_BYTES: blocks of 28 output
-        # rows (516 KB), each worker's share through its own buffer of one
+        # 23.6 MB of im2col, above _ONE_BLOCK_BYTES: blocks of 56 output
+        # rows (1.0 MB), each worker's share through its own buffer of one
         # block. One output row less than the threshold holds is one block.
         unit_bytes = 32 * 16 * 9 * 4
         b = layers._IM2COL_BLOCK_BYTES // unit_bytes
-        assert b == 28 and layers._block_units(40 * 32, 32, 144, 16, 4) == b
+        assert b == 56 and layers._block_units(40 * 32, 32, 144, 16, 4) == b
         within = W._ONE_BLOCK_BYTES // unit_bytes
         assert layers._block_units(within, 32, 144, 16, 4) == within
         assert layers._block_units(within + 1, 32, 144, 16, 4) == b
@@ -462,18 +463,26 @@ class TestBlockedConv:
         assert written.min() >= 1  # every output row, each share's last block overlapping
         assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
-    def test_matrix_within_one_share_stays_on_the_calling_thread(self, monkeypatch):
-        # 5.9 MB: one block at any worker count, on this thread. Small
-        # fills would split (two threads filled a train_inmem-size matrix
-        # 1.25-1.37x as fast as one with two CPUs given); the gate keeps
-        # training-size convs off the pool's hand-offs.
+    def test_matrix_within_the_threshold_is_one_block_per_share(self, workers, monkeypatch):
+        # 5.9 MB: one block per worker, each share holding more rows than
+        # the whole product's kernel needs and more than
+        # _LEAST_SHARE_BYTES of matrix. A 2 x 8^2 x 32 batch's 147 KB
+        # matrix is too small to share, and stays on this thread.
         calls = spy_on_blocks(monkeypatch)
         rng = np.random.default_rng(72)
-        x = Tensor4(rng.normal(size=(20, 16, 16, 32)).astype(np.float32))
         layer = conv_layer(rng.normal(size=(32, 3, 3, 32)).astype(np.float32),
                            np.zeros(32, dtype=np.float32), k=3, z=1)
+        x = Tensor4(rng.normal(size=(20, 16, 16, 32)).astype(np.float32))
         got, _ = conv2d_cached(x, layer, need_cache=False)
-        assert calls == [(0, 20 * 16 * 16, threading.get_ident(), True)]
+        bounds = [320 * j // workers for j in range(workers + 1)]
+        assert sorted(call[:2] for call in calls) == [(lo, (hi - lo) * 16)
+                                                      for lo, hi in zip(bounds, bounds[1:])]
+        assert (len({thread for _, _, thread, _ in calls}) > 1) == (workers > 1)
+        assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
+        calls.clear()
+        x = Tensor4(rng.normal(size=(2, 8, 8, 32)).astype(np.float32))
+        got, _ = conv2d_cached(x, layer, need_cache=False)
+        assert calls == [(0, 2 * 8 * 8, threading.get_ident(), True)]
         assert got.data.tobytes() == one_gemm_conv(x.data, layer).tobytes()
 
     def test_one_filter_is_never_split(self, monkeypatch):
@@ -550,6 +559,27 @@ class TestWorkerPool:
         spec.loader.exec_module(copy)
         assert copy._CPUS == copy._WORKERS == (os.cpu_count() or 1)
         assert copy._pool.cache_info().currsize == 0  # no pool until a job needs it
+
+    def test_one_job_leaves_concurrent_futures_unimported(self):
+        # Every kernel of a 1/8-width 8-px forward is one job, which runs on
+        # the calling thread: nothing imports concurrent.futures for it.
+        src = os.path.dirname(os.path.dirname(layers.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from purefoodnet import models\n"
+            "from purefoodnet.tensor import Tensor4\n"
+            "spec = models.build_purefoodnet(3, width_scale=0.125, input_side=8)\n"
+            "x = Tensor4(np.zeros((1, 8, 8, 3), dtype=np.float32))\n"
+            "models.forward(spec, models.init_params(spec, seed=0), x)\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False"]
 
     def test_many_workers_hold_one_block_each(self, monkeypatch):
         # At 224^2 x 64 -> 64 a block is the smallest allowed, two output
@@ -646,6 +676,46 @@ class TestWorkerPool:
         # The caller's own nested call may still use the pool.
         assert got[0][0] == caller.ident
         assert all(len(set(pair)) == 1 and caller.ident not in pair for pair in got[1:])
+
+    def test_pool_keeps_no_reference_to_a_finished_job(self, monkeypatch):
+        # A pool thread that held its last job until the next one came kept
+        # a conv's input and buffers alive past the call: a paper-scale
+        # forward's peak rose from 30 to 50 MiB.
+        monkeypatch.setattr(W, "_WORKERS", 2)
+        arrays = [np.zeros(10) for _ in range(2)]
+        refs = [weakref.ref(a) for a in arrays]
+        assert W.run_jobs([partial(np.sum, a) for a in arrays]) == [0.0, 0.0]
+        del arrays
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_callers_on_many_threads_each_get_their_own_results(self, monkeypatch):
+        # Eight workers' jobs from four caller threads at once share the
+        # pool's queue, with the interpreter switching threads every 10 us:
+        # each call must get every result of its own jobs, in order.
+        monkeypatch.setattr(W, "_WORKERS", 8)
+        failures = []
+
+        def caller(tag):
+            for n in range(200):
+                jobs = [partial(lambda t, j: (t, n, j, threading.get_ident()), tag, j)
+                        for j in range(8)]
+                got = W.run_jobs(jobs)
+                if [g[:3] for g in got] != [(tag, n, j) for j in range(8)]:
+                    failures.append((tag, n, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(tag,), daemon=True)
+                       for tag in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a run_jobs call never returned"
+        assert not failures
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_caller_error_waits_for_the_pool(self, workers, monkeypatch):
@@ -1295,3 +1365,175 @@ class TestPenalties:
     def test_rejects_negative_strength(self):
         with pytest.raises(ValueError):
             l2_penalty([np.ones(2)], -1.0)
+
+
+def run_kernels(x: np.ndarray, seed: int) -> list:
+    """Every array the training kernels give on x, in a fixed order: a conv
+    from x's channels and its backward (with and without dx), batch norm in
+    training and on running statistics, with and without a cache, and its
+    backward, and both pools and their backward."""
+    rng = np.random.default_rng(seed)
+    i, side, _, c = x.shape
+    got = []
+    for activation, f in (("relu", c), ("none", 16), ("relu", 3)):
+        bank = rounded_with_signed_zeros(rng, (f, 3, 3, c), np.float32) * np.float32(0.25)
+        layer = conv_layer(bank, rounded_with_signed_zeros(rng, f, np.float32), 3, 1, 1,
+                           activation)
+        out, cache = conv2d_cached(Tensor4(x), layer)
+        plain, _ = conv2d_cached(Tensor4(x), layer, need_cache=False)
+        d = rounded_with_signed_zeros(rng, out.shape, np.float32)
+        if activation == "none":  # as the padded dx slice of a conv above arrives
+            d = np.pad(d, ((0, 0), (1, 1), (1, 1), (0, 0)))[:, 1:-1, 1:-1]
+        got += [out.data, plain.data, *(a for a in cache if isinstance(a, np.ndarray)),
+                *layers.conv2d_backward(d, cache), *layers.conv2d_backward(d, cache, False)[1:]]
+    for training, need_cache in ((True, True), (True, False), (False, True), (False, False)):
+        bn = BatchNormLayer(*(rounded_with_signed_zeros(rng, c, np.float32) for _ in range(3)),
+                            np.abs(rounded_with_signed_zeros(rng, c, np.float32)))
+        out, cache = batchnorm_cached(Tensor4(x), bn, training=training, need_cache=need_cache)
+        got += [out.data, bn.running_mean, bn.running_var]
+        if cache is not None:
+            d = rounded_with_signed_zeros(rng, x.shape, np.float32)
+            got += [cache.x_hat, cache.inv_std, *layers.batchnorm_backward(d, cache),
+                    *layers.batchnorm_backward(d, cache, need_dx=False)[1:]]
+    for mode in POOL_MODES:
+        out, cache = pool_cached(Tensor4(x), PoolLayer(2, 2, mode))
+        plain = pool_forward(Tensor4(x), PoolLayer(2, 2, mode))
+        d = rounded_with_signed_zeros(rng, out.shape, np.float32)
+        got += [out.data, plain.data, pool_backward(d, cache)]
+        if cache.argmax is not None:
+            got.append(cache.argmax)
+    return got
+
+
+class TestImageShares:
+    """The training kernels give out image shares, one job per worker, and
+    sums side by side: every output, cache, gradient and running statistic
+    must have the one-worker bytes. The work floor is 0, so every kernel
+    splits wherever its products keep their BLAS kernel."""
+
+    @pytest.fixture(autouse=True)
+    def no_floor(self, monkeypatch):
+        monkeypatch.setattr(W, "_LEAST_SHARE_BYTES", 0)
+
+    @pytest.fixture
+    def jobs(self, monkeypatch):
+        """The job count of each `workers.run_jobs` call from now on."""
+        counts, real = [], W.run_jobs
+        monkeypatch.setattr(W, "run_jobs", lambda jobs: counts.append(len(jobs)) or real(jobs))
+        return counts
+
+    @pytest.fixture
+    def image_shares(self, monkeypatch):
+        """The share count of each image split from now on."""
+        counts, real = [], layers._image_shares
+        monkeypatch.setattr(layers, "_image_shares",
+                            lambda *args: counts.append(len(real(*args))) or real(*args))
+        return counts
+
+    @pytest.mark.parametrize("side, c", [(32, 16), (16, 32), (8, 64)])
+    @pytest.mark.parametrize("images", [1, 3, 8, 40, 41])
+    def test_shares_give_the_one_worker_bytes(self, images, side, c, image_shares,
+                                              monkeypatch):
+        x = rounded_with_signed_zeros(np.random.default_rng([images, side]),
+                                      (images, side, side, c), np.float32)
+        monkeypatch.setattr(W, "_WORKERS", 1)
+        want = run_kernels(x, images + side)
+        monkeypatch.setattr(W, "_WORKERS", 2)
+        image_shares.clear()
+        got = run_kernels(x, images + side)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert max(image_shares) == min(images, 2)
+
+    def test_three_workers(self, monkeypatch):
+        x = rounded_with_signed_zeros(np.random.default_rng(3), (41, 16, 16, 32), np.float32)
+        monkeypatch.setattr(W, "_WORKERS", 1)
+        want = run_kernels(x, 5)
+        monkeypatch.setattr(W, "_WORKERS", 3)
+        assert [g.tobytes() for g in run_kernels(x, 5)] == [w.tobytes() for w in want]
+
+    def test_input_gradient_shares_keep_the_blas_kernel(self, monkeypatch):
+        # 8 images at 8^2 x 64 -> 64: 2^21 multiply-adds per tap product,
+        # so two shares of four images each keep the large-matrix kernel;
+        # one filter is a product that would take GER, so it stays whole.
+        monkeypatch.setattr(W, "_WORKERS", 2)
+        assert layers._image_shares(np.empty((8, 8, 8, 64)), layers._least_units(64, 64, 64)) \
+            == [(0, 4), (4, 8)]
+        assert layers._image_shares(np.empty((7, 8, 8, 64)),
+                                    layers._least_units(64, 64, 64)) == [(0, 7)]
+        calls = []
+        real = layers._input_gradient
+        monkeypatch.setattr(layers, "_input_gradient",
+                            lambda d, *args: calls.append(len(d)) or real(d, *args))
+        rng = np.random.default_rng(11)
+        x = Tensor4(rounded_with_signed_zeros(rng, (8, 8, 8, 64), np.float32))
+        for f, shares in ((64, [4, 4]), (1, [8])):
+            layer = conv_layer(rng.normal(size=(f, 3, 3, 64)).astype(np.float32),
+                               np.zeros(f, np.float32), 3, 1, 1, "relu")
+            out, cache = conv2d_cached(x, layer)
+            calls.clear()
+            layers.conv2d_backward(out.data, cache)
+            assert calls == shares
+
+    def test_the_floor_keeps_small_calls_on_the_calling_thread(self, jobs, monkeypatch):
+        # At the default floor a train_inmem-size batch norm splits, and the
+        # pooled 4^2 x 64 map of the same batch, 164 KB, is one share.
+        monkeypatch.setattr(W, "_LEAST_SHARE_BYTES", 1 << 18)
+        monkeypatch.setattr(W, "_WORKERS", 2)
+        rng = np.random.default_rng(13)
+        bn = BatchNormLayer(np.ones(64, np.float32), np.zeros(64, np.float32),
+                            np.zeros(64, np.float32), np.ones(64, np.float32))
+        batchnorm_cached(Tensor4(rng.normal(size=(40, 8, 8, 64)).astype(np.float32)), bn, True)
+        assert jobs == [2, 2]
+        jobs.clear()
+        batchnorm_cached(Tensor4(rng.normal(size=(40, 4, 4, 64)).astype(np.float32)), bn, True)
+        assert jobs == [1, 1]
+
+    @pytest.mark.parametrize("image", [0, 7])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_an_overflow_in_any_share_raises_as_before(self, image, monkeypatch):
+        monkeypatch.setattr(W, "_WORKERS", 2)
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(8, 16, 16, 32)).astype(np.float32)
+        x[image, 3] = 1e20  # its square, and its product with a filter of 1e20, overflow
+        bank = np.zeros((32, 3, 3, 32), np.float32)
+        bank[0, 1, 1, 0] = 1e20
+        with pytest.raises(NonFiniteError, match="^Tensor4 values must be finite$"):
+            conv2d_cached(Tensor4(x), conv_layer(bank, np.zeros(32, np.float32), 3, 1, 1))
+        bn = BatchNormLayer(np.ones(32, np.float32), np.zeros(32, np.float32),
+                            np.zeros(32, np.float32), np.ones(32, np.float32))
+        with pytest.raises(NonFiniteError, match="^batch norm batch statistics must be finite$"):
+            batchnorm_cached(Tensor4(x), bn, training=True)
+        assert (bn.running_var == 1).all() and not bn.running_mean.any()  # nothing folded
+        bn.gamma[:] = 1e30  # gamma * x_hat overflows on running statistics
+        with pytest.raises(NonFiniteError, match="^Tensor4 values must be finite$"):
+            batchnorm_cached(Tensor4(x), bn)
+
+
+class TestChannelSums:
+    """Batch norm and the conv bias gradient sum channels through `einsum`,
+    which adds the rows one by one, in order, as numpy's sum over the first
+    three axes does for two or more channels: the bytes must match, signed
+    zeros and strided views included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sum_and_mean_have_numpys_bytes(self, data):
+        shape = tuple(data.draw(st.integers(1, n), name) for n, name in
+                      ((6, "images"), (12, "h"), (12, "w"), (70, "c")))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), "dtype")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        x = rounded_with_signed_zeros(rng, (shape[0], shape[1] + 2, shape[2] + 2, shape[3]), dtype)
+        if data.draw(st.booleans(), "unrounded"):
+            x = x * dtype(rng.normal()) + rng.normal(scale=1e-3, size=x.shape).astype(dtype)
+        x[..., 0] = -0.0  # a channel of -0.0 alone
+        for a in (x[:, 1:-1, 1:-1], np.ascontiguousarray(x[:, 1:-1, 1:-1])):
+            want = a.sum(axis=(0, 1, 2))
+            got = layers._channel_sum(a)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            out = np.empty_like(want)
+            assert layers._channel_sum(a, out) is out and out.tobytes() == want.tobytes()
+            want = a.mean(axis=(0, 1, 2))
+            got = layers._channel_mean(a)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

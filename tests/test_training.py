@@ -307,7 +307,7 @@ class TestFilterGradientTaps:
             want = rebuilt_gemm_dw(d, x, k, s, z)
             macs = f * c * d[..., 0].size
             taps = W._ONE_BLAS_THREAD and f >= 2 and c >= 8 and macs >= L._MIN_BLOCK_MACS
-            routes.append(len(tapped) == taps)
+            routes.append(bool(tapped) == taps)
             if f >= 2 and c >= 8:
                 sides.add(macs >= L._MIN_BLOCK_MACS)
             if dw.dtype != want.dtype or dw.tobytes() != want.tobytes():
@@ -355,6 +355,63 @@ class TestFilterGradientTaps:
         # Every cache of the model together holds less than its convs'
         # im2col matrices would.
         assert held < sum(im2col.values())
+
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_centre_tap_reads_the_input_itself(self, k):
+        # A stride-1 conv that keeps its size reads x itself through tap
+        # (z, z): a C-contiguous x is multiplied in place, with the bytes
+        # of the tap copy a strided x still takes, and the buffer is not
+        # touched.
+        rng = np.random.default_rng(k)
+        z, c, f = (k - 1) // 2, 32, 16
+        wide = rng.normal(size=(8, 16, 16, c + 1)).astype(np.float32)
+        strided, x = wide[..., :c], np.ascontiguousarray(wide[..., :c])
+        d = rng.normal(size=(8, 16, 16, f)).astype(np.float32)
+        d_rows = d.transpose(3, 0, 1, 2).reshape(f, -1)
+        got, want = (np.empty((k, k, f, c), np.float32) for _ in range(2))
+        centre = z * k + z
+        tap = np.full((8, 16, 16, c), np.nan, np.float32)
+        L._tap_gradients(d_rows, x, 1, z, tap, got, centre, centre + 1)
+        assert np.isnan(tap).all()
+        L._tap_gradients(d_rows, x, 1, z, tap, got, 0, k * k)
+        L._tap_gradients(d_rows, strided, 1, z, tap, want, 0, k * k)
+        assert got.tobytes() == want.tobytes()
+        assert got[z, z].tobytes() == np.dot(d_rows, x.reshape(-1, c)).tobytes()
+
+
+class TestImageSharesStep:
+    """A whole training step with every kernel split into image shares (the
+    work floor at 0) on two workers gives the one-worker bytes: loss,
+    probabilities, every gradient and every running statistic."""
+
+    @staticmethod
+    def step(spec, seed, images, side, monkeypatch, workers, floor):
+        monkeypatch.setattr(W, "_WORKERS", workers)
+        monkeypatch.setattr(W, "_LEAST_SHARE_BYTES", floor)
+        params = M.init_params(spec, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = Tensor4(rng.normal(size=(images, side, side, 3)).astype(np.float32))
+        classes = spec.layers[-1].units
+        labels = np.eye(classes, dtype=np.float32)[rng.integers(0, classes, images)]
+        loss, grads, probs = T.loss_and_gradients(spec, params, x, labels, 1e-4, 1e-5,
+                                                  rng=np.random.default_rng(seed))
+        return [np.float64(loss).tobytes(), probs.data.tobytes(),
+                *(name.encode() + grads[name].tobytes() for name in sorted(grads)),
+                *(name.encode() + params[name].tobytes() for name in params)]
+
+    @pytest.mark.parametrize("images", [3, 8])
+    def test_golden_spec(self, images, monkeypatch):
+        from test_golden import SPEC_TEXT
+        spec = M.parse_model_spec(SPEC_TEXT)
+        want = self.step(spec, 7, images, 16, monkeypatch, 1, W._LEAST_SHARE_BYTES)
+        assert self.step(spec, 7, images, 16, monkeypatch, 2, 0) == want
+
+    @pytest.mark.parametrize("images", [40, 41])
+    def test_train_inmem_shape(self, images, monkeypatch):
+        spec = M.build_purefoodnet(4, width_scale=0.125, input_side=32)
+        want = self.step(spec, 9, images, 32, monkeypatch, 1, W._LEAST_SHARE_BYTES)
+        assert self.step(spec, 9, images, 32, monkeypatch, 2, 0) == want
 
 
 class TestLayerGradientsVsFiniteDifferences:
